@@ -283,8 +283,8 @@ def cmd_compare(args) -> int:
             bound = rb.rate_bound(int(n))
             dominated += est.ci_high[i] <= bound
             w.writerow(
-                [int(n), repr(bound), repr(est.mean[i]), repr(est.ci_low[i]),
-                 repr(est.ci_high[i])]
+                [int(n), repr(bound), repr(float(est.mean[i])),
+                 repr(float(est.ci_low[i])), repr(float(est.ci_high[i]))]
             )
     meta["domination_fraction"] = dominated / len(est.n_grid)
     samplers.write_metadata(os.path.join(args.out, "compare_meta.json"), meta)

@@ -91,19 +91,33 @@ class TestFunction:
         return TestFunction(self.values - self.mean, self.mu)
 
 
-def dirichlet_form(k: FiniteKernel, f: np.ndarray) -> float:
-    """<(I - T)f, f>_mu, cross-checked against the double-sum form."""
+def dirichlet_form(k: FiniteKernel, f: np.ndarray):
+    """<(I - T)f, f>_mu, cross-checked against the double-sum form.
+
+    ``f`` of shape (n,) gives a float; ``f`` of shape (n, t) gives an array
+    with one value per column.  The double sum
+    1/2 sum_ij mu_i T_ij (f_i - f_j)^2 is evaluated expanded, as
+    1/2 (sum_i mu_i r_i f_i^2 + sum_j (mu^T T)_j f_j^2) - f^T (mu o T) f,
+    with the row sums r and mu^T T taken from the matrix, so that no
+    n x n x t array is built and a matrix that is no longer stochastic or
+    stationary still fails the check.
+    """
     f = np.asarray(f, dtype=float)
-    if f.shape != (k.n,):
+    if f.ndim not in (1, 2) or f.shape[0] != k.n:
         raise DomainError("function dimension mismatch")
-    inner = float(np.dot(k.mu * (f - k.matrix @ f), f))
-    diff = f[:, None] - f[None, :]
-    double = 0.5 * float(np.sum(k.mu[:, None] * k.matrix * diff ** 2))
-    if abs(inner - double) > 1e-10 * max(1.0, abs(inner)):
+    F = f[:, None] if f.ndim == 1 else f
+    T, mu = k.matrix, k.mu
+    TF = T @ F
+    inner = mu @ ((F - TF) * F)
+    double = 0.5 * ((mu * T.sum(axis=1) + mu @ T) @ F ** 2) - mu @ (F * TF)
+    bad = np.abs(inner - double) > 1e-10 * np.maximum(1.0, np.abs(inner))
+    if np.any(bad):
+        j = int(np.argmax(bad))
         raise DomainError(
-            f"Dirichlet-form cross-check failed: {inner} vs {double}"
+            f"Dirichlet-form cross-check failed: {inner[j]} vs {double[j]}"
         )
-    return max(inner, 0.0)
+    out = np.maximum(inner, 0.0)
+    return float(out[0]) if f.ndim == 1 else out
 
 
 def adjoint(k: FiniteKernel) -> FiniteKernel:
@@ -115,14 +129,17 @@ def adjoint(k: FiniteKernel) -> FiniteKernel:
 
 
 def l2_decay_exact(k: FiniteKernel, f: np.ndarray, n_max: int) -> np.ndarray:
-    """Exact sequence ||T^n f||^2_mu for n = 0..n_max; f must be centered."""
+    """Exact sequence ||T^n f||^2_mu for n = 0..n_max; f must be centered.
+
+    ``f`` of shape (n, t) gives shape (n_max + 1, t), one sequence per column.
+    """
     f = np.asarray(f, dtype=float)
-    if abs(float(k.mu @ f)) > 1e-12:
+    if np.any(np.abs(k.mu @ f) > 1e-12):
         raise DomainError("l2_decay_exact needs a centered function")
-    out = np.empty(n_max + 1)
+    out = np.empty((n_max + 1,) + f.shape[1:])
     g = f.copy()
     for n in range(n_max + 1):
-        out[n] = float(k.mu @ g ** 2)
+        out[n] = k.mu @ g ** 2
         g = k.matrix @ g
     return out
 
@@ -165,11 +182,10 @@ def lazy_rwm_kernel(pi: np.ndarray) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     m = len(pi)
     M = np.zeros((m, m))
-    for i in range(m):
-        for j in (i - 1, i + 1):
-            if 0 <= j < m:
-                M[i, j] = 0.5 * min(1.0, pi[j] / pi[i])
-        M[i, i] = 1.0 - M[i].sum()
+    i = np.arange(m - 1)
+    M[i, i + 1] = 0.5 * np.minimum(1.0, pi[1:] / pi[:-1])
+    M[i + 1, i] = 0.5 * np.minimum(1.0, pi[:-1] / pi[1:])
+    np.fill_diagonal(M, 1.0 - M.sum(axis=1))
     return 0.5 * np.eye(m) + 0.5 * M
 
 
@@ -209,20 +225,16 @@ class FiniteJointModel:
         self.h1_slices = [np.asarray(h, dtype=float) for h in h1_slices]
         self.h2_slices = [np.asarray(h, dtype=float) for h in h2_slices]
 
+        # fill the operators through [x, y, x', y'] views of the matrices
         nx, ny = self.nx, self.ny
         n = nx * ny
-        G1 = np.zeros((n, n))
-        G2 = np.zeros((n, n))
-        H1 = np.zeros((n, n))
-        H2 = np.zeros((n, n))
-        for x in range(nx):
-            for y in range(ny):
-                i = x * ny + y
-                G1[i, x * ny : (x + 1) * ny] = self.cond_y_given_x[x]
-                H1[i, x * ny : (x + 1) * ny] = self.h1_slices[x][y]
-                for xp in range(nx):
-                    G2[i, xp * ny + y] = self.cond_x_given_y[y, xp]
-                    H2[i, xp * ny + y] = self.h2_slices[y][x, xp]
+        G1, G2, H1, H2 = (np.zeros((n, n)) for _ in range(4))
+        ax, ay = np.arange(nx), np.arange(ny)
+        h2 = np.stack(self.h2_slices)  # [y, x, x']
+        G1.reshape(nx, ny, nx, ny)[ax, :, ax, :] = self.cond_y_given_x[:, None, :]
+        H1.reshape(nx, ny, nx, ny)[ax, :, ax, :] = np.stack(self.h1_slices)
+        G2.reshape(nx, ny, nx, ny)[:, ay, :, ay] = self.cond_x_given_y[:, None, :]
+        H2.reshape(nx, ny, nx, ny)[:, ay, :, ay] = h2
         self.G1, self.G2, self.H1, self.H2 = G1, G2, H1, H2
         self.P = G1 @ G2
         self.P1 = H1 @ G2
@@ -233,7 +245,7 @@ class FiniteJointModel:
         A = self.cond_y_given_x  # [x, y]
         B = self.cond_x_given_y  # [y, x']
         self.P_X = A @ B
-        self.P_X_bar = np.einsum("xy,yxz->xz", A, np.stack(self.h2_slices))
+        self.P_X_bar = np.einsum("xy,yxz->xz", A, h2)
 
     def kernel(self, name: str) -> FiniteKernel:
         mats = {
@@ -381,49 +393,46 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
         lam = _weighted_psd_min_eig(m.kernel(name).matrix, mu)
         rep.add(f"positivity of {name}", max(0.0, -lam), 1e-10, seed)
 
-    pairs = {"P": (m.G1, m.G2), "P1": (m.H1, m.G2), "P2": (m.G1, m.H2),
-             "P12": (m.H1, m.H2)}
-    fs = random_centered_functions(mu, trials, seed)
+    # the f-independent products are formed once per pair, evaluated on all
+    # trial functions (the columns of F) at once, and dropped after use
+    pairs = ((m.G1, m.G2), (m.H1, m.G2), (m.G1, m.H2), (m.H1, m.H2))  # P, P1, P2, P12
+    F = np.column_stack(random_centered_functions(mu, trials, seed))
+    osc_F = np.ptp(F, axis=0)
     worst = {key: 0.0 for key in (
         "decomposition", "doubling", "positive-part", "adjoint-comparison",
         "marginal equality", "marginal lift", "oscillation contraction")}
-    for f in fs:
-        for name, (T1, T2) in pairs.items():
-            T = T1 @ T2
-            Ts = T2 @ T1  # components are self-adjoint
-            lhs = E(Ts @ T, f)
-            rhs = E(T2 @ T2, f) + E(T1 @ T1, T2 @ f)
-            worst["decomposition"] = max(
-                worst["decomposition"], abs(lhs - rhs))
-            worst["doubling"] = max(worst["doubling"], lhs - 2.0 * E(T, f))
-            worst["adjoint-comparison"] = max(
-                worst["adjoint-comparison"], E(T @ Ts, T @ f) - lhs)
-            osc = lambda v: v.max() - v.min()
-            worst["oscillation contraction"] = max(
-                worst["oscillation contraction"], osc(T @ f) - osc(f))
-        for name in ("G1", "G2", "H1", "H2"):
-            T = m.kernel(name).matrix
-            worst["positive-part"] = max(
-                worst["positive-part"], E(T, f) - E(T @ T, f))
-        # cylinder functions: marginal Dirichlet form equality and the lift
-        g = np.array([f[x * m.ny] for x in range(m.nx)])
-        g = g - float(m.marg_x @ g)
-        f_g = np.repeat(g, m.ny)
-        kPX = m.kernel("P_X")
-        lhs = dirichlet_form(
-            FiniteKernel(adjoint(kP).matrix @ kP.matrix, mu), f_g)
-        rhs = dirichlet_form(
-            FiniteKernel(adjoint(kPX).matrix @ kPX.matrix, m.marg_x), g)
-        worst["marginal equality"] = max(worst["marginal equality"], abs(lhs - rhs))
-        # P f is constant on x-fibers; its x-function advances by P_X
-        pf = kP.matrix @ f
-        fiber = pf.reshape(m.nx, m.ny)
-        worst["marginal lift"] = max(
-            worst["marginal lift"],
-            float(np.max(np.abs(fiber - fiber[:, :1]))),
-            float(np.max(np.abs(np.repeat(m.P_X @ fiber[:, 0], m.ny)
-                                - kP.matrix @ pf))),
-        )
+
+    def bump(key, vals):
+        worst[key] = max(worst[key], float(np.max(vals)))
+
+    for T1, T2 in pairs:
+        T = T1 @ T2
+        Ts = T2 @ T1  # components are self-adjoint
+        TF = T @ F
+        lhs = E(Ts @ T, F)
+        rhs = E(T2 @ T2, F) + E(T1 @ T1, T2 @ F)
+        bump("decomposition", np.abs(lhs - rhs))
+        bump("doubling", lhs - 2.0 * E(T, F))
+        bump("adjoint-comparison", E(T @ Ts, TF) - lhs)
+        bump("oscillation contraction", np.ptp(TF, axis=0) - osc_F)
+    for name in ("G1", "G2", "H1", "H2"):
+        k = m.kernel(name)
+        bump("positive-part",
+             dirichlet_form(k, F) - E(k.matrix @ k.matrix, F))
+    # cylinder functions: marginal Dirichlet form equality and the lift
+    g = F[::m.ny]  # f(x, 0)
+    g = g - m.marg_x @ g
+    kPX = m.kernel("P_X")
+    lhs = E(adjoint(kP).matrix @ kP.matrix, np.repeat(g, m.ny, axis=0))
+    rhs = dirichlet_form(
+        FiniteKernel(adjoint(kPX).matrix @ kPX.matrix, m.marg_x), g)
+    bump("marginal equality", np.abs(lhs - rhs))
+    # P f is constant on x-fibers; its x-function advances by P_X
+    pf = kP.matrix @ F
+    fiber = pf.reshape(m.nx, m.ny, -1)
+    bump("marginal lift", np.abs(fiber - fiber[:, :1]))
+    bump("marginal lift", np.abs(np.repeat(m.P_X @ fiber[:, 0], m.ny, axis=0)
+                                 - kP.matrix @ pf))
     for key, val in worst.items():
         rep.add(key, val, tol if key != "marginal lift" else 1e-12, seed)
     return rep
@@ -452,15 +461,13 @@ def verify_bound_domination(
     bounds = np.array([rb.rate_bound(n) for n in range(n_max + 1)])
 
     rep = Report()
-    kern = m.kernel("P12")
+    F = np.array(f_set, dtype=float).reshape(len(f_set), m.mu.size).T
+    F = F - m.mu @ F
+    osc_sq = np.ptp(F, axis=0) ** 2
+    keep = osc_sq > 0.0
     worst = -np.inf
-    for f in f_set:
-        f = np.asarray(f, dtype=float)
-        f = f - float(m.mu @ f)
-        osc_sq = (f.max() - f.min()) ** 2
-        if osc_sq == 0.0:
-            continue
-        decay = l2_decay_exact(kern, f, n_max)
-        worst = max(worst, float(np.max(decay / osc_sq - bounds)))
+    if np.any(keep):
+        decay = l2_decay_exact(m.kernel("P12"), F[:, keep], n_max)
+        worst = float(np.max(decay / osc_sq[keep] - bounds[:, None]))
     rep.add(f"bound domination ({mode})", worst, slack)
     return rep

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +94,10 @@ class RateBound:
             return X_MAX
         if self._cf is not None:
             if self._cf[0] == "linear":
-                return X_MAX * math.exp(-self._cf[1] * n)
+                # 1/4 exp(-slope n) falls below the smallest normal double
+                # near slope * n = 707 and underflows to 0 near 745; the
+                # floor stays above the true value
+                return max(X_MAX * math.exp(-self._cf[1] * n), sys.float_info.min)
             c, p = self._cf[1]
             x = (c * (p - 1.0) * n + X_MAX ** (1.0 - p)) ** (-1.0 / (p - 1.0))
             return max(x, self.x_min)

@@ -104,3 +104,6 @@ def test_compare_finite_negative_control(tmp_path):
     rows = (out / "compare.csv").read_text().strip().splitlines()
     assert rows[0] == "n,bound,empirical_mean,ci_low,ci_high"
     assert len(rows) == 5
+    for row in rows[1:]:
+        for cell in row.split(","):
+            float(cell)  # plain numbers, not numpy scalar reprs

@@ -144,3 +144,77 @@ def test_tensor_product_gap():
     prod = tensor_product_kernel(a, b)
     ga, gb, gp = spectral_gap(a), spectral_gap(b), spectral_gap(prod)
     assert gp == pytest.approx(min(ga, gb), abs=1e-10)
+
+
+# -- the entry-by-entry model build, kept as the reference for the array build
+
+
+def _loop_lazy_rwm_kernel(pi):
+    m = len(pi)
+    M = np.zeros((m, m))
+    for i in range(m):
+        for j in (i - 1, i + 1):
+            if 0 <= j < m:
+                M[i, j] = 0.5 * min(1.0, pi[j] / pi[i])
+        M[i, i] = 1.0 - M[i].sum()
+    return 0.5 * np.eye(m) + 0.5 * M
+
+
+def _loop_operators(m, exact):
+    nx, ny = m.nx, m.ny
+    if exact:
+        h1 = [m.cond_y_given_x[x][None, :].repeat(ny, axis=0) for x in range(nx)]
+        h2 = [m.cond_x_given_y[y][None, :].repeat(nx, axis=0) for y in range(ny)]
+    else:
+        h1 = [_loop_lazy_rwm_kernel(m.cond_y_given_x[x]) for x in range(nx)]
+        h2 = [_loop_lazy_rwm_kernel(m.cond_x_given_y[y]) for y in range(ny)]
+    n = nx * ny
+    G1, G2, H1, H2 = (np.zeros((n, n)) for _ in range(4))
+    for x in range(nx):
+        for y in range(ny):
+            i = x * ny + y
+            G1[i, x * ny : (x + 1) * ny] = m.cond_y_given_x[x]
+            H1[i, x * ny : (x + 1) * ny] = h1[x][y]
+            for xp in range(nx):
+                G2[i, xp * ny + y] = m.cond_x_given_y[y, xp]
+                H2[i, xp * ny + y] = h2[y][x, xp]
+    return {"G1": G1, "G2": G2, "H1": H1, "H2": H2, "P12": H1 @ H2}
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 3), (3, 5), (5, 3), (16, 16)])
+@pytest.mark.parametrize("exact", [False, True])
+def test_model_build_matches_loop_reference(nx, ny, exact):
+    m = random_joint_model(seed=nx * 31 + ny, nx=nx, ny=ny, exact=exact)
+    for name, ref in _loop_operators(m, exact).items():
+        assert np.array_equal(m.kernel(name).matrix, ref), name
+
+
+def _batch_case():
+    m = random_joint_model(seed=8, nx=4, ny=5)
+    F = np.column_stack(random_centered_functions(m.mu, count=6, seed=2))
+    return m.kernel("P12"), F
+
+
+def test_batched_forms_match_column_calls():
+    k, F = _batch_case()
+    cols = np.array([dirichlet_form(k, F[:, j]) for j in range(F.shape[1])])
+    batched = dirichlet_form(k, F)
+    assert batched.shape == (F.shape[1],)
+    assert np.allclose(batched, cols, rtol=1e-12, atol=1e-15)
+    assert isinstance(dirichlet_form(k, F[:, 0]), float)
+    decay = l2_decay_exact(k, F, n_max=30)
+    assert decay.shape == (31, F.shape[1])
+    for j in range(F.shape[1]):
+        assert np.allclose(decay[:, j], l2_decay_exact(k, F[:, j], 30),
+                           rtol=1e-12, atol=1e-15)
+
+
+def test_corrupted_kernel_fails_cross_check():
+    k, F = _batch_case()
+    k.matrix[0, 0] += 0.1  # no longer stochastic nor stationary
+    with pytest.raises(DomainError, match="cross-check"):
+        dirichlet_form(k, F[:, 0])
+    with pytest.raises(DomainError, match="cross-check"):
+        dirichlet_form(k, F)
+    with pytest.raises(DomainError, match="dimension"):
+        dirichlet_form(k, F[:, :, None])

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from wpgibbs import GridKStar, Linear, Power, RateBound, compose_mwg
+from wpgibbs.kstar import Composite
 from wpgibbs.rates import X_MAX
 
 
@@ -11,6 +13,18 @@ def test_linear_closed_form():
     rb = RateBound(Linear(0.3))
     for n in (0, 1, 5, 50):
         assert rb.rate_bound(n) == pytest.approx(0.25 * math.exp(-0.3 * n), abs=1e-15)
+
+
+def test_linear_closed_form_never_underflows_to_zero():
+    # 1/4 exp(-slope * m) is below the smallest normal double here; the
+    # bound must stay positive and no smaller than that true value
+    cases = ((Linear(1.0), 1.0, 800), (Composite(Linear(2.0), offset=1), 2.0, 600))
+    for k, slope, n in cases:
+        rb = RateBound(k)
+        b = rb.rate_bound(n)
+        assert b == sys.float_info.min
+        assert math.log(b) >= math.log(X_MAX) - slope * (n - k.n_offset)
+        assert 0.0 < rb.rate_bound(n + 1000) <= b
 
 
 def test_power_closed_form():
