@@ -15,7 +15,6 @@ from .beta import (
     Sum,
     Table,
     adjoint_transform_beta,
-    beta_eval,
     tensorize,
 )
 from .errors import (

@@ -45,11 +45,6 @@ class BetaSpec:
         return out
 
 
-def beta_eval(spec: BetaSpec, s):
-    """Evaluate ``spec`` at ``s`` (scalar or array), applying the cap."""
-    return spec(s)
-
-
 @dataclass(frozen=True)
 class Indicator(BetaSpec):
     """SPI with constant gamma encoded as beta(s) = 1{s <= 1/gamma}.
@@ -199,15 +194,6 @@ class MonteCarloMixture(BetaSpec):
         for child in self.children:
             total = total + np.asarray(child(s))
         return total / self.n_samples
-
-    def __call__(self, s):
-        arr = _as_array(s)
-        out = self._eval(arr)
-        if self.cap is not None:
-            out = np.minimum(out, self.cap)
-        if np.ndim(s) == 0:
-            return float(out[0])
-        return out
 
 
 def tensorize(children: Sequence[BetaSpec]) -> BetaSpec:

@@ -22,8 +22,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import kstar, samplers
 from .beta import DEFAULT_CAP, BetaSpec, ExpLogSquare, Indicator
-from .errors import DomainError, InvalidSpecError, ValidityRangeError
+from .errors import DomainError, InvalidModeError, InvalidSpecError, ValidityRangeError
 from .kstar import Linear
 from .special import gammainc_lower, gammainc_upper, lambert_w
 
@@ -37,6 +38,16 @@ B_UPPER_TAIL = 2.0
 
 GAMMA_XI_SCALED = (27.0 / 256.0) * C_XI
 GAMMA_TAU_SCALED = C_RWM / (2.0 * math.e)
+
+
+def _numbers(obj, kind, *names) -> None:
+    """Store each named field of a frozen params object as ``kind``."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, kind(value))
+        except (TypeError, ValueError):
+            raise InvalidSpecError(f"{name} must be a number, got {value!r}") from None
 
 
 def _positive(name: str, x: float) -> float:
@@ -70,12 +81,10 @@ class NIGParams:
     gamma_dg: float = 1.0
 
     def __post_init__(self):
-        _positive("beta_hyper", self.beta_hyper)
-        _positive("gamma_dg", self.gamma_dg)
-        for name in ("sigma_xi", "sigma_tau"):
-            v = getattr(self, name)
-            if v != "scaled":
-                _positive(name, v)
+        steps = [n for n in ("sigma_xi", "sigma_tau") if getattr(self, n) != "scaled"]
+        _numbers(self, float, "beta_hyper", "gamma_dg", *steps)
+        for name in ("beta_hyper", "gamma_dg", *steps):
+            _positive(name, getattr(self, name))
 
 
 def nig_conditional_gaps(p: NIGParams, xi: float, tau: float):
@@ -115,7 +124,9 @@ def nig_scaled_kstar(p: NIGParams) -> Linear:
 
 def _nig_sigma0(p: NIGParams) -> float:
     if p.sigma_xi == "scaled" or p.sigma_tau == "scaled":
-        raise InvalidSpecError("fixed-step profiles need numeric step sizes")
+        raise InvalidSpecError(
+            "fixed-step profiles need numeric step sizes (the CLI's --sigma0)"
+        )
     if float(p.sigma_xi) != float(p.sigma_tau):
         raise InvalidSpecError("fixed-step profiles assume a common step sigma0")
     return float(p.sigma_xi)
@@ -218,6 +229,7 @@ class BayesParams:
     def __post_init__(self):
         object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
         object.__setattr__(self, "Y", np.asarray(self.Y, dtype=float))
+        _numbers(self, float, "a", "b", "sigma0", "gamma_dg")
         if not self.a > 1.0:
             raise DomainError("a must be > 1")
         _positive("b", self.b)
@@ -338,6 +350,8 @@ class OUParams:
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "obs", tuple(float(y) for y in self.obs))
+        _numbers(self, float, "mu0", "tau0", "gamma_dg", "envelope_K")
+        _numbers(self, int, "M")
         _positive("tau0", self.tau0)
         _positive("gamma_dg", self.gamma_dg)
         _positive("envelope_K", self.envelope_K)
@@ -461,3 +475,130 @@ class OUBeta2(BetaSpec):
 
     def _eval(self, s):
         return np.array([ou_beta2(float(si), self.params) for si in s])
+
+
+# ---------------------------------------------------------------------------
+# case registry: what the CLI runs for each case
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Case:
+    """One worked sampler as the CLI runs it.
+
+    ``modes`` are the allowed ``--mode`` values, the default first.
+    ``bound(p, mode, delta)`` returns (K*, constants, rate_shape).
+    ``trace(p, mode, rng, steps, acc)`` yields the CSV rows of one chain
+    (start, then ``steps`` scans) under the header ``columns(p)``; a case
+    that records acceptance appends its per-segment counts to ``acc``.
+    """
+
+    params: type
+    modes: tuple
+    bound: Callable
+    columns: Callable
+    trace: Callable
+
+
+def nig_check_steps(p: NIGParams, mode: str) -> None:
+    """Mode ``fixed`` needs one common numeric step; the others take none."""
+    if mode == "fixed":
+        _nig_sigma0(p)
+    elif p.sigma_xi != "scaled" or p.sigma_tau != "scaled":
+        raise InvalidSpecError(f"--mode {mode} takes no numeric step; use --mode fixed")
+
+
+def _nig_bound(p: NIGParams, mode: str, delta: float):
+    if mode == "scaled":
+        k = nig_scaled_kstar(p)
+        constants = {
+            "gamma_xi": GAMMA_XI_SCALED,
+            "gamma_xi_expr": "27/256 * pi^-2 * 2^-11",
+            "gamma_tau": GAMMA_TAU_SCALED,
+            "gamma_tau_expr": "1.972e-4 / (2e)",
+            "slope": k.slope,
+        }
+        return k, constants, "0.25*exp(-gamma_tau*gamma_xi*gamma*n)"
+    if mode != "fixed":
+        raise InvalidModeError(f"bound has no rate recipe for --mode {mode}")
+    high = p.beta_hyper / p.sigma_xi > 1.0
+    constants = {
+        "rate_exponent": nig_rate_exponent(p),
+        "rate_exponent_expr": "1/14" if high else "beta/(4*beta+10*sigma0)",
+        "regime": "beta/sigma0 > 1" if high else "beta/sigma0 <= 1",
+        "envelope_exponents": list(nig_envelope_exponents(p)),
+    }
+    k1 = kstar.conjugate(NIGBeta1(p))
+    k2 = kstar.conjugate(NIGBeta2(p))
+    k = kstar.compose_mwg(Linear(p.gamma_dg), k1, k2, mode="strong")
+    return k, constants, "C*n^(-rate_exponent)"
+
+
+# --mode value -> samplers.nig_step kernel
+_NIG_KERNELS = {"scaled": "mwg_scaled", "fixed": "mwg_fixed", "exact": "exact_gibbs"}
+
+
+def _nig_trace(p: NIGParams, mode: str, rng, steps: int, acc: list):
+    sigma0 = p.sigma_xi if mode == "fixed" else None
+    kernel = _NIG_KERNELS[mode]
+    tau, xi = samplers.nig_stationary_start(p, rng, 1)
+    for step in range(steps + 1):
+        yield step, repr(float(tau[0])), repr(float(xi[0]))
+        tau, xi = samplers.nig_step(tau, xi, p, kernel, rng, sigma0)
+
+
+def _bayes_bound(p: BayesParams, mode: str, delta: float):
+    constants = {
+        "a_prime": p.a_prime,
+        "b_prime": p.b_prime,
+        "C1": p.C1,
+        "C2": p.C2,
+        "rate_exponent": bayes_rate_exponent(p),
+        "rate_exponent_expr": "min{a', b'/C2}",
+        "B_upper_tail": B_UPPER_TAIL,
+    }
+    k2 = kstar.conjugate(BayesBeta2(p))
+    k = kstar.compose_mwg(Linear(p.gamma_dg), None, k2, mode="marginal_2mg")
+    return k, constants, "C*(n-1)^(-min{a',b'/C2})"
+
+
+def _bayes_trace(p: BayesParams, mode: str, rng, steps: int, acc: list):
+    lam = float(rng.gamma(p.a, 1.0 / p.b))
+    bvec = np.zeros(p.p)
+    for step in range(steps + 1):
+        yield [step, repr(lam)] + [repr(float(v)) for v in bvec]
+        lam, bvec = samplers.bayes_step(lam, bvec, p, rng)
+
+
+def _ou_bound(p: OUParams, mode: str, delta: float):
+    constants = {
+        "a": ou_rate_coefficient(p),
+        "a_expr": "2/(eta^2*tau0^2)",
+        "eta": p.eta,
+        "m": p.m,
+        "delta": delta,
+        "envelope_K": p.envelope_K,
+    }
+    k2 = kstar.conjugate(ou_exp_log_square_envelope(p))
+    k = kstar.compose_mwg(Linear(p.gamma_dg), None, k2, mode="marginal_2mg")
+    return k, constants, "exp(-(a/delta)*log^2((n-1)/(gamma/2)))"
+
+
+def _ou_trace(p: OUParams, mode: str, rng, steps: int, acc: list):
+    accepted = np.zeros(len(p.times) - 1)
+    acc.append(accepted)
+    st = samplers.ou_initial_state(p, rng)
+    for step in range(steps + 1):
+        yield step, repr(st.theta)
+        st, ok = samplers.ou_da_step(st, p, rng)
+        accepted += ok
+
+
+CASES = {
+    "nig": Case(NIGParams, tuple(_NIG_KERNELS), _nig_bound,
+                lambda p: ["step", "tau", "xi"], _nig_trace),
+    "bayes": Case(BayesParams, ("mwg",), _bayes_bound,
+                  lambda p: ["step", "lambda"] + [f"beta{j}" for j in range(p.p)],
+                  _bayes_trace),
+    "ou": Case(OUParams, ("mwg",), _ou_bound, lambda p: ["step", "theta"], _ou_trace),
+}

@@ -6,13 +6,13 @@ runs are reproducible from their own metadata.
 from __future__ import annotations
 
 import json
-from typing import Union
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import beta as b
 from . import kstar as k
-from .cases import BayesParams, NIGParams, OUParams
+from .cases import CASES
 from .errors import InvalidSpecError
 
 
@@ -138,74 +138,37 @@ def kstar_from_dict(d: dict) -> k.KStarFn:
     raise InvalidSpecError(f"unknown rate-function kind {kind!r}")
 
 
+def _plain(v):
+    """A JSON-ready copy of one params field."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return list(v) if isinstance(v, tuple) else v
+
+
 def case_params_to_dict(p) -> dict:
-    if isinstance(p, NIGParams):
-        return {
-            "case": "nig",
-            "beta_hyper": p.beta_hyper,
-            "sigma_xi": p.sigma_xi,
-            "sigma_tau": p.sigma_tau,
-            "gamma_dg": p.gamma_dg,
-        }
-    if isinstance(p, BayesParams):
-        return {
-            "case": "bayes",
-            "a": p.a,
-            "b": p.b,
-            "X": p.X.tolist(),
-            "Y": p.Y.tolist(),
-            "sigma0": p.sigma0,
-            "gamma_dg": p.gamma_dg,
-        }
-    if isinstance(p, OUParams):
-        return {
-            "case": "ou",
-            "mu0": p.mu0,
-            "tau0": p.tau0,
-            "times": list(p.times),
-            "obs": list(p.obs),
-            "M": p.M,
-            "gamma_dg": p.gamma_dg,
-            "envelope_K": p.envelope_K,
-        }
+    for name, case in CASES.items():
+        if type(p) is case.params:
+            return {"case": name, **{f.name: _plain(getattr(p, f.name)) for f in fields(p)}}
     raise InvalidSpecError(f"unknown case parameters {type(p).__name__}")
 
 
 def case_params_from_dict(d: dict):
-    case = d.get("case")
-    if case == "nig":
-        return NIGParams(
-            beta_hyper=float(d["beta_hyper"]),
-            sigma_xi=d.get("sigma_xi", "scaled")
-            if d.get("sigma_xi", "scaled") == "scaled"
-            else float(d["sigma_xi"]),
-            sigma_tau=d.get("sigma_tau", "scaled")
-            if d.get("sigma_tau", "scaled") == "scaled"
-            else float(d["sigma_tau"]),
-            gamma_dg=float(d.get("gamma_dg", 1.0)),
-        )
-    if case == "bayes":
-        return BayesParams(
-            a=float(d["a"]),
-            b=float(d["b"]),
-            X=np.asarray(d["X"], dtype=float),
-            Y=np.asarray(d["Y"], dtype=float),
-            sigma0=float(d["sigma0"]),
-            gamma_dg=float(d.get("gamma_dg", 1.0)),
-        )
-    if case == "ou":
-        return OUParams(
-            mu0=float(d["mu0"]),
-            tau0=float(d["tau0"]),
-            times=tuple(map(float, d["times"])),
-            obs=tuple(map(float, d["obs"])),
-            M=int(d.get("M", 64)),
-            gamma_dg=float(d.get("gamma_dg", 1.0)),
-            envelope_K=float(d.get("envelope_K", 1.0)),
-        )
-    raise InvalidSpecError(f"unknown case {case!r}")
+    name = d.get("case")
+    if name not in CASES:
+        raise InvalidSpecError(f"unknown case {name!r}")
+    params = fields(CASES[name].params)
+    missing = [
+        f.name for f in params
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise InvalidSpecError(f"{name} params need {', '.join(missing)}")
+    return CASES[name].params(**{f.name: d[f.name] for f in params if f.name in d})
 
 
 def load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise InvalidSpecError(f"config {path} must hold a JSON object")
+    return d

@@ -22,6 +22,8 @@ from .kstar import Composite, KStarFn, Linear, Power
 X_MIN = 1e-12
 X_MAX = 0.25
 _GRID_POINTS = 4096
+# relative width at which the bisection of F_inv stops
+_REL_TOL = 1e-9
 
 
 def _closed_form(k: KStarFn):
@@ -46,14 +48,10 @@ class RateBound:
     """
 
     kstar: KStarFn
-    quadrature_nodes: int = 64
-    rel_tol: float = 1e-9
     x_min: float = X_MIN
     saturated: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        if self.quadrature_nodes < 64:
-            raise DomainError("quadrature_nodes must be >= 64")
         if not (0.0 < self.x_min < X_MAX):
             raise DomainError("x_min must lie in (0, 1/4)")
         self._cf = _closed_form(self.kstar)
@@ -63,8 +61,7 @@ class RateBound:
             self._build_table()
 
     def _build_table(self):
-        n_pts = max(_GRID_POINTS, 64 * self.quadrature_nodes)
-        v = np.geomspace(self.x_min, X_MAX, n_pts)
+        v = np.geomspace(self.x_min, X_MAX, _GRID_POINTS)
         kv = np.asarray(self.kstar(v), dtype=float)
         t = np.log(v)
         with np.errstate(divide="ignore"):
@@ -109,7 +106,7 @@ class RateBound:
             self.saturated = True
             return float(self._grid[finite][0])
         lo, hi = float(self._grid[finite][0]), X_MAX
-        while hi - lo > self.rel_tol * hi:
+        while hi - lo > _REL_TOL * hi:
             mid = math.sqrt(lo * hi)
             if self.F(mid) >= n:
                 lo = mid

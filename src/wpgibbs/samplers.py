@@ -15,14 +15,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .cases import BayesParams, NIGParams, OUParams
 from .errors import DomainError, InvalidModeError
 from .finite import FiniteKernel
+
+if TYPE_CHECKING:
+    from .cases import BayesParams, NIGParams, OUParams
+
+
+# bootstrap resamples behind each confidence band
+BOOTSTRAP = 200
 
 
 def chain_rng(master_seed: int, chain_index: int) -> np.random.Generator:
@@ -97,19 +103,12 @@ def nig_decay_estimate(
     starts: int,
     master_seed: int,
     sigma0: Optional[float] = None,
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray] = None,
-    bootstrap: int = 200,
 ) -> "DecayEstimate":
     """Paired-chain estimate of ||P^n f||^2 / ||f||^2_osc for the scan chain.
 
-    Default f = tanh(xi)/2, centered exactly by the xi -> -xi symmetry of
-    the target and with oscillation 1.
+    f = tanh(xi)/2, centered exactly by the xi -> -xi symmetry of the target
+    and with oscillation 1.
     """
-    if f is None:
-        f = lambda tau, xi: 0.5 * np.tanh(xi)
-        osc_sq = 1.0
-    else:
-        osc_sq = None  # caller must normalize
     rng = chain_rng(master_seed, 0)
     tau0, xi0 = nig_stationary_start(p, rng, starts)
     tau1, xi1 = tau0.copy(), xi0.copy()
@@ -125,8 +124,8 @@ def nig_decay_estimate(
             tau1, xi1 = nig_step(tau1, xi1, p, mode, rng1, sigma0)
             tau2, xi2 = nig_step(tau2, xi2, p, mode, rng2, sigma0)
             step_now += 1
-        prods[n] = f(tau1, xi1) * f(tau2, xi2)
-    return _paired_estimate(n_grid, prods, osc_sq or 1.0, master_seed, bootstrap)
+        prods[n] = (0.5 * np.tanh(xi1)) * (0.5 * np.tanh(xi2))
+    return _paired_estimate(n_grid, prods, 1.0, master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,6 @@ def finite_decay_estimate(
     n_grid: Sequence[int],
     starts: int,
     master_seed: int,
-    bootstrap: int = 200,
 ) -> "DecayEstimate":
     """Paired-chain estimator on a finite kernel (for calibration tests)."""
     f = np.asarray(f, dtype=float)
@@ -310,7 +308,7 @@ def finite_decay_estimate(
         s2 = finite_simulate(k, s2, n - now, rng2)
         now = n
         prods[n] = f[s1] * f[s2]
-    return _paired_estimate(n_grid, prods, osc_sq, master_seed, bootstrap)
+    return _paired_estimate(n_grid, prods, osc_sq, master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +326,6 @@ class DecayEstimate:
     ci_high: np.ndarray
     se: np.ndarray
     chains: int
-    f_descriptor: str = ""
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -338,11 +335,11 @@ class DecayEstimate:
                 w.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
 
 
-def _paired_estimate(n_grid, prods, osc_sq, master_seed, bootstrap) -> DecayEstimate:
+def _paired_estimate(n_grid, prods, osc_sq, master_seed) -> DecayEstimate:
     rng = chain_rng(master_seed, 3)
     means, lows, highs, ses = [], [], [], []
     starts = len(next(iter(prods.values())))
-    idx = rng.integers(0, starts, size=(bootstrap, starts))
+    idx = rng.integers(0, starts, size=(BOOTSTRAP, starts))
     for n in n_grid:
         x = prods[n] / osc_sq
         means.append(float(x.mean()))

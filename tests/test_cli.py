@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from wpgibbs.cases import CASES
 from wpgibbs.cli import main
+from wpgibbs.config import case_params_from_dict, case_params_to_dict
 
 
 def test_bound_indicator_curve(tmp_path):
@@ -107,3 +109,123 @@ def test_compare_finite_negative_control(tmp_path):
     for row in rows[1:]:
         for cell in row.split(","):
             float(cell)  # plain numbers, not numpy scalar reprs
+
+
+CASE_CONFIGS = {
+    "nig": {"case": "nig", "beta_hyper": 1.5},
+    "bayes": {"case": "bayes", "a": 3, "b": 1, "X": [[1, 0], [0, 1], [1, 1], [2, 1]],
+              "Y": [1, 0, 2, 1], "sigma0": 0.2},
+    "ou": {"case": "ou", "mu0": 0.5, "tau0": 1.0, "times": [0.0, 0.5, 1.0, 1.5],
+           "obs": [0.2, 0.1, 0.3, -0.1], "M": 8},
+}
+TRACE_HEADERS = {
+    "nig": "step,tau,xi",
+    "bayes": "step,lambda,beta0,beta1",
+    "ou": "step,theta",
+}
+
+
+def _case_argv(tmp_path, name, mode):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(CASE_CONFIGS[name]))
+    argv = ["--case", name, "--mode", mode, "--config", str(cfg)]
+    return argv + (["--sigma0", "0.7"] if mode == "fixed" else [])
+
+
+def _assert_params_round_trip(meta):
+    back = case_params_from_dict(meta["params"])
+    assert json.loads(json.dumps(case_params_to_dict(back))) == meta["params"]
+
+
+@pytest.mark.parametrize(
+    "name,mode", [(name, mode) for name, case in CASES.items() for mode in case.modes]
+)
+def test_sample_every_case_and_mode(tmp_path, name, mode):
+    out = tmp_path / "run"
+    argv = ["sample", *_case_argv(tmp_path, name, mode), "--chains", "2", "--steps", "7"]
+    assert main(argv + ["--out", str(out)]) == 0
+    for chain in range(2):
+        rows = (out / f"chain_{chain}.csv").read_text().splitlines()
+        assert rows[0] == TRACE_HEADERS[name]
+        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(8))
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert "burn_in" not in meta
+    _assert_params_round_trip(meta)
+    acc = meta.get("acceptance_rate_per_segment")
+    if name == "ou":
+        assert len(acc) == len(CASE_CONFIGS["ou"]["times"]) - 1
+        assert all(0.0 <= a <= 1.0 for a in acc)
+    else:
+        assert acc is None
+
+
+# bound has no recipe for the exact nig chain (see INVALID)
+BOUND_MODES = [
+    (name, mode) for name, case in CASES.items() for mode in case.modes
+    if (name, mode) != ("nig", "exact")
+]
+
+
+@pytest.mark.parametrize("name,mode", BOUND_MODES)
+def test_bound_every_case_params_round_trip(tmp_path, name, mode):
+    out = tmp_path / "run"
+    argv = ["bound", *_case_argv(tmp_path, name, mode), "--n-max", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    meta = json.loads((out / "bound_meta.json").read_text())
+    _assert_params_round_trip(meta)
+    assert meta["params"]["case"] == name
+    assert len((out / "bound.csv").read_text().splitlines()) == 7
+
+
+def test_nig_fixed_steps_from_config(tmp_path):
+    cfg = tmp_path / "nig.json"
+    cfg.write_text('{"case": "nig", "beta_hyper": 1.5, "sigma_xi": 0.8, "sigma_tau": 0.8}')
+    out = tmp_path / "run"
+    argv = ["bound", "--case", "nig", "--mode", "fixed", "--config", str(cfg), "--n-max", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    params = json.loads((out / "bound_meta.json").read_text())["params"]
+    assert (params["sigma_xi"], params["sigma_tau"]) == (0.8, 0.8)
+
+
+INVALID = {
+    "nig-fixed-no-step": ["bound", "--case", "nig", "--mode", "fixed"],
+    "nig-fixed-no-step-sample": ["sample", "--case", "nig", "--mode", "fixed"],
+    "nig-fixed-unequal-steps": ["bound", "--case", "nig", "--mode", "fixed",
+                                "--config", "{nig_unequal}"],
+    "nig-scaled-with-sigma0": ["bound", "--case", "nig", "--mode", "scaled", "--sigma0", "0.5"],
+    "nig-scaled-with-sigma0-sample": ["sample", "--case", "nig", "--mode", "scaled",
+                                      "--sigma0", "0.5"],
+    "nig-exact-with-sigma0": ["sample", "--case", "nig", "--mode", "exact", "--sigma0", "0.5"],
+    "nig-scaled-numeric-config": ["bound", "--case", "nig", "--config", "{nig_fixed}"],
+    "nig-exact-bound": ["bound", "--case", "nig", "--mode", "exact"],
+    "unknown-mode": ["bound", "--case", "nig", "--mode", "sideways"],
+    "bayes-unknown-mode": ["sample", "--case", "bayes", "--mode", "fixed"],
+    "compare-nig-fixed": ["compare", "--case", "nig", "--mode", "fixed", "--sigma0", "1"],
+    "config-case-mismatch": ["bound", "--case", "ou", "--config", "{nig_fixed}"],
+    "missing-params": ["sample", "--case", "bayes"],
+    "non-numeric-param": ["bound", "--case", "nig", "--config", "{nig_null}"],
+    "config-not-object": ["bound", "--case", "nig", "--config", "{not_object}"],
+    "negative-n-max": ["bound", "--beta", "indicator:0.2", "--n-max", "-3"],
+    "negative-n-in-grid": ["bound", "--beta", "indicator:0.2", "--n-grid", "5,-1"],
+    "negative-n-compare": ["compare", "--case", "finite", "--n-grid=-2,3"],
+}
+
+
+@pytest.mark.parametrize("argv", INVALID.values(), ids=INVALID.keys())
+def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    files = {
+        "nig_fixed": '{"case": "nig", "beta_hyper": 1.0, "sigma_xi": 0.8, "sigma_tau": 0.8}',
+        "nig_unequal": '{"case": "nig", "beta_hyper": 1.0, "sigma_xi": 0.8, "sigma_tau": 0.5}',
+        "nig_null": '{"case": "nig", "beta_hyper": null}',
+        "not_object": "[1, 2]",
+    }
+    paths = {}
+    for key, text in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(text)
+    out = tmp_path / "run"
+    argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -119,3 +119,32 @@ def test_load_config(tmp_path):
     nig = NIGParams(beta_hyper=1.5, sigma_xi=0.2, sigma_tau=0.2)
     path.write_text(json.dumps(case_params_to_dict(nig)))
     assert case_params_from_dict(load_config(path)) == nig
+
+
+def test_int_valued_config_round_trips_to_floats(tmp_path):
+    configs = [
+        {"case": "nig", "beta_hyper": 2, "sigma_xi": 1, "sigma_tau": 1, "gamma_dg": 1},
+        {"case": "bayes", "a": 3, "b": 1, "X": [[1, 0], [0, 1], [1, 1]], "Y": [1, 0, 2],
+         "sigma0": 1},
+        {"case": "ou", "mu0": 0, "tau0": 1, "times": [0, 1, 2], "obs": [0, 1, 0], "M": 8.0,
+         "envelope_K": 2},
+    ]
+    for cfg in configs:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        # the JSON text keeps the difference: 3 reads back as int, 3.0 as float
+        d = json.loads(json.dumps(case_params_to_dict(case_params_from_dict(load_config(path)))))
+        for key, value in cfg.items():
+            if key == "M":
+                assert type(d[key]) is int and d[key] == 8
+            elif key not in ("case", "X", "Y", "times", "obs"):
+                assert type(d[key]) is float and d[key] == value
+
+
+def test_case_params_errors_name_the_keys():
+    with pytest.raises(InvalidSpecError, match="b, X, Y, sigma0"):
+        case_params_from_dict({"case": "bayes", "a": 2.0})
+    with pytest.raises(InvalidSpecError, match="beta_hyper must be a number"):
+        case_params_from_dict({"case": "nig", "beta_hyper": None})
+    with pytest.raises(InvalidSpecError, match="unknown case"):
+        case_params_from_dict({"case": "custom"})
