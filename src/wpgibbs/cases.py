@@ -16,6 +16,7 @@ and surfaced in CLI metadata rather than silently fixed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -50,11 +51,25 @@ def _numbers(obj, kind, *names) -> None:
             raise InvalidSpecError(f"{name} must be a number, got {value!r}") from None
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy, so values derived from it can be cached."""
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 def _positive(name: str, x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"{name} must be positive, got {x}")
     return x
+
+
+def _at(profile, s: float, p) -> float:
+    """One value of an array profile at a scalar s > 0."""
+    if s <= 0.0:
+        raise DomainError("s must be positive")
+    return float(profile(np.array([float(s)]), p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +147,40 @@ def _nig_sigma0(p: NIGParams) -> float:
     return float(p.sigma_xi)
 
 
+def _nig_beta1(s: np.ndarray, p: NIGParams) -> np.ndarray:
+    """beta1 on an array: the tau-update indicator profile integrated against
+    the t_1(0, 2 beta) marginal of xi; the cap 1/4 below its validity range."""
+    sigma0 = _nig_sigma0(p)
+    beta = p.beta_hyper
+    s0sq = sigma0 * sigma0
+    cprime = C_XI * (beta * beta * s0sq / (beta * beta * s0sq + 1.0)) ** 4
+    root = np.sqrt(cprime * s / s0sq)
+    out = np.full_like(s, DEFAULT_CAP)
+    valid = root > beta
+    b1 = (2.0 * math.sqrt(2.0 * beta) / math.pi) * (
+        math.pi / 2.0 - np.arctan(np.sqrt((root[valid] - beta) / beta))
+    )
+    out[valid] = np.minimum(b1, DEFAULT_CAP)
+    return out
+
+
+def _nig_beta2(s: np.ndarray, p: NIGParams) -> np.ndarray:
+    """beta2 on an array: the xi-update profile integrated against the
+    Gamma(1/2, beta) marginal of tau via the two real Lambert-W branches;
+    the cap 1/4 below its validity range."""
+    sigma0 = _nig_sigma0(p)
+    out = np.full_like(s, DEFAULT_CAP)
+    valid = s >= 2.0 * math.e / C_RWM
+    # in [-1/e, 0) up to rounding at the edge, which lambert_w absorbs
+    arg = -2.0 / (C_RWM * s[valid])
+    scale_w = -p.beta_hyper / (2.0 * sigma0 * sigma0)
+    x_lo = scale_w * lambert_w(arg, "principal")
+    x_hi = scale_w * lambert_w(arg, "minus_one")
+    b2 = (gammainc_lower(0.5, x_lo) + gammainc_upper(0.5, x_hi)) / math.sqrt(math.pi)
+    out[valid] = np.minimum(b2, DEFAULT_CAP)
+    return out
+
+
 def nig_fixed_betas(s: float, p: NIGParams):
     """(beta1(s), beta2(s)) for the common fixed step size sigma0.
 
@@ -140,37 +189,7 @@ def nig_fixed_betas(s: float, p: NIGParams):
     against the Gamma(1/2, beta) marginal of tau via the two real Lambert-W
     branches.  Outside each formula's validity range the cap 1/4 is returned.
     """
-    if s <= 0.0:
-        raise DomainError("s must be positive")
-    sigma0 = _nig_sigma0(p)
-    beta = p.beta_hyper
-    s0sq = sigma0 * sigma0
-
-    cprime = C_XI * (beta * beta * s0sq / (beta * beta * s0sq + 1.0)) ** 4
-    root = math.sqrt(cprime * s / s0sq)
-    if root > beta:
-        b1 = (2.0 * math.sqrt(2.0 * beta) / math.pi) * (
-            math.pi / 2.0 - math.atan(math.sqrt((root - beta) / beta))
-        )
-        b1 = min(b1, DEFAULT_CAP)
-    else:
-        b1 = DEFAULT_CAP
-
-    s_min = 2.0 * math.e / C_RWM
-    if s >= s_min:
-        arg = -2.0 / (C_RWM * s)
-        if not (-1.0 / math.e <= arg < 0.0):
-            raise ValidityRangeError(f"Lambert-W argument {arg} outside [-1/e, 0)")
-        scale_w = -beta / (2.0 * s0sq)
-        x_lo = scale_w * lambert_w(arg, "principal")
-        x_hi = scale_w * lambert_w(arg, "minus_one")
-        b2 = (gammainc_lower(0.5, x_lo) + gammainc_upper(0.5, x_hi)) / math.sqrt(
-            math.pi
-        )
-        b2 = min(b2, DEFAULT_CAP)
-    else:
-        b2 = DEFAULT_CAP
-    return b1, b2
+    return _at(_nig_beta1, s, p), _at(_nig_beta2, s, p)
 
 
 def nig_envelope_exponents(p: NIGParams):
@@ -195,7 +214,7 @@ class NIGBeta1(BetaSpec):
     params: NIGParams
 
     def _eval(self, s):
-        return np.array([nig_fixed_betas(float(si), self.params)[0] for si in s])
+        return _nig_beta1(s, self.params)
 
 
 @dataclass(frozen=True)
@@ -205,7 +224,7 @@ class NIGBeta2(BetaSpec):
     params: NIGParams
 
     def _eval(self, s):
-        return np.array([nig_fixed_betas(float(si), self.params)[1] for si in s])
+        return _nig_beta2(s, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +246,8 @@ class BayesParams:
     gamma_dg: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
-        object.__setattr__(self, "Y", np.asarray(self.Y, dtype=float))
+        object.__setattr__(self, "X", _frozen(self.X))
+        object.__setattr__(self, "Y", _frozen(self.Y))
         _numbers(self, float, "a", "b", "sigma0", "gamma_dg")
         if not self.a > 1.0:
             raise DomainError("a must be > 1")
@@ -251,35 +270,49 @@ class BayesParams:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
+    @functools.cached_property
     def gram(self) -> np.ndarray:
-        return self.X.T @ self.X
+        return _frozen(self.X.T @ self.X)
 
-    @property
+    @functools.cached_property
     def a_prime(self) -> float:
         return self.a + self.N / 2.0 - self.p / 2.0
 
-    @property
+    @functools.cached_property
     def b_prime(self) -> float:
         u = np.linalg.solve(self.gram, self.X.T @ self.Y)
         resid = float(self.Y @ self.Y - u @ self.gram @ u)
         return self.b + max(resid, 0.0) / 2.0
 
-    @property
+    @functools.cached_property
     def eig_min(self) -> float:
         return float(np.linalg.eigvalsh(self.gram)[0])
 
-    @property
+    @functools.cached_property
     def eig_max(self) -> float:
         return float(np.linalg.eigvalsh(self.gram)[-1])
 
-    @property
+    @functools.cached_property
     def C1(self) -> float:
         return 1.0 / (C_RWM * self.eig_min * self.sigma0 ** 2)
 
-    @property
+    @functools.cached_property
     def C2(self) -> float:
         return 2.0 * self.eig_max * self.p * self.sigma0 ** 2
+
+
+def _bayes_beta2(s: np.ndarray, p: BayesParams) -> np.ndarray:
+    c1c2 = p.C1 * p.C2
+    out = np.full_like(s, DEFAULT_CAP)
+    valid = s >= math.e * c1c2
+    arg = -c1c2 / s[valid]  # in [-1/e, 0) up to rounding at the edge
+    scale_w = -p.b_prime / p.C2
+    x_lo = scale_w * lambert_w(arg, "principal")
+    x_hi = scale_w * lambert_w(arg, "minus_one")
+    ap = p.a_prime
+    val = (gammainc_lower(ap, x_lo) + gammainc_upper(ap, x_hi)) / math.gamma(ap)
+    out[valid] = np.minimum(val, DEFAULT_CAP)
+    return out
 
 
 def bayes_beta2(s: float, p: BayesParams) -> float:
@@ -289,20 +322,7 @@ def bayes_beta2(s: float, p: BayesParams) -> float:
     normalized lower+upper incomplete-gamma expression at the two Lambert-W
     branch points of -C1 C2 / s.
     """
-    if s <= 0.0:
-        raise DomainError("s must be positive")
-    c1c2 = p.C1 * p.C2
-    if s < math.e * c1c2:
-        return DEFAULT_CAP
-    arg = -c1c2 / s
-    if not (-1.0 / math.e <= arg < 0.0):
-        raise ValidityRangeError(f"Lambert-W argument {arg} outside [-1/e, 0)")
-    scale_w = -p.b_prime / p.C2
-    x_lo = scale_w * lambert_w(arg, "principal")
-    x_hi = scale_w * lambert_w(arg, "minus_one")
-    ap = p.a_prime
-    val = (gammainc_lower(ap, x_lo) + gammainc_upper(ap, x_hi)) / math.gamma(ap)
-    return min(val, DEFAULT_CAP)
+    return _at(_bayes_beta2, s, p)
 
 
 def bayes_rate_exponent(p: BayesParams) -> float:
@@ -320,7 +340,7 @@ class BayesBeta2(BetaSpec):
     params: "BayesParams"
 
     def _eval(self, s):
-        return np.array([bayes_beta2(float(si), self.params) for si in s])
+        return _bayes_beta2(s, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +511,7 @@ class Case:
     ``trace(p, mode, rng, steps, acc)`` yields the CSV rows of one chain
     (start, then ``steps`` scans) under the header ``columns(p)``; a case
     that records acceptance appends its per-segment counts to ``acc``.
+    ``sample_meta`` holds what the case adds to a trace run's metadata.
     """
 
     params: type
@@ -498,6 +519,7 @@ class Case:
     bound: Callable
     columns: Callable
     trace: Callable
+    sample_meta: dict = field(default_factory=dict)
 
 
 def nig_check_steps(p: NIGParams, mode: str) -> None:
@@ -600,5 +622,6 @@ CASES = {
     "bayes": Case(BayesParams, ("mwg",), _bayes_bound,
                   lambda p: ["step", "lambda"] + [f"beta{j}" for j in range(p.p)],
                   _bayes_trace),
-    "ou": Case(OUParams, ("mwg",), _ou_bound, lambda p: ["step", "theta"], _ou_trace),
+    "ou": Case(OUParams, ("mwg",), _ou_bound, lambda p: ["step", "theta"], _ou_trace,
+               {"discretization": {"ito": "left-point", "time_integral": "trapezoid"}}),
 }

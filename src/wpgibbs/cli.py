@@ -49,8 +49,14 @@ def _load_case(args):
         raise WpgibbsError(f"--case {args.case} does not match the config's case {d['case']!r}")
     if args.gamma is not None:
         d["gamma_dg"] = args.gamma
-    if args.case == "nig":
-        d.setdefault("beta_hyper", args.beta_hyper)
+    if args.case != "nig":
+        for flag, value in (("--sigma0", args.sigma0), ("--beta-hyper", args.beta_hyper)):
+            if value is not None:
+                raise WpgibbsError(f"{flag} applies to --case nig only")
+    else:
+        if args.beta_hyper is not None and "beta_hyper" in d:
+            raise WpgibbsError("give beta_hyper once: by --beta-hyper or in the config")
+        d.setdefault("beta_hyper", 1.0 if args.beta_hyper is None else args.beta_hyper)
         if args.sigma0 is not None:
             d["sigma_xi"] = d["sigma_tau"] = args.sigma0
     p = config.case_params_from_dict(d)
@@ -122,8 +128,8 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "chains": args.chains,
         "steps": args.steps,
-        "mode": args.mode,
-        "discretization": {"ito": "left-point", "time_integral": "trapezoid"},
+        "mode": mode,
+        **case.sample_meta,
         "params": config.case_params_to_dict(p),
     }
     acc = []
@@ -211,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exact-scan SPI constant (user input)")
         sp.add_argument("--sigma0", type=float, default=None,
                         help="common nig step of --mode fixed")
-        sp.add_argument("--beta-hyper", type=float, default=1.0)
+        sp.add_argument("--beta-hyper", type=float, default=None,
+                        help="nig prior rate beta (default 1.0)")
         sp.add_argument("--mode", default=None,
                         help="nig: scaled (default), fixed or exact")
 

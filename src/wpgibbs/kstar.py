@@ -193,22 +193,23 @@ def check_subunit(k: KStarFn, v_hi: float = 0.25, n: int = 129) -> bool:
     return bool(np.all(np.asarray(k(vv)) <= vv * (1.0 + 1e-9)))
 
 
-def _golden_max(g, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section maximization of g on [lo, hi]; returns the max value."""
+def _golden_max(g, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarray:
+    """Golden-section maximization of g on every bracket [lo[j], hi[j]] at
+    once; returns the max values.  g maps an array of points to their
+    values, one call per iteration for all brackets."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     gc, gd = g(c), g(d)
     for _ in range(iters):
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - _GOLDEN * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _GOLDEN * (b - a)
-            gd = g(d)
-    return max(gc, gd, g(0.5 * (a + b)))
+        left = gc >= gd  # the max lies in [a, d]: d becomes b, c becomes d
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        g_new = g(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        gc, gd = np.where(left, g_new, gd), np.where(left, gc, g_new)
+    return np.maximum(np.maximum(gc, gd), g(0.5 * (a + b)))
 
 
 def _convexify(v: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -258,19 +259,23 @@ def conjugate(spec: BetaSpec, v_grid=None) -> KStarFn:
 
     u = np.geomspace(_U_LO, _U_HI, _U_POINTS)
     beta_at = np.asarray(spec(1.0 / u))
-    vals = np.empty_like(v_grid)
+    # the best u-grid point of each v brackets its maximizer; one row at a
+    # time, as a v-by-u matrix would cost 6.5 MB per temporary
+    best = np.empty_like(v_grid)
+    at = np.empty(len(v_grid), dtype=int)
     for j, v in enumerate(v_grid):
         obj = u * (v - beta_at)
-        i = int(np.argmax(obj))
-        if i == len(u) - 1 and obj[-1] > obj[-2]:
+        at[j] = np.argmax(obj)
+        if at[j] == len(u) - 1 and obj[-1] > obj[-2]:
             raise UnboundedConjugateError(
                 "conjugate diverges on the u-grid; beta decays too fast "
                 "without a cap"
             )
-        lo = u[max(i - 1, 0)]
-        hi = u[min(i + 1, len(u) - 1)]
-        g = lambda uu: uu * (v - float(spec(1.0 / uu)))
-        vals[j] = max(0.0, _golden_max(g, lo, hi), float(obj[i]))
+        best[j] = obj[at[j]]
+    lo = u[np.maximum(at - 1, 0)]
+    hi = u[np.minimum(at + 1, len(u) - 1)]
+    refined = _golden_max(lambda uu: uu * (v_grid - spec(1.0 / uu)), lo, hi)
+    vals = np.maximum(0.0, np.maximum(refined, best))
     vals = _convexify(v_grid, vals)
     return GridKStar(tuple(v_grid), tuple(vals), convexified=True)
 

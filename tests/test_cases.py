@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from wpgibbs.cases import (
     B_UPPER_TAIL,
@@ -30,7 +31,9 @@ from wpgibbs.cases import (
     ou_rate,
     ou_rate_coefficient,
 )
+from wpgibbs.beta import DEFAULT_CAP
 from wpgibbs.errors import DomainError, InvalidSpecError
+from wpgibbs.special import gammainc_lower, gammainc_upper, lambert_w
 
 
 def test_global_constants():
@@ -253,3 +256,131 @@ def test_param_validation():
         BayesParams(a=0.5, b=1.0, X=np.eye(3)[:, :2], Y=np.zeros(3), sigma0=0.1)
     with pytest.raises(DomainError):
         OUParams(mu0=0.0, tau0=1.0, times=(0.0, 1.0), obs=(0.1,), M=8)
+
+
+# ---------------------------------------------------------------------------
+# the array profiles against the scalar formulas they replace, and scipy
+# ---------------------------------------------------------------------------
+
+
+def _nig_betas_scalar(s, p):
+    """(beta1(s), beta2(s)) one point at a time, as the formulas read."""
+    sigma0 = p.sigma_xi
+    beta = p.beta_hyper
+    s0sq = sigma0 * sigma0
+    cprime = C_XI * (beta * beta * s0sq / (beta * beta * s0sq + 1.0)) ** 4
+    root = math.sqrt(cprime * s / s0sq)
+    b1 = DEFAULT_CAP
+    if root > beta:
+        b1 = (2.0 * math.sqrt(2.0 * beta) / math.pi) * (
+            math.pi / 2.0 - math.atan(math.sqrt((root - beta) / beta))
+        )
+        b1 = min(b1, DEFAULT_CAP)
+    b2 = DEFAULT_CAP
+    if s >= 2.0 * math.e / C_RWM:
+        arg = -2.0 / (C_RWM * s)
+        scale_w = -beta / (2.0 * s0sq)
+        x_lo = scale_w * lambert_w(arg, "principal")
+        x_hi = scale_w * lambert_w(arg, "minus_one")
+        b2 = (gammainc_lower(0.5, x_lo) + gammainc_upper(0.5, x_hi)) / math.sqrt(math.pi)
+        b2 = min(b2, DEFAULT_CAP)
+    return b1, b2
+
+
+def _bayes_beta2_scalar(s, p):
+    c1c2 = p.C1 * p.C2
+    if s < math.e * c1c2:
+        return DEFAULT_CAP
+    arg = -c1c2 / s
+    scale_w = -p.b_prime / p.C2
+    x_lo = scale_w * lambert_w(arg, "principal")
+    x_hi = scale_w * lambert_w(arg, "minus_one")
+    ap = p.a_prime
+    val = (gammainc_lower(ap, x_lo) + gammainc_upper(ap, x_hi)) / math.gamma(ap)
+    return min(val, DEFAULT_CAP)
+
+
+def _around(*edges):
+    """A log grid from 1e-3 to 1e12 plus points just either side of each edge."""
+    near = [e * f for e in edges for f in (1 - 1e-12, 1.0, 1 + 1e-12, 1.5, 10.0)]
+    return np.sort(np.concatenate([np.geomspace(1e-3, 1e12, 300), near]))
+
+
+def _scipy_lambertw(arg, k):
+    """scipy's real W; at the validity edge the argument rounds onto or just
+    past -1/e, where scipy gives nan and both branches meet at -1."""
+    with np.errstate(invalid="ignore"):
+        w = sps.lambertw(arg, k).real
+    return np.where(arg <= -1.0 / math.e, -1.0, w)
+
+
+NIG_STEPS = [(2.0, 0.5), (0.5, 1.5), (1.0, 1.0), (3.0, 2.0)]
+
+
+@pytest.mark.parametrize("beta,sigma0", NIG_STEPS)
+def test_nig_array_profiles_match_scalar_formulas(beta, sigma0):
+    p = NIGParams(beta_hyper=beta, sigma_xi=sigma0, sigma_tau=sigma0)
+    s0sq = sigma0 ** 2
+    cprime = C_XI * (beta * beta * s0sq / (beta * beta * s0sq + 1.0)) ** 4
+    s = _around(beta * beta * s0sq / cprime, 2.0 * math.e / C_RWM)
+    ref = np.array([_nig_betas_scalar(float(si), p) for si in s])
+    b1, b2 = NIGBeta1(params=p)(s), NIGBeta2(params=p)(s)
+    assert np.allclose(b1, ref[:, 0], rtol=1e-13, atol=0.0)
+    assert np.allclose(b2, ref[:, 1], rtol=1e-13, atol=0.0)
+    assert np.any(b1 < DEFAULT_CAP) and np.any(b1 == DEFAULT_CAP)
+    assert np.any(b2 < DEFAULT_CAP) and np.any(b2 == DEFAULT_CAP)
+    # the public scalar functions are the array profiles at one point
+    for si in s[::37]:
+        assert nig_fixed_betas(float(si), p) == (NIGBeta1(p)(float(si)), NIGBeta2(p)(float(si)))
+
+
+@pytest.mark.parametrize("beta,sigma0", NIG_STEPS)
+def test_nig_beta2_matches_scipy(beta, sigma0):
+    p = NIGParams(beta_hyper=beta, sigma_xi=sigma0, sigma_tau=sigma0)
+    s = _around(2.0 * math.e / C_RWM)
+    valid = s >= 2.0 * math.e / C_RWM
+    arg = -2.0 / (C_RWM * s[valid])
+    scale_w = -beta / (2.0 * sigma0 ** 2)
+    x_lo = scale_w * _scipy_lambertw(arg, 0)
+    x_hi = scale_w * _scipy_lambertw(arg, -1)
+    expect = np.full_like(s, DEFAULT_CAP)
+    expect[valid] = np.minimum(sps.gammainc(0.5, x_lo) + sps.gammaincc(0.5, x_hi), DEFAULT_CAP)
+    assert np.allclose(NIGBeta2(params=p)(s), expect, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("sigma0", [0.02, 0.1, 0.3])
+def test_bayes_array_profile_matches_scalar_formula_and_scipy(sigma0):
+    p = _bayes_params(sigma0)
+    c1c2 = p.C1 * p.C2
+    s = _around(math.e, 1e3) * c1c2
+    got = BayesBeta2(params=p)(s)
+    ref = np.array([_bayes_beta2_scalar(float(si), p) for si in s])
+    assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+    assert np.any(got < DEFAULT_CAP) and np.any(got == DEFAULT_CAP)
+    for si in s[::41]:
+        assert bayes_beta2(float(si), p) == BayesBeta2(params=p)(float(si))
+    valid = s >= math.e * c1c2
+    arg = -c1c2 / s[valid]
+    scale_w = -p.b_prime / p.C2
+    x_lo = scale_w * _scipy_lambertw(arg, 0)
+    x_hi = scale_w * _scipy_lambertw(arg, -1)
+    expect = np.full_like(s, DEFAULT_CAP)
+    expect[valid] = np.minimum(
+        sps.gammainc(p.a_prime, x_lo) + sps.gammaincc(p.a_prime, x_hi), DEFAULT_CAP
+    )
+    assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
+
+
+def test_bayes_params_hold_read_only_copies():
+    rng = np.random.default_rng(7)
+    X, Y = rng.normal(size=(8, 2)), rng.normal(size=8)
+    p = BayesParams(a=2.0, b=1.0, X=X, Y=Y, sigma0=0.1)
+    assert p.X is not X and p.Y is not Y
+    c1, b_prime = p.C1, p.b_prime
+    for arr in (p.X, p.Y, p.gram):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    X[0, 0] += 5.0  # the caller's arrays stay writeable and are not aliased
+    Y[0] = 9.0
+    assert (p.C1, p.b_prime) == (c1, b_prime)
+    assert BayesParams(a=2.0, b=1.0, X=X, Y=Y, sigma0=0.1).b_prime != b_prime

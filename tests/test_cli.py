@@ -126,9 +126,12 @@ TRACE_HEADERS = {
 
 
 def _case_argv(tmp_path, name, mode):
+    """The case's default mode is left to the CLI to resolve."""
     cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps(CASE_CONFIGS[name]))
-    argv = ["--case", name, "--mode", mode, "--config", str(cfg)]
+    argv = ["--case", name, "--config", str(cfg)]
+    if mode != CASES[name].modes[0]:
+        argv += ["--mode", mode]
     return argv + (["--sigma0", "0.7"] if mode == "fixed" else [])
 
 
@@ -150,6 +153,8 @@ def test_sample_every_case_and_mode(tmp_path, name, mode):
         assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(8))
     meta = json.loads((out / "run_meta.json").read_text())
     assert "burn_in" not in meta
+    assert meta["mode"] == mode
+    assert ("discretization" in meta) == (name == "ou")
     _assert_params_round_trip(meta)
     acc = meta.get("acceptance_rate_per_segment")
     if name == "ou":
@@ -187,6 +192,14 @@ def test_nig_fixed_steps_from_config(tmp_path):
     assert (params["sigma_xi"], params["sigma_tau"]) == (0.8, 0.8)
 
 
+def test_beta_hyper_from_flag_or_default(tmp_path):
+    for extra, expect in (([], 1.0), (["--beta-hyper", "2.5"], 2.5)):
+        out = tmp_path / f"run{expect}"
+        assert main(["bound", "--case", "nig", "--n-max", "3", "--out", str(out), *extra]) == 0
+        params = json.loads((out / "bound_meta.json").read_text())["params"]
+        assert params["beta_hyper"] == expect
+
+
 INVALID = {
     "nig-fixed-no-step": ["bound", "--case", "nig", "--mode", "fixed"],
     "nig-fixed-no-step-sample": ["sample", "--case", "nig", "--mode", "fixed"],
@@ -208,6 +221,13 @@ INVALID = {
     "negative-n-max": ["bound", "--beta", "indicator:0.2", "--n-max", "-3"],
     "negative-n-in-grid": ["bound", "--beta", "indicator:0.2", "--n-grid", "5,-1"],
     "negative-n-compare": ["compare", "--case", "finite", "--n-grid=-2,3"],
+    "beta-hyper-and-config": ["bound", "--case", "nig", "--config", "{nig_scaled}",
+                              "--beta-hyper", "5"],
+    "beta-hyper-bayes": ["bound", "--case", "bayes", "--config", "{bayes}",
+                         "--beta-hyper", "2"],
+    "sigma0-bayes": ["sample", "--case", "bayes", "--config", "{bayes}", "--sigma0", "0.5"],
+    "beta-hyper-ou": ["sample", "--case", "ou", "--config", "{ou}", "--beta-hyper", "2"],
+    "sigma0-ou": ["bound", "--case", "ou", "--config", "{ou}", "--sigma0", "0.5"],
 }
 
 
@@ -218,6 +238,9 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
         "nig_unequal": '{"case": "nig", "beta_hyper": 1.0, "sigma_xi": 0.8, "sigma_tau": 0.5}',
         "nig_null": '{"case": "nig", "beta_hyper": null}',
         "not_object": "[1, 2]",
+        "nig_scaled": '{"case": "nig", "beta_hyper": 2.0}',
+        "bayes": json.dumps(CASE_CONFIGS["bayes"]),
+        "ou": json.dumps(CASE_CONFIGS["ou"]),
     }
     paths = {}
     for key, text in files.items():

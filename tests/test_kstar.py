@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpgibbs import (
+    AdjointShift,
     Clamped,
     Composite,
     GridKStar,
@@ -12,6 +13,7 @@ from wpgibbs import (
     Linear,
     Power,
     PowerLaw,
+    Sum,
     Table,
     UnboundedConjugateError,
     adjoint_transform,
@@ -20,7 +22,8 @@ from wpgibbs import (
     conjugate,
     scale,
 )
-from wpgibbs.beta import BetaSpec
+from wpgibbs import kstar
+from wpgibbs.beta import BetaSpec, ExpLogSquare
 from dataclasses import dataclass
 
 
@@ -78,6 +81,57 @@ def test_unbounded_conjugate_raises():
     dead = Table(knots=((1.0, 0.0),))
     with pytest.raises(UnboundedConjugateError):
         conjugate(dead)
+
+
+def _golden_max_reference(g, lo, hi, iters=80):
+    """Scalar golden-section maximization, one bracket and one g call at a time."""
+    a, b = lo, hi
+    c = b - kstar._GOLDEN * (b - a)
+    d = a + kstar._GOLDEN * (b - a)
+    gc, gd = g(c), g(d)
+    for _ in range(iters):
+        if gc >= gd:
+            b, d, gd = d, c, gc
+            c = b - kstar._GOLDEN * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + kstar._GOLDEN * (b - a)
+            gd = g(d)
+    return max(gc, gd, g(0.5 * (a + b)))
+
+
+def _conjugate_reference(spec, v_grid):
+    """Per-v numeric conjugation: grid argmax, then scalar refinement."""
+    u = np.geomspace(kstar._U_LO, kstar._U_HI, kstar._U_POINTS)
+    beta_at = np.asarray(spec(1.0 / u))
+    vals = np.empty_like(v_grid)
+    for j, v in enumerate(v_grid):
+        obj = u * (v - beta_at)
+        i = int(np.argmax(obj))
+        if i == len(u) - 1 and obj[-1] > obj[-2]:
+            raise UnboundedConjugateError("diverges")
+        g = lambda uu: uu * (v - float(spec(1.0 / uu)))
+        lo, hi = u[max(i - 1, 0)], u[min(i + 1, len(u) - 1)]
+        vals[j] = max(0.0, _golden_max_reference(g, lo, hi), float(obj[i]))
+    return kstar._convexify(v_grid, vals)
+
+
+_TABLE = Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01), (1e4, 1e-4)))
+
+
+@pytest.mark.parametrize("spec", [
+    _TABLE,
+    Sum((PowerLaw(0.5, 0.7), PowerLaw(1.2, 0.4), PowerLaw(0.3, 1.3))),
+    AdjointShift(PowerLaw(0.8, 0.6)),
+    AdjointShift(_TABLE),
+    ExpLogSquare(c=0.6, a=1.2, b=0.1),  # c above the cap: numeric path
+], ids=["table", "sum", "adjoint-powerlaw", "adjoint-table", "explogsquare-capped"])
+def test_conjugate_equals_per_v_reference(spec):
+    v_grid = np.geomspace(1e-6, 0.25, 200)
+    k = conjugate(spec)
+    assert isinstance(k, GridKStar)
+    assert np.array_equal(np.array(k.values), _conjugate_reference(spec, v_grid))
 
 
 def test_chain_linear_product():
