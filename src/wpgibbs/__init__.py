@@ -10,12 +10,9 @@ from .beta import (
     BetaSpec,
     ExpLogSquare,
     Indicator,
-    MonteCarloMixture,
     PowerLaw,
     Sum,
     Table,
-    adjoint_transform_beta,
-    tensorize,
 )
 from .errors import (
     DomainError,

@@ -1,13 +1,14 @@
 """Decreasing beta-function families used in weak Poincare inequalities.
 
 A beta function is a nonincreasing map (0, inf) -> [0, inf) vanishing at
-infinity.  Families here are closed under summation (independent products),
-the adjoint shift s -> s-1, and Monte Carlo mixing over a parameter.
+infinity.  Families here are closed under summation (independent products)
+and the adjoint shift s -> s-1.  A family's dataclass fields are its whole
+definition: ``config`` writes and reads exactly those.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -26,20 +27,21 @@ def _as_array(s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BetaSpec:
-    """Base class; concrete families implement ``_eval`` on positive arrays."""
+    """Base class; concrete families implement ``_eval`` on positive arrays.
+
+    ``cap`` is a per-family constant ceiling on the values, None for none.
+    """
+
+    cap: ClassVar[Optional[float]] = None
 
     def _eval(self, s: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
-    def _cap_value(self) -> Optional[float]:
-        return getattr(self, "cap", None)
-
     def __call__(self, s):
         arr = _as_array(s)
         out = self._eval(arr)
-        cap = self._cap_value()
-        if cap is not None:
-            out = np.minimum(out, cap)
+        if self.cap is not None:
+            out = np.minimum(out, self.cap)
         if np.ndim(s) == 0:
             return float(out[0])
         return out
@@ -50,11 +52,10 @@ class Indicator(BetaSpec):
     """SPI with constant gamma encoded as beta(s) = 1{s <= 1/gamma}.
 
     The unit height is part of the convention (its conjugate is v -> gamma*v),
-    so the default cap does not apply to this family.
+    so this family is uncapped.
     """
 
     gamma: float
-    cap: Optional[float] = None
 
     def __post_init__(self):
         if not self.gamma > 0.0:
@@ -70,7 +71,7 @@ class PowerLaw(BetaSpec):
 
     coefficient: float
     exponent: float
-    cap: Optional[float] = DEFAULT_CAP
+    cap = DEFAULT_CAP
 
     def __post_init__(self):
         if not (self.coefficient > 0.0 and self.exponent > 0.0):
@@ -91,7 +92,7 @@ class ExpLogSquare(BetaSpec):
     c: float
     a: float
     b: float = 0.0
-    cap: Optional[float] = DEFAULT_CAP
+    cap = DEFAULT_CAP
 
     def __post_init__(self):
         if not (self.c > 0.0 and self.a > 0.0):
@@ -110,8 +111,8 @@ class Table(BetaSpec):
     Constant extrapolation on both sides.  Knot values must be nonincreasing.
     """
 
-    knots: tuple
-    cap: Optional[float] = DEFAULT_CAP
+    knots: tuple[tuple[float, float], ...]
+    cap = DEFAULT_CAP
 
     def __post_init__(self):
         if len(self.knots) == 0:
@@ -133,10 +134,9 @@ class Table(BetaSpec):
 
 @dataclass(frozen=True)
 class Sum(BetaSpec):
-    """Sum of child beta functions (tensorization); cap disabled by default."""
+    """Sum of child beta functions (tensorization); uncapped."""
 
-    children: tuple
-    cap: Optional[float] = None
+    children: tuple[BetaSpec, ...]
 
     def __post_init__(self):
         if len(self.children) == 0:
@@ -154,7 +154,6 @@ class AdjointShift(BetaSpec):
     """beta_tilde(s) = beta(s - 1) for s > 1, else 1/4 (adjoint comparison)."""
 
     child: BetaSpec
-    cap: Optional[float] = None
 
     def _eval(self, s):
         out = np.full_like(s, DEFAULT_CAP)
@@ -162,47 +161,3 @@ class AdjointShift(BetaSpec):
         if np.any(mask):
             out[mask] = np.asarray(self.child(s[mask] - 1.0))
         return out
-
-
-class MonteCarloMixture(BetaSpec):
-    """Seeded average of a parametric child family over sampled parameters.
-
-    Parameter draws are cached at construction, so evaluation is pure and
-    deterministic for a fixed seed.
-    """
-
-    def __init__(
-        self,
-        make_child: Callable[[float], BetaSpec],
-        param_sampler: Callable[[np.random.Generator], float],
-        n_samples: int = 4096,
-        seed: int = 0,
-        cap: Optional[float] = DEFAULT_CAP,
-    ):
-        if n_samples < 1:
-            raise InvalidSpecError("MonteCarloMixture needs n_samples >= 1")
-        self.make_child = make_child
-        self.n_samples = int(n_samples)
-        self.seed = int(seed)
-        self.cap = cap
-        rng = np.random.default_rng(seed)
-        self.params = tuple(param_sampler(rng) for _ in range(self.n_samples))
-        self.children = tuple(make_child(p) for p in self.params)
-
-    def _eval(self, s):
-        total = np.zeros_like(s)
-        for child in self.children:
-            total = total + np.asarray(child(s))
-        return total / self.n_samples
-
-
-def tensorize(children: Sequence[BetaSpec]) -> BetaSpec:
-    """beta for an independent product chain: the raw sum of the child betas."""
-    if len(children) == 0:
-        raise InvalidSpecError("tensorize needs a nonempty list")
-    return Sum(tuple(children), cap=None)
-
-
-def adjoint_transform_beta(spec: BetaSpec) -> BetaSpec:
-    """beta for T*T given one for TT* (or vice versa): shift by one, 1/4 early."""
-    return AdjointShift(spec)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -398,42 +398,19 @@ class OUParams:
         return float(np.max(np.diff(t) - y[1:] ** 2 + y[:-1] ** 2))
 
 
-def diffusion_beta2_indicator(
-    theta: float,
-    p: OUParams,
-    segment: Optional[int] = None,
-    A: Optional[Callable[[float, float], float]] = None,
-    M_of_theta: Optional[Callable[[float], float]] = None,
-) -> Indicator:
+def diffusion_beta2_indicator(theta: float, p: OUParams) -> Indicator:
     """Indicator profile of the bridge refresh at a fixed drift parameter.
 
     Each segment's independence-Metropolis kernel has slice profile
     1{s <= Gtilde_i} with Gtilde_i = exp{A(Y_i) - A(Y_{i-1}) - M(theta) dt_i / 2};
-    the product over segments keeps the worst one.  The default drift is the
-    mean-reverting linear drift b(x) = -theta x, for which A(u) = -theta u^2/2
-    and the lower bound M(theta) = -theta, giving
-    Gtilde_i = exp{theta (dt_i - Y_i^2 + Y_{i-1}^2) / 2}.
-
-    ``segment`` selects a single segment profile (0-based); None takes the
-    max over all segments.
+    the product over segments keeps the worst one.  For the mean-reverting
+    drift b(x) = -theta x, A(u) = -theta u^2/2 and the lower bound
+    M(theta) = -theta give Gtilde_i = exp{theta (dt_i - Y_i^2 + Y_{i-1}^2) / 2}.
     """
-    if A is None:
-        A = lambda u, th: -th * u * u / 2.0
-    if M_of_theta is None:
-        M_of_theta = lambda th: -th
-    t = np.asarray(p.times)
     y = np.asarray(p.obs)
-    dts = np.diff(t)
-    g = np.exp(
-        np.array([A(float(yi), theta) for yi in y[1:]])
-        - np.array([A(float(yi), theta) for yi in y[:-1]])
-        - 0.5 * M_of_theta(theta) * dts
-    )
-    if segment is not None:
-        gmax = float(g[segment])
-    else:
-        gmax = float(np.max(g))
-    return Indicator(gamma=1.0 / gmax)
+    A = -theta * y * y / 2.0
+    g = np.exp(A[1:] - A[:-1] + 0.5 * theta * np.diff(np.asarray(p.times)))
+    return Indicator(gamma=1.0 / float(np.max(g)))
 
 
 def ou_beta2(s: float, p: OUParams) -> float:
@@ -593,6 +570,8 @@ def _bayes_trace(p: BayesParams, mode: str, rng, steps: int, acc: list):
 
 
 def _ou_bound(p: OUParams, mode: str, delta: float):
+    if not delta > 1.0:
+        raise DomainError(f"delta must be > 1, got {delta}")
     constants = {
         "a": ou_rate_coefficient(p),
         "a_expr": "2/(eta^2*tau0^2)",

@@ -19,6 +19,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 
 DEFAULT_OUT = os.environ.get("WPGIBBS_OUT", ".")
+OU_DELTA = 1.5
+
+# the flags that set a case's params or mode
+_CASE_FLAGS = ("--config", "--gamma", "--sigma0", "--beta-hyper", "--mode")
 
 
 def _n_grid(args) -> list:
@@ -29,6 +33,13 @@ def _n_grid(args) -> list:
     if not ns or ns[0] < 0:
         raise WpgibbsError(f"the n grid must be nonempty with every n >= 0, got {ns}")
     return ns
+
+
+def _reject(args, where: str, flags=_CASE_FLAGS) -> None:
+    """Exit 2 if one of ``flags`` is given where nothing reads it."""
+    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+    if given:
+        raise WpgibbsError(f"{', '.join(given)} cannot be used {where}")
 
 
 def _load_case(args):
@@ -50,9 +61,7 @@ def _load_case(args):
     if args.gamma is not None:
         d["gamma_dg"] = args.gamma
     if args.case != "nig":
-        for flag, value in (("--sigma0", args.sigma0), ("--beta-hyper", args.beta_hyper)):
-            if value is not None:
-                raise WpgibbsError(f"{flag} applies to --case nig only")
+        _reject(args, f"with --case {args.case}", ("--sigma0", "--beta-hyper"))
     else:
         if args.beta_hyper is not None and "beta_hyper" in d:
             raise WpgibbsError("give beta_hyper once: by --beta-hyper or in the config")
@@ -68,20 +77,26 @@ def _load_case(args):
 def cmd_bound(args) -> int:
     ns = _n_grid(args)
     meta = {"command": "bound", "seed": args.seed, "case": args.case}
+    if args.delta is not None and args.case != "ou":
+        raise WpgibbsError("--delta applies to --case ou only")
     if args.beta:
+        if args.case != "custom":
+            raise WpgibbsError("--beta takes no --case: the profile is the whole input")
+        _reject(args, "with --beta")
         spec = config.parse_beta_shorthand(args.beta)
         k = kstar.conjugate(spec)
-        meta["beta"] = config.beta_to_dict(spec)
+        meta["beta"] = config.to_dict(spec)
     else:
         case, p, mode = _load_case(args)
-        k, meta["constants"], meta["rate_shape"] = case.bound(p, mode, args.delta)
-        meta["params"] = config.case_params_to_dict(p)
+        delta = OU_DELTA if args.delta is None else args.delta
+        k, meta["constants"], meta["rate_shape"] = case.bound(p, mode, delta)
+        meta["params"] = config.to_dict(p)
 
     rb = rates.RateBound(k)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "bound.csv")
     rb.write_csv(csv_path, ns)
-    meta["kstar"] = config.kstar_to_dict(k)
+    meta["kstar"] = config.to_dict(k)
     meta["n_grid"] = ns
     samplers.write_metadata(os.path.join(args.out, "bound_meta.json"), meta)
     print(f"wrote {csv_path}")
@@ -130,7 +145,7 @@ def cmd_sample(args) -> int:
         "steps": args.steps,
         "mode": mode,
         **case.sample_meta,
-        "params": config.case_params_to_dict(p),
+        "params": config.to_dict(p),
     }
     acc = []
     for chain in range(args.chains):
@@ -153,6 +168,7 @@ def cmd_compare(args) -> int:
     ns = _n_grid(args)
     meta = {"command": "compare", "case": args.case, "seed": args.seed}
     if args.case == "finite":
+        _reject(args, "with --case finite")
         m = finite.random_joint_model(args.seed, 4, 4)
         g0, g1, g2 = m.component_gaps()
         k = kstar.compose_mwg(
@@ -175,7 +191,7 @@ def cmd_compare(args) -> int:
             p, "mwg_scaled", [n for n in ns if n >= 1], starts=args.starts,
             master_seed=args.seed,
         )
-        meta["params"] = config.case_params_to_dict(p)
+        meta["params"] = config.to_dict(p)
     else:
         raise WpgibbsError(f"compare supports cases finite and nig, not {args.case!r}")
 
@@ -233,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     case_options(sp)
     grid_options(sp)
     sp.add_argument("--beta", default=None,
-                    help="profile shorthand, e.g. indicator:0.2")
-    sp.add_argument("--delta", type=float, default=1.5)
+                    help="profile shorthand, e.g. indicator:0.2; takes no case flag")
+    sp.add_argument("--delta", type=float, default=None,
+                    help=f"ou rate-shape delta > 1 (default {OU_DELTA})")
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("verify", help="run the finite-state oracle")

@@ -1,11 +1,16 @@
 """JSON (de)serialization of profile specs, rate functions, and case params.
 
 Every CLI artifact embeds the fully resolved configuration produced here, so
-runs are reproducible from their own metadata.
+runs are reproducible from their own metadata.  Each of these is written as
+its dataclass fields under a tag (``family``, ``kind`` or ``case``); profiles
+and rate functions are read back with every field coerced to its declared
+type.
 """
 from __future__ import annotations
 
+import functools
 import json
+import typing
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -15,155 +20,151 @@ from . import kstar as k
 from .cases import CASES
 from .errors import InvalidSpecError
 
+#: profile families by their ``family`` tag
+FAMILIES = {
+    "indicator": b.Indicator,
+    "powerlaw": b.PowerLaw,
+    "explogsquare": b.ExpLogSquare,
+    "table": b.Table,
+    "sum": b.Sum,
+    "adjoint_shift": b.AdjointShift,
+}
 
-def beta_to_dict(spec: b.BetaSpec) -> dict:
-    if isinstance(spec, b.Indicator):
-        return {"family": "indicator", "gamma": spec.gamma}
-    if isinstance(spec, b.PowerLaw):
-        return {
-            "family": "powerlaw",
-            "coefficient": spec.coefficient,
-            "exponent": spec.exponent,
-        }
-    if isinstance(spec, b.ExpLogSquare):
-        return {"family": "explogsquare", "c": spec.c, "a": spec.a, "b": spec.b}
-    if isinstance(spec, b.Table):
-        return {"family": "table", "knots": [list(kn) for kn in spec.knots]}
-    if isinstance(spec, b.Sum):
-        return {
-            "family": "sum",
-            "children": [beta_to_dict(ch) for ch in spec.children],
-        }
-    if isinstance(spec, b.AdjointShift):
-        return {"family": "adjoint_shift", "child": beta_to_dict(spec.child)}
-    if isinstance(spec, b.MonteCarloMixture):
-        raise InvalidSpecError(
-            "Monte Carlo mixtures are defined by callables and cannot be "
-            "serialized; persist the sampled Table approximation instead"
-        )
-    raise InvalidSpecError(f"unknown profile family {type(spec).__name__}")
+#: rate-function kinds by their ``kind`` tag
+KINDS = {
+    "linear": k.Linear,
+    "power": k.Power,
+    "explogsquare_conjugate": k.ExpLogSquareConjugate,
+    "clamped": k.Clamped,
+    "composite": k.Composite,
+    "grid": k.GridKStar,
+}
+
+# the tag key and tag table of each spec base class
+_TABLES = {b.BetaSpec: ("family", FAMILIES), k.KStarFn: ("kind", KINDS)}
+# (tag key, tag) of every class ``to_dict`` writes
+_TAG_OF = {
+    cls: (key, tag)
+    for key, table in (*_TABLES.values(), ("case", {n: c.params for n, c in CASES.items()}))
+    for tag, cls in table.items()
+}
+
+
+def to_dict(v):
+    """A JSON-ready copy of a profile, rate function or case params (its tag,
+    then its fields in order), recursing into field values; tuples and arrays
+    become lists."""
+    tagged = _TAG_OF.get(type(v))
+    if tagged is not None:
+        return {tagged[0]: tagged[1], **{f.name: to_dict(getattr(v, f.name)) for f in fields(v)}}
+    if isinstance(v, tuple(_TABLES)):
+        raise InvalidSpecError(f"{type(v).__name__} has no JSON form")
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, tuple):
+        # every declared tuple field is homogeneous: a float one, such as a
+        # GridKStar's 200 knots, is copied without a call per element
+        return list(v) if v and isinstance(v[0], float) else [to_dict(x) for x in v]
+    return v
 
 
 def beta_from_dict(d: dict) -> b.BetaSpec:
-    fam = d.get("family")
-    if fam == "indicator":
-        return b.Indicator(gamma=float(d["gamma"]))
-    if fam == "powerlaw":
-        return b.PowerLaw(
-            coefficient=float(d["coefficient"]), exponent=float(d["exponent"])
-        )
-    if fam == "explogsquare":
-        return b.ExpLogSquare(
-            c=float(d["c"]), a=float(d["a"]), b=float(d.get("b", 0.0))
-        )
-    if fam == "table":
-        return b.Table(knots=tuple(tuple(map(float, kn)) for kn in d["knots"]))
-    if fam == "sum":
-        return b.Sum(children=tuple(beta_from_dict(ch) for ch in d["children"]))
-    if fam == "adjoint_shift":
-        return b.AdjointShift(child=beta_from_dict(d["child"]))
-    raise InvalidSpecError(f"unknown profile family {fam!r}")
-
-
-def parse_beta_shorthand(text: str) -> b.BetaSpec:
-    """Parse 'indicator:0.2', 'powerlaw:1.0,1.0', 'explogsquare:0.25,1.0,0'."""
-    try:
-        fam, _, args = text.partition(":")
-        vals = [float(v) for v in args.split(",")] if args else []
-        if fam == "indicator":
-            return b.Indicator(gamma=vals[0])
-        if fam == "powerlaw":
-            return b.PowerLaw(coefficient=vals[0], exponent=vals[1])
-        if fam == "explogsquare":
-            bb = vals[2] if len(vals) > 2 else 0.0
-            return b.ExpLogSquare(c=vals[0], a=vals[1], b=bb)
-    except (IndexError, ValueError) as exc:
-        raise InvalidSpecError(f"cannot parse profile {text!r}: {exc}")
-    raise InvalidSpecError(f"unknown profile shorthand {text!r}")
-
-
-def kstar_to_dict(fn: k.KStarFn) -> dict:
-    if isinstance(fn, k.Linear):
-        return {"kind": "linear", "slope": fn.slope}
-    if isinstance(fn, k.Power):
-        return {"kind": "power", "coefficient": fn.coefficient, "exponent": fn.exponent}
-    if isinstance(fn, k.ExpLogSquareConjugate):
-        return {"kind": "explogsquare_conjugate", "c": fn.c, "a": fn.a, "b": fn.b}
-    if isinstance(fn, k.Clamped):
-        return {"kind": "clamped", "child": kstar_to_dict(fn.child)}
-    if isinstance(fn, k.Composite):
-        return {
-            "kind": "composite",
-            "outer": kstar_to_dict(fn.outer),
-            "inner": None if fn.inner is None else kstar_to_dict(fn.inner),
-            "pre_scale": fn.pre_scale,
-            "post_scale": fn.post_scale,
-            "offset": fn.offset,
-        }
-    if isinstance(fn, k.GridKStar):
-        return {
-            "kind": "grid",
-            "v_knots": list(fn.v_knots),
-            "values": list(fn.values),
-            "convexified": fn.convexified,
-        }
-    raise InvalidSpecError(f"unknown rate-function kind {type(fn).__name__}")
+    return _decode(b.BetaSpec, d)
 
 
 def kstar_from_dict(d: dict) -> k.KStarFn:
-    kind = d.get("kind")
-    if kind == "linear":
-        return k.Linear(slope=float(d["slope"]))
-    if kind == "power":
-        return k.Power(coefficient=float(d["coefficient"]), exponent=float(d["exponent"]))
-    if kind == "explogsquare_conjugate":
-        return k.ExpLogSquareConjugate(c=float(d["c"]), a=float(d["a"]), b=float(d["b"]))
-    if kind == "clamped":
-        return k.Clamped(child=kstar_from_dict(d["child"]))
-    if kind == "composite":
-        inner = d.get("inner")
-        return k.Composite(
-            outer=kstar_from_dict(d["outer"]),
-            inner=None if inner is None else kstar_from_dict(inner),
-            pre_scale=float(d.get("pre_scale", 1.0)),
-            post_scale=float(d.get("post_scale", 1.0)),
-            offset=int(d.get("offset", 0)),
+    return _decode(k.KStarFn, d)
+
+
+def _decode(base, d):
+    key, table = _TABLES[base]
+    if not isinstance(d, dict):
+        raise InvalidSpecError(f"a {key} spec must be a JSON object, got {d!r}")
+    tag = d.get(key)
+    if tag not in table:
+        raise InvalidSpecError(f"unknown {key} {tag!r}; choose one of {', '.join(table)}")
+    return _build(table[tag], tag, {n: v for n, v in d.items() if n != key})
+
+
+def _missing(cls, d: dict) -> list:
+    """The fields of ``cls`` without a default that ``d`` does not give."""
+    return [
+        f.name for f in fields(cls)
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING
+    ]
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _build(cls, tag: str, values: dict):
+    """``cls`` from its field values, each read as its declared type."""
+    unknown = [n for n in values if n not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise InvalidSpecError(f"{tag} has no field {', '.join(unknown)}")
+    missing = _missing(cls, values)
+    if missing:
+        raise InvalidSpecError(f"{tag} needs {', '.join(missing)}")
+    return cls(**{n: _coerce(_hints(cls)[n], v, f"{tag}.{n}") for n, v in values.items()})
+
+
+def _coerce(tp, v, name: str):
+    if tp in _TABLES:
+        return _decode(tp, v)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:  # Optional[X]
+        return None if v is None else _coerce(args[0], v, name)
+    if origin is tuple:
+        if not isinstance(v, (list, tuple)):
+            raise InvalidSpecError(f"{name} must be a list, got {v!r}")
+        if args[-1] is Ellipsis:
+            return tuple(_coerce(args[0], x, name) for x in v)
+        if len(v) != len(args):
+            raise InvalidSpecError(f"{name} entries need {len(args)} values, got {v!r}")
+        return tuple(_coerce(t, x, name) for t, x in zip(args, v))
+    try:
+        return tp(v)
+    except (TypeError, ValueError):
+        raise InvalidSpecError(f"{name} must be a {tp.__name__}, got {v!r}") from None
+
+
+def parse_beta_shorthand(text: str) -> b.BetaSpec:
+    """'family:x1,x2,...', the family's float fields in order; trailing
+    fields with a default may be left out.  E.g. 'indicator:0.2',
+    'powerlaw:1.0,1.0', 'explogsquare:0.25,1.0' (b = 0)."""
+    tag, _, args = text.partition(":")
+    cls = FAMILIES.get(tag)
+    if cls is None:
+        raise InvalidSpecError(
+            f"unknown profile family {tag!r} in {text!r}; choose one of {', '.join(FAMILIES)}"
         )
-    if kind == "grid":
-        return k.GridKStar(
-            v_knots=tuple(map(float, d["v_knots"])),
-            values=tuple(map(float, d["values"])),
-            convexified=bool(d.get("convexified", False)),
+    names = [f.name for f in fields(cls)]
+    if any(_hints(cls)[n] is not float for n in names):
+        raise InvalidSpecError(
+            f"profile family {tag} has no shorthand: its fields are not numbers"
         )
-    raise InvalidSpecError(f"unknown rate-function kind {kind!r}")
-
-
-def _plain(v):
-    """A JSON-ready copy of one params field."""
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return list(v) if isinstance(v, tuple) else v
-
-
-def case_params_to_dict(p) -> dict:
-    for name, case in CASES.items():
-        if type(p) is case.params:
-            return {"case": name, **{f.name: _plain(getattr(p, f.name)) for f in fields(p)}}
-    raise InvalidSpecError(f"unknown case parameters {type(p).__name__}")
+    vals = args.split(",") if args else []
+    need = len(_missing(cls, {}))
+    if not need <= len(vals) <= len(names):
+        count = need if need == len(names) else f"{need} to {len(names)}"
+        raise InvalidSpecError(
+            f"{tag} takes {count} value{'s' * (len(names) > 1)} ({', '.join(names)}),"
+            f" got {len(vals)} in {text!r}"
+        )
+    return _build(cls, tag, dict(zip(names, vals)))
 
 
 def case_params_from_dict(d: dict):
     name = d.get("case")
     if name not in CASES:
         raise InvalidSpecError(f"unknown case {name!r}")
-    params = fields(CASES[name].params)
-    missing = [
-        f.name for f in params
-        if f.name not in d and f.default is MISSING and f.default_factory is MISSING
-    ]
+    cls = CASES[name].params
+    missing = _missing(cls, d)
     if missing:
         raise InvalidSpecError(f"{name} params need {', '.join(missing)}")
-    return CASES[name].params(**{f.name: d[f.name] for f in params if f.name in d})
+    return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def load_config(path: str) -> dict:

@@ -24,7 +24,7 @@ PMF_FLOOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# kernels and test functions
+# kernels
 # ---------------------------------------------------------------------------
 
 
@@ -54,41 +54,9 @@ class FiniteKernel:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
-
     def is_reversible(self, tol: float = 1e-10) -> bool:
         F = self.mu[:, None] * self.matrix
         return bool(np.max(np.abs(F - F.T)) <= tol)
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Function on the state space with cached mean, norm, and oscillation."""
-
-    __test__ = False  # not a pytest collection target
-
-    values: np.ndarray
-    mu: np.ndarray
-    mean: float = field(init=False)
-    norm_sq: float = field(init=False)
-    osc: float = field(init=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "mean", float(mu @ v))
-        object.__setattr__(self, "norm_sq", float(mu @ v ** 2))
-        object.__setattr__(self, "osc", float(v.max() - v.min()))
-
-    @property
-    def centered(self) -> bool:
-        return abs(self.mean) <= 1e-12
-
-    def center(self) -> "TestFunction":
-        return TestFunction(self.values - self.mean, self.mu)
 
 
 def dirichlet_form(k: FiniteKernel, f: np.ndarray):

@@ -163,8 +163,8 @@ class ExpLogSquareConjugate(KStarFn):
 class GridKStar(KStarFn):
     """Piecewise-linear K* through (v, value) knots; (0, 0) is implied."""
 
-    v_knots: tuple
-    values: tuple
+    v_knots: tuple[float, ...]
+    values: tuple[float, ...]
     convexified: bool = False
 
     def __post_init__(self):

@@ -146,7 +146,8 @@ def bayes_step(
         raise DomainError("precision must stay positive")
     beta_vec = np.asarray(beta_vec, dtype=float)
     resid = p.Y - p.X @ beta_vec
-    lam = rng.gamma(p.a + p.N / 2.0, 1.0 / (p.b + 0.5 * float(resid @ resid)))
+    rss = float(resid @ resid)
+    lam = rng.gamma(p.a + p.N / 2.0, 1.0 / (p.b + 0.5 * rss))
 
     if exact_beta:
         gram = p.gram
@@ -156,9 +157,8 @@ def bayes_step(
         return lam, beta_vec
 
     prop = beta_vec + p.sigma0 * rng.normal(size=beta_vec.shape)
-    r_old = p.Y - p.X @ beta_vec
     r_new = p.Y - p.X @ prop
-    log_alpha = -0.5 * lam * (float(r_new @ r_new) - float(r_old @ r_old))
+    log_alpha = -0.5 * lam * (float(r_new @ r_new) - rss)
     if math.log(rng.uniform()) < log_alpha:
         beta_vec = prop
     return lam, beta_vec

@@ -9,12 +9,9 @@ from wpgibbs import (
     ExpLogSquare,
     Indicator,
     InvalidSpecError,
-    MonteCarloMixture,
     PowerLaw,
     Sum,
     Table,
-    adjoint_transform_beta,
-    tensorize,
 )
 
 
@@ -34,6 +31,16 @@ def test_powerlaw_capped_at_quarter():
     b = PowerLaw(coefficient=1.0, exponent=1.0)
     assert b(1.0) == 0.25
     assert b(8.0) == 0.125
+    assert b(1e-9) == 0.25
+
+
+def test_cap_is_a_family_constant():
+    assert [cls.cap for cls in (PowerLaw, ExpLogSquare, Table)] == [0.25] * 3
+    assert [cls.cap for cls in (Indicator, Sum, AdjointShift)] == [None] * 3
+    assert ExpLogSquare(c=0.5, a=1.0)(1e-9) == 0.25
+    assert Table(knots=((1.0, 0.5),))(1.0) == 0.25
+    with pytest.raises(TypeError):
+        PowerLaw(1.0, 1.0, cap=0.5)
 
 
 def test_domain_error_nonpositive_s():
@@ -63,38 +70,18 @@ def test_table_interpolation_and_validation():
 
 
 def test_sum_and_tensorize():
-    b = tensorize([Indicator(0.5), Indicator(0.25)])
-    assert isinstance(b, Sum)
+    b = Sum((Indicator(0.5), Indicator(0.25)))
     assert b(1.0) == 2.0  # sum is deliberately uncapped
     assert b(3.0) == 1.0
     assert b(5.0) == 0.0
+    assert Sum((PowerLaw(1.0, 1.0),) * 3)(1e-9) == 0.75
 
 
 def test_adjoint_shift():
-    b = adjoint_transform_beta(PowerLaw(1.0, 1.0))
-    assert isinstance(b, AdjointShift)
+    b = AdjointShift(PowerLaw(1.0, 1.0))
     assert b(1.0) == 0.25  # s - 1 <= 0 branch
     assert b(5.0) == 0.25  # child capped at 1/4
     assert b(101.0) == pytest.approx(0.01)
-
-
-def test_monte_carlo_mixture_matches_average():
-    mix = MonteCarloMixture(
-        make_child=lambda g: Indicator(gamma=g),
-        param_sampler=lambda rng: float(rng.uniform(0.1, 1.0)),
-        n_samples=512,
-        seed=1,
-    )
-    val = mix(4.0)  # fraction of sampled gammas with 1/gamma >= 4
-    assert 0.0 < val < 1.0
-    # deterministic under the same seed
-    mix2 = MonteCarloMixture(
-        make_child=lambda g: Indicator(gamma=g),
-        param_sampler=lambda rng: float(rng.uniform(0.1, 1.0)),
-        n_samples=512,
-        seed=1,
-    )
-    assert mix2(4.0) == val
 
 
 @settings(max_examples=80, deadline=None)

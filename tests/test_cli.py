@@ -5,7 +5,7 @@ import pytest
 
 from wpgibbs.cases import CASES
 from wpgibbs.cli import main
-from wpgibbs.config import case_params_from_dict, case_params_to_dict
+from wpgibbs.config import case_params_from_dict, to_dict
 
 
 def test_bound_indicator_curve(tmp_path):
@@ -30,6 +30,8 @@ def test_bound_indicator_curve(tmp_path):
     assert float(last[1]) == pytest.approx(0.25 * math.exp(-0.2 * 10), rel=1e-9)
     meta = json.loads((out / "bound_meta.json").read_text())
     assert meta["kstar"]["kind"] == "linear"
+    assert meta["case"] == "custom"
+    assert meta["beta"] == {"family": "indicator", "gamma": 0.2}
 
 
 def test_bound_nig_scaled_metadata(tmp_path):
@@ -137,7 +139,7 @@ def _case_argv(tmp_path, name, mode):
 
 def _assert_params_round_trip(meta):
     back = case_params_from_dict(meta["params"])
-    assert json.loads(json.dumps(case_params_to_dict(back))) == meta["params"]
+    assert json.loads(json.dumps(to_dict(back))) == meta["params"]
 
 
 @pytest.mark.parametrize(
@@ -200,6 +202,17 @@ def test_beta_hyper_from_flag_or_default(tmp_path):
         assert params["beta_hyper"] == expect
 
 
+def test_ou_delta_from_flag_or_default(tmp_path):
+    cfg = tmp_path / "ou.json"
+    cfg.write_text(json.dumps(CASE_CONFIGS["ou"]))
+    for extra, expect in (([], 1.5), (["--delta", "2.5"], 2.5)):
+        out = tmp_path / f"run{expect}"
+        argv = ["bound", "--case", "ou", "--config", str(cfg), "--n-max", "3", "--out", str(out)]
+        assert main(argv + extra) == 0
+        constants = json.loads((out / "bound_meta.json").read_text())["constants"]
+        assert constants["delta"] == expect
+
+
 INVALID = {
     "nig-fixed-no-step": ["bound", "--case", "nig", "--mode", "fixed"],
     "nig-fixed-no-step-sample": ["sample", "--case", "nig", "--mode", "fixed"],
@@ -228,6 +241,26 @@ INVALID = {
     "sigma0-bayes": ["sample", "--case", "bayes", "--config", "{bayes}", "--sigma0", "0.5"],
     "beta-hyper-ou": ["sample", "--case", "ou", "--config", "{ou}", "--beta-hyper", "2"],
     "sigma0-ou": ["bound", "--case", "ou", "--config", "{ou}", "--sigma0", "0.5"],
+    "beta-with-case": ["bound", "--beta", "indicator:0.2", "--case", "nig"],
+    "beta-with-config": ["bound", "--beta", "indicator:0.2", "--config", "{nig_scaled}"],
+    "beta-with-gamma": ["bound", "--beta", "indicator:0.2", "--gamma", "0.1"],
+    "beta-with-sigma0": ["bound", "--beta", "indicator:0.2", "--sigma0", "3"],
+    "beta-with-beta-hyper": ["bound", "--beta", "indicator:0.2", "--beta-hyper", "2"],
+    "beta-with-mode": ["bound", "--beta", "indicator:0.2", "--mode", "fixed"],
+    "compare-finite-gamma": ["compare", "--case", "finite", "--gamma", "0.1"],
+    "compare-finite-sigma0": ["compare", "--case", "finite", "--sigma0", "2"],
+    "compare-finite-beta-hyper": ["compare", "--case", "finite", "--beta-hyper", "4"],
+    "compare-finite-config": ["compare", "--case", "finite", "--config", "{nig_scaled}"],
+    "compare-finite-mode": ["compare", "--case", "finite", "--mode", "full"],
+    "delta-nig": ["bound", "--case", "nig", "--delta", "2"],
+    "delta-bayes": ["bound", "--case", "bayes", "--config", "{bayes}", "--delta", "2"],
+    "delta-with-beta": ["bound", "--beta", "indicator:0.2", "--delta", "2"],
+    "delta-ou-one": ["bound", "--case", "ou", "--config", "{ou}", "--delta", "1"],
+    "delta-ou-below-one": ["bound", "--case", "ou", "--config", "{ou}", "--delta", "0.5"],
+    "delta-ou-nan": ["bound", "--case", "ou", "--config", "{ou}", "--delta", "nan"],
+    "shorthand-extra-value": ["bound", "--beta", "indicator:0.2,9"],
+    "shorthand-missing-value": ["bound", "--beta", "powerlaw:1.0"],
+    "shorthand-table": ["bound", "--beta", "table:1"],
 }
 
 

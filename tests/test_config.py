@@ -8,10 +8,10 @@ from wpgibbs import (
     Clamped,
     Composite,
     ExpLogSquare,
+    ExpLogSquareConjugate,
     GridKStar,
     Indicator,
     Linear,
-    MonteCarloMixture,
     Power,
     PowerLaw,
     Sum,
@@ -19,44 +19,129 @@ from wpgibbs import (
 )
 from wpgibbs.cases import BayesParams, NIGParams, OUParams
 from wpgibbs.config import (
+    FAMILIES,
+    KINDS,
     beta_from_dict,
-    beta_to_dict,
     case_params_from_dict,
-    case_params_to_dict,
     kstar_from_dict,
-    kstar_to_dict,
     load_config,
     parse_beta_shorthand,
+    to_dict,
 )
 from wpgibbs.errors import InvalidSpecError
 
+# one example per registry entry: a family or kind added without one fails
+BETAS = {
+    Indicator: Indicator(gamma=0.3),
+    PowerLaw: PowerLaw(coefficient=2.0, exponent=0.5),
+    ExpLogSquare: ExpLogSquare(c=0.25, a=1.0, b=0.5),
+    Table: Table(knots=((1.0, 0.2), (10.0, 0.05))),
+    Sum: Sum(children=(Indicator(gamma=0.3), PowerLaw(coefficient=1.0, exponent=1.0))),
+    AdjointShift: AdjointShift(child=PowerLaw(coefficient=1.0, exponent=1.0)),
+}
+KSTARS = {
+    Linear: Linear(slope=0.4),
+    ExpLogSquareConjugate: ExpLogSquareConjugate(c=0.25, a=1.0, b=0.5),
+    Power: Power(coefficient=0.25, exponent=2.0),
+    Clamped: Clamped(child=Linear(slope=2.0)),
+    Composite: Composite(outer=Linear(slope=0.5), inner=Power(coefficient=0.3, exponent=1.5),
+                         pre_scale=0.25, post_scale=2.0, offset=1),
+    GridKStar: GridKStar(v_knots=(0.05, 0.1, 0.25), values=(0.005, 0.012, 0.04)),
+}
 
-BETAS = [
-    Indicator(gamma=0.3),
-    PowerLaw(coefficient=2.0, exponent=0.5),
-    ExpLogSquare(c=0.25, a=1.0, b=0.5),
-    Table(knots=((1.0, 0.2), (10.0, 0.05))),
-    Sum(children=(Indicator(gamma=0.3), PowerLaw(coefficient=1.0, exponent=1.0))),
-    AdjointShift(child=PowerLaw(coefficient=1.0, exponent=1.0)),
-]
+
+def _json_round_trip(spec, from_dict):
+    d = to_dict(spec)
+    back = from_dict(json.loads(json.dumps(d)))
+    assert back == spec
+    assert to_dict(back) == d
+    return back
 
 
-@pytest.mark.parametrize("spec", BETAS, ids=lambda b: type(b).__name__)
-def test_beta_round_trip(spec):
-    d = beta_to_dict(spec)
-    back = beta_from_dict(json.loads(json.dumps(d)))
+@pytest.mark.parametrize("cls", FAMILIES.values(), ids=lambda c: c.__name__)
+def test_beta_round_trip(cls):
+    spec = BETAS[cls]
+    back = _json_round_trip(spec, beta_from_dict)
     for s in (0.5, 1.0, 7.0, 123.0):
         assert back(s) == spec(s)
 
 
-def test_monte_carlo_mixture_not_serializable():
-    mix = MonteCarloMixture(
-        make_child=lambda g: Indicator(gamma=g),
-        param_sampler=lambda rng: rng.uniform(0.1, 1.0),
-        n_samples=16,
+@pytest.mark.parametrize("cls", KINDS.values(), ids=lambda c: c.__name__)
+def test_kstar_round_trip(cls):
+    k = KSTARS[cls]
+    back = _json_round_trip(k, kstar_from_dict)
+    for v in (0.01, 0.1, 0.25):
+        assert back(v) == k(v)
+    assert back.n_offset == k.n_offset
+
+
+def test_tags_are_written_first_with_the_fields_in_order():
+    assert list(to_dict(BETAS[ExpLogSquare])) == ["family", "c", "a", "b"]
+    assert to_dict(BETAS[Table]) == {"family": "table", "knots": [[1.0, 0.2], [10.0, 0.05]]}
+    assert list(to_dict(KSTARS[Composite])) == [
+        "kind", "outer", "inner", "pre_scale", "post_scale", "offset"]
+    assert to_dict(Composite(outer=Linear(1.0)))["inner"] is None
+
+
+def test_nested_specs_round_trip():
+    beta = Sum(children=(
+        AdjointShift(child=Sum(children=(Table(knots=((1.0, 0.2), (5.0, 0.0))),
+                                         Indicator(gamma=2.0)))),
+        AdjointShift(child=AdjointShift(child=ExpLogSquare(c=0.2, a=0.5))),
+        PowerLaw(coefficient=1.0, exponent=2.0),
+    ))
+    _json_round_trip(beta, beta_from_dict)
+    kstar = Composite(
+        outer=Clamped(child=Composite(outer=GridKStar(v_knots=(0.1, 0.25), values=(0.01, 0.05)),
+                                      inner=Clamped(child=Power(0.5, 2.0)), offset=1)),
+        inner=Composite(outer=Linear(0.5), pre_scale=0.25, post_scale=0.5),
+        post_scale=2.0,
     )
-    with pytest.raises(InvalidSpecError):
-        beta_to_dict(mix)
+    back = _json_round_trip(kstar, kstar_from_dict)
+    assert back.n_offset == 0 and back.outer.child.n_offset == 1
+
+
+def test_int_valued_spec_reads_back_as_floats():
+    back = beta_from_dict({"family": "sum", "children": [
+        {"family": "powerlaw", "coefficient": 2, "exponent": 1},
+        {"family": "adjoint_shift", "child": {"family": "table", "knots": [[1, 1], [10, 0]]}},
+    ]})
+    power, shift = back.children
+    assert type(power.coefficient) is float and type(power.exponent) is float
+    assert all(type(x) is float for knot in shift.child.knots for x in knot)
+    assert back == Sum(children=(PowerLaw(2.0, 1.0),
+                                 AdjointShift(Table(knots=((1.0, 1.0), (10.0, 0.0))))))
+    grid = kstar_from_dict({"kind": "composite", "outer": {"kind": "grid", "v_knots": [1],
+                            "values": [0]}, "pre_scale": 2, "offset": 1.0})
+    assert json.dumps(to_dict(grid)) == json.dumps(to_dict(
+        Composite(outer=GridKStar((1.0,), (0.0,)), pre_scale=2.0, offset=1)))
+    assert type(grid.offset) is int
+
+
+@pytest.mark.parametrize("d,message", [
+    ({"family": "explogsquare", "a": 1.0}, "explogsquare needs c"),
+    ({"family": "powerlaw"}, "powerlaw needs coefficient, exponent"),
+    ({"family": "sum", "children": [{"family": "adjoint_shift"}]}, "adjoint_shift needs child"),
+    ({"family": "indicator", "gamma": 0.5, "cap": 0.25}, "indicator has no field cap"),
+    ({"family": "mixture"}, "unknown family 'mixture'"),
+    ({"gamma": 0.5}, "unknown family None"),
+    ({"family": "indicator", "gamma": "fast"}, "indicator.gamma must be a float"),
+    ({"family": "table", "knots": [[1.0, 0.2, 3.0]]}, "table.knots entries need 2 values"),
+    ({"family": "table", "knots": 1.0}, "table.knots must be a list"),
+    ({"kind": "composite", "inner": None}, "composite needs outer"),
+    ({"kind": "clamped", "child": {"family": "indicator", "gamma": 1.0}}, "unknown kind None"),
+])
+def test_spec_errors_name_the_keys(d, message):
+    from_dict = beta_from_dict if "family" in d or "gamma" in d else kstar_from_dict
+    with pytest.raises(InvalidSpecError, match=message):
+        from_dict(d)
+
+
+def test_unregistered_spec_has_no_json_form():
+    from wpgibbs.cases import NIGBeta1
+
+    with pytest.raises(InvalidSpecError, match="NIGBeta1"):
+        to_dict(NIGBeta1(NIGParams(beta_hyper=1.0)))
 
 
 def test_shorthand_parsing():
@@ -66,32 +151,37 @@ def test_shorthand_parsing():
     )
     e = parse_beta_shorthand("explogsquare:0.25,1.0,0.5")
     assert (e.c, e.a, e.b) == (0.25, 1.0, 0.5)
+    assert parse_beta_shorthand("explogsquare:0.25,1.0") == ExpLogSquare(0.25, 1.0, 0.0)
     with pytest.raises(InvalidSpecError):
         parse_beta_shorthand("nosuchfamily:1.0")
     with pytest.raises(InvalidSpecError):
         parse_beta_shorthand("indicator")
 
 
-from wpgibbs import ExpLogSquareConjugate
+@pytest.mark.parametrize("text,message", [
+    ("indicator:0.2,9", "indicator takes 1 value \\(gamma\\), got 2"),
+    ("powerlaw:1.0", "powerlaw takes 2 values \\(coefficient, exponent\\), got 1"),
+    ("explogsquare:0.25", "explogsquare takes 2 to 3 values \\(c, a, b\\), got 1"),
+    ("explogsquare:0.25,1,0,2", "got 4"),
+    ("table:1", "table has no shorthand"),
+    ("sum:1,2", "sum has no shorthand"),
+    ("indicator:x", "indicator.gamma must be a float"),
+])
+def test_shorthand_errors(text, message):
+    with pytest.raises(InvalidSpecError, match=message):
+        parse_beta_shorthand(text)
 
-KSTARS = [
-    Linear(slope=0.4),
-    ExpLogSquareConjugate(c=0.25, a=1.0, b=0.5),
-    Power(coefficient=0.25, exponent=2.0),
-    Clamped(child=Linear(slope=2.0)),
-    Composite(outer=Linear(slope=0.5), inner=Power(coefficient=0.3, exponent=1.5),
-              pre_scale=0.25, post_scale=2.0, offset=1),
-    GridKStar(v_knots=(0.05, 0.1, 0.25), values=(0.005, 0.012, 0.04)),
-]
 
-
-@pytest.mark.parametrize("k", KSTARS, ids=lambda k: type(k).__name__)
-def test_kstar_round_trip(k):
-    d = kstar_to_dict(k)
-    back = kstar_from_dict(json.loads(json.dumps(d)))
-    for v in (0.01, 0.1, 0.25):
-        assert back(v) == pytest.approx(k(v), rel=1e-12)
-    assert back.n_offset == k.n_offset
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_shorthand_is_the_float_fields_in_order(tag):
+    d = to_dict(BETAS[FAMILIES[tag]])
+    values = list(d.values())[1:]
+    text = f"{tag}:" + ",".join(repr(v) for v in values)
+    if all(type(v) is float for v in values):
+        assert parse_beta_shorthand(text) == BETAS[FAMILIES[tag]]
+    else:
+        with pytest.raises(InvalidSpecError, match="no shorthand"):
+            parse_beta_shorthand(text)
 
 
 def test_case_params_round_trip():
@@ -105,10 +195,10 @@ def test_case_params_round_trip():
     )
     ou = OUParams(mu0=0.5, tau0=1.0, times=(0.0, 0.5, 1.0), obs=(0.2, 0.1, 0.3), M=8)
     for params in (nig, ou):
-        d = case_params_to_dict(params)
+        d = to_dict(params)
         back = case_params_from_dict(json.loads(json.dumps(d)))
         assert back == params
-    back = case_params_from_dict(json.loads(json.dumps(case_params_to_dict(bayes))))
+    back = case_params_from_dict(json.loads(json.dumps(to_dict(bayes))))
     assert (back.a, back.b, back.sigma0) == (bayes.a, bayes.b, bayes.sigma0)
     assert np.array_equal(back.X, bayes.X)
     assert np.array_equal(back.Y, bayes.Y)
@@ -117,7 +207,7 @@ def test_case_params_round_trip():
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.json"
     nig = NIGParams(beta_hyper=1.5, sigma_xi=0.2, sigma_tau=0.2)
-    path.write_text(json.dumps(case_params_to_dict(nig)))
+    path.write_text(json.dumps(to_dict(nig)))
     assert case_params_from_dict(load_config(path)) == nig
 
 
@@ -133,7 +223,7 @@ def test_int_valued_config_round_trips_to_floats(tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         # the JSON text keeps the difference: 3 reads back as int, 3.0 as float
-        d = json.loads(json.dumps(case_params_to_dict(case_params_from_dict(load_config(path)))))
+        d = json.loads(json.dumps(to_dict(case_params_from_dict(load_config(path)))))
         for key, value in cfg.items():
             if key == "M":
                 assert type(d[key]) is int and d[key] == 8

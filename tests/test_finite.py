@@ -4,7 +4,6 @@ import pytest
 from wpgibbs.errors import DomainError, InvalidModeError
 from wpgibbs.finite import (
     FiniteKernel,
-    TestFunction,
     adjoint,
     dirichlet_form,
     l2_decay_exact,
@@ -46,16 +45,6 @@ def test_identity_and_rank_one_gaps():
     assert spectral_gap(ident) == pytest.approx(0.0, abs=1e-12)
     refresh = FiniteKernel(matrix=np.tile(mu, (2, 1)), mu=mu)
     assert spectral_gap(refresh) == pytest.approx(1.0)
-
-
-def test_test_function_caching_and_centering():
-    mu = np.array([0.25, 0.75])
-    f = TestFunction(values=np.array([1.0, 0.0]), mu=mu)
-    assert f.mean == pytest.approx(0.25)
-    assert f.norm_sq == pytest.approx(0.25)
-    assert f.osc == pytest.approx(1.0)
-    assert not f.centered
-    assert f.center().centered
 
 
 def test_adjoint_rules():
