@@ -65,13 +65,6 @@ def _positive(name: str, x: float) -> float:
     return x
 
 
-def _at(profile, s: float, p) -> float:
-    """One value of an array profile at a scalar s > 0."""
-    if s <= 0.0:
-        raise DomainError("s must be positive")
-    return float(profile(np.array([float(s)]), p)[0])
-
-
 # ---------------------------------------------------------------------------
 # normal/exponential scale model
 # ---------------------------------------------------------------------------
@@ -147,51 +140,6 @@ def _nig_sigma0(p: NIGParams) -> float:
     return float(p.sigma_xi)
 
 
-def _nig_beta1(s: np.ndarray, p: NIGParams) -> np.ndarray:
-    """beta1 on an array: the tau-update indicator profile integrated against
-    the t_1(0, 2 beta) marginal of xi; the cap 1/4 below its validity range."""
-    sigma0 = _nig_sigma0(p)
-    beta = p.beta_hyper
-    s0sq = sigma0 * sigma0
-    cprime = C_XI * (beta * beta * s0sq / (beta * beta * s0sq + 1.0)) ** 4
-    root = np.sqrt(cprime * s / s0sq)
-    out = np.full_like(s, DEFAULT_CAP)
-    valid = root > beta
-    b1 = (2.0 * math.sqrt(2.0 * beta) / math.pi) * (
-        math.pi / 2.0 - np.arctan(np.sqrt((root[valid] - beta) / beta))
-    )
-    out[valid] = np.minimum(b1, DEFAULT_CAP)
-    return out
-
-
-def _nig_beta2(s: np.ndarray, p: NIGParams) -> np.ndarray:
-    """beta2 on an array: the xi-update profile integrated against the
-    Gamma(1/2, beta) marginal of tau via the two real Lambert-W branches;
-    the cap 1/4 below its validity range."""
-    sigma0 = _nig_sigma0(p)
-    out = np.full_like(s, DEFAULT_CAP)
-    valid = s >= 2.0 * math.e / C_RWM
-    # in [-1/e, 0) up to rounding at the edge, which lambert_w absorbs
-    arg = -2.0 / (C_RWM * s[valid])
-    scale_w = -p.beta_hyper / (2.0 * sigma0 * sigma0)
-    x_lo = scale_w * lambert_w(arg, "principal")
-    x_hi = scale_w * lambert_w(arg, "minus_one")
-    b2 = (gammainc_lower(0.5, x_lo) + gammainc_upper(0.5, x_hi)) / math.sqrt(math.pi)
-    out[valid] = np.minimum(b2, DEFAULT_CAP)
-    return out
-
-
-def nig_fixed_betas(s: float, p: NIGParams):
-    """(beta1(s), beta2(s)) for the common fixed step size sigma0.
-
-    beta1 integrates the tau-update indicator profile against the
-    t_1(0, 2 beta) marginal of xi; beta2 integrates the xi-update profile
-    against the Gamma(1/2, beta) marginal of tau via the two real Lambert-W
-    branches.  Outside each formula's validity range the cap 1/4 is returned.
-    """
-    return _at(_nig_beta1, s, p), _at(_nig_beta2, s, p)
-
-
 def nig_envelope_exponents(p: NIGParams):
     """Tail exponents of the two fixed-step profiles: (1/4, min(1/2, beta/(2 sigma0^2)))."""
     sigma0 = _nig_sigma0(p)
@@ -209,22 +157,47 @@ def nig_rate_exponent(p: NIGParams) -> float:
 
 @dataclass(frozen=True)
 class NIGBeta1(BetaSpec):
-    """Fixed-step profile of the tau-update, integrated over xi."""
+    """Fixed-step profile of the tau-update: the indicator profile integrated
+    against the t_1(0, 2 beta) marginal of xi; the cap 1/4 below its
+    validity range."""
 
     params: NIGParams
+    cap = DEFAULT_CAP
 
     def _eval(self, s):
-        return _nig_beta1(s, self.params)
+        sigma0 = _nig_sigma0(self.params)
+        beta = self.params.beta_hyper
+        s0sq = sigma0 * sigma0
+        cprime = C_XI * (beta * beta * s0sq / (beta * beta * s0sq + 1.0)) ** 4
+        root = np.sqrt(cprime * s / s0sq)
+        out = np.full_like(s, DEFAULT_CAP)
+        valid = root > beta
+        out[valid] = (2.0 * math.sqrt(2.0 * beta) / math.pi) * (
+            math.pi / 2.0 - np.arctan(np.sqrt((root[valid] - beta) / beta))
+        )
+        return out
 
 
 @dataclass(frozen=True)
 class NIGBeta2(BetaSpec):
-    """Fixed-step profile of the xi-update, integrated over tau."""
+    """Fixed-step profile of the xi-update: integrated against the
+    Gamma(1/2, beta) marginal of tau via the two real Lambert-W branches;
+    the cap 1/4 below its validity range."""
 
     params: NIGParams
+    cap = DEFAULT_CAP
 
     def _eval(self, s):
-        return _nig_beta2(s, self.params)
+        sigma0 = _nig_sigma0(self.params)
+        out = np.full_like(s, DEFAULT_CAP)
+        valid = s >= 2.0 * math.e / C_RWM
+        # in [-1/e, 0) up to rounding at the edge, which lambert_w absorbs
+        arg = -2.0 / (C_RWM * s[valid])
+        scale_w = -self.params.beta_hyper / (2.0 * sigma0 * sigma0)
+        x_lo = scale_w * lambert_w(arg, "principal")
+        x_hi = scale_w * lambert_w(arg, "minus_one")
+        out[valid] = (gammainc_lower(0.5, x_lo) + gammainc_upper(0.5, x_hi)) / math.sqrt(math.pi)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,30 +274,6 @@ class BayesParams:
         return 2.0 * self.eig_max * self.p * self.sigma0 ** 2
 
 
-def _bayes_beta2(s: np.ndarray, p: BayesParams) -> np.ndarray:
-    c1c2 = p.C1 * p.C2
-    out = np.full_like(s, DEFAULT_CAP)
-    valid = s >= math.e * c1c2
-    arg = -c1c2 / s[valid]  # in [-1/e, 0) up to rounding at the edge
-    scale_w = -p.b_prime / p.C2
-    x_lo = scale_w * lambert_w(arg, "principal")
-    x_hi = scale_w * lambert_w(arg, "minus_one")
-    ap = p.a_prime
-    val = (gammainc_lower(ap, x_lo) + gammainc_upper(ap, x_hi)) / math.gamma(ap)
-    out[valid] = np.minimum(val, DEFAULT_CAP)
-    return out
-
-
-def bayes_beta2(s: float, p: BayesParams) -> float:
-    """Profile of the coefficient update integrated over the precision marginal.
-
-    Valid for s >= e * C1 * C2 (the cap 1/4 is returned below); evaluates the
-    normalized lower+upper incomplete-gamma expression at the two Lambert-W
-    branch points of -C1 C2 / s.
-    """
-    return _at(_bayes_beta2, s, p)
-
-
 def bayes_rate_exponent(p: BayesParams) -> float:
     """Polynomial decay exponent: the bound decays like (n-1)^(-exponent)."""
     return min(p.a_prime, p.b_prime / p.C2)
@@ -337,10 +286,26 @@ def bayes_crossover_sigma0_sq(p: BayesParams) -> float:
 
 @dataclass(frozen=True)
 class BayesBeta2(BetaSpec):
-    params: "BayesParams"
+    """Profile of the coefficient update integrated over the precision
+    marginal: the normalized lower+upper incomplete-gamma expression at the
+    two Lambert-W branch points of -C1 C2 / s, valid for s >= e C1 C2; the
+    cap 1/4 below."""
+
+    params: BayesParams
+    cap = DEFAULT_CAP
 
     def _eval(self, s):
-        return _bayes_beta2(s, self.params)
+        p = self.params
+        c1c2 = p.C1 * p.C2
+        out = np.full_like(s, DEFAULT_CAP)
+        valid = s >= math.e * c1c2
+        arg = -c1c2 / s[valid]  # in [-1/e, 0) up to rounding at the edge
+        scale_w = -p.b_prime / p.C2
+        x_lo = scale_w * lambert_w(arg, "principal")
+        x_hi = scale_w * lambert_w(arg, "minus_one")
+        ap = p.a_prime
+        out[valid] = (gammainc_lower(ap, x_lo) + gammainc_upper(ap, x_hi)) / math.gamma(ap)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,24 +378,8 @@ def diffusion_beta2_indicator(theta: float, p: OUParams) -> Indicator:
     return Indicator(gamma=1.0 / float(np.max(g)))
 
 
-def ou_beta2(s: float, p: OUParams) -> float:
-    """Gaussian-tail profile of the bridge refresh integrated over the drift.
-
-    envelope_K * (1 - Phi((2 log(s)/eta - m) / tau0)) for s >= 1; 1/4 below.
-    """
-    if s <= 0.0:
-        raise DomainError("s must be positive")
-    if s < 1.0:
-        return DEFAULT_CAP
-    if p.eta <= 0.0:
-        raise ValidityRangeError("profile needs eta > 0 for the Gaussian tail")
-    z = (2.0 * math.log(s) / p.eta - p.m) / p.tau0
-    tail = 0.5 * math.erfc(z / math.sqrt(2.0))
-    return min(p.envelope_K * tail, DEFAULT_CAP)
-
-
 def ou_exp_log_square_envelope(p: OUParams) -> ExpLogSquare:
-    """Log-squared envelope dominating ``ou_beta2`` on all of s >= 1.
+    """Log-squared envelope dominating ``OUBeta2`` on all of s >= 1.
 
     Completing the square in the Gaussian tail bound 1 - Phi(z) <=
     exp(-z^2/2)/2 gives z^2/2 = (a log s + b)^2 with a = sqrt(2)/(eta tau0)
@@ -468,10 +417,27 @@ def ou_rate(n: int, p: OUParams, delta: float, C_tilde: float = 0.25) -> float:
 
 @dataclass(frozen=True)
 class OUBeta2(BetaSpec):
-    params: "OUParams"
+    """Gaussian-tail profile of the bridge refresh integrated over the drift:
+    envelope_K * (1 - Phi((2 log(s)/eta - m) / tau0)) for s >= 1; 1/4 below.
+
+    Evaluated one point at a time with ``math.log`` and ``math.erfc``,
+    whose last bits ``np.log`` does not reproduce.
+    """
+
+    params: OUParams
+    cap = DEFAULT_CAP
 
     def _eval(self, s):
-        return np.array([ou_beta2(float(si), self.params) for si in s])
+        p = self.params
+        out = np.full_like(s, DEFAULT_CAP)
+        tail = np.flatnonzero(~(s < 1.0))
+        if tail.size and p.eta <= 0.0:
+            raise ValidityRangeError("profile needs eta > 0 for the Gaussian tail")
+        eta, m = p.eta, p.m
+        for i in tail:
+            z = (2.0 * math.log(s[i]) / eta - m) / p.tau0
+            out[i] = p.envelope_K * (0.5 * math.erfc(z / math.sqrt(2.0)))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -533,17 +499,11 @@ def _nig_bound(p: NIGParams, mode: str, delta: float):
     return k, constants, "C*n^(-rate_exponent)"
 
 
-# --mode value -> samplers.nig_step kernel
-_NIG_KERNELS = {"scaled": "mwg_scaled", "fixed": "mwg_fixed", "exact": "exact_gibbs"}
-
-
 def _nig_trace(p: NIGParams, mode: str, rng, steps: int, acc: list):
-    sigma0 = p.sigma_xi if mode == "fixed" else None
-    kernel = _NIG_KERNELS[mode]
     tau, xi = samplers.nig_stationary_start(p, rng, 1)
     for step in range(steps + 1):
         yield step, repr(float(tau[0])), repr(float(xi[0]))
-        tau, xi = samplers.nig_step(tau, xi, p, kernel, rng, sigma0)
+        tau, xi = samplers.nig_step(tau, xi, p, mode, rng)
 
 
 def _bayes_bound(p: BayesParams, mode: str, delta: float):
@@ -596,7 +556,7 @@ def _ou_trace(p: OUParams, mode: str, rng, steps: int, acc: list):
 
 
 CASES = {
-    "nig": Case(NIGParams, tuple(_NIG_KERNELS), _nig_bound,
+    "nig": Case(NIGParams, samplers.NIG_MODES, _nig_bound,
                 lambda p: ["step", "tau", "xi"], _nig_trace),
     "bayes": Case(BayesParams, ("mwg",), _bayes_bound,
                   lambda p: ["step", "lambda"] + [f"beta{j}" for j in range(p.p)],

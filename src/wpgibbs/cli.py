@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 
 import numpy as np
@@ -25,11 +26,21 @@ OU_DELTA = 1.5
 _CASE_FLAGS = ("--config", "--gamma", "--sigma0", "--beta-hyper", "--mode")
 
 
+def _at_least(args, lowest: int, *names) -> None:
+    """Exit 2 unless each named count flag is at least ``lowest``."""
+    for name in names:
+        value = getattr(args, name)
+        if value < lowest:
+            flag = "--" + name.replace("_", "-")
+            raise WpgibbsError(f"{flag} must be at least {lowest}, got {value}")
+
+
 def _n_grid(args) -> list:
+    _at_least(args, 1, "n_step")
     if args.n_grid:
         ns = sorted(int(v) for v in args.n_grid.split(","))
     else:
-        ns = list(range(0, args.n_max + 1, max(1, args.n_step)))
+        ns = list(range(0, args.n_max + 1, args.n_step))
     if not ns or ns[0] < 0:
         raise WpgibbsError(f"the n grid must be nonempty with every n >= 0, got {ns}")
     return ns
@@ -104,8 +115,13 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _at_least(args, 1, "models")
+    _at_least(args, 0, "n_max")
+    sizes = re.fullmatch(r"([0-9]+)x([0-9]+)", args.states)
+    nx, ny = map(int, sizes.groups()) if sizes else (0, 0)
+    if min(nx, ny) < 2:
+        raise WpgibbsError(f"--states must read NXxNY with both sizes >= 2, got {args.states!r}")
     rng = np.random.default_rng(args.seed)
-    nx, ny = (int(v) for v in args.states.split("x"))
     all_pass = True
     worst = 0.0
     lines = []
@@ -135,6 +151,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _reject(args, "with sample: no sampler reads it", ("--gamma",))
+    _at_least(args, 1, "chains")
+    _at_least(args, 0, "steps")
     case, p, mode = _load_case(args)
     os.makedirs(args.out, exist_ok=True)
     meta = {
@@ -165,7 +184,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    ns = _n_grid(args)
+    _at_least(args, 1, "starts")
+    ns = [n for n in _n_grid(args) if n >= 1]
+    if not ns:
+        raise WpgibbsError("compare needs an n >= 1 in its grid")
     meta = {"command": "compare", "case": args.case, "seed": args.seed}
     if args.case == "finite":
         _reject(args, "with --case finite")
@@ -178,19 +200,15 @@ def cmd_compare(args) -> int:
         kern = m.kernel("P12")
         f = finite.random_centered_functions(m.mu, 1, args.seed + 1)[0]
         est = samplers.finite_decay_estimate(
-            kern, f, [n for n in ns if n >= 1], starts=args.starts,
-            master_seed=args.seed,
+            kern, f, ns, starts=args.starts, master_seed=args.seed,
         )
         meta["gaps"] = [g0, g1, g2]
     elif args.case == "nig":
-        _, p, mode = _load_case(args)
+        case, p, mode = _load_case(args)
         if mode != "scaled":
             raise WpgibbsError("compare --case nig runs the scaled-step chain only")
-        rb = rates.RateBound(cases.nig_scaled_kstar(p))
-        est = samplers.nig_decay_estimate(
-            p, "mwg_scaled", [n for n in ns if n >= 1], starts=args.starts,
-            master_seed=args.seed,
-        )
+        rb = rates.RateBound(case.bound(p, mode, None)[0])
+        est = samplers.nig_decay_estimate(p, mode, ns, starts=args.starts, master_seed=args.seed)
         meta["params"] = config.to_dict(p)
     else:
         raise WpgibbsError(f"compare supports cases finite and nig, not {args.case!r}")

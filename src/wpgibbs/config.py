@@ -94,6 +94,16 @@ def _missing(cls, d: dict) -> list:
     ]
 
 
+def _check_fields(cls, tag: str, values: dict) -> None:
+    """Reject ``values`` that name a field ``cls`` lacks or leave out one it needs."""
+    unknown = [n for n in values if n not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise InvalidSpecError(f"{tag} has no field {', '.join(unknown)}")
+    missing = _missing(cls, values)
+    if missing:
+        raise InvalidSpecError(f"{tag} needs {', '.join(missing)}")
+
+
 @functools.cache
 def _hints(cls) -> dict:
     return typing.get_type_hints(cls)
@@ -101,12 +111,7 @@ def _hints(cls) -> dict:
 
 def _build(cls, tag: str, values: dict):
     """``cls`` from its field values, each read as its declared type."""
-    unknown = [n for n in values if n not in {f.name for f in fields(cls)}]
-    if unknown:
-        raise InvalidSpecError(f"{tag} has no field {', '.join(unknown)}")
-    missing = _missing(cls, values)
-    if missing:
-        raise InvalidSpecError(f"{tag} needs {', '.join(missing)}")
+    _check_fields(cls, tag, values)
     return cls(**{n: _coerce(_hints(cls)[n], v, f"{tag}.{n}") for n, v in values.items()})
 
 
@@ -160,11 +165,9 @@ def case_params_from_dict(d: dict):
     name = d.get("case")
     if name not in CASES:
         raise InvalidSpecError(f"unknown case {name!r}")
-    cls = CASES[name].params
-    missing = _missing(cls, d)
-    if missing:
-        raise InvalidSpecError(f"{name} params need {', '.join(missing)}")
-    return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+    values = {n: v for n, v in d.items() if n != "case"}
+    _check_fields(CASES[name].params, f"case {name}", values)
+    return CASES[name].params(**values)
 
 
 def load_config(path: str) -> dict:

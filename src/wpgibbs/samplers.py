@@ -12,11 +12,10 @@ starts gives confidence bands.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -39,7 +38,8 @@ def chain_rng(master_seed: int, chain_index: int) -> np.random.Generator:
 # normal/exponential scale model
 # ---------------------------------------------------------------------------
 
-NIG_MODES = ("exact_gibbs", "mwg_scaled", "mwg_fixed")
+#: the nig chain's modes, which are also the ``--mode`` values of its case
+NIG_MODES = ("scaled", "fixed", "exact")
 
 
 def nig_stationary_start(p: NIGParams, rng: np.random.Generator, size: int):
@@ -49,45 +49,34 @@ def nig_stationary_start(p: NIGParams, rng: np.random.Generator, size: int):
     return tau, xi
 
 
-def nig_step(
-    tau: np.ndarray,
-    xi: np.ndarray,
-    p: NIGParams,
-    mode: str,
-    rng: np.random.Generator,
-    sigma0: Optional[float] = None,
-):
+def nig_step(tau: np.ndarray, xi: np.ndarray, p: NIGParams, mode: str, rng: np.random.Generator):
     """One deterministic scan (tau-update then xi-update), vectorized.
 
-    ``exact_gibbs`` draws both conditionals exactly; the MwG modes use
-    random-walk Metropolis with the scaled (conditioning-dependent) or the
-    fixed common step size.
+    ``exact`` draws both conditionals exactly; ``scaled`` and ``fixed`` use
+    random-walk Metropolis, with the conditioning-dependent steps or with the
+    fixed steps ``p.sigma_xi`` (tau-update) and ``p.sigma_tau`` (xi-update).
     """
     if mode not in NIG_MODES:
-        raise InvalidModeError(f"unknown mode {mode!r}")
-    if mode == "mwg_fixed" and not (sigma0 and sigma0 > 0.0):
-        raise InvalidModeError("mwg_fixed needs a positive sigma0")
+        raise InvalidModeError(f"unknown mode {mode!r}; choose one of {', '.join(NIG_MODES)}")
+    if mode == "fixed" and "scaled" in (p.sigma_xi, p.sigma_tau):
+        raise InvalidModeError("mode fixed needs numeric steps sigma_xi and sigma_tau")
     tau = np.atleast_1d(np.asarray(tau, dtype=float)).copy()
     xi = np.atleast_1d(np.asarray(xi, dtype=float)).copy()
     beta_xi = p.beta_hyper + 0.5 * xi ** 2
 
-    if mode == "exact_gibbs":
+    if mode == "exact":
         tau = rng.exponential(1.0 / beta_xi)
     else:
-        step = (
-            np.sqrt(3.0) / beta_xi if mode == "mwg_scaled" else np.full_like(tau, sigma0)
-        )
+        step = np.sqrt(3.0) / beta_xi if mode == "scaled" else p.sigma_xi
         prop = tau + step * rng.normal(size=tau.shape)
         log_alpha = np.where(prop > 0.0, -beta_xi * (prop - tau), -np.inf)
         accept = np.log(rng.uniform(size=tau.shape)) < log_alpha
         tau = np.where(accept, prop, tau)
 
-    if mode == "exact_gibbs":
+    if mode == "exact":
         xi = rng.normal(0.0, 1.0 / np.sqrt(tau))
     else:
-        step = (
-            1.0 / np.sqrt(2.0 * tau) if mode == "mwg_scaled" else np.full_like(xi, sigma0)
-        )
+        step = 1.0 / np.sqrt(2.0 * tau) if mode == "scaled" else p.sigma_tau
         prop = xi + step * rng.normal(size=xi.shape)
         log_alpha = -0.5 * tau * (prop ** 2 - xi ** 2)
         accept = np.log(rng.uniform(size=xi.shape)) < log_alpha
@@ -97,35 +86,18 @@ def nig_step(
 
 
 def nig_decay_estimate(
-    p: NIGParams,
-    mode: str,
-    n_grid: Sequence[int],
-    starts: int,
-    master_seed: int,
-    sigma0: Optional[float] = None,
+    p: NIGParams, mode: str, n_grid: Sequence[int], starts: int, master_seed: int
 ) -> "DecayEstimate":
     """Paired-chain estimate of ||P^n f||^2 / ||f||^2_osc for the scan chain.
 
     f = tanh(xi)/2, centered exactly by the xi -> -xi symmetry of the target
     and with oscillation 1.
     """
-    rng = chain_rng(master_seed, 0)
-    tau0, xi0 = nig_stationary_start(p, rng, starts)
-    tau1, xi1 = tau0.copy(), xi0.copy()
-    tau2, xi2 = tau0.copy(), xi0.copy()
-    rng1 = chain_rng(master_seed, 1)
-    rng2 = chain_rng(master_seed, 2)
-
-    n_grid = sorted(int(n) for n in n_grid)
-    prods = {}
-    step_now = 0
-    for n in n_grid:
-        while step_now < n:
-            tau1, xi1 = nig_step(tau1, xi1, p, mode, rng1, sigma0)
-            tau2, xi2 = nig_step(tau2, xi2, p, mode, rng2, sigma0)
-            step_now += 1
-        prods[n] = (0.5 * np.tanh(xi1)) * (0.5 * np.tanh(xi2))
-    return _paired_estimate(n_grid, prods, 1.0, master_seed)
+    start = nig_stationary_start(p, chain_rng(master_seed, 0), starts)
+    return _paired_decay(
+        start, lambda z, rng: nig_step(*z, p, mode, rng), lambda z: 0.5 * np.tanh(z[1]),
+        1.0, n_grid, master_seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +134,6 @@ def bayes_step(
     if math.log(rng.uniform()) < log_alpha:
         beta_vec = prop
     return lam, beta_vec
-
-
-def bayes_log_accept(lam, beta_old, beta_new, p: BayesParams) -> float:
-    """Log Metropolis ratio of the coefficient update (for unit testing)."""
-    r_old = p.Y - p.X @ np.asarray(beta_old, dtype=float)
-    r_new = p.Y - p.X @ np.asarray(beta_new, dtype=float)
-    return -0.5 * lam * (float(r_new @ r_new) - float(r_old @ r_old))
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +239,8 @@ def finite_simulate(
     state = np.asarray(start, dtype=np.int64).copy()
     for _ in range(steps):
         u = rng.uniform(size=state.shape)
-        state = _vector_categorical(cdf, state, u)
+        state = (u[:, None] > cdf[state]).sum(axis=1).astype(np.int64)
     return state
-
-
-def _vector_categorical(cdf, state, u):
-    rows = cdf[state]
-    return (u[:, None] > rows).sum(axis=1).astype(np.int64)
 
 
 def finite_decay_estimate(
@@ -293,22 +253,11 @@ def finite_decay_estimate(
     """Paired-chain estimator on a finite kernel (for calibration tests)."""
     f = np.asarray(f, dtype=float)
     f = f - float(k.mu @ f)
-    osc_sq = float((f.max() - f.min()) ** 2)
-    rng0 = chain_rng(master_seed, 0)
-    start = rng0.choice(k.n, size=starts, p=k.mu)
-    s1 = start.copy()
-    s2 = start.copy()
-    rng1 = chain_rng(master_seed, 1)
-    rng2 = chain_rng(master_seed, 2)
-    n_grid = sorted(int(n) for n in n_grid)
-    prods = {}
-    now = 0
-    for n in n_grid:
-        s1 = finite_simulate(k, s1, n - now, rng1)
-        s2 = finite_simulate(k, s2, n - now, rng2)
-        now = n
-        prods[n] = f[s1] * f[s2]
-    return _paired_estimate(n_grid, prods, osc_sq, master_seed)
+    start = chain_rng(master_seed, 0).choice(k.n, size=starts, p=k.mu)
+    return _paired_decay(
+        start, lambda s, rng: finite_simulate(k, s, 1, rng), lambda s: f[s],
+        float((f.max() - f.min()) ** 2), n_grid, master_seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,35 +274,34 @@ class DecayEstimate:
     ci_low: np.ndarray
     ci_high: np.ndarray
     se: np.ndarray
-    chains: int
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "mean", "ci_low", "ci_high"])
-            for row in zip(self.n_grid, self.mean, self.ci_low, self.ci_high):
-                w.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
 
 
-def _paired_estimate(n_grid, prods, osc_sq, master_seed) -> DecayEstimate:
-    rng = chain_rng(master_seed, 3)
-    means, lows, highs, ses = [], [], [], []
-    starts = len(next(iter(prods.values())))
-    idx = rng.integers(0, starts, size=(BOOTSTRAP, starts))
+def _paired_decay(start, step, f, osc_sq: float, n_grid, master_seed: int) -> DecayEstimate:
+    """Estimate ||P^n f||^2 / osc_sq at each n of ``n_grid``.
+
+    Two chains leave the shared stationary ``start`` (a batch of starts), each
+    advanced one scan at a time by ``step(z, rng)`` on its own stream;
+    f(Z^1_n) f(Z^2_n) is averaged over the starts and bootstrapped over them.
+    """
+    rng1, rng2 = chain_rng(master_seed, 1), chain_rng(master_seed, 2)
+    z1 = z2 = start
+    n_grid = sorted(int(n) for n in n_grid)
+    xs = []
+    now = 0
     for n in n_grid:
-        x = prods[n] / osc_sq
-        means.append(float(x.mean()))
-        boots = x[idx].mean(axis=1)
-        lows.append(float(np.quantile(boots, 0.025)))
-        highs.append(float(np.quantile(boots, 0.975)))
-        ses.append(float(boots.std(ddof=1)))
+        for _ in range(n - now):
+            z1, z2 = step(z1, rng1), step(z2, rng2)
+        now = n
+        xs.append(f(z1) * f(z2) / osc_sq)
+    starts = len(xs[0])
+    idx = chain_rng(master_seed, 3).integers(0, starts, size=(BOOTSTRAP, starts))
+    boots = [x[idx].mean(axis=1) for x in xs]
     return DecayEstimate(
         n_grid=np.asarray(n_grid),
-        mean=np.asarray(means),
-        ci_low=np.asarray(lows),
-        ci_high=np.asarray(highs),
-        se=np.asarray(ses),
-        chains=2 * starts,
+        mean=np.array([x.mean() for x in xs]),
+        ci_low=np.array([np.quantile(b, 0.025) for b in boots]),
+        ci_high=np.array([np.quantile(b, 0.975) for b in boots]),
+        se=np.array([b.std(ddof=1) for b in boots]),
     )
 
 

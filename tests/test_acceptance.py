@@ -336,7 +336,7 @@ def test_nig_scaled_log_decay_is_linear():
     (R^2 >= 0.95) over the CI-resolved points with n <= 200."""
     p = NIGParams(beta_hyper=2.0)
     est = nig_decay_estimate(
-        p, "mwg_scaled", n_grid=[1, 2, 3, 4, 5, 6, 8, 10], starts=100_000,
+        p, "scaled", n_grid=[1, 2, 3, 4, 5, 6, 8, 10], starts=100_000,
         master_seed=314,
     )
     ok = est.mean > 2.0 * est.se
@@ -356,9 +356,7 @@ def test_nig_fixed_no_upward_trend_vs_envelope():
     p = NIGParams(beta_hyper=2.0, sigma_xi=1.0, sigma_tau=1.0)
     assert p.beta_hyper / 1.0 > 1.0
     grid = [1, 2, 5, 10, 20, 40, 80, 120, 160, 200]
-    est = nig_decay_estimate(
-        p, "mwg_fixed", n_grid=grid, starts=50_000, master_seed=7, sigma0=1.0
-    )
+    est = nig_decay_estimate(p, "fixed", n_grid=grid, starts=50_000, master_seed=7)
     scaled = est.mean * np.asarray(grid, dtype=float) ** (1.0 / 14.0)
     assert mann_kendall_z(scaled) < 1.645
 

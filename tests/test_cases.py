@@ -17,16 +17,13 @@ from wpgibbs.cases import (
     NIGParams,
     OUBeta2,
     OUParams,
-    bayes_beta2,
     bayes_crossover_sigma0_sq,
     bayes_rate_exponent,
     diffusion_beta2_indicator,
     nig_conditional_gaps,
     nig_envelope_exponents,
-    nig_fixed_betas,
     nig_rate_exponent,
     nig_scaled_kstar,
-    ou_beta2,
     ou_exp_log_square_envelope,
     ou_rate,
     ou_rate_coefficient,
@@ -82,8 +79,7 @@ def test_scaled_kstar_slope():
 def test_fixed_betas_shape():
     p = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.5)
     s_grid = np.geomspace(1.0, 1e9, 200)
-    b1 = np.array([nig_fixed_betas(s, p)[0] for s in s_grid])
-    b2 = np.array([nig_fixed_betas(s, p)[1] for s in s_grid])
+    b1, b2 = NIGBeta1(p)(s_grid), NIGBeta2(p)(s_grid)
     for b in (b1, b2):
         assert np.all(b >= 0.0)
         assert np.all(b <= 0.25 + 1e-15)
@@ -95,15 +91,15 @@ def test_fixed_betas_shape():
 
 def test_fixed_beta1_below_validity_is_capped():
     p = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.5)
-    b1, b2 = nig_fixed_betas(1e-6, p)
-    assert b1 == 0.25
-    assert b2 == 0.25
+    assert NIGBeta1(p)(1e-6) == 0.25
+    assert NIGBeta2(p)(1e-6) == 0.25
 
 
 def test_fixed_betas_require_matching_widths():
     p = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.4)
-    with pytest.raises(InvalidSpecError):
-        nig_fixed_betas(10.0, p)
+    for profile in (NIGBeta1(p), NIGBeta2(p)):
+        with pytest.raises(InvalidSpecError):
+            profile(10.0)
 
 
 def test_nig_rate_exponent_regimes():
@@ -122,11 +118,20 @@ def test_nig_envelope_exponents():
     assert nig_envelope_exponents(wide)[1] == pytest.approx(0.1 / 8.0)
 
 
-def test_nig_beta_wrappers_match_functions():
-    p = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.5)
-    for s in (10.0, 1e3, 1e6):
-        assert NIGBeta1(params=p)(s) == nig_fixed_betas(s, p)[0]
-        assert NIGBeta2(params=p)(s) == nig_fixed_betas(s, p)[1]
+def test_case_profiles_at_one_point():
+    """A scalar s gives the float the array path gives at that point, and
+    s <= 0 is outside every profile's domain."""
+    nig = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.5)
+    profiles = (NIGBeta1(nig), NIGBeta2(nig), BayesBeta2(_bayes_params()), OUBeta2(_ou_params()))
+    s = np.array([0.5, 10.0, 1e3, 1e6, 1e9, 1e12])
+    for profile in profiles:
+        values = profile(s)
+        for si, v in zip(s, values):
+            one = profile(float(si))
+            assert type(one) is float and one == v
+        for bad in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                profile(bad)
 
 
 def _bayes_params(sigma0=0.1):
@@ -153,13 +158,12 @@ def test_bayes_posterior_quantities():
 def test_bayes_beta2_shape_and_cap():
     p = _bayes_params()
     thresh = math.e * p.C1 * p.C2
-    assert bayes_beta2(0.5 * thresh, p) == 0.25
+    assert BayesBeta2(p)(0.5 * thresh) == 0.25
     s_grid = np.geomspace(thresh, 1e4 * thresh, 100)
-    vals = np.array([bayes_beta2(s, p) for s in s_grid])
+    vals = BayesBeta2(p)(s_grid)
     assert np.all(vals <= 0.25 + 1e-15)
     assert np.all(np.diff(vals) <= 1e-12)
     assert vals[-1] < vals[0]
-    assert BayesBeta2(params=p)(s_grid[3]) == vals[3]
 
 
 def test_bayes_beta2_tail_envelope():
@@ -167,7 +171,7 @@ def test_bayes_beta2_tail_envelope():
     p = _bayes_params()
     rho = bayes_rate_exponent(p)
     s_lo, s_hi = 1e3 * math.e * p.C1 * p.C2, 1e6 * math.e * p.C1 * p.C2
-    ratio = (bayes_beta2(s_hi, p) / bayes_beta2(s_lo, p))
+    ratio = BayesBeta2(p)(s_hi) / BayesBeta2(p)(s_lo)
     assert ratio <= (s_hi / s_lo) ** (-0.9 * rho)
 
 
@@ -206,18 +210,21 @@ def test_ou_derived_quantities():
 
 def test_ou_beta2_shape():
     p = _ou_params()
-    assert ou_beta2(0.5, p) == 0.25
-    vals = np.array([ou_beta2(s, p) for s in np.geomspace(1.0, 1e8, 100)])
+    assert OUBeta2(p)(0.5) == 0.25
+    vals = OUBeta2(p)(np.geomspace(1.0, 1e8, 100))
     assert np.all(np.diff(vals) <= 1e-12)
     assert vals[-1] < 1e-4
-    assert OUBeta2(params=p)(10.0) == ou_beta2(10.0, p)
+    # the formula exactly as it reads, one point at a time
+    for s in (1.0, 3.7, 1e5):
+        z = (2.0 * math.log(s) / p.eta - p.m) / p.tau0
+        assert OUBeta2(p)(s) == min(p.envelope_K * (0.5 * math.erfc(z / math.sqrt(2.0))), 0.25)
 
 
 def test_ou_envelope_dominates_exact_curve():
     p = _ou_params(envelope_K=1.0)
     env = ou_exp_log_square_envelope(p)
     s_grid = np.geomspace(1.0, 1e8, 400)
-    exact = np.array([ou_beta2(s, p) for s in s_grid])
+    exact = OUBeta2(p)(s_grid)
     upper = np.array([env(s) for s in s_grid])
     assert np.all(upper + 1e-15 >= exact)
     # squared-log coefficient matches the advertised rate constant
@@ -329,9 +336,9 @@ def test_nig_array_profiles_match_scalar_formulas(beta, sigma0):
     assert np.allclose(b2, ref[:, 1], rtol=1e-13, atol=0.0)
     assert np.any(b1 < DEFAULT_CAP) and np.any(b1 == DEFAULT_CAP)
     assert np.any(b2 < DEFAULT_CAP) and np.any(b2 == DEFAULT_CAP)
-    # the public scalar functions are the array profiles at one point
-    for si in s[::37]:
-        assert nig_fixed_betas(float(si), p) == (NIGBeta1(p)(float(si)), NIGBeta2(p)(float(si)))
+    # a scalar call is the array profile at one point
+    for i in range(0, len(s), 37):
+        assert (NIGBeta1(p)(float(s[i])), NIGBeta2(p)(float(s[i]))) == (b1[i], b2[i])
 
 
 @pytest.mark.parametrize("beta,sigma0", NIG_STEPS)
@@ -357,8 +364,8 @@ def test_bayes_array_profile_matches_scalar_formula_and_scipy(sigma0):
     ref = np.array([_bayes_beta2_scalar(float(si), p) for si in s])
     assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
     assert np.any(got < DEFAULT_CAP) and np.any(got == DEFAULT_CAP)
-    for si in s[::41]:
-        assert bayes_beta2(float(si), p) == BayesBeta2(params=p)(float(si))
+    for i in range(0, len(s), 41):
+        assert BayesBeta2(params=p)(float(s[i])) == got[i]
     valid = s >= math.e * c1c2
     arg = -c1c2 / s[valid]
     scale_w = -p.b_prime / p.C2

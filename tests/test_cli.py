@@ -261,6 +261,21 @@ INVALID = {
     "shorthand-extra-value": ["bound", "--beta", "indicator:0.2,9"],
     "shorthand-missing-value": ["bound", "--beta", "powerlaw:1.0"],
     "shorthand-table": ["bound", "--beta", "table:1"],
+    "config-unknown-key": ["bound", "--case", "nig", "--config", "{nig_misnamed_step}"],
+    "sample-gamma": ["sample", "--case", "nig", "--gamma", "0.3"],
+    "compare-zero-starts": ["compare", "--case", "finite", "--starts", "0"],
+    "sample-zero-chains": ["sample", "--case", "nig", "--chains", "0"],
+    "sample-negative-steps": ["sample", "--case", "nig", "--steps", "-3"],
+    "sample-ou-negative-steps": ["sample", "--case", "ou", "--config", "{ou}", "--steps", "-1"],
+    "verify-zero-models": ["verify", "--models", "0"],
+    "verify-negative-n-max": ["verify", "--n-max", "-1"],
+    "n-step-zero": ["bound", "--beta", "indicator:0.2", "--n-step", "0"],
+    "n-step-negative": ["compare", "--case", "finite", "--n-step", "-2"],
+    "compare-grid-without-positive-n": ["compare", "--case", "finite", "--n-grid", "0"],
+    "verify-states-zero": ["verify", "--states", "0x3"],
+    "verify-states-one": ["verify", "--states", "1x3"],
+    "verify-states-malformed": ["verify", "--states", "3by3"],
+    "verify-states-one-size": ["verify", "--states", "3x"],
 }
 
 
@@ -270,6 +285,7 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
         "nig_fixed": '{"case": "nig", "beta_hyper": 1.0, "sigma_xi": 0.8, "sigma_tau": 0.8}',
         "nig_unequal": '{"case": "nig", "beta_hyper": 1.0, "sigma_xi": 0.8, "sigma_tau": 0.5}',
         "nig_null": '{"case": "nig", "beta_hyper": null}',
+        "nig_misnamed_step": '{"case": "nig", "beta_hyper": 1, "sigma0": 0.5}',
         "not_object": "[1, 2]",
         "nig_scaled": '{"case": "nig", "beta_hyper": 2.0}',
         "bayes": json.dumps(CASE_CONFIGS["bayes"]),

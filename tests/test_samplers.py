@@ -8,8 +8,6 @@ from wpgibbs.cases import BayesParams, NIGParams, OUParams
 from wpgibbs.errors import InvalidModeError
 from wpgibbs.finite import FiniteKernel
 from wpgibbs.samplers import (
-    DecayEstimate,
-    bayes_log_accept,
     bayes_step,
     brownian_bridge,
     chain_rng,
@@ -38,10 +36,14 @@ def test_chain_rng_streams_are_reproducible_and_distinct():
 def test_nig_step_validation():
     p = NIGParams(beta_hyper=2.0)
     rng = chain_rng(0, 0)
-    with pytest.raises(InvalidModeError):
-        nig_step(np.ones(2), np.zeros(2), p, "nosuch", rng)
-    with pytest.raises(InvalidModeError):
-        nig_step(np.ones(2), np.zeros(2), p, "mwg_fixed", rng)
+    for mode in ("nosuch", "mwg_fixed"):
+        with pytest.raises(InvalidModeError, match="unknown mode"):
+            nig_step(np.ones(2), np.zeros(2), p, mode, rng)
+    # fixed steps live in the params; "scaled" ones are not numbers
+    for steps in ({}, {"sigma_xi": 0.5}, {"sigma_tau": 0.5}):
+        half = NIGParams(beta_hyper=2.0, **steps)
+        with pytest.raises(InvalidModeError, match="numeric steps"):
+            nig_step(np.ones(2), np.zeros(2), half, "fixed", rng)
 
 
 def test_nig_exact_gibbs_preserves_stationarity():
@@ -49,7 +51,7 @@ def test_nig_exact_gibbs_preserves_stationarity():
     rng = chain_rng(7, 0)
     tau, xi = nig_stationary_start(p, rng, 100_000)
     for _ in range(3):
-        tau, xi = nig_step(tau, xi, p, "exact_gibbs", rng)
+        tau, xi = nig_step(tau, xi, p, "exact", rng)
     # tau marginal stays Gamma(1/2, rate beta)
     ks_tau = stats.kstest(tau, stats.gamma(a=0.5, scale=1.0 / p.beta_hyper).cdf)
     assert ks_tau.statistic < 0.0073  # 1% critical value at n = 1e5
@@ -63,24 +65,33 @@ def test_nig_mwg_preserves_stationarity():
     rng = chain_rng(11, 0)
     tau, xi = nig_stationary_start(p, rng, 100_000)
     for _ in range(3):
-        tau, xi = nig_step(tau, xi, p, "mwg_scaled", rng)
+        tau, xi = nig_step(tau, xi, p, "scaled", rng)
     ks_tau = stats.kstest(tau, stats.gamma(a=0.5, scale=1.0 / p.beta_hyper).cdf)
     assert ks_tau.statistic < 0.0073
 
 
 def test_nig_tiny_step_freezes_the_chain():
-    p = NIGParams(beta_hyper=2.0)
+    p = NIGParams(beta_hyper=2.0, sigma_xi=1e-12, sigma_tau=1e-12)
     rng = chain_rng(3, 0)
     tau, xi = nig_stationary_start(p, rng, 100)
-    t2, x2 = nig_step(tau, xi, p, "mwg_fixed", rng, sigma0=1e-12)
+    t2, x2 = nig_step(tau, xi, p, "fixed", rng)
     assert np.max(np.abs(t2 - tau)) < 1e-10
     assert np.max(np.abs(x2 - xi)) < 1e-10
+    # sigma_xi steps the tau-update, sigma_tau the xi-update
+    only_xi = NIGParams(beta_hyper=2.0, sigma_xi=1e-12, sigma_tau=1.0)
+    t3, x3 = nig_step(tau, xi, only_xi, "fixed", rng)
+    assert np.max(np.abs(t3 - tau)) < 1e-10
+    assert np.max(np.abs(x3 - xi)) > 0.1
+    only_tau = NIGParams(beta_hyper=2.0, sigma_xi=1.0, sigma_tau=1e-12)
+    t4, x4 = nig_step(tau, xi, only_tau, "fixed", rng)
+    assert np.max(np.abs(t4 - tau)) > 0.1
+    assert np.max(np.abs(x4 - xi)) < 1e-10
 
 
 def test_nig_decay_estimate_shrinks_and_is_reproducible():
     p = NIGParams(beta_hyper=2.0)
-    est1 = nig_decay_estimate(p, "exact_gibbs", n_grid=[1, 3], starts=20_000, master_seed=5)
-    est2 = nig_decay_estimate(p, "exact_gibbs", n_grid=[1, 3], starts=20_000, master_seed=5)
+    est1 = nig_decay_estimate(p, "exact", n_grid=[1, 3], starts=20_000, master_seed=5)
+    est2 = nig_decay_estimate(p, "exact", n_grid=[1, 3], starts=20_000, master_seed=5)
     assert np.array_equal(est1.mean, est2.mean)
     assert np.array_equal(est1.ci_low, est2.ci_low)
     assert est1.mean[1] <= est1.mean[0] + 3 * (est1.se[0] + est1.se[1])
@@ -94,20 +105,33 @@ def _bayes_params():
     return BayesParams(a=2.0, b=1.0, X=X, Y=Y, sigma0=0.3)
 
 
-def test_bayes_log_accept_matches_density_ratio():
+def test_bayes_step_accepts_by_density_ratio():
+    """bayes_step's accept decision follows the ratio of the coefficient
+    conditional's densities, computed here on the very draws it makes: a
+    twin generator on the same seed replays its Gamma draw, its proposal
+    normals and its one uniform."""
     p = _bayes_params()
-    rng = chain_rng(0, 0)
-    lam = 1.7
-    b_old = rng.normal(size=2)
-    b_new = rng.normal(size=2)
+    decisions = set()
+    for seed in range(200):
+        state = chain_rng(seed, 1)
+        lam0, b_old = float(state.gamma(2.0, 1.0)), state.normal(size=p.p)
+        lam, b_next = bayes_step(lam0, b_old, p, chain_rng(seed, 0))
 
-    def log_density(bv):
-        r = p.Y - p.X @ bv
-        return -0.5 * lam * float(r @ r)
+        twin = chain_rng(seed, 0)
+        r_old = p.Y - p.X @ b_old
+        lam_twin = twin.gamma(p.a + p.N / 2.0, 1.0 / (p.b + 0.5 * float(r_old @ r_old)))
+        prop = b_old + p.sigma0 * twin.normal(size=p.p)
+        u = twin.uniform()
 
-    assert bayes_log_accept(lam, b_old, b_new, p) == pytest.approx(
-        log_density(b_new) - log_density(b_old), abs=1e-12
-    )
+        def log_density(bv):
+            r = p.Y - p.X @ bv
+            return -0.5 * lam_twin * float(r @ r)
+
+        accept = math.log(u) < log_density(prop) - log_density(b_old)
+        assert lam == lam_twin
+        assert np.array_equal(b_next, prop if accept else b_old)
+        decisions.add(accept)
+    assert decisions == {True, False}
 
 
 def test_bayes_exact_gibbs_matches_conjugate_posterior():
@@ -200,20 +224,7 @@ def test_mann_kendall_signs():
     assert flat == 0.0
 
 
-def test_write_csv_and_metadata(tmp_path):
-    est = DecayEstimate(
-        n_grid=np.array([1, 2]),
-        mean=np.array([0.1, 0.05]),
-        ci_low=np.array([0.09, 0.04]),
-        ci_high=np.array([0.11, 0.06]),
-        se=np.array([0.005, 0.005]),
-        chains=100,
-    )
-    csv_path = tmp_path / "decay.csv"
-    est.write_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "n,mean,ci_low,ci_high"
-    assert len(lines) == 3
+def test_write_metadata(tmp_path):
     meta_path = tmp_path / "meta.json"
     write_metadata(meta_path, {"seed": 42, "case": "finite"})
     import json
