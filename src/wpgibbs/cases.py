@@ -40,6 +40,10 @@ B_UPPER_TAIL = 2.0
 GAMMA_XI_SCALED = (27.0 / 256.0) * C_XI
 GAMMA_TAU_SCALED = C_RWM / (2.0 * math.e)
 
+# the delta > 1 of the OU rate shape exp(-(a/delta) log^2((n-1)/(gamma/2))),
+# which the OU bound states; the K* it reports does not depend on it
+OU_DELTA = 1.5
+
 
 def _numbers(obj, kind, *names) -> None:
     """Store each named field of a frozen params object as ``kind``."""
@@ -227,6 +231,8 @@ class BayesParams:
         _positive("b", self.b)
         _positive("sigma0", self.sigma0)
         _positive("gamma_dg", self.gamma_dg)
+        if self.X.ndim != 2:
+            raise DomainError(f"X must be a 2-D design matrix, got shape {self.X.shape}")
         N, p = self.X.shape
         if not N > p:
             raise DomainError("need more observations than coefficients")
@@ -450,7 +456,7 @@ class Case:
     """One worked sampler as the CLI runs it.
 
     ``modes`` are the allowed ``--mode`` values, the default first.
-    ``bound(p, mode, delta)`` returns (K*, constants, rate_shape).
+    ``bound(p, mode)`` returns (K*, constants, rate_shape).
     ``trace(p, mode, rng, steps, acc)`` yields the CSV rows of one chain
     (start, then ``steps`` scans) under the header ``columns(p)``; a case
     that records acceptance appends its per-segment counts to ``acc``.
@@ -473,7 +479,7 @@ def nig_check_steps(p: NIGParams, mode: str) -> None:
         raise InvalidSpecError(f"--mode {mode} takes no numeric step; use --mode fixed")
 
 
-def _nig_bound(p: NIGParams, mode: str, delta: float):
+def _nig_bound(p: NIGParams, mode: str):
     if mode == "scaled":
         k = nig_scaled_kstar(p)
         constants = {
@@ -506,7 +512,7 @@ def _nig_trace(p: NIGParams, mode: str, rng, steps: int, acc: list):
         tau, xi = samplers.nig_step(tau, xi, p, mode, rng)
 
 
-def _bayes_bound(p: BayesParams, mode: str, delta: float):
+def _bayes_bound(p: BayesParams, mode: str):
     constants = {
         "a_prime": p.a_prime,
         "b_prime": p.b_prime,
@@ -529,15 +535,13 @@ def _bayes_trace(p: BayesParams, mode: str, rng, steps: int, acc: list):
         lam, bvec = samplers.bayes_step(lam, bvec, p, rng)
 
 
-def _ou_bound(p: OUParams, mode: str, delta: float):
-    if not delta > 1.0:
-        raise DomainError(f"delta must be > 1, got {delta}")
+def _ou_bound(p: OUParams, mode: str):
     constants = {
         "a": ou_rate_coefficient(p),
         "a_expr": "2/(eta^2*tau0^2)",
         "eta": p.eta,
         "m": p.m,
-        "delta": delta,
+        "delta": OU_DELTA,
         "envelope_K": p.envelope_K,
     }
     k2 = kstar.conjugate(ou_exp_log_square_envelope(p))
@@ -548,10 +552,10 @@ def _ou_bound(p: OUParams, mode: str, delta: float):
 def _ou_trace(p: OUParams, mode: str, rng, steps: int, acc: list):
     accepted = np.zeros(len(p.times) - 1)
     acc.append(accepted)
-    st = samplers.ou_initial_state(p, rng)
+    theta, paths = samplers.ou_initial_state(p, rng)
     for step in range(steps + 1):
-        yield step, repr(st.theta)
-        st, ok = samplers.ou_da_step(st, p, rng)
+        yield step, repr(theta)
+        theta, paths, ok = samplers.ou_da_step(theta, paths, p, rng)
         accepted += ok
 
 

@@ -20,7 +20,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 
 DEFAULT_OUT = os.environ.get("WPGIBBS_OUT", ".")
-OU_DELTA = 1.5
 
 # the flags that set a case's params or mode
 _CASE_FLAGS = ("--config", "--gamma", "--sigma0", "--beta-hyper", "--mode")
@@ -88,8 +87,6 @@ def _load_case(args):
 def cmd_bound(args) -> int:
     ns = _n_grid(args)
     meta = {"command": "bound", "seed": args.seed, "case": args.case}
-    if args.delta is not None and args.case != "ou":
-        raise WpgibbsError("--delta applies to --case ou only")
     if args.beta:
         if args.case != "custom":
             raise WpgibbsError("--beta takes no --case: the profile is the whole input")
@@ -99,8 +96,7 @@ def cmd_bound(args) -> int:
         meta["beta"] = config.to_dict(spec)
     else:
         case, p, mode = _load_case(args)
-        delta = OU_DELTA if args.delta is None else args.delta
-        k, meta["constants"], meta["rate_shape"] = case.bound(p, mode, delta)
+        k, meta["constants"], meta["rate_shape"] = case.bound(p, mode)
         meta["params"] = config.to_dict(p)
 
     rb = rates.RateBound(k)
@@ -184,7 +180,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _at_least(args, 1, "starts")
+    _at_least(args, 2, "starts")
     ns = [n for n in _n_grid(args) if n >= 1]
     if not ns:
         raise WpgibbsError("compare needs an n >= 1 in its grid")
@@ -207,7 +203,7 @@ def cmd_compare(args) -> int:
         case, p, mode = _load_case(args)
         if mode != "scaled":
             raise WpgibbsError("compare --case nig runs the scaled-step chain only")
-        rb = rates.RateBound(case.bound(p, mode, None)[0])
+        rb = rates.RateBound(case.bound(p, mode)[0])
         est = samplers.nig_decay_estimate(p, mode, ns, starts=args.starts, master_seed=args.seed)
         meta["params"] = config.to_dict(p)
     else:
@@ -232,8 +228,15 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a parse error as invalid input, which ``main`` reports on one line."""
+
+    def error(self, message):
+        raise WpgibbsError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="wpgibbs",
         description="Convergence-bound calculus and samplers for two-block "
         "Metropolis-within-Gibbs chains",
@@ -268,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid_options(sp)
     sp.add_argument("--beta", default=None,
                     help="profile shorthand, e.g. indicator:0.2; takes no case flag")
-    sp.add_argument("--delta", type=float, default=None,
-                    help=f"ou rate-shape delta > 1 (default {OU_DELTA})")
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("verify", help="run the finite-state oracle")
@@ -298,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (WpgibbsError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -141,29 +141,15 @@ def bayes_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OUState:
-    """Drift parameter and per-segment imputed paths on M+1-point grids,
-    pinned to the observations at both endpoints."""
-
-    theta: float
-    paths: list  # list of arrays, segment i has length M+1
-
-    def validate(self, p: OUParams):
-        for i, seg in enumerate(self.paths):
-            if len(seg) != p.M + 1:
-                raise DomainError("segment grid length mismatch")
-            if abs(seg[0] - p.obs[i]) > 1e-12 or abs(seg[-1] - p.obs[i + 1]) > 1e-12:
-                raise DomainError("segment endpoints must equal the observations")
-
-
-def ou_initial_state(p: OUParams, rng: np.random.Generator) -> OUState:
+def ou_initial_state(p: OUParams, rng: np.random.Generator):
+    """The state (theta, paths): a prior drift draw and a (segments x (M+1))
+    array of Brownian bridges pinned to the observations."""
     theta = rng.normal(p.mu0, p.tau0)
-    paths = [
+    paths = np.array([
         brownian_bridge(p.obs[i], p.obs[i + 1], p.times[i + 1] - p.times[i], p.M, rng)
         for i in range(len(p.times) - 1)
-    ]
-    return OUState(theta=float(theta), paths=paths)
+    ])
+    return float(theta), paths
 
 
 def brownian_bridge(a: float, b: float, dt: float, M: int, rng) -> np.ndarray:
@@ -174,12 +160,9 @@ def brownian_bridge(a: float, b: float, dt: float, M: int, rng) -> np.ndarray:
     return a + w - frac * (w[-1] - (b - a))
 
 
-def _trapezoid_sq(seg: np.ndarray, h: float) -> float:
-    return float(np.trapezoid(seg ** 2, dx=h))
-
-
-def _ito_x_dx(seg: np.ndarray) -> float:
-    return float(np.sum(seg[:-1] * np.diff(seg)))
+def _trapezoid_sq(x: np.ndarray, h):
+    """Trapezoid integral of x^2 along the last axis, grid step h (one per row)."""
+    return np.trapezoid(x ** 2, dx=h, axis=-1)
 
 
 def girsanov_log_g(seg: np.ndarray, theta: float, h: float) -> float:
@@ -194,35 +177,43 @@ def girsanov_log_g(seg: np.ndarray, theta: float, h: float) -> float:
 
 def ou_segment_log_alpha(old: np.ndarray, new: np.ndarray, theta: float, h: float) -> float:
     """Simplified acceptance log-ratio: -(theta^2/2) int (X'^2 - X^2) dt."""
-    return -(theta ** 2 / 2.0) * (_trapezoid_sq(new, h) - _trapezoid_sq(old, h))
+    return float(-(theta ** 2 / 2.0) * (_trapezoid_sq(new, h) - _trapezoid_sq(old, h)))
 
 
-def ou_da_step(state: OUState, p: OUParams, rng: np.random.Generator):
-    """One data-augmentation scan: exact Gaussian theta-update, then an
-    independence-Metropolis Brownian-bridge refresh of every segment.
+def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Generator):
+    """One data-augmentation scan of the state (theta, paths): exact Gaussian
+    theta-update (so the old theta is not read), then an independence-
+    Metropolis Brownian-bridge refresh of every segment (row of ``paths``).
 
-    Returns (new_state, acceptance_flags).
+    Returns (theta, paths, acceptance_flags).
     """
-    state.validate(p)
+    paths = np.asarray(paths, dtype=float)
+    obs = np.asarray(p.obs)
+    if paths.shape != (len(obs) - 1, p.M + 1):
+        raise DomainError(f"paths must have shape {(len(obs) - 1, p.M + 1)}, got {paths.shape}")
+    ends = paths[:, ::p.M]  # columns 0 and M
+    if not np.all(np.abs(ends - np.stack((obs[:-1], obs[1:]), axis=1)) <= 1e-12):
+        raise DomainError("segment endpoints must equal the observations")
     dts = np.diff(np.asarray(p.times))
     hs = dts / p.M
 
-    # theta | paths: N(mean, var) with var = 1/(int X^2 dt + tau0^-2)
-    int_x2 = sum(_trapezoid_sq(seg, h) for seg, h in zip(state.paths, hs))
-    int_xdx = sum(_ito_x_dx(seg) for seg in state.paths)
+    # theta | paths: N(mean, var) with var = 1/(int X^2 dt + tau0^-2), the
+    # segments' integrals summed in order
+    int_x2 = sum(_trapezoid_sq(paths, hs[:, None]).tolist())
+    int_xdx = sum(np.sum(paths[:, :-1] * np.diff(paths, axis=1), axis=1).tolist())
     var = 1.0 / (int_x2 + p.tau0 ** -2)
     mean = var * (-int_xdx + p.mu0 * p.tau0 ** -2)
     theta = float(rng.normal(mean, math.sqrt(var)))
 
-    new_paths = []
-    accepted = []
-    for i, (seg, h, dt) in enumerate(zip(state.paths, hs, dts)):
+    new = paths.copy()
+    accepted = np.zeros(len(paths), dtype=bool)
+    for i, (h, dt) in enumerate(zip(hs, dts)):
         prop = brownian_bridge(p.obs[i], p.obs[i + 1], dt, p.M, rng)
-        log_alpha = ou_segment_log_alpha(seg, prop, theta, h)
-        ok = math.log(rng.uniform()) < min(0.0, log_alpha)
-        new_paths.append(prop if ok else seg.copy())
-        accepted.append(ok)
-    return OUState(theta=theta, paths=new_paths), np.array(accepted)
+        log_alpha = ou_segment_log_alpha(paths[i], prop, theta, h)
+        if math.log(rng.uniform()) < min(0.0, log_alpha):
+            new[i] = prop
+            accepted[i] = True
+    return theta, new, accepted
 
 
 # ---------------------------------------------------------------------------

@@ -387,10 +387,10 @@ def test_ou_girsanov_equals_simplified_1e10():
 def test_ou_acceptance_always_in_unit_interval():
     p = _ou_params()
     rng = chain_rng(14, 0)
-    state = ou_initial_state(p, rng)
+    theta, paths = ou_initial_state(p, rng)
     for _ in range(100):
-        state, accepted = ou_da_step(state, p, rng)
-        assert accepted.dtype == bool
+        theta, paths, accepted = ou_da_step(theta, paths, p, rng)
+        assert accepted.dtype == bool and accepted.shape == (len(p.obs) - 1,)
         assert 0.0 <= accepted.mean() <= 1.0
 
 

@@ -391,3 +391,9 @@ def test_bayes_params_hold_read_only_copies():
     Y[0] = 9.0
     assert (p.C1, p.b_prime) == (c1, b_prime)
     assert BayesParams(a=2.0, b=1.0, X=X, Y=Y, sigma0=0.1).b_prime != b_prime
+
+
+def test_bayes_params_need_a_2d_design_matrix():
+    for X in ([1.0, 2.0, 3.0], [[[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]]]):
+        with pytest.raises(DomainError, match=r"X must be a 2-D design matrix, got shape \("):
+            BayesParams(a=2.0, b=1.0, X=X, Y=[1.0, 0.0, 2.0], sigma0=0.1)

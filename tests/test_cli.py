@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import wpgibbs
 from wpgibbs.cases import CASES
 from wpgibbs.cli import main
 from wpgibbs.config import case_params_from_dict, to_dict
@@ -203,14 +208,16 @@ def test_beta_hyper_from_flag_or_default(tmp_path):
 
 
 def test_ou_delta_from_flag_or_default(tmp_path):
+    """There is no --delta flag: the OU bound states the recipe's delta, 1.5,
+    on which its K* does not depend."""
     cfg = tmp_path / "ou.json"
     cfg.write_text(json.dumps(CASE_CONFIGS["ou"]))
-    for extra, expect in (([], 1.5), (["--delta", "2.5"], 2.5)):
-        out = tmp_path / f"run{expect}"
-        argv = ["bound", "--case", "ou", "--config", str(cfg), "--n-max", "3", "--out", str(out)]
-        assert main(argv + extra) == 0
-        constants = json.loads((out / "bound_meta.json").read_text())["constants"]
-        assert constants["delta"] == expect
+    out = tmp_path / "run"
+    argv = ["bound", "--case", "ou", "--config", str(cfg), "--n-max", "3", "--out", str(out)]
+    assert main(argv) == 0
+    constants = json.loads((out / "bound_meta.json").read_text())["constants"]
+    assert constants["delta"] == 1.5
+    assert main(argv + ["--delta", "2.5"]) == 2
 
 
 INVALID = {
@@ -252,6 +259,7 @@ INVALID = {
     "compare-finite-beta-hyper": ["compare", "--case", "finite", "--beta-hyper", "4"],
     "compare-finite-config": ["compare", "--case", "finite", "--config", "{nig_scaled}"],
     "compare-finite-mode": ["compare", "--case", "finite", "--mode", "full"],
+    # --delta is not an option: each of these is an unknown argument
     "delta-nig": ["bound", "--case", "nig", "--delta", "2"],
     "delta-bayes": ["bound", "--case", "bayes", "--config", "{bayes}", "--delta", "2"],
     "delta-with-beta": ["bound", "--beta", "indicator:0.2", "--delta", "2"],
@@ -276,6 +284,11 @@ INVALID = {
     "verify-states-one": ["verify", "--states", "1x3"],
     "verify-states-malformed": ["verify", "--states", "3by3"],
     "verify-states-one-size": ["verify", "--states", "3x"],
+    "compare-one-start": ["compare", "--case", "nig", "--starts", "1", "--n-grid", "1,2"],
+    "bayes-1d-design": ["sample", "--case", "bayes", "--config", "{bayes_1d_x}"],
+    "n-max-not-int": ["bound", "--n-max", "x"],
+    "unknown-flag": ["bound", "--nosuch", "1"],
+    "no-command": [],
 }
 
 
@@ -290,6 +303,7 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
         "nig_scaled": '{"case": "nig", "beta_hyper": 2.0}',
         "bayes": json.dumps(CASE_CONFIGS["bayes"]),
         "ou": json.dumps(CASE_CONFIGS["ou"]),
+        "bayes_1d_x": json.dumps({**CASE_CONFIGS["bayes"], "X": [1, 2, 3], "Y": [1, 0, 2]}),
     }
     paths = {}
     for key, text in files.items():
@@ -301,3 +315,44 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_help_exits_0():
+    for argv in (["-h"], ["bound", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from wpgibbs.cli import main
+out, bayes, ou = sys.argv[1:]
+runs = [
+    ["bound", "--beta", "explogsquare:0.25,1.0", "--n-max", "50"],
+    ["bound", "--case", "bayes", "--config", bayes, "--n-max", "5"],
+    ["verify", "--models", "1", "--trials", "2", "--n-max", "10"],
+    ["sample", "--case", "ou", "--config", ou, "--chains", "1", "--steps", "5"],
+    ["compare", "--case", "finite", "--starts", "200", "--n-grid", "1,2"],
+]
+for i, argv in enumerate(runs):
+    rc = main(argv + ["--out", f"{out}/{i}"])
+    if rc != 0:
+        sys.exit(f"{argv} exited {rc}")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """scipy is a test dependency only: no command may import it."""
+    paths = []
+    for name in ("bayes", "ou"):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(CASE_CONFIGS[name]))
+    src = str(pathlib.Path(wpgibbs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "out"), *map(str, paths)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

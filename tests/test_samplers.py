@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from wpgibbs.cases import BayesParams, NIGParams, OUParams
-from wpgibbs.errors import InvalidModeError
+from wpgibbs.errors import DomainError, InvalidModeError
 from wpgibbs.finite import FiniteKernel
 from wpgibbs.samplers import (
     bayes_step,
@@ -178,18 +178,86 @@ def test_girsanov_ratio_matches_simplified_form():
     assert worst <= 1e-10
 
 
+def _assert_pinned(paths, p):
+    obs = np.asarray(p.obs)
+    assert paths.shape == (len(obs) - 1, p.M + 1)
+    assert np.all(paths[:, 0] == obs[:-1])
+    assert np.max(np.abs(paths[:, -1] - obs[1:])) <= 1e-12
+
+
 def test_ou_da_step_acceptance_and_pinning():
     p = _ou_params()
     rng = chain_rng(6, 0)
-    state = ou_initial_state(p, rng)
+    theta, paths = ou_initial_state(p, rng)
+    _assert_pinned(paths, p)
     rates = []
     for _ in range(50):
-        state, accepted = ou_da_step(state, p, rng)
-        state.validate(p)
+        theta, paths, accepted = ou_da_step(theta, paths, p, rng)
+        _assert_pinned(paths, p)
         rates.append(accepted.mean())
     avg = float(np.mean(rates))
     assert 0.0 <= avg <= 1.0
     assert avg > 0.2  # bridge proposals should be accepted often here
+
+
+def _ou_da_step_reference(theta, paths, p, rng):
+    """The scan on a list of per-segment arrays, one segment at a time, as
+    the chain state was kept before it became one array."""
+    dts = np.diff(np.asarray(p.times))
+    hs = dts / p.M
+    trap = lambda seg, h: float(np.trapezoid(seg ** 2, dx=h))
+    int_x2 = sum(trap(seg, h) for seg, h in zip(paths, hs))
+    int_xdx = sum(float(np.sum(seg[:-1] * np.diff(seg))) for seg in paths)
+    var = 1.0 / (int_x2 + p.tau0 ** -2)
+    mean = var * (-int_xdx + p.mu0 * p.tau0 ** -2)
+    theta = float(rng.normal(mean, math.sqrt(var)))
+    new_paths, accepted = [], []
+    for i, (seg, h, dt) in enumerate(zip(paths, hs, dts)):
+        prop = brownian_bridge(p.obs[i], p.obs[i + 1], dt, p.M, rng)
+        log_alpha = -(theta ** 2 / 2.0) * (trap(prop, h) - trap(seg, h))
+        ok = math.log(rng.uniform()) < min(0.0, log_alpha)
+        new_paths.append(prop if ok else seg.copy())
+        accepted.append(ok)
+    return theta, new_paths, np.array(accepted)
+
+
+@pytest.mark.parametrize("M", [8, 32])
+def test_ou_da_step_matches_segment_reference(M):
+    """The array scan is bit-identical to the per-segment one: same theta,
+    same paths and same flags over 50 scans from one seed."""
+    p = OUParams(mu0=0.5, tau0=1.0, times=(0.0, 0.3, 1.0, 1.6, 2.0),
+                 obs=(0.2, -0.4, 0.3, 0.1, -0.2), M=M)
+    theta, paths = ou_initial_state(p, chain_rng(21, 0))
+    ref_theta, ref_paths = theta, list(paths.copy())
+    rng, ref_rng = chain_rng(21, 1), chain_rng(21, 1)
+    flags = set()
+    for _ in range(50):
+        given = paths.copy()
+        theta, new, accepted = ou_da_step(theta, paths, p, rng)
+        assert np.array_equal(paths, given)  # the step does not write to its input
+        paths = new
+        ref_theta, ref_paths, ref_accepted = _ou_da_step_reference(
+            ref_theta, ref_paths, p, ref_rng)
+        assert theta == ref_theta
+        assert np.array_equal(paths, np.array(ref_paths))
+        assert np.array_equal(accepted, ref_accepted)
+        flags.update(accepted.tolist())
+    assert flags == {True, False}
+
+
+def test_ou_da_step_rejects_unpinned_or_misshapen_paths():
+    p = _ou_params()
+    theta, paths = ou_initial_state(p, chain_rng(8, 0))
+    moved = paths.copy()
+    moved[1, -1] += 1e-9
+    started = paths.copy()
+    started[0, 0] -= 1e-9
+    for bad in (moved, started):
+        with pytest.raises(DomainError, match="endpoints"):
+            ou_da_step(theta, bad, p, chain_rng(8, 1))
+    for bad in (paths[:, :-1], paths[:-1], paths[0], np.vstack([paths, paths[:1]])):
+        with pytest.raises(DomainError, match="shape"):
+            ou_da_step(theta, bad, p, chain_rng(8, 1))
 
 
 def test_finite_simulate_reaches_stationarity():
