@@ -408,19 +408,6 @@ def ou_rate_coefficient(p: OUParams) -> float:
     return 2.0 / (p.eta ** 2 * p.tau0 ** 2)
 
 
-def ou_rate(n: int, p: OUParams, delta: float, C_tilde: float = 0.25) -> float:
-    """Bound C~ exp(-(a/delta) log^2((n-1)/(gamma/2))) after n >= 2 scans."""
-    if delta <= 1.0:
-        raise DomainError("delta must be > 1")
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    a = ou_rate_coefficient(p)
-    arg = (n - 1) / (p.gamma_dg / 2.0)
-    if arg <= 1.0:
-        return C_tilde
-    return C_tilde * math.exp(-(a / delta) * math.log(arg) ** 2)
-
-
 @dataclass(frozen=True)
 class OUBeta2(BetaSpec):
     """Gaussian-tail profile of the bridge refresh integrated over the drift:

@@ -1,9 +1,9 @@
 """Runnable samplers for the three case studies and an L2-decay estimator.
 
 All samplers use deterministic-scan updates.  Randomness is drawn from
-``numpy.random.default_rng([master_seed, chain_index])`` streams so chains
-are reproducible and embarrassingly parallel; vectorized drivers carry one
-stream per chain block with the block index in the key.
+``numpy.random.default_rng([master_seed, key])`` streams so chains are
+reproducible and embarrassingly parallel.  The decay estimator keys 0 for
+the starts, 1 and 2 for the two chains and 3 for the bootstrap resamples.
 
 The decay estimator uses paired chains: for a stationary start Z ~ Pi,
 two conditionally independent chains Z^1, Z^2 are run from the same start,
@@ -12,6 +12,7 @@ starts gives confidence bands.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ if TYPE_CHECKING:
 
 # bootstrap resamples behind each confidence band
 BOOTSTRAP = 200
+# starts per block of the bootstrap product, which OpenBLAS sums alike on any thread count
+_BLOCK = 128
 
 
 def chain_rng(master_seed: int, chain_index: int) -> np.random.Generator:
@@ -152,12 +155,19 @@ def ou_initial_state(p: OUParams, rng: np.random.Generator):
     return float(theta), paths
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_grid(M: int) -> np.ndarray:
+    """linspace(0, 1, M + 1), built once per M and read-only."""
+    grid = np.linspace(0.0, 1.0, M + 1)
+    grid.flags.writeable = False
+    return grid
+
+
 def brownian_bridge(a: float, b: float, dt: float, M: int, rng) -> np.ndarray:
     """Brownian bridge from a to b over duration dt on an M+1-point grid."""
-    h = dt / M
-    w = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, math.sqrt(h), size=M))])
-    frac = np.linspace(0.0, 1.0, M + 1)
-    return a + w - frac * (w[-1] - (b - a))
+    w = np.zeros(M + 1)
+    np.cumsum(rng.normal(0.0, math.sqrt(dt / M), size=M), out=w[1:])
+    return a + w - _unit_grid(M) * (w[-1] - (b - a))
 
 
 def _trapezoid_sq(x: np.ndarray, h):
@@ -175,9 +185,9 @@ def girsanov_log_g(seg: np.ndarray, theta: float, h: float) -> float:
     return A(seg[-1]) - A(seg[0]) - 0.5 * integral
 
 
-def ou_segment_log_alpha(old: np.ndarray, new: np.ndarray, theta: float, h: float) -> float:
-    """Simplified acceptance log-ratio: -(theta^2/2) int (X'^2 - X^2) dt."""
-    return float(-(theta ** 2 / 2.0) * (_trapezoid_sq(new, h) - _trapezoid_sq(old, h)))
+def ou_segment_log_alpha(old_x2: float, new_x2: float, theta: float) -> float:
+    """Acceptance log-ratio -(theta^2/2) int (X'^2 - X^2) dt from both segments' integrals."""
+    return float(-(theta ** 2 / 2.0) * (new_x2 - old_x2))
 
 
 def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Generator):
@@ -198,10 +208,10 @@ def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Gene
     hs = dts / p.M
 
     # theta | paths: N(mean, var) with var = 1/(int X^2 dt + tau0^-2), the
-    # segments' integrals summed in order
-    int_x2 = sum(_trapezoid_sq(paths, hs[:, None]).tolist())
+    # segments' integrals (reused in the accept ratios) summed in order
+    old_x2 = _trapezoid_sq(paths, hs[:, None]).tolist()
     int_xdx = sum(np.sum(paths[:, :-1] * np.diff(paths, axis=1), axis=1).tolist())
-    var = 1.0 / (int_x2 + p.tau0 ** -2)
+    var = 1.0 / (sum(old_x2) + p.tau0 ** -2)
     mean = var * (-int_xdx + p.mu0 * p.tau0 ** -2)
     theta = float(rng.normal(mean, math.sqrt(var)))
 
@@ -209,7 +219,7 @@ def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Gene
     accepted = np.zeros(len(paths), dtype=bool)
     for i, (h, dt) in enumerate(zip(hs, dts)):
         prop = brownian_bridge(p.obs[i], p.obs[i + 1], dt, p.M, rng)
-        log_alpha = ou_segment_log_alpha(paths[i], prop, theta, h)
+        log_alpha = ou_segment_log_alpha(old_x2[i], _trapezoid_sq(prop, h), theta)
         if math.log(rng.uniform()) < min(0.0, log_alpha):
             new[i] = prop
             accepted[i] = True
@@ -272,7 +282,9 @@ def _paired_decay(start, step, f, osc_sq: float, n_grid, master_seed: int) -> De
 
     Two chains leave the shared stationary ``start`` (a batch of starts), each
     advanced one scan at a time by ``step(z, rng)`` on its own stream;
-    f(Z^1_n) f(Z^2_n) is averaged over the starts and bootstrapped over them.
+    f(Z^1_n) f(Z^2_n) is averaged over the starts and bootstrapped over them,
+    each resample a row of counts per start: one product, summed over blocks
+    of starts in order, gives every resample's mean at every n.
     """
     rng1, rng2 = chain_rng(master_seed, 1), chain_rng(master_seed, 2)
     z1 = z2 = start
@@ -284,16 +296,17 @@ def _paired_decay(start, step, f, osc_sq: float, n_grid, master_seed: int) -> De
             z1, z2 = step(z1, rng1), step(z2, rng2)
         now = n
         xs.append(f(z1) * f(z2) / osc_sq)
-    starts = len(xs[0])
-    idx = chain_rng(master_seed, 3).integers(0, starts, size=(BOOTSTRAP, starts))
-    boots = [x[idx].mean(axis=1) for x in xs]
-    return DecayEstimate(
-        n_grid=np.asarray(n_grid),
-        mean=np.array([x.mean() for x in xs]),
-        ci_low=np.array([np.quantile(b, 0.025) for b in boots]),
-        ci_high=np.array([np.quantile(b, 0.975) for b in boots]),
-        se=np.array([b.std(ddof=1) for b in boots]),
-    )
+    x = np.array(xs)  # (grid, starts)
+    starts = x.shape[1]
+    rng = chain_rng(master_seed, 3)
+    counts = np.empty((BOOTSTRAP, starts))
+    for row in counts:
+        row[:] = np.bincount(rng.integers(0, starts, size=starts), minlength=starts)
+    boots = sum(counts[:, i:i + _BLOCK] @ x[:, i:i + _BLOCK].T
+                for i in range(0, starts, _BLOCK)) / starts
+    ci_low, ci_high = np.quantile(boots, [0.025, 0.975], axis=0)
+    return DecayEstimate(np.asarray(n_grid), x.mean(axis=1), ci_low, ci_high,
+                         boots.std(axis=0, ddof=1))
 
 
 def mann_kendall_z(x: Sequence[float]) -> float:

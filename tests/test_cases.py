@@ -8,6 +8,7 @@ from wpgibbs.cases import (
     B_UPPER_TAIL,
     C_RWM,
     C_XI,
+    CASES,
     GAMMA_TAU_SCALED,
     GAMMA_XI_SCALED,
     BayesBeta2,
@@ -25,11 +26,11 @@ from wpgibbs.cases import (
     nig_rate_exponent,
     nig_scaled_kstar,
     ou_exp_log_square_envelope,
-    ou_rate,
     ou_rate_coefficient,
 )
 from wpgibbs.beta import DEFAULT_CAP
 from wpgibbs.errors import DomainError, InvalidSpecError
+from wpgibbs.rates import RateBound
 from wpgibbs.special import gammainc_lower, gammainc_upper, lambert_w
 
 
@@ -245,15 +246,13 @@ def test_diffusion_indicator_threshold():
     assert spec.gamma == pytest.approx(1.0 / np.max(g), rel=1e-14)
 
 
-def test_ou_rate_validation():
+def test_ou_bound_curve_nonincreasing_below_a_quarter():
     p = _ou_params()
-    with pytest.raises(DomainError):
-        ou_rate(10, p, delta=1.0)
-    with pytest.raises(DomainError):
-        ou_rate(1, p, delta=1.5)
-    vals = [ou_rate(n, p, delta=1.5) for n in (2, 10, 100, 1000)]
+    k = CASES["ou"].bound(p, "mwg")[0]
+    vals = RateBound(k).curve([2, 10, 100, 1000])
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
     assert vals[0] <= 0.25
+    assert vals[-1] < vals[0]
 
 
 def test_param_validation():

@@ -1,13 +1,21 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import wpgibbs
+from wpgibbs import samplers
 from wpgibbs.cases import BayesParams, NIGParams, OUParams
 from wpgibbs.errors import DomainError, InvalidModeError
-from wpgibbs.finite import FiniteKernel
+from wpgibbs.finite import FiniteKernel, random_centered_functions, random_joint_model
 from wpgibbs.samplers import (
+    BOOTSTRAP,
+    DecayEstimate,
     bayes_step,
     brownian_bridge,
     chain_rng,
@@ -173,7 +181,8 @@ def test_girsanov_ratio_matches_simplified_form():
         old = brownian_bridge(0.2, 0.1, 0.5, p.M, rng)
         new = brownian_bridge(0.2, 0.1, 0.5, p.M, rng)
         full = girsanov_log_g(new, theta, h) - girsanov_log_g(old, theta, h)
-        simple = ou_segment_log_alpha(old, new, theta, h)
+        simple = ou_segment_log_alpha(np.trapezoid(old ** 2, dx=h),
+                                      np.trapezoid(new ** 2, dx=h), theta)
         worst = max(worst, abs(full - simple))
     assert worst <= 1e-10
 
@@ -281,6 +290,85 @@ def test_finite_decay_estimate_calibrated_on_two_state():
     for i, n in enumerate(est.n_grid):
         exact = (1.0 - p_ - q_) ** (2 * n) * norm_sq  # osc = 1
         assert abs(est.mean[i] - exact) <= 3.0 * est.se[i]
+
+
+def _paired_decay_reference(start, step, f, osc_sq, n_grid, master_seed):
+    """The estimator with the bootstrap as a gather: one (BOOTSTRAP, starts)
+    index draw, and every resample's mean taken per n from x[idx]."""
+    rng1, rng2 = chain_rng(master_seed, 1), chain_rng(master_seed, 2)
+    z1 = z2 = start
+    n_grid = sorted(int(n) for n in n_grid)
+    xs = []
+    now = 0
+    for n in n_grid:
+        for _ in range(n - now):
+            z1, z2 = step(z1, rng1), step(z2, rng2)
+        now = n
+        xs.append(f(z1) * f(z2) / osc_sq)
+    starts = len(xs[0])
+    idx = chain_rng(master_seed, 3).integers(0, starts, size=(BOOTSTRAP, starts))
+    boots = [x[idx].mean(axis=1) for x in xs]
+    return DecayEstimate(
+        n_grid=np.asarray(n_grid),
+        mean=np.array([x.mean() for x in xs]),
+        ci_low=np.array([np.quantile(b, 0.025) for b in boots]),
+        ci_high=np.array([np.quantile(b, 0.975) for b in boots]),
+        se=np.array([b.std(ddof=1) for b in boots]),
+    )
+
+
+def _finite_estimate(n_grid, starts, seed):
+    m = random_joint_model(seed, 4, 4)
+    f = random_centered_functions(m.mu, 1, seed + 1)[0]
+    return finite_decay_estimate(m.kernel("P12"), f, n_grid, starts=starts, master_seed=seed)
+
+
+def _nig_estimate(n_grid, starts, seed):
+    return nig_decay_estimate(NIGParams(beta_hyper=1.5), "scaled", n_grid, starts, seed)
+
+
+@pytest.mark.parametrize("estimate", [_finite_estimate, _nig_estimate])
+@pytest.mark.parametrize("n_grid", [list(range(1, 201)), [1, 2, 5, 10, 20, 50, 100, 200]])
+def test_bootstrap_by_counts_matches_gather_reference(monkeypatch, estimate, n_grid):
+    """The resample-count bootstrap gives the gather bootstrap's means
+    exactly and its bands and standard errors to rounding."""
+    est = estimate(n_grid, 3333, 17)
+    with monkeypatch.context() as m:
+        m.setattr(samplers, "_paired_decay", _paired_decay_reference)
+        ref = estimate(n_grid, 3333, 17)
+    assert np.array_equal(est.n_grid, ref.n_grid)
+    assert np.array_equal(est.mean, ref.mean)
+    for name in ("ci_low", "ci_high", "se"):
+        np.testing.assert_allclose(getattr(est, name), getattr(ref, name), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("starts", [2, 3333, 8333])
+def test_integers_rows_equal_one_matrix_draw(starts):
+    """The estimator draws its resamples one row at a time; numpy must give
+    the rows of the single (BOOTSTRAP, starts) draw, or every band moves."""
+    whole = chain_rng(9, 3).integers(0, starts, size=(BOOTSTRAP, starts))
+    rng = chain_rng(9, 3)
+    rows = [rng.integers(0, starts, size=starts) for _ in range(BOOTSTRAP)]
+    assert np.array_equal(whole, np.array(rows))
+
+
+@pytest.mark.parametrize("case", ["finite", "nig"])
+def test_compare_csv_independent_of_blas_threads(tmp_path, case):
+    """The bands come from a BLAS product; one and two BLAS threads must
+    write the same compare.csv."""
+    src = str(pathlib.Path(wpgibbs.__file__).resolve().parents[1])
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["compare", "--case", case, "--starts", "3333", "--n-max", "200", "--seed", "5",
+                "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "wpgibbs.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        texts.append((out / "compare.csv").read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_mann_kendall_signs():
