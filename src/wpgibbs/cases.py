@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,13 +46,17 @@ OU_DELTA = 1.5
 
 
 def _numbers(obj, kind, *names) -> None:
-    """Store each named field of a frozen params object as ``kind``."""
+    """Store each named field of a frozen params object as a finite ``kind``."""
     for name in names:
         value = getattr(obj, name)
         try:
-            object.__setattr__(obj, name, kind(value))
-        except (TypeError, ValueError):
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
             raise InvalidSpecError(f"{name} must be a number, got {value!r}") from None
+        if not math.isfinite(x) or (kind is int and not x.is_integer()):
+            what = "whole number" if kind is int else "number"
+            raise InvalidSpecError(f"{name} must be a finite {what}, got {value!r}")
+        object.__setattr__(obj, name, kind(x))
 
 
 def _frozen(a) -> np.ndarray:
@@ -62,66 +66,36 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
-def _positive(name: str, x: float) -> float:
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"{name} must be positive, got {x}")
-    return x
+def _positive(obj, *names) -> None:
+    """Store each named field of a frozen params object as a positive finite float."""
+    _numbers(obj, float, *names)
+    for name in names:
+        if not getattr(obj, name) > 0.0:
+            raise DomainError(f"{name} must be positive, got {getattr(obj, name)}")
 
 
 # ---------------------------------------------------------------------------
 # normal/exponential scale model
 # ---------------------------------------------------------------------------
 
-Scaled = str  # the literal "scaled"
-
 
 @dataclass(frozen=True)
 class NIGParams:
     """Scale model tau | xi ~ Gamma(1, beta + xi^2/2), xi | tau ~ N(0, 1/tau).
 
-    ``sigma_xi`` is the step size of the tau-update (chosen per conditioning
-    xi), ``sigma_tau`` the step size of the xi-update; either may be the
-    string "scaled" for the conditioning-dependent optimal choices
-    sigma_xi^2 = 3/beta_xi^2 and sigma_tau^2 = 1/(2 tau).  ``gamma_dg`` is a
-    user-supplied SPI constant for the exact-scan kernel.
+    ``sigma0`` is the common random-walk step of both updates in mode
+    ``fixed``; None stands for the conditioning-dependent steps
+    sigma_xi^2 = 3/beta_xi^2 (tau-update) and sigma_tau^2 = 1/(2 tau)
+    (xi-update) of mode ``scaled``.  ``gamma_dg`` is a user-supplied SPI
+    constant for the exact-scan kernel.
     """
 
-    beta_hyper: float
-    sigma_xi: Union[float, Scaled] = "scaled"
-    sigma_tau: Union[float, Scaled] = "scaled"
+    beta_hyper: float = 1.0
+    sigma0: Optional[float] = None
     gamma_dg: float = 1.0
 
     def __post_init__(self):
-        steps = [n for n in ("sigma_xi", "sigma_tau") if getattr(self, n) != "scaled"]
-        _numbers(self, float, "beta_hyper", "gamma_dg", *steps)
-        for name in ("beta_hyper", "gamma_dg", *steps):
-            _positive(name, getattr(self, name))
-
-
-def nig_conditional_gaps(p: NIGParams, xi: float, tau: float):
-    """Lower bounds (gamma_xi, gamma_tau) on the two conditional slice gaps.
-
-    gamma_xi bounds the gap of the tau-update at fixed xi, gamma_tau the gap
-    of the xi-update at fixed tau.  With the scaled step choices both bounds
-    are constants independent of the conditioning value.
-    """
-    tau = _positive("tau", tau)
-    beta_xi = p.beta_hyper + 0.5 * xi * xi
-
-    if p.sigma_xi == "scaled":
-        gamma_xi = GAMMA_XI_SCALED
-    else:
-        s2 = float(p.sigma_xi) ** 2
-        gamma_xi = C_XI * (beta_xi ** 2 * s2) ** 3 / (beta_xi ** 2 * s2 + 1.0) ** 4
-
-    if p.sigma_tau == "scaled":
-        gamma_tau = GAMMA_TAU_SCALED
-    else:
-        s2 = float(p.sigma_tau) ** 2
-        gamma_tau = C_RWM * s2 * tau * math.exp(-2.0 * s2 * tau)
-
-    return gamma_xi, gamma_tau
+        _positive(self, "beta_hyper", "gamma_dg", *(() if self.sigma0 is None else ("sigma0",)))
 
 
 def nig_scaled_kstar(p: NIGParams) -> Linear:
@@ -135,13 +109,9 @@ def nig_scaled_kstar(p: NIGParams) -> Linear:
 
 
 def _nig_sigma0(p: NIGParams) -> float:
-    if p.sigma_xi == "scaled" or p.sigma_tau == "scaled":
-        raise InvalidSpecError(
-            "fixed-step profiles need numeric step sizes (the CLI's --sigma0)"
-        )
-    if float(p.sigma_xi) != float(p.sigma_tau):
-        raise InvalidSpecError("fixed-step profiles assume a common step sigma0")
-    return float(p.sigma_xi)
+    if p.sigma0 is None:
+        raise InvalidSpecError("fixed-step profiles need a step sigma0 (the CLI's --sigma0)")
+    return p.sigma0
 
 
 def nig_envelope_exponents(p: NIGParams):
@@ -225,12 +195,12 @@ class BayesParams:
     def __post_init__(self):
         object.__setattr__(self, "X", _frozen(self.X))
         object.__setattr__(self, "Y", _frozen(self.Y))
-        _numbers(self, float, "a", "b", "sigma0", "gamma_dg")
+        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
+            raise DomainError("every entry of X and Y must be finite")
+        _numbers(self, float, "a")
+        _positive(self, "b", "sigma0", "gamma_dg")
         if not self.a > 1.0:
             raise DomainError("a must be > 1")
-        _positive("b", self.b)
-        _positive("sigma0", self.sigma0)
-        _positive("gamma_dg", self.gamma_dg)
         if self.X.ndim != 2:
             raise DomainError(f"X must be a 2-D design matrix, got shape {self.X.shape}")
         N, p = self.X.shape
@@ -341,18 +311,30 @@ class OUParams:
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "obs", tuple(float(y) for y in self.obs))
-        _numbers(self, float, "mu0", "tau0", "gamma_dg", "envelope_K")
+        if not all(map(math.isfinite, self.times + self.obs)):
+            raise DomainError("every observation time and value must be finite")
+        _numbers(self, float, "mu0")
         _numbers(self, int, "M")
-        _positive("tau0", self.tau0)
-        _positive("gamma_dg", self.gamma_dg)
-        _positive("envelope_K", self.envelope_K)
+        _positive(self, "tau0", "gamma_dg", "envelope_K")
         if self.M < 2:
             raise DomainError("segment grid resolution M must be >= 2")
-        t = np.asarray(self.times)
-        if len(t) < 2 or np.any(np.diff(t) <= 0.0):
+        if len(self.times) < 2 or np.any(self.dts <= 0.0):
             raise DomainError("observation times must be strictly increasing")
         if len(self.obs) != len(self.times):
             raise DomainError("need one observation per time point")
+
+    @functools.cached_property
+    def dts(self) -> np.ndarray:
+        return _frozen(np.diff(self.times))
+
+    @functools.cached_property
+    def y(self) -> np.ndarray:
+        return _frozen(self.obs)
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        """The (segments x 2) endpoints every bridge path is pinned to."""
+        return _frozen(np.stack((self.y[:-1], self.y[1:]), axis=1))
 
     @property
     def T(self) -> float:
@@ -364,9 +346,8 @@ class OUParams:
 
     @property
     def eta(self) -> float:
-        t = np.asarray(self.times)
-        y = np.asarray(self.obs)
-        return float(np.max(np.diff(t) - y[1:] ** 2 + y[:-1] ** 2))
+        y = self.y
+        return float(np.max(self.dts - y[1:] ** 2 + y[:-1] ** 2))
 
 
 def diffusion_beta2_indicator(theta: float, p: OUParams) -> Indicator:
@@ -378,9 +359,8 @@ def diffusion_beta2_indicator(theta: float, p: OUParams) -> Indicator:
     drift b(x) = -theta x, A(u) = -theta u^2/2 and the lower bound
     M(theta) = -theta give Gtilde_i = exp{theta (dt_i - Y_i^2 + Y_{i-1}^2) / 2}.
     """
-    y = np.asarray(p.obs)
-    A = -theta * y * y / 2.0
-    g = np.exp(A[1:] - A[:-1] + 0.5 * theta * np.diff(np.asarray(p.times)))
+    A = -theta * p.y * p.y / 2.0
+    g = np.exp(A[1:] - A[:-1] + 0.5 * theta * p.dts)
     return Indicator(gamma=1.0 / float(np.max(g)))
 
 
@@ -448,6 +428,11 @@ class Case:
     (start, then ``steps`` scans) under the header ``columns(p)``; a case
     that records acceptance appends its per-segment counts to ``acc``.
     ``sample_meta`` holds what the case adds to a trace run's metadata.
+    ``fields`` are the params fields that the CLI's case flags may set.
+    ``check(p, mode)`` rejects params that do not suit the mode.
+    ``decay(p, mode, n_grid, starts, seed)`` is the paired-chain decay
+    estimate that ``compare`` sets against the bound; None for a case that
+    has none.
     """
 
     params: type
@@ -456,14 +441,17 @@ class Case:
     columns: Callable
     trace: Callable
     sample_meta: dict = field(default_factory=dict)
+    fields: tuple = ("gamma_dg",)
+    check: Callable = lambda p, mode: None
+    decay: Optional[Callable] = None
 
 
 def nig_check_steps(p: NIGParams, mode: str) -> None:
-    """Mode ``fixed`` needs one common numeric step; the others take none."""
-    if mode == "fixed":
-        _nig_sigma0(p)
-    elif p.sigma_xi != "scaled" or p.sigma_tau != "scaled":
-        raise InvalidSpecError(f"--mode {mode} takes no numeric step; use --mode fixed")
+    """Mode ``fixed`` needs the step ``sigma0``; the others take none."""
+    if mode == "fixed" and p.sigma0 is None:
+        raise InvalidSpecError("--mode fixed needs a numeric step sigma0 (--sigma0)")
+    if mode != "fixed" and p.sigma0 is not None:
+        raise InvalidSpecError(f"--mode {mode} takes no step sigma0; use --mode fixed")
 
 
 def _nig_bound(p: NIGParams, mode: str):
@@ -479,7 +467,7 @@ def _nig_bound(p: NIGParams, mode: str):
         return k, constants, "0.25*exp(-gamma_tau*gamma_xi*gamma*n)"
     if mode != "fixed":
         raise InvalidModeError(f"bound has no rate recipe for --mode {mode}")
-    high = p.beta_hyper / p.sigma_xi > 1.0
+    high = p.beta_hyper / p.sigma0 > 1.0
     constants = {
         "rate_exponent": nig_rate_exponent(p),
         "rate_exponent_expr": "1/14" if high else "beta/(4*beta+10*sigma0)",
@@ -497,6 +485,12 @@ def _nig_trace(p: NIGParams, mode: str, rng, steps: int, acc: list):
     for step in range(steps + 1):
         yield step, repr(float(tau[0])), repr(float(xi[0]))
         tau, xi = samplers.nig_step(tau, xi, p, mode, rng)
+
+
+def _nig_decay(p: NIGParams, mode: str, n_grid, starts: int, seed: int):
+    if mode != "scaled":
+        raise InvalidModeError("compare --case nig runs the scaled-step chain only")
+    return samplers.nig_decay_estimate(p, mode, n_grid, starts=starts, master_seed=seed)
 
 
 def _bayes_bound(p: BayesParams, mode: str):
@@ -548,7 +542,9 @@ def _ou_trace(p: OUParams, mode: str, rng, steps: int, acc: list):
 
 CASES = {
     "nig": Case(NIGParams, samplers.NIG_MODES, _nig_bound,
-                lambda p: ["step", "tau", "xi"], _nig_trace),
+                lambda p: ["step", "tau", "xi"], _nig_trace,
+                fields=("gamma_dg", "beta_hyper", "sigma0"), check=nig_check_steps,
+                decay=_nig_decay),
     "bayes": Case(BayesParams, ("mwg",), _bayes_bound,
                   lambda p: ["step", "lambda"] + [f"beta{j}" for j in range(p.p)],
                   _bayes_trace),

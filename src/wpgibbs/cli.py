@@ -21,8 +21,10 @@ EXIT_INVALID = 2
 
 DEFAULT_OUT = os.environ.get("WPGIBBS_OUT", ".")
 
+# the case flags that set a params field, by the field they set
+_FIELD_FLAGS = {"--gamma": "gamma_dg", "--sigma0": "sigma0", "--beta-hyper": "beta_hyper"}
 # the flags that set a case's params or mode
-_CASE_FLAGS = ("--config", "--gamma", "--sigma0", "--beta-hyper", "--mode")
+_CASE_FLAGS = ("--config", *_FIELD_FLAGS, "--mode")
 
 
 def _at_least(args, lowest: int, *names) -> None:
@@ -68,19 +70,17 @@ def _load_case(args):
     d.setdefault("case", args.case)
     if d["case"] != args.case:
         raise WpgibbsError(f"--case {args.case} does not match the config's case {d['case']!r}")
-    if args.gamma is not None:
-        d["gamma_dg"] = args.gamma
-    if args.case != "nig":
-        _reject(args, f"with --case {args.case}", ("--sigma0", "--beta-hyper"))
-    else:
-        if args.beta_hyper is not None and "beta_hyper" in d:
-            raise WpgibbsError("give beta_hyper once: by --beta-hyper or in the config")
-        d.setdefault("beta_hyper", 1.0 if args.beta_hyper is None else args.beta_hyper)
-        if args.sigma0 is not None:
-            d["sigma_xi"] = d["sigma_tau"] = args.sigma0
+    for flag, name in _FIELD_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if name not in case.fields:
+            raise WpgibbsError(f"{flag} cannot be used with --case {args.case}")
+        if name in d:
+            raise WpgibbsError(f"give {name} once: by {flag} or in the config")
+        d[name] = value
     p = config.case_params_from_dict(d)
-    if args.case == "nig":
-        cases.nig_check_steps(p, mode)
+    case.check(p, mode)
     return case, p, mode
 
 
@@ -199,15 +199,13 @@ def cmd_compare(args) -> int:
             kern, f, ns, starts=args.starts, master_seed=args.seed,
         )
         meta["gaps"] = [g0, g1, g2]
-    elif args.case == "nig":
+    elif getattr(cases.CASES.get(args.case), "decay", None) is not None:
         case, p, mode = _load_case(args)
-        if mode != "scaled":
-            raise WpgibbsError("compare --case nig runs the scaled-step chain only")
+        est = case.decay(p, mode, ns, args.starts, args.seed)
         rb = rates.RateBound(case.bound(p, mode)[0])
-        est = samplers.nig_decay_estimate(p, mode, ns, starts=args.starts, master_seed=args.seed)
         meta["params"] = config.to_dict(p)
     else:
-        raise WpgibbsError(f"compare supports cases finite and nig, not {args.case!r}")
+        raise WpgibbsError(f"compare has no decay estimate for case {args.case!r}")
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "compare.csv")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import typing
 from dataclasses import MISSING, fields
 
@@ -130,9 +131,12 @@ def _coerce(tp, v, name: str):
             raise InvalidSpecError(f"{name} entries need {len(args)} values, got {v!r}")
         return tuple(_coerce(t, x, name) for t, x in zip(args, v))
     try:
-        return tp(v)
+        x = tp(v)
     except (TypeError, ValueError):
         raise InvalidSpecError(f"{name} must be a {tp.__name__}, got {v!r}") from None
+    if tp is float and not math.isfinite(x):
+        raise InvalidSpecError(f"{name} must be a finite number, got {v!r}")
+    return x
 
 
 def parse_beta_shorthand(text: str) -> b.BetaSpec:

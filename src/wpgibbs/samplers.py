@@ -57,12 +57,12 @@ def nig_step(tau: np.ndarray, xi: np.ndarray, p: NIGParams, mode: str, rng: np.r
 
     ``exact`` draws both conditionals exactly; ``scaled`` and ``fixed`` use
     random-walk Metropolis, with the conditioning-dependent steps or with the
-    fixed steps ``p.sigma_xi`` (tau-update) and ``p.sigma_tau`` (xi-update).
+    common fixed step ``p.sigma0`` of both updates.
     """
     if mode not in NIG_MODES:
         raise InvalidModeError(f"unknown mode {mode!r}; choose one of {', '.join(NIG_MODES)}")
-    if mode == "fixed" and "scaled" in (p.sigma_xi, p.sigma_tau):
-        raise InvalidModeError("mode fixed needs numeric steps sigma_xi and sigma_tau")
+    if mode == "fixed" and p.sigma0 is None:
+        raise InvalidModeError("mode fixed needs a numeric step sigma0")
     tau = np.atleast_1d(np.asarray(tau, dtype=float)).copy()
     xi = np.atleast_1d(np.asarray(xi, dtype=float)).copy()
     beta_xi = p.beta_hyper + 0.5 * xi ** 2
@@ -70,7 +70,7 @@ def nig_step(tau: np.ndarray, xi: np.ndarray, p: NIGParams, mode: str, rng: np.r
     if mode == "exact":
         tau = rng.exponential(1.0 / beta_xi)
     else:
-        step = np.sqrt(3.0) / beta_xi if mode == "scaled" else p.sigma_xi
+        step = np.sqrt(3.0) / beta_xi if mode == "scaled" else p.sigma0
         prop = tau + step * rng.normal(size=tau.shape)
         log_alpha = np.where(prop > 0.0, -beta_xi * (prop - tau), -np.inf)
         accept = np.log(rng.uniform(size=tau.shape)) < log_alpha
@@ -79,7 +79,7 @@ def nig_step(tau: np.ndarray, xi: np.ndarray, p: NIGParams, mode: str, rng: np.r
     if mode == "exact":
         xi = rng.normal(0.0, 1.0 / np.sqrt(tau))
     else:
-        step = 1.0 / np.sqrt(2.0 * tau) if mode == "scaled" else p.sigma_tau
+        step = 1.0 / np.sqrt(2.0 * tau) if mode == "scaled" else p.sigma0
         prop = xi + step * rng.normal(size=xi.shape)
         log_alpha = -0.5 * tau * (prop ** 2 - xi ** 2)
         accept = np.log(rng.uniform(size=xi.shape)) < log_alpha
@@ -198,14 +198,11 @@ def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Gene
     Returns (theta, paths, acceptance_flags).
     """
     paths = np.asarray(paths, dtype=float)
-    obs = np.asarray(p.obs)
-    if paths.shape != (len(obs) - 1, p.M + 1):
-        raise DomainError(f"paths must have shape {(len(obs) - 1, p.M + 1)}, got {paths.shape}")
-    ends = paths[:, ::p.M]  # columns 0 and M
-    if not np.all(np.abs(ends - np.stack((obs[:-1], obs[1:]), axis=1)) <= 1e-12):
+    if paths.shape != (len(p.dts), p.M + 1):
+        raise DomainError(f"paths must have shape {(len(p.dts), p.M + 1)}, got {paths.shape}")
+    if not np.all(np.abs(paths[:, ::p.M] - p.ends) <= 1e-12):  # columns 0 and M
         raise DomainError("segment endpoints must equal the observations")
-    dts = np.diff(np.asarray(p.times))
-    hs = dts / p.M
+    hs = p.dts / p.M
 
     # theta | paths: N(mean, var) with var = 1/(int X^2 dt + tau0^-2), the
     # segments' integrals (reused in the accept ratios) summed in order
@@ -217,7 +214,7 @@ def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Gene
 
     new = paths.copy()
     accepted = np.zeros(len(paths), dtype=bool)
-    for i, (h, dt) in enumerate(zip(hs, dts)):
+    for i, (h, dt) in enumerate(zip(hs, p.dts)):
         prop = brownian_bridge(p.obs[i], p.obs[i + 1], dt, p.M, rng)
         log_alpha = ou_segment_log_alpha(old_x2[i], _trapezoid_sq(prop, h), theta)
         if math.log(rng.uniform()) < min(0.0, log_alpha):

@@ -353,7 +353,7 @@ def test_nig_scaled_log_decay_is_linear():
 def test_nig_fixed_no_upward_trend_vs_envelope():
     """Fixed steps with beta/sigma0 > 1: the empirical curve times n^{1/14}
     shows no upward Mann-Kendall trend at the 5% level."""
-    p = NIGParams(beta_hyper=2.0, sigma_xi=1.0, sigma_tau=1.0)
+    p = NIGParams(beta_hyper=2.0, sigma0=1.0)
     assert p.beta_hyper / 1.0 > 1.0
     grid = [1, 2, 5, 10, 20, 40, 80, 120, 160, 200]
     est = nig_decay_estimate(p, "fixed", n_grid=grid, starts=50_000, master_seed=7)

@@ -21,7 +21,6 @@ from wpgibbs.cases import (
     bayes_crossover_sigma0_sq,
     bayes_rate_exponent,
     diffusion_beta2_indicator,
-    nig_conditional_gaps,
     nig_envelope_exponents,
     nig_rate_exponent,
     nig_scaled_kstar,
@@ -42,27 +41,6 @@ def test_global_constants():
     assert B_UPPER_TAIL == 2.0
 
 
-def test_scaled_conditional_gaps_are_constants():
-    p = NIGParams(beta_hyper=2.0, sigma_xi="scaled", sigma_tau="scaled")
-    for xi, tau in ((0.0, 0.1), (0.7, 1.3), (5.0, 20.0)):
-        g_xi, g_tau = nig_conditional_gaps(p, xi=xi, tau=tau)
-        assert g_xi == GAMMA_XI_SCALED
-        assert g_tau == GAMMA_TAU_SCALED
-
-
-def test_fixed_conditional_gaps_formulas():
-    p = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.4)
-    xi, tau = 0.7, 1.3
-    g_xi, g_tau = nig_conditional_gaps(p, xi=xi, tau=tau)
-    beta_xi = p.beta_hyper + xi ** 2 / 2.0
-    assert g_xi == pytest.approx(
-        C_XI * (beta_xi * 0.5) ** 6 / (beta_xi ** 2 * 0.25 + 1.0) ** 4, rel=1e-14
-    )
-    assert g_tau == pytest.approx(
-        C_RWM * 0.16 * tau * math.exp(-2.0 * 0.16 * tau), rel=1e-14
-    )
-
-
 def test_scaled_worst_case_gaps_are_the_advertised_minima():
     # xi-refresh: c u^3/(u+1)^4 with u = beta_xi^2 sigma^2 maximised at u=3
     assert GAMMA_XI_SCALED == pytest.approx(C_XI * 3.0 ** 3 / 4.0 ** 4)
@@ -78,7 +56,7 @@ def test_scaled_kstar_slope():
 
 
 def test_fixed_betas_shape():
-    p = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.5)
+    p = NIGParams(beta_hyper=2.0, sigma0=0.5)
     s_grid = np.geomspace(1.0, 1e9, 200)
     b1, b2 = NIGBeta1(p)(s_grid), NIGBeta2(p)(s_grid)
     for b in (b1, b2):
@@ -91,38 +69,38 @@ def test_fixed_betas_shape():
 
 
 def test_fixed_beta1_below_validity_is_capped():
-    p = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.5)
+    p = NIGParams(beta_hyper=2.0, sigma0=0.5)
     assert NIGBeta1(p)(1e-6) == 0.25
     assert NIGBeta2(p)(1e-6) == 0.25
 
 
-def test_fixed_betas_require_matching_widths():
-    p = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.4)
+def test_fixed_betas_need_a_step():
+    p = NIGParams(beta_hyper=2.0)
     for profile in (NIGBeta1(p), NIGBeta2(p)):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="sigma0"):
             profile(10.0)
 
 
 def test_nig_rate_exponent_regimes():
-    fast = NIGParams(beta_hyper=2.0, sigma_xi=1.0, sigma_tau=1.0)
+    fast = NIGParams(beta_hyper=2.0, sigma0=1.0)
     assert nig_rate_exponent(fast) == pytest.approx(1.0 / 14.0)
-    slow = NIGParams(beta_hyper=0.5, sigma_xi=1.0, sigma_tau=1.0)
+    slow = NIGParams(beta_hyper=0.5, sigma0=1.0)
     assert nig_rate_exponent(slow) == pytest.approx(0.5 / (4.0 * 0.5 + 10.0 * 1.0))
 
 
 def test_nig_envelope_exponents():
-    p = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.5)
+    p = NIGParams(beta_hyper=2.0, sigma0=0.5)
     e1, e2 = nig_envelope_exponents(p)
     assert e1 == pytest.approx(0.25)
     assert e2 == pytest.approx(min(0.5, 2.0 / (2.0 * 0.25)))
-    wide = NIGParams(beta_hyper=0.1, sigma_xi=2.0, sigma_tau=2.0)
+    wide = NIGParams(beta_hyper=0.1, sigma0=2.0)
     assert nig_envelope_exponents(wide)[1] == pytest.approx(0.1 / 8.0)
 
 
 def test_case_profiles_at_one_point():
     """A scalar s gives the float the array path gives at that point, and
     s <= 0 is outside every profile's domain."""
-    nig = NIGParams(beta_hyper=2.0, sigma_xi=0.5, sigma_tau=0.5)
+    nig = NIGParams(beta_hyper=2.0, sigma0=0.5)
     profiles = (NIGBeta1(nig), NIGBeta2(nig), BayesBeta2(_bayes_params()), OUBeta2(_ou_params()))
     s = np.array([0.5, 10.0, 1e3, 1e6, 1e9, 1e12])
     for profile in profiles:
@@ -271,7 +249,7 @@ def test_param_validation():
 
 def _nig_betas_scalar(s, p):
     """(beta1(s), beta2(s)) one point at a time, as the formulas read."""
-    sigma0 = p.sigma_xi
+    sigma0 = p.sigma0
     beta = p.beta_hyper
     s0sq = sigma0 * sigma0
     cprime = C_XI * (beta * beta * s0sq / (beta * beta * s0sq + 1.0)) ** 4
@@ -325,7 +303,7 @@ NIG_STEPS = [(2.0, 0.5), (0.5, 1.5), (1.0, 1.0), (3.0, 2.0)]
 
 @pytest.mark.parametrize("beta,sigma0", NIG_STEPS)
 def test_nig_array_profiles_match_scalar_formulas(beta, sigma0):
-    p = NIGParams(beta_hyper=beta, sigma_xi=sigma0, sigma_tau=sigma0)
+    p = NIGParams(beta_hyper=beta, sigma0=sigma0)
     s0sq = sigma0 ** 2
     cprime = C_XI * (beta * beta * s0sq / (beta * beta * s0sq + 1.0)) ** 4
     s = _around(beta * beta * s0sq / cprime, 2.0 * math.e / C_RWM)
@@ -342,7 +320,7 @@ def test_nig_array_profiles_match_scalar_formulas(beta, sigma0):
 
 @pytest.mark.parametrize("beta,sigma0", NIG_STEPS)
 def test_nig_beta2_matches_scipy(beta, sigma0):
-    p = NIGParams(beta_hyper=beta, sigma_xi=sigma0, sigma_tau=sigma0)
+    p = NIGParams(beta_hyper=beta, sigma0=sigma0)
     s = _around(2.0 * math.e / C_RWM)
     valid = s >= 2.0 * math.e / C_RWM
     arg = -2.0 / (C_RWM * s[valid])

@@ -191,12 +191,12 @@ def test_bound_every_case_params_round_trip(tmp_path, name, mode):
 
 def test_nig_fixed_steps_from_config(tmp_path):
     cfg = tmp_path / "nig.json"
-    cfg.write_text('{"case": "nig", "beta_hyper": 1.5, "sigma_xi": 0.8, "sigma_tau": 0.8}')
+    cfg.write_text('{"case": "nig", "beta_hyper": 1.5, "sigma0": 0.8}')
     out = tmp_path / "run"
     argv = ["bound", "--case", "nig", "--mode", "fixed", "--config", str(cfg), "--n-max", "5"]
     assert main(argv + ["--out", str(out)]) == 0
     params = json.loads((out / "bound_meta.json").read_text())["params"]
-    assert (params["sigma_xi"], params["sigma_tau"]) == (0.8, 0.8)
+    assert params["sigma0"] == 0.8
 
 
 def test_beta_hyper_from_flag_or_default(tmp_path):
@@ -223,8 +223,6 @@ def test_ou_delta_from_flag_or_default(tmp_path):
 INVALID = {
     "nig-fixed-no-step": ["bound", "--case", "nig", "--mode", "fixed"],
     "nig-fixed-no-step-sample": ["sample", "--case", "nig", "--mode", "fixed"],
-    "nig-fixed-unequal-steps": ["bound", "--case", "nig", "--mode", "fixed",
-                                "--config", "{nig_unequal}"],
     "nig-scaled-with-sigma0": ["bound", "--case", "nig", "--mode", "scaled", "--sigma0", "0.5"],
     "nig-scaled-with-sigma0-sample": ["sample", "--case", "nig", "--mode", "scaled",
                                       "--sigma0", "0.5"],
@@ -241,8 +239,23 @@ INVALID = {
     "negative-n-max": ["bound", "--beta", "indicator:0.2", "--n-max", "-3"],
     "negative-n-in-grid": ["bound", "--beta", "indicator:0.2", "--n-grid", "5,-1"],
     "negative-n-compare": ["compare", "--case", "finite", "--n-grid=-2,3"],
+    # a flag and the config give the same field
     "beta-hyper-and-config": ["bound", "--case", "nig", "--config", "{nig_scaled}",
                               "--beta-hyper", "5"],
+    "gamma-and-config": ["bound", "--case", "bayes", "--config", "{bayes_gamma}",
+                         "--gamma", "0.5"],
+    "sigma0-and-config": ["bound", "--case", "nig", "--mode", "fixed", "--config", "{nig_fixed}",
+                          "--sigma0", "0.5"],
+    # non-finite and fractional numbers
+    "nig-gamma-inf": ["bound", "--case", "nig", "--gamma", "inf"],
+    "nig-sigma0-nan": ["sample", "--case", "nig", "--mode", "fixed", "--sigma0", "nan"],
+    "shorthand-inf": ["bound", "--beta", "indicator:inf"],
+    "bayes-a-inf": ["sample", "--case", "bayes", "--config", "{bayes_a_inf}"],
+    "bayes-y-nan": ["bound", "--case", "bayes", "--config", "{bayes_y_nan}"],
+    "ou-mu0-inf": ["sample", "--case", "ou", "--config", "{ou_mu0_inf}"],
+    "ou-fractional-M": ["sample", "--case", "ou", "--config", "{ou_fractional_M}"],
+    "ou-M-beyond-float": ["sample", "--case", "ou", "--config", "{ou_huge_M}"],
+    "ou-times-inf": ["sample", "--case", "ou", "--config", "{ou_times_inf}"],
     "beta-hyper-bayes": ["bound", "--case", "bayes", "--config", "{bayes}",
                          "--beta-hyper", "2"],
     "sigma0-bayes": ["sample", "--case", "bayes", "--config", "{bayes}", "--sigma0", "0.5"],
@@ -295,15 +308,21 @@ INVALID = {
 @pytest.mark.parametrize("argv", INVALID.values(), ids=INVALID.keys())
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
     files = {
-        "nig_fixed": '{"case": "nig", "beta_hyper": 1.0, "sigma_xi": 0.8, "sigma_tau": 0.8}',
-        "nig_unequal": '{"case": "nig", "beta_hyper": 1.0, "sigma_xi": 0.8, "sigma_tau": 0.5}',
+        "nig_fixed": '{"case": "nig", "beta_hyper": 1.0, "sigma0": 0.8}',
         "nig_null": '{"case": "nig", "beta_hyper": null}',
-        "nig_misnamed_step": '{"case": "nig", "beta_hyper": 1, "sigma0": 0.5}',
+        "nig_misnamed_step": '{"case": "nig", "beta_hyper": 1, "sigma_xi": 0.5}',
         "not_object": "[1, 2]",
         "nig_scaled": '{"case": "nig", "beta_hyper": 2.0}',
         "bayes": json.dumps(CASE_CONFIGS["bayes"]),
         "ou": json.dumps(CASE_CONFIGS["ou"]),
         "bayes_1d_x": json.dumps({**CASE_CONFIGS["bayes"], "X": [1, 2, 3], "Y": [1, 0, 2]}),
+        "bayes_gamma": json.dumps({**CASE_CONFIGS["bayes"], "gamma_dg": 0.5}),
+        "bayes_a_inf": json.dumps({**CASE_CONFIGS["bayes"], "a": math.inf}),
+        "bayes_y_nan": json.dumps({**CASE_CONFIGS["bayes"], "Y": [1, 0, math.nan, 1]}),
+        "ou_mu0_inf": json.dumps({**CASE_CONFIGS["ou"], "mu0": math.inf}),
+        "ou_fractional_M": json.dumps({**CASE_CONFIGS["ou"], "M": 8.7}),
+        "ou_huge_M": json.dumps({**CASE_CONFIGS["ou"], "M": 10 ** 400}),
+        "ou_times_inf": json.dumps({**CASE_CONFIGS["ou"], "times": [0.0, 0.5, 1.0, math.inf]}),
     }
     paths = {}
     for key, text in files.items():

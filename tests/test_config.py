@@ -130,6 +130,9 @@ def test_int_valued_spec_reads_back_as_floats():
     ({"family": "table", "knots": 1.0}, "table.knots must be a list"),
     ({"kind": "composite", "inner": None}, "composite needs outer"),
     ({"kind": "clamped", "child": {"family": "indicator", "gamma": 1.0}}, "unknown kind None"),
+    ({"family": "powerlaw", "coefficient": float("inf"), "exponent": 1.0},
+     "powerlaw.coefficient must be a finite number"),
+    ({"kind": "linear", "slope": float("nan")}, "linear.slope must be a finite number"),
 ])
 def test_spec_errors_name_the_keys(d, message):
     from_dict = beta_from_dict if "family" in d or "gamma" in d else kstar_from_dict
@@ -185,7 +188,7 @@ def test_shorthand_is_the_float_fields_in_order(tag):
 
 
 def test_case_params_round_trip():
-    nig = NIGParams(beta_hyper=2.0, sigma_xi="scaled", sigma_tau="scaled")
+    nig = NIGParams(beta_hyper=2.0)
     bayes = BayesParams(
         a=2.0,
         b=1.0,
@@ -206,14 +209,14 @@ def test_case_params_round_trip():
 
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.json"
-    nig = NIGParams(beta_hyper=1.5, sigma_xi=0.2, sigma_tau=0.2)
+    nig = NIGParams(beta_hyper=1.5, sigma0=0.2)
     path.write_text(json.dumps(to_dict(nig)))
     assert case_params_from_dict(load_config(path)) == nig
 
 
 def test_int_valued_config_round_trips_to_floats(tmp_path):
     configs = [
-        {"case": "nig", "beta_hyper": 2, "sigma_xi": 1, "sigma_tau": 1, "gamma_dg": 1},
+        {"case": "nig", "beta_hyper": 2, "sigma0": 1, "gamma_dg": 1},
         {"case": "bayes", "a": 3, "b": 1, "X": [[1, 0], [0, 1], [1, 1]], "Y": [1, 0, 2],
          "sigma0": 1},
         {"case": "ou", "mu0": 0, "tau0": 1, "times": [0, 1, 2], "obs": [0, 1, 0], "M": 8.0,

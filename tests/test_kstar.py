@@ -234,6 +234,37 @@ def test_subunit_flag():
     assert Clamped(Linear(1.5)).subunit_verified
 
 
+def _subunit_scan(k) -> bool:
+    """The reference check: K*(v) <= v at 128 points of (0, 1/4]."""
+    vv = np.linspace(0.0, 0.25, 129)[1:]
+    return bool(np.all(np.asarray(k(vv)) <= vv * (1.0 + 1e-9)))
+
+
+SUBUNIT_PROFILES = (
+    Indicator(gamma=0.3),
+    PowerLaw(coefficient=2.0, exponent=0.5),
+    PowerLaw(coefficient=0.01, exponent=1.0),  # K*(v) = 25 v^2 passes v at 1/25
+    ExpLogSquare(c=0.25, a=1.0, b=0.5),
+    Table(knots=((1.0, 0.25), (10.0, 0.05), (1e3, 1e-3))),
+    Sum(children=(Indicator(gamma=0.3), PowerLaw(coefficient=1.0, exponent=1.0))),
+    AdjointShift(child=PowerLaw(coefficient=1.0, exponent=1.0)),
+    _RawPower(1.0, 0.5),
+)
+
+
+@pytest.mark.parametrize("mode", ["full", "strong", "joint_2mg", "marginal_2mg"])
+def test_one_point_subunit_check_agrees_with_the_scan(mode):
+    """K*(v)/v is nondecreasing, so K*(1/4) <= 1/4 decides K* <= v on
+    (0, 1/4] for every family, its scalings and its compositions."""
+    guarded = 0
+    for spec in SUBUNIT_PROFILES:
+        k = conjugate(spec)
+        guarded += not kstar.check_subunit(k)
+        for fn in (k, scale(k, 4.0, 0.5), Clamped(k), compose_mwg(Linear(0.8), k, k, mode=mode)):
+            assert kstar.check_subunit(fn) == _subunit_scan(fn), (spec, fn)
+    assert guarded == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(min_value=1e-4, max_value=0.25),

@@ -47,11 +47,9 @@ def test_nig_step_validation():
     for mode in ("nosuch", "mwg_fixed"):
         with pytest.raises(InvalidModeError, match="unknown mode"):
             nig_step(np.ones(2), np.zeros(2), p, mode, rng)
-    # fixed steps live in the params; "scaled" ones are not numbers
-    for steps in ({}, {"sigma_xi": 0.5}, {"sigma_tau": 0.5}):
-        half = NIGParams(beta_hyper=2.0, **steps)
-        with pytest.raises(InvalidModeError, match="numeric steps"):
-            nig_step(np.ones(2), np.zeros(2), half, "fixed", rng)
+    # the fixed step lives in the params
+    with pytest.raises(InvalidModeError, match="numeric step sigma0"):
+        nig_step(np.ones(2), np.zeros(2), p, "fixed", rng)
 
 
 def test_nig_exact_gibbs_preserves_stationarity():
@@ -79,21 +77,12 @@ def test_nig_mwg_preserves_stationarity():
 
 
 def test_nig_tiny_step_freezes_the_chain():
-    p = NIGParams(beta_hyper=2.0, sigma_xi=1e-12, sigma_tau=1e-12)
+    p = NIGParams(beta_hyper=2.0, sigma0=1e-12)
     rng = chain_rng(3, 0)
     tau, xi = nig_stationary_start(p, rng, 100)
     t2, x2 = nig_step(tau, xi, p, "fixed", rng)
     assert np.max(np.abs(t2 - tau)) < 1e-10
     assert np.max(np.abs(x2 - xi)) < 1e-10
-    # sigma_xi steps the tau-update, sigma_tau the xi-update
-    only_xi = NIGParams(beta_hyper=2.0, sigma_xi=1e-12, sigma_tau=1.0)
-    t3, x3 = nig_step(tau, xi, only_xi, "fixed", rng)
-    assert np.max(np.abs(t3 - tau)) < 1e-10
-    assert np.max(np.abs(x3 - xi)) > 0.1
-    only_tau = NIGParams(beta_hyper=2.0, sigma_xi=1.0, sigma_tau=1e-12)
-    t4, x4 = nig_step(tau, xi, only_tau, "fixed", rng)
-    assert np.max(np.abs(t4 - tau)) > 0.1
-    assert np.max(np.abs(x4 - xi)) < 1e-10
 
 
 def test_nig_decay_estimate_shrinks_and_is_reproducible():
