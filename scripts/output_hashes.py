@@ -48,8 +48,9 @@ def case_commands():
         files = {"case.json": CONFIGS[case]} if case in CONFIGS else {}
         flags = ["--case", case] + (["--config", "{dir}/case.json"] if files else [])
         for mode in entry.modes:
-            given = flags + ["--mode", mode] + MODE_FLAGS.get(mode, []) + ["--seed", "7"]
-            yield f"sample.{case}-{mode}", ["sample", *given, "--chains", "2", "--steps", "50"], files
+            given = flags + ["--mode", mode] + MODE_FLAGS.get(mode, [])
+            yield (f"sample.{case}-{mode}",
+                   ["sample", *given, "--seed", "7", "--chains", "2", "--steps", "50"], files)
             yield f"bound.{case}-{mode}", ["bound", *given, *GRID], files
     yield "compare.nig", ["compare", "--case", "nig", "--starts", "400", "--seed", "7", *GRID], {}
     yield "compare.finite", ["compare", "--case", "finite", "--starts", "400", "--seed", "7", *GRID], {}

@@ -30,7 +30,6 @@ from .kstar import (
     KStarFn,
     Linear,
     Power,
-    adjoint_transform,
     chain,
     compose_mwg,
     conjugate,

@@ -19,8 +19,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 
-DEFAULT_OUT = os.environ.get("WPGIBBS_OUT", ".")
-
 # the case flags that set a params field, by the field they set
 _FIELD_FLAGS = {"--gamma": "gamma_dg", "--sigma0": "sigma0", "--beta-hyper": "beta_hyper"}
 # the flags that set a case's params or mode
@@ -86,7 +84,7 @@ def _load_case(args):
 
 def cmd_bound(args) -> int:
     ns = _n_grid(args)
-    meta = {"command": "bound", "seed": args.seed, "case": args.case}
+    meta = {"command": "bound", "case": args.case}
     if args.beta:
         if args.case != "custom":
             raise WpgibbsError("--beta takes no --case: the profile is the whole input")
@@ -241,9 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def output(sp):
-        sp.add_argument("--out", default=DEFAULT_OUT)
-        sp.add_argument("--seed", type=int, default=0)
+    def output(sp, seeded=True):
+        """--out, and --seed for a command that draws random numbers."""
+        sp.add_argument("--out", default=".")
+        if seeded:
+            sp.add_argument("--seed", type=int, default=0)
 
     def case_options(sp):
         sp.add_argument("--case", default="custom")
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated n values (overrides --n-max)")
 
     sp = sub.add_parser("bound", help="write a rate-bound curve")
-    output(sp)
+    output(sp, seeded=False)
     case_options(sp)
     grid_options(sp)
     sp.add_argument("--beta", default=None,

@@ -130,6 +130,11 @@ def _coerce(tp, v, name: str):
         if len(v) != len(args):
             raise InvalidSpecError(f"{name} entries need {len(args)} values, got {v!r}")
         return tuple(_coerce(t, x, name) for t, x in zip(args, v))
+    if tp is bool and type(v) is not bool:
+        raise InvalidSpecError(f"{name} must be true or false, got {v!r}")
+    # a JSON integer, or an integral float such as 1.0; never a boolean
+    if tp is int and not (type(v) is int or type(v) is float and v.is_integer()):
+        raise InvalidSpecError(f"{name} must be an integer, got {v!r}")
     try:
         x = tp(v)
     except (TypeError, ValueError):

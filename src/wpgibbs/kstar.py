@@ -37,10 +37,6 @@ class KStarFn:
         raise NotImplementedError
 
     @property
-    def subunit_verified(self) -> bool:
-        return check_subunit(self)
-
-    @property
     def n_offset(self) -> int:
         return 0
 
@@ -315,11 +311,6 @@ def scale(k: KStarFn, c1: float, c2: float) -> KStarFn:
     if isinstance(k, Power):
         return Power(k.coefficient * c1 ** (1.0 - k.exponent) * c2, k.exponent)
     return Composite(outer=k, inner=None, pre_scale=1.0 / c1, post_scale=c1 * c2)
-
-
-def adjoint_transform(k: KStarFn) -> KStarFn:
-    """K* for T*T given one for TT*: the half-argument shift v -> K*(v/2)."""
-    return scale(k, 2.0, 0.5)
 
 
 def _guard(k: KStarFn) -> KStarFn:

@@ -84,7 +84,7 @@ def test_bound_reproducibility_byte_identical(tmp_path):
             }
         )
     )
-    args = ["bound", "--case", "ou", "--config", str(cfg), "--seed", "3", "--n-max", "40"]
+    args = ["bound", "--case", "ou", "--config", str(cfg), "--n-max", "40"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "bound.csv").read_bytes() == (out2 / "bound.csv").read_bytes()
@@ -301,6 +301,8 @@ INVALID = {
     "bayes-1d-design": ["sample", "--case", "bayes", "--config", "{bayes_1d_x}"],
     "n-max-not-int": ["bound", "--n-max", "x"],
     "unknown-flag": ["bound", "--nosuch", "1"],
+    # bound draws no random numbers, so it takes no --seed
+    "bound-seed": ["bound", "--beta", "indicator:0.2", "--seed", "3"],
     "no-command": [],
 }
 

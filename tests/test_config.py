@@ -133,6 +133,13 @@ def test_int_valued_spec_reads_back_as_floats():
     ({"family": "powerlaw", "coefficient": float("inf"), "exponent": 1.0},
      "powerlaw.coefficient must be a finite number"),
     ({"kind": "linear", "slope": float("nan")}, "linear.slope must be a finite number"),
+    # an int field takes only an integral number, a bool field only a boolean
+    ({"kind": "grid", "v_knots": [1.0], "values": [0.0], "convexified": "false"},
+     "grid.convexified must be true or false, got 'false'"),
+    ({"kind": "composite", "outer": {"kind": "linear", "slope": 1.0}, "offset": 1.7},
+     "composite.offset must be an integer, got 1.7"),
+    ({"kind": "composite", "outer": {"kind": "linear", "slope": 1.0}, "offset": True},
+     "composite.offset must be an integer, got True"),
 ])
 def test_spec_errors_name_the_keys(d, message):
     from_dict = beta_from_dict if "family" in d or "gamma" in d else kstar_from_dict

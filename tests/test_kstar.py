@@ -16,7 +16,6 @@ from wpgibbs import (
     Sum,
     Table,
     UnboundedConjugateError,
-    adjoint_transform,
     chain,
     compose_mwg,
     conjugate,
@@ -174,9 +173,10 @@ def test_scale_rules():
 
 
 def test_adjoint_transform_half_argument():
-    k = adjoint_transform(Linear(0.4))
+    # the adjoint transform is the scaling by c1 = 2, c2 = 1/2
+    k = scale(Linear(0.4), 2.0, 0.5)
     assert k(1.0) == pytest.approx(0.2)
-    kp = adjoint_transform(Power(1.0, 2.0))
+    kp = scale(Power(1.0, 2.0), 2.0, 0.5)
     # K~(v) = K(v/2)
     assert kp(0.2) == pytest.approx((0.1) ** 2)
 
@@ -229,9 +229,9 @@ def test_compose_mwg_clamps_oversized_component():
 
 
 def test_subunit_flag():
-    assert Linear(0.9).subunit_verified
-    assert not Linear(1.5).subunit_verified
-    assert Clamped(Linear(1.5)).subunit_verified
+    assert kstar.check_subunit(Linear(0.9))
+    assert not kstar.check_subunit(Linear(1.5))
+    assert kstar.check_subunit(Clamped(Linear(1.5)))
 
 
 def _subunit_scan(k) -> bool:

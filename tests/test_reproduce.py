@@ -1,0 +1,61 @@
+"""scripts/reproduce.py at smoke size: every file its rows write, and the
+same bytes as the rows run through the CLI directly."""
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import types
+
+from wpgibbs.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "reproduce.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+FILES = {"verify_report.txt", "compare.csv", "compare_meta.json", "chain_0.csv",
+         "run_meta.json", "bound.csv", "bound_meta.json", "ou.json"}
+
+
+def _reproduce():
+    """scripts/reproduce.py as a module, executed from its text so that
+    nothing is written next to it."""
+    mod = types.ModuleType("reproduce")
+    mod.__file__ = str(SCRIPT)
+    exec(compile(SCRIPT.read_text(), str(SCRIPT), "exec"), mod.__dict__)
+    return mod
+
+
+def _ou_script_config():
+    """perfbench/workloads.py's OU_SCRIPT_CONFIG, read from its text."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["OU_SCRIPT_CONFIG"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py defines no OU_SCRIPT_CONFIG")
+
+
+def _written(top):
+    return {
+        os.path.relpath(os.path.join(d, f), top): pathlib.Path(d, f).read_bytes()
+        for d, _, names in os.walk(top) for f in names
+    }
+
+
+def test_smoke_run_writes_what_its_rows_write(tmp_path):
+    out, direct = tmp_path / "out", tmp_path / "direct"
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run([sys.executable, str(SCRIPT), str(out), "--smoke"],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    written = _written(out)
+    assert {pathlib.PurePath(p).name for p in written} == FILES
+
+    # each row's argv, run through the CLI in this process, writes the same bytes
+    for where, argv in _reproduce().rows(str(out), smoke=True):
+        assert main(argv + ["--out", str(direct / os.path.relpath(where, out))]) == 0
+    assert _written(direct) == {p: b for p, b in written.items() if p != "ou.json"}
+
+    # the OU config is the one the benchmark's OU op runs
+    assert json.loads(written["ou.json"]) == _ou_script_config()
