@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -49,9 +50,12 @@ def _numbers(obj, kind, *names) -> None:
     """Store each named field of a frozen params object as a finite ``kind``."""
     for name in names:
         value = getattr(obj, name)
+        # a number, as JSON gives one; never a boolean or a string
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidSpecError(f"{name} must be a number, got {value!r}")
         try:
             x = float(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             raise InvalidSpecError(f"{name} must be a number, got {value!r}") from None
         if not math.isfinite(x) or (kind is int and not x.is_integer()):
             what = "whole number" if kind is int else "number"

@@ -135,10 +135,13 @@ def _coerce(tp, v, name: str):
     # a JSON integer, or an integral float such as 1.0; never a boolean
     if tp is int and not (type(v) is int or type(v) is float and v.is_integer()):
         raise InvalidSpecError(f"{name} must be an integer, got {v!r}")
+    # a JSON number; never a boolean or a string
+    if tp is float and (type(v) is bool or not isinstance(v, (int, float))):
+        raise InvalidSpecError(f"{name} must be a float, got {v!r}")
     try:
         x = tp(v)
-    except (TypeError, ValueError):
-        raise InvalidSpecError(f"{name} must be a {tp.__name__}, got {v!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if tp is float and not math.isfinite(x):
         raise InvalidSpecError(f"{name} must be a finite number, got {v!r}")
     return x
@@ -167,7 +170,13 @@ def parse_beta_shorthand(text: str) -> b.BetaSpec:
             f"{tag} takes {count} value{'s' * (len(names) > 1)} ({', '.join(names)}),"
             f" got {len(vals)} in {text!r}"
         )
-    return _build(cls, tag, dict(zip(names, vals)))
+    values = {}
+    for n, v in zip(names, vals):
+        try:
+            values[n] = float(v)
+        except ValueError:
+            raise InvalidSpecError(f"{tag}.{n} must be a float, got {v!r}") from None
+    return _build(cls, tag, values)
 
 
 def case_params_from_dict(d: dict):

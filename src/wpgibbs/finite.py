@@ -59,25 +59,37 @@ class FiniteKernel:
         return bool(np.max(np.abs(F - F.T)) <= tol)
 
 
-def dirichlet_form(k: FiniteKernel, f: np.ndarray):
+def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
     """<(I - T)f, f>_mu, cross-checked against the double-sum form.
 
-    ``f`` of shape (n,) gives a float; ``f`` of shape (n, t) gives an array
-    with one value per column.  The double sum
-    1/2 sum_ij mu_i T_ij (f_i - f_j)^2 is evaluated expanded, as
-    1/2 (sum_i mu_i r_i f_i^2 + sum_j (mu^T T)_j f_j^2) - f^T (mu o T) f,
-    with the row sums r and mu^T T taken from the matrix, so that no
-    n x n x t array is built and a matrix that is no longer stochastic or
-    stationary still fails the check.
+    ``k`` is a kernel, or a tuple of kernels on one mu that stands for their
+    product T = T_1 T_2 ... T_m: the factors are applied to ``f`` right to
+    left and the product is never formed.  ``f`` of shape (n,) gives a
+    float; ``f`` of shape (n, t) gives an array with one value per column.
+    The double sum 1/2 sum_ij mu_i T_ij (f_i - f_j)^2 is evaluated expanded,
+    as 1/2 (sum_i mu_i r_i f_i^2 + sum_j (mu^T T)_j f_j^2) - f^T (mu o T) f,
+    with the row sums r = T 1 and mu^T T taken from the same factor chain,
+    so that no n x n x t array is built and a factor that is no longer
+    stochastic or stationary still fails the check.
     """
+    factors = k if isinstance(k, tuple) else (k,)
+    mu = factors[0].mu
+    if any(not np.array_equal(t.mu, mu) for t in factors[1:]):
+        raise DomainError("product factors need one stationary vector")
     f = np.asarray(f, dtype=float)
-    if f.ndim not in (1, 2) or f.shape[0] != k.n:
+    if f.ndim not in (1, 2) or f.shape[0] != mu.size:
         raise DomainError("function dimension mismatch")
     F = f[:, None] if f.ndim == 1 else f
-    T, mu = k.matrix, k.mu
-    TF = T @ F
+    # T F and the row sums T 1 as the columns of one block, then mu^T T
+    TF = np.column_stack((F, np.ones(mu.size)))
+    for t in reversed(factors):
+        TF = t.matrix @ TF
+    TF, rows = TF[:, :-1], TF[:, -1]
+    mu_T = mu
+    for t in factors:
+        mu_T = mu_T @ t.matrix
     inner = mu @ ((F - TF) * F)
-    double = 0.5 * ((mu * T.sum(axis=1) + mu @ T) @ F ** 2) - mu @ (F * TF)
+    double = 0.5 * ((mu * rows + mu_T) @ F ** 2) - mu @ (F * TF)
     bad = np.abs(inner - double) > 1e-10 * np.maximum(1.0, np.abs(inner))
     if np.any(bad):
         j = int(np.argmax(bad))
@@ -271,11 +283,6 @@ def random_centered_functions(
     return out
 
 
-def tensor_product_kernel(k1: FiniteKernel, k2: FiniteKernel) -> FiniteKernel:
-    """Simultaneous independent product chain H1 (x) H2."""
-    return FiniteKernel(np.kron(k1.matrix, k2.matrix), np.kron(k1.mu, k2.mu))
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 # ---------------------------------------------------------------------------
@@ -321,49 +328,61 @@ class Report:
         return "\n".join(lines)
 
 
-def _weighted_psd_min_eig(T: np.ndarray, mu: np.ndarray) -> float:
-    root = np.sqrt(mu)
-    S = root[:, None] * T / root[None, :]
-    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+def _blockwise_psd_min_eig(T4: np.ndarray, w: np.ndarray) -> float:
+    """Smallest eigenvalue of a kernel in the w-weighted geometry, for a
+    kernel that is block diagonal in its first state index.
+
+    ``T4[a, b, a', b']`` is the kernel on states (a, b) and ``w[a, b]`` its
+    stationary mass.  Each diagonal block a = a' is symmetrized on its own;
+    a nonzero entry off those blocks gives -inf, as the block minimum is
+    then no bound on the whole spectrum.
+    """
+    ia = np.arange(T4.shape[0])
+    blocks = T4[ia, :, ia, :]  # [a, b, b']
+    if np.count_nonzero(blocks) != np.count_nonzero(T4):
+        return -np.inf
+    root = np.sqrt(w)
+    S = root[:, :, None] * blocks / root[:, None, :]
+    return float(np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2))).min())
 
 
 def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
                       seed: int = 0) -> Report:
-    """Exhaustive dense check of the operator identities and comparisons."""
+    """Exhaustive check of the operator identities and comparisons.
+
+    Every Dirichlet form of a scan product is evaluated on its chain of
+    factors (a tuple, see ``dirichlet_form``), on all trial functions at
+    once as the columns of one array.  The only n x n products formed here
+    are G1^2, G2^2 and G2 G1 of the structural checks.
+    """
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rep = Report()
     mu = m.mu
-    kP = m.kernel("P")
-
-    def E(T, f):
-        return dirichlet_form(FiniteKernel(T, mu), f)
+    k = {name: m.kernel(name) for name in ("G1", "G2", "H1", "H2", "P", "P1", "P2", "P12")}
+    kP = k["P"]
+    kP_star = adjoint(kP)
 
     # structural facts that need no test function
     rep.add("G1 idempotent", np.max(np.abs(m.G1 @ m.G1 - m.G1)), 1e-12, seed)
     rep.add("G2 idempotent", np.max(np.abs(m.G2 @ m.G2 - m.G2)), 1e-12, seed)
-    rep.add(
-        "P adjoint is G2 G1",
-        np.max(np.abs(adjoint(kP).matrix - m.G2 @ m.G1)),
-        1e-12,
-        seed,
-    )
+    rep.add("P adjoint is G2 G1", np.max(np.abs(kP_star.matrix - m.G2 @ m.G1)), 1e-12, seed)
     rep.add(
         "adjoint involution",
-        np.max(np.abs(adjoint(adjoint(kP)).matrix - kP.matrix)),
+        np.max(np.abs(adjoint(kP_star).matrix - kP.matrix)),
         1e-12,
         seed,
     )
-    for name in ("G1", "G2", "H1", "H2", "P", "P1", "P2", "P12"):
-        T = m.kernel(name).matrix
-        rep.add(f"stationarity of {name}", np.max(np.abs(mu @ T - mu)), tol, seed)
-    for name in ("H1", "H2"):
-        lam = _weighted_psd_min_eig(m.kernel(name).matrix, mu)
-        rep.add(f"positivity of {name}", max(0.0, -lam), 1e-10, seed)
+    for name, kn in k.items():
+        rep.add(f"stationarity of {name}", np.max(np.abs(mu @ kn.matrix - mu)), tol, seed)
+    # H1 is block diagonal in x, H2 in y once (x, y) is reordered to (y, x)
+    nx, ny = m.nx, m.ny
+    w = mu.reshape(nx, ny)
+    lam1 = _blockwise_psd_min_eig(m.H1.reshape(nx, ny, nx, ny), w)
+    lam2 = _blockwise_psd_min_eig(m.H2.reshape(nx, ny, nx, ny).transpose(1, 0, 3, 2), w.T)
+    rep.add("positivity of H1", max(0.0, -lam1), 1e-10, seed)
+    rep.add("positivity of H2", max(0.0, -lam2), 1e-10, seed)
 
-    # the f-independent products are formed once per pair, evaluated on all
-    # trial functions (the columns of F) at once, and dropped after use
-    pairs = ((m.G1, m.G2), (m.H1, m.G2), (m.G1, m.H2), (m.H1, m.H2))  # P, P1, P2, P12
     F = np.column_stack(random_centered_functions(mu, trials, seed))
     osc_F = np.ptp(F, axis=0)
     worst = {key: 0.0 for key in (
@@ -373,33 +392,32 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
     def bump(key, vals):
         worst[key] = max(worst[key], float(np.max(vals)))
 
-    for T1, T2 in pairs:
-        T = T1 @ T2
-        Ts = T2 @ T1  # components are self-adjoint
-        TF = T @ F
-        lhs = E(Ts @ T, F)
-        rhs = E(T2 @ T2, F) + E(T1 @ T1, T2 @ F)
+    # T = T1 T2 for P, P1, P2 and P12; the components are self-adjoint, so
+    # T* = T2 T1
+    for T1, T2 in ((k["G1"], k["G2"]), (k["H1"], k["G2"]), (k["G1"], k["H2"]), (k["H1"], k["H2"])):
+        T2F = T2.matrix @ F
+        TF = T1.matrix @ T2F
+        lhs = dirichlet_form((T2, T1, T1, T2), F)
+        rhs = dirichlet_form((T2, T2), F) + dirichlet_form((T1, T1), T2F)
         bump("decomposition", np.abs(lhs - rhs))
-        bump("doubling", lhs - 2.0 * E(T, F))
-        bump("adjoint-comparison", E(T @ Ts, TF) - lhs)
+        bump("doubling", lhs - 2.0 * dirichlet_form((T1, T2), F))
+        bump("adjoint-comparison", dirichlet_form((T1, T2, T2, T1), TF) - lhs)
         bump("oscillation contraction", np.ptp(TF, axis=0) - osc_F)
     for name in ("G1", "G2", "H1", "H2"):
-        k = m.kernel(name)
         bump("positive-part",
-             dirichlet_form(k, F) - E(k.matrix @ k.matrix, F))
+             dirichlet_form(k[name], F) - dirichlet_form((k[name], k[name]), F))
     # cylinder functions: marginal Dirichlet form equality and the lift
-    g = F[::m.ny]  # f(x, 0)
+    g = F[::ny]  # f(x, 0)
     g = g - m.marg_x @ g
     kPX = m.kernel("P_X")
-    lhs = E(adjoint(kP).matrix @ kP.matrix, np.repeat(g, m.ny, axis=0))
-    rhs = dirichlet_form(
-        FiniteKernel(adjoint(kPX).matrix @ kPX.matrix, m.marg_x), g)
+    lhs = dirichlet_form((kP_star, kP), np.repeat(g, ny, axis=0))
+    rhs = dirichlet_form((adjoint(kPX), kPX), g)
     bump("marginal equality", np.abs(lhs - rhs))
     # P f is constant on x-fibers; its x-function advances by P_X
     pf = kP.matrix @ F
-    fiber = pf.reshape(m.nx, m.ny, -1)
+    fiber = pf.reshape(nx, ny, -1)
     bump("marginal lift", np.abs(fiber - fiber[:, :1]))
-    bump("marginal lift", np.abs(np.repeat(m.P_X @ fiber[:, 0], m.ny, axis=0)
+    bump("marginal lift", np.abs(np.repeat(m.P_X @ fiber[:, 0], ny, axis=0)
                                  - kP.matrix @ pf))
     for key, val in worst.items():
         rep.add(key, val, tol if key != "marginal lift" else 1e-12, seed)
@@ -426,7 +444,7 @@ def verify_bound_domination(
     g0, g1, g2 = m.component_gaps()
     k = compose_mwg(Linear(g0), Linear(g1), Linear(g2), mode=mode)
     rb = RateBound(k)
-    bounds = np.array([rb.rate_bound(n) for n in range(n_max + 1)])
+    bounds = rb.curve(range(n_max + 1))
 
     rep = Report()
     F = np.array(f_set, dtype=float).reshape(len(f_set), m.mu.size).T

@@ -81,6 +81,13 @@ def test_fixed_betas_need_a_step():
             profile(10.0)
 
 
+@pytest.mark.parametrize("value", [True, "2.0", None])
+def test_params_take_numbers_not_bools_or_strings(value):
+    with pytest.raises(InvalidSpecError, match="beta_hyper must be a number"):
+        NIGParams(beta_hyper=value)
+    assert NIGParams(beta_hyper=np.float32(2.0), gamma_dg=3).gamma_dg == 3.0
+
+
 def test_nig_rate_exponent_regimes():
     fast = NIGParams(beta_hyper=2.0, sigma0=1.0)
     assert nig_rate_exponent(fast) == pytest.approx(1.0 / 14.0)

@@ -250,6 +250,10 @@ INVALID = {
     "nig-gamma-inf": ["bound", "--case", "nig", "--gamma", "inf"],
     "nig-sigma0-nan": ["sample", "--case", "nig", "--mode", "fixed", "--sigma0", "nan"],
     "shorthand-inf": ["bound", "--beta", "indicator:inf"],
+    "shorthand-not-a-number": ["bound", "--beta", "indicator:abc"],
+    # a config number is a JSON number: never a boolean or a numeric string
+    "config-bool-number": ["bound", "--case", "nig", "--config", "{nig_bool}"],
+    "config-string-number": ["bound", "--case", "nig", "--config", "{nig_string}"],
     "bayes-a-inf": ["sample", "--case", "bayes", "--config", "{bayes_a_inf}"],
     "bayes-y-nan": ["bound", "--case", "bayes", "--config", "{bayes_y_nan}"],
     "ou-mu0-inf": ["sample", "--case", "ou", "--config", "{ou_mu0_inf}"],
@@ -312,6 +316,8 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
     files = {
         "nig_fixed": '{"case": "nig", "beta_hyper": 1.0, "sigma0": 0.8}',
         "nig_null": '{"case": "nig", "beta_hyper": null}',
+        "nig_bool": '{"case": "nig", "beta_hyper": true}',
+        "nig_string": '{"case": "nig", "beta_hyper": "2.0"}',
         "nig_misnamed_step": '{"case": "nig", "beta_hyper": 1, "sigma_xi": 0.5}',
         "not_object": "[1, 2]",
         "nig_scaled": '{"case": "nig", "beta_hyper": 2.0}',

@@ -140,6 +140,11 @@ def test_int_valued_spec_reads_back_as_floats():
      "composite.offset must be an integer, got 1.7"),
     ({"kind": "composite", "outer": {"kind": "linear", "slope": 1.0}, "offset": True},
      "composite.offset must be an integer, got True"),
+    # a float field takes only a JSON number: never a boolean or a numeric string
+    ({"family": "indicator", "gamma": True}, "indicator.gamma must be a float, got True"),
+    ({"family": "indicator", "gamma": "0.5"}, "indicator.gamma must be a float, got '0.5'"),
+    ({"family": "table", "knots": [[1.0, False]]}, "table.knots must be a float, got False"),
+    ({"kind": "linear", "slope": "1"}, "linear.slope must be a float, got '1'"),
 ])
 def test_spec_errors_name_the_keys(d, message):
     from_dict = beta_from_dict if "family" in d or "gamma" in d else kstar_from_dict

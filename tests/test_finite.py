@@ -3,7 +3,9 @@ import pytest
 
 from wpgibbs.errors import DomainError, InvalidModeError
 from wpgibbs.finite import (
+    FiniteJointModel,
     FiniteKernel,
+    Report,
     adjoint,
     dirichlet_form,
     l2_decay_exact,
@@ -11,7 +13,6 @@ from wpgibbs.finite import (
     random_centered_functions,
     random_joint_model,
     spectral_gap,
-    tensor_product_kernel,
     verify_bound_domination,
     verify_identities,
 )
@@ -130,7 +131,7 @@ def test_tensor_product_gap():
     pb = np.random.default_rng(2).dirichlet(np.ones(5))
     a = FiniteKernel(matrix=lazy_rwm_kernel(pa), mu=pa)
     b = FiniteKernel(matrix=lazy_rwm_kernel(pb), mu=pb)
-    prod = tensor_product_kernel(a, b)
+    prod = FiniteKernel(np.kron(a.matrix, b.matrix), np.kron(a.mu, b.mu))  # H1 (x) H2
     ga, gb, gp = spectral_gap(a), spectral_gap(b), spectral_gap(prod)
     assert gp == pytest.approx(min(ga, gb), abs=1e-10)
 
@@ -207,3 +208,158 @@ def test_corrupted_kernel_fails_cross_check():
         dirichlet_form(k, F)
     with pytest.raises(DomainError, match="dimension"):
         dirichlet_form(k, F[:, :, None])
+
+
+# -- the dense-product identity checks, kept as the reference for the
+# -- factor-chain forms and the blockwise positivity check
+
+
+def _dense_psd_min_eig(T, mu):
+    root = np.sqrt(mu)
+    S = root[:, None] * T / root[None, :]
+    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+
+
+def _dense_identities(m, trials=20, tol=1e-10, seed=0):
+    rep = Report()
+    mu = m.mu
+    kP = m.kernel("P")
+
+    def E(T, f):
+        return dirichlet_form(FiniteKernel(T, mu), f)
+
+    rep.add("G1 idempotent", np.max(np.abs(m.G1 @ m.G1 - m.G1)), 1e-12, seed)
+    rep.add("G2 idempotent", np.max(np.abs(m.G2 @ m.G2 - m.G2)), 1e-12, seed)
+    rep.add("P adjoint is G2 G1", np.max(np.abs(adjoint(kP).matrix - m.G2 @ m.G1)),
+            1e-12, seed)
+    rep.add("adjoint involution",
+            np.max(np.abs(adjoint(adjoint(kP)).matrix - kP.matrix)), 1e-12, seed)
+    for name in ("G1", "G2", "H1", "H2", "P", "P1", "P2", "P12"):
+        T = m.kernel(name).matrix
+        rep.add(f"stationarity of {name}", np.max(np.abs(mu @ T - mu)), tol, seed)
+    for name in ("H1", "H2"):
+        lam = _dense_psd_min_eig(m.kernel(name).matrix, mu)
+        rep.add(f"positivity of {name}", max(0.0, -lam), 1e-10, seed)
+
+    pairs = ((m.G1, m.G2), (m.H1, m.G2), (m.G1, m.H2), (m.H1, m.H2))
+    F = np.column_stack(random_centered_functions(mu, trials, seed))
+    osc_F = np.ptp(F, axis=0)
+    worst = {key: 0.0 for key in (
+        "decomposition", "doubling", "positive-part", "adjoint-comparison",
+        "marginal equality", "marginal lift", "oscillation contraction")}
+
+    def bump(key, vals):
+        worst[key] = max(worst[key], float(np.max(vals)))
+
+    for T1, T2 in pairs:
+        T = T1 @ T2
+        Ts = T2 @ T1
+        TF = T @ F
+        lhs = E(Ts @ T, F)
+        rhs = E(T2 @ T2, F) + E(T1 @ T1, T2 @ F)
+        bump("decomposition", np.abs(lhs - rhs))
+        bump("doubling", lhs - 2.0 * E(T, F))
+        bump("adjoint-comparison", E(T @ Ts, TF) - lhs)
+        bump("oscillation contraction", np.ptp(TF, axis=0) - osc_F)
+    for name in ("G1", "G2", "H1", "H2"):
+        k = m.kernel(name)
+        bump("positive-part", dirichlet_form(k, F) - E(k.matrix @ k.matrix, F))
+    g = F[::m.ny]
+    g = g - m.marg_x @ g
+    kPX = m.kernel("P_X")
+    lhs = E(adjoint(kP).matrix @ kP.matrix, np.repeat(g, m.ny, axis=0))
+    rhs = dirichlet_form(FiniteKernel(adjoint(kPX).matrix @ kPX.matrix, m.marg_x), g)
+    bump("marginal equality", np.abs(lhs - rhs))
+    pf = kP.matrix @ F
+    fiber = pf.reshape(m.nx, m.ny, -1)
+    bump("marginal lift", np.abs(fiber - fiber[:, :1]))
+    bump("marginal lift", np.abs(np.repeat(m.P_X @ fiber[:, 0], m.ny, axis=0)
+                                 - kP.matrix @ pf))
+    for key, val in worst.items():
+        rep.add(key, val, tol if key != "marginal lift" else 1e-12, seed)
+    return rep
+
+
+def _assert_same_report(report, ref):
+    assert [(c.name, c.tol, c.seed) for c in report.checks] == [
+        (c.name, c.tol, c.seed) for c in ref.checks]
+    for c, r in zip(report.checks, ref.checks):
+        assert c.worst_residual == pytest.approx(r.worst_residual, rel=0, abs=1e-13), c.name
+        assert c.passed == r.passed, c.name
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 3), (3, 5), (5, 3), (16, 16)])
+@pytest.mark.parametrize("exact", [False, True])
+def test_identities_match_dense_reference(nx, ny, exact):
+    m = random_joint_model(seed=nx * 7 + ny, nx=nx, ny=ny, exact=exact)
+    _assert_same_report(verify_identities(m, seed=nx), _dense_identities(m, seed=nx))
+
+
+def _chain_case():
+    m = random_joint_model(seed=4, nx=3, ny=5)
+    F = np.column_stack(random_centered_functions(m.mu, count=4, seed=9))
+    names = ("P", "H1", "G2", "H2", "P1")  # P and P1 are not self-adjoint
+    return m, tuple(m.kernel(n) for n in names), F
+
+
+def test_product_forms_match_the_formed_product():
+    m, chain, F = _chain_case()
+    for end in range(1, len(chain) + 1):
+        T = chain[0].matrix
+        for t in chain[1:end]:
+            T = T @ t.matrix
+        whole = FiniteKernel(T, m.mu)
+        assert dirichlet_form(chain[:end], F[:, 0]) == pytest.approx(
+            dirichlet_form(whole, F[:, 0]), rel=1e-12, abs=1e-15)
+        assert np.allclose(dirichlet_form(chain[:end], F), dirichlet_form(whole, F),
+                           rtol=1e-12, atol=1e-15)
+    assert isinstance(dirichlet_form(chain, F[:, 0]), float)
+
+
+def test_corrupted_factor_fails_cross_check():
+    m, chain, F = _chain_case()
+    chain[1].matrix[0, 0] += 0.1  # a factor no longer stochastic nor stationary
+    with pytest.raises(DomainError, match="cross-check"):
+        dirichlet_form(chain, F)
+    with pytest.raises(DomainError, match="cross-check"):
+        dirichlet_form(chain, F[:, 0])
+
+
+def test_product_factors_need_one_mu():
+    m, chain, F = _chain_case()
+    other = random_joint_model(seed=5, nx=3, ny=5).kernel("G1")
+    with pytest.raises(DomainError, match="one stationary vector"):
+        dirichlet_form(chain + (other,), F)
+
+
+def _failing(report):
+    return [c.name for c in report.checks if not c.passed]
+
+
+@pytest.mark.parametrize("block", ["H1", "H2"])
+def test_non_psd_slices_fail_positivity(block):
+    # 2 L - I of a lazy kernel L is the plain Metropolis kernel: stochastic
+    # and reversible, but not positive semidefinite
+    base = random_joint_model(seed=3, nx=3, ny=4)
+    if block == "H1":
+        slices = {"h1_slices": [2.0 * lazy_rwm_kernel(c) - np.eye(4) for c in base.cond_y_given_x]}
+    else:
+        slices = {"h2_slices": [2.0 * lazy_rwm_kernel(c) - np.eye(3) for c in base.cond_x_given_y]}
+    m = FiniteJointModel(base.joint, **slices)
+    report = verify_identities(m, seed=3)
+    assert _failing(report) == [f"positivity of {block}", "positive-part"]
+    assert _failing(report) == _failing(_dense_identities(m, seed=3))
+
+
+def test_mass_off_the_slice_blocks_fails_positivity():
+    m = random_joint_model(seed=6, nx=3, ny=4)
+    mu, ny = m.mu, m.ny
+    i, j = 0, ny  # states (0, 0) and (1, 0): different x blocks of H1
+    flow = 0.01 * min(mu[i] * m.H1[i, i], mu[j] * m.H1[j, j])
+    for a, b in ((i, j), (j, i)):  # a mu-reversible swap: still stochastic and stationary
+        m.H1[a, a] -= flow / mu[a]
+        m.H1[a, b] += flow / mu[a]
+    report = verify_identities(m, trials=5, seed=6)
+    assert _failing(report) == ["positivity of H1"]
+    assert report.checks[[c.name for c in report.checks].index("positivity of H1")
+                         ].worst_residual == np.inf
