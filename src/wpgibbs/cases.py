@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kstar, samplers
-from .beta import DEFAULT_CAP, BetaSpec, ExpLogSquare, Indicator
+from .beta import DEFAULT_CAP, BetaSpec, ExpLogSquare
 from .errors import DomainError, InvalidModeError, InvalidSpecError, ValidityRangeError
 from .kstar import Linear
 from .special import gammainc_lower, gammainc_upper, lambert_w
@@ -46,21 +46,25 @@ GAMMA_TAU_SCALED = C_RWM / (2.0 * math.e)
 OU_DELTA = 1.5
 
 
+def _number(name: str, value, kind=float):
+    """``value`` as a finite ``kind``: a number, as JSON gives one; never a
+    boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpecError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise InvalidSpecError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x) or (kind is int and not x.is_integer()):
+        what = "whole number" if kind is int else "number"
+        raise InvalidSpecError(f"{name} must be a finite {what}, got {value!r}")
+    return kind(x)
+
+
 def _numbers(obj, kind, *names) -> None:
     """Store each named field of a frozen params object as a finite ``kind``."""
     for name in names:
-        value = getattr(obj, name)
-        # a number, as JSON gives one; never a boolean or a string
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidSpecError(f"{name} must be a number, got {value!r}")
-        try:
-            x = float(value)
-        except OverflowError:
-            raise InvalidSpecError(f"{name} must be a number, got {value!r}") from None
-        if not math.isfinite(x) or (kind is int and not x.is_integer()):
-            what = "whole number" if kind is int else "number"
-            raise InvalidSpecError(f"{name} must be a finite {what}, got {value!r}")
-        object.__setattr__(obj, name, kind(x))
+        object.__setattr__(obj, name, _number(name, getattr(obj, name), kind))
 
 
 def _frozen(a) -> np.ndarray:
@@ -68,6 +72,13 @@ def _frozen(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _number_array(name: str, value) -> np.ndarray:
+    """``_frozen`` of an array field whose every entry passes ``_number``, which
+    np.asarray alone does not check: it reads True or "0.5" as a float."""
+    cells = np.array(value, dtype=object)
+    return _frozen([_number(f"{name} entry", v) for v in cells.flat]).reshape(cells.shape)
 
 
 def _positive(obj, *names) -> None:
@@ -197,10 +208,8 @@ class BayesParams:
     gamma_dg: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "X", _frozen(self.X))
-        object.__setattr__(self, "Y", _frozen(self.Y))
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
-            raise DomainError("every entry of X and Y must be finite")
+        object.__setattr__(self, "X", _number_array("X", self.X))
+        object.__setattr__(self, "Y", _number_array("Y", self.Y))
         _numbers(self, float, "a")
         _positive(self, "b", "sigma0", "gamma_dg")
         if not self.a > 1.0:
@@ -259,11 +268,6 @@ def bayes_rate_exponent(p: BayesParams) -> float:
     return min(p.a_prime, p.b_prime / p.C2)
 
 
-def bayes_crossover_sigma0_sq(p: BayesParams) -> float:
-    """Step-size-squared threshold below which the a' exponent dominates."""
-    return p.b_prime / (2.0 * p.a_prime * p.eig_max * p.p)
-
-
 @dataclass(frozen=True)
 class BayesBeta2(BetaSpec):
     """Profile of the coefficient update integrated over the precision
@@ -313,10 +317,11 @@ class OUParams:
     envelope_K: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "obs", tuple(float(y) for y in self.obs))
-        if not all(map(math.isfinite, self.times + self.obs)):
-            raise DomainError("every observation time and value must be finite")
+        for name in ("times", "obs"):
+            values = _number_array(name, getattr(self, name))
+            if values.ndim != 1:
+                raise InvalidSpecError(f"{name} must be a list of numbers")
+            object.__setattr__(self, name, tuple(values.tolist()))
         _numbers(self, float, "mu0")
         _numbers(self, int, "M")
         _positive(self, "tau0", "gamma_dg", "envelope_K")
@@ -352,20 +357,6 @@ class OUParams:
     def eta(self) -> float:
         y = self.y
         return float(np.max(self.dts - y[1:] ** 2 + y[:-1] ** 2))
-
-
-def diffusion_beta2_indicator(theta: float, p: OUParams) -> Indicator:
-    """Indicator profile of the bridge refresh at a fixed drift parameter.
-
-    Each segment's independence-Metropolis kernel has slice profile
-    1{s <= Gtilde_i} with Gtilde_i = exp{A(Y_i) - A(Y_{i-1}) - M(theta) dt_i / 2};
-    the product over segments keeps the worst one.  For the mean-reverting
-    drift b(x) = -theta x, A(u) = -theta u^2/2 and the lower bound
-    M(theta) = -theta give Gtilde_i = exp{theta (dt_i - Y_i^2 + Y_{i-1}^2) / 2}.
-    """
-    A = -theta * p.y * p.y / 2.0
-    g = np.exp(A[1:] - A[:-1] + 0.5 * theta * p.dts)
-    return Indicator(gamma=1.0 / float(np.max(g)))
 
 
 def ou_exp_log_square_envelope(p: OUParams) -> ExpLogSquare:

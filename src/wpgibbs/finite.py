@@ -124,23 +124,13 @@ def l2_decay_exact(k: FiniteKernel, f: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def spectral_gap(k: FiniteKernel, tt_star: bool = False) -> float:
-    """1 minus the second-largest eigenvalue in the mu-weighted geometry.
-
-    Reversible kernels are symmetrized by mu^{1/2} conjugation; a
-    non-reversible kernel is only accepted with ``tt_star=True``, which
-    returns the right gap of T*T.
-    """
+def spectral_gap(k: FiniteKernel) -> float:
+    """1 minus the second-largest eigenvalue of a reversible kernel, which
+    mu^{1/2} conjugation symmetrizes; a non-reversible kernel is refused."""
     if np.any(k.mu <= 0.0):
         raise DomainError("spectral_gap needs strictly positive mass")
     if not k.is_reversible():
-        if not tt_star:
-            raise InvalidModeError(
-                "kernel is not reversible; request the T*T gap explicitly"
-            )
-        ts = adjoint(k)
-        prod = FiniteKernel(ts.matrix @ k.matrix, k.mu)
-        return spectral_gap(prod)
+        raise InvalidModeError("spectral_gap needs a reversible kernel")
     root = np.sqrt(k.mu)
     S = root[:, None] * k.matrix / root[None, :]
     vals = np.linalg.eigvalsh(0.5 * (S + S.T))
@@ -174,8 +164,8 @@ class FiniteJointModel:
 
     Attributes G1/G2 are the exact conditional refreshes of y|x and x|y;
     H1/H2 their per-slice Markov substitutes; P = G1 G2 the exact scan,
-    P1 = H1 G2, P2 = G1 H2, P12 = H1 H2 the three Metropolis-within-Gibbs
-    variants; P_X and P_X_bar the x-marginal chains of P and P2.
+    P12 = H1 H2 the Metropolis-within-Gibbs scan; P_X the x-marginal chain
+    of P.  Both sizes must be at least 2.
     """
 
     def __init__(
@@ -185,8 +175,8 @@ class FiniteJointModel:
         h2_slices: Optional[Sequence[np.ndarray]] = None,
     ):
         Pi = np.asarray(joint, dtype=float)
-        if Pi.ndim != 2 or np.any(Pi <= 0.0):
-            raise InvalidSpecError("joint pmf must be a positive matrix")
+        if Pi.ndim != 2 or min(Pi.shape) < 2 or np.any(Pi <= 0.0):
+            raise InvalidSpecError("joint pmf must be a positive matrix of at least 2x2")
         if Pi.size > MAX_JOINT_STATES:
             raise InvalidSpecError("joint state space too large for dense algebra")
         Pi = Pi / Pi.sum()
@@ -217,30 +207,25 @@ class FiniteJointModel:
         H2.reshape(nx, ny, nx, ny)[:, ay, :, ay] = h2
         self.G1, self.G2, self.H1, self.H2 = G1, G2, H1, H2
         self.P = G1 @ G2
-        self.P1 = H1 @ G2
-        self.P2 = G1 @ H2
         self.P12 = H1 @ H2
-
-        # x-marginal chains: refresh y from the slice, then move x
-        A = self.cond_y_given_x  # [x, y]
-        B = self.cond_x_given_y  # [y, x']
-        self.P_X = A @ B
-        self.P_X_bar = np.einsum("xy,yxz->xz", A, h2)
+        # x-marginal chain: draw y given x, then x' given y
+        self.P_X = self.cond_y_given_x @ self.cond_x_given_y
 
     def kernel(self, name: str) -> FiniteKernel:
-        mats = {
-            "G1": self.G1, "G2": self.G2, "H1": self.H1, "H2": self.H2,
-            "P": self.P, "P1": self.P1, "P2": self.P2, "P12": self.P12,
-        }
         if name == "P_X":
             return FiniteKernel(self.P_X, self.marg_x)
-        if name == "P_X_bar":
-            return FiniteKernel(self.P_X_bar, self.marg_x)
+        mats = {"G1": self.G1, "G2": self.G2, "H1": self.H1, "H2": self.H2,
+                "P": self.P, "P12": self.P12}
         return FiniteKernel(mats[name], self.mu)
 
     def component_gaps(self):
-        """(gamma0, gamma1, gamma2): right gap of P*P and worst slice gaps."""
-        g0 = spectral_gap(self.kernel("P"), tt_star=True)
+        """(gamma0, gamma1, gamma2): right gap of P*P and worst slice gaps.
+
+        G1 is idempotent, so P*P = G2 G1 G2: the y-marginal chain on
+        functions of y and 0 on their complement.  The x- and y-marginal
+        chains share their nonzero spectrum, so gamma0 is the gap of P_X.
+        """
+        g0 = spectral_gap(self.kernel("P_X"))
         g1 = min(
             spectral_gap(FiniteKernel(h, self.cond_y_given_x[x]))
             for x, h in enumerate(self.h1_slices)
@@ -252,24 +237,12 @@ class FiniteJointModel:
         return g0, g1, g2
 
 
-def random_joint_model(
-    seed: int, nx: int = 4, ny: int = 4, exact: bool = False
-) -> FiniteJointModel:
-    """Random two-block model: Dirichlet(1) joint pmf floored at 1e-6.
-
-    ``exact=True`` uses the exact conditional refreshes as H1/H2 (the
-    degenerate case where every comparison collapses to equality).
-    """
+def random_joint_model(seed: int, nx: int = 4, ny: int = 4) -> FiniteJointModel:
+    """Random two-block model: Dirichlet(1) joint pmf floored at 1e-6."""
     rng = np.random.default_rng(seed)
     Pi = rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)
     Pi = np.maximum(Pi, PMF_FLOOR)
-    Pi = Pi / Pi.sum()
-    m = FiniteJointModel(Pi)
-    if exact:
-        h1 = [m.cond_y_given_x[x][None, :].repeat(ny, axis=0) for x in range(nx)]
-        h2 = [m.cond_x_given_y[y][None, :].repeat(nx, axis=0) for y in range(ny)]
-        return FiniteJointModel(Pi, h1_slices=h1, h2_slices=h2)
-    return m
+    return FiniteJointModel(Pi / Pi.sum())
 
 
 def random_centered_functions(
@@ -359,7 +332,7 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
         raise DomainError("trials must be >= 1")
     rep = Report()
     mu = m.mu
-    k = {name: m.kernel(name) for name in ("G1", "G2", "H1", "H2", "P", "P1", "P2", "P12")}
+    k = {name: m.kernel(name) for name in ("G1", "G2", "H1", "H2", "P", "P12")}
     kP = k["P"]
     kP_star = adjoint(kP)
 
@@ -373,8 +346,13 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
         1e-12,
         seed,
     )
-    for name, kn in k.items():
-        rep.add(f"stationarity of {name}", np.max(np.abs(mu @ kn.matrix - mu)), tol, seed)
+    # P1 = H1 G2 and P2 = G1 H2 are not formed: mu is pushed through their factors
+    chains = {"P1": ("H1", "G2"), "P2": ("G1", "H2")}
+    for name in ("G1", "G2", "H1", "H2", "P", "P1", "P2", "P12"):
+        mu_T = mu
+        for factor in chains.get(name, (name,)):
+            mu_T = mu_T @ k[factor].matrix
+        rep.add(f"stationarity of {name}", np.max(np.abs(mu_T - mu)), tol, seed)
     # H1 is block diagonal in x, H2 in y once (x, y) is reordered to (y, x)
     nx, ny = m.nx, m.ny
     w = mu.reshape(nx, ny)

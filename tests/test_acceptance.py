@@ -25,7 +25,7 @@ from wpgibbs import (
     conjugate,
 )
 from wpgibbs.beta import BetaSpec
-from wpgibbs.cases import NIGParams, OUParams, diffusion_beta2_indicator
+from wpgibbs.cases import NIGParams, OUParams
 from wpgibbs.cli import main
 from wpgibbs.finite import (
     FiniteKernel,
@@ -403,7 +403,10 @@ def test_ou_acceptance_always_in_unit_interval():
 def test_ou_indicator_threshold_machine_precision():
     p = _ou_params()
     theta = 1.3
-    spec = diffusion_beta2_indicator(theta, p)
+    # the bridge refresh's threshold from the potential A(u) = -theta u^2 / 2
+    # and the drift bound M(theta) = -theta of b(x) = -theta x
+    A = -theta * p.y * p.y / 2.0
+    spec = Indicator(gamma=1.0 / float(np.max(np.exp(A[1:] - A[:-1] + 0.5 * theta * p.dts))))
     obs = np.asarray(p.obs)
     dts = np.diff(np.asarray(p.times))
     g_tilde = np.exp(0.5 * theta * (dts - obs[1:] ** 2 + obs[:-1] ** 2))

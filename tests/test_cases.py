@@ -18,16 +18,14 @@ from wpgibbs.cases import (
     NIGParams,
     OUBeta2,
     OUParams,
-    bayes_crossover_sigma0_sq,
     bayes_rate_exponent,
-    diffusion_beta2_indicator,
     nig_envelope_exponents,
     nig_rate_exponent,
     nig_scaled_kstar,
     ou_exp_log_square_envelope,
     ou_rate_coefficient,
 )
-from wpgibbs.beta import DEFAULT_CAP
+from wpgibbs.beta import DEFAULT_CAP, Indicator
 from wpgibbs.errors import DomainError, InvalidSpecError
 from wpgibbs.rates import RateBound
 from wpgibbs.special import gammainc_lower, gammainc_upper, lambert_w
@@ -86,6 +84,27 @@ def test_params_take_numbers_not_bools_or_strings(value):
     with pytest.raises(InvalidSpecError, match="beta_hyper must be a number"):
         NIGParams(beta_hyper=value)
     assert NIGParams(beta_hyper=np.float32(2.0), gamma_dg=3).gamma_dg == 3.0
+
+
+def test_list_fields_take_numbers_entry_by_entry():
+    ou = dict(mu0=0.5, tau0=1.0, times=[0.0, 0.5, 1.0], obs=[0.2, 0.1, 0.3], M=8)
+    X, Y = [[1, 0], [0, 1], [1, 1], [2, 1]], [1, 0, 2, 1]
+    # np.asarray reads each of these entries as a float
+    for field, bad in (("times", [0.0, True, 2.0]), ("obs", ["0.5", 0.1, 0.3]),
+                       ("obs", [0.2, None, 0.3]), ("times", np.array([0, 1, 2], dtype=bool))):
+        with pytest.raises(InvalidSpecError, match=f"{field} entry must be a number"):
+            OUParams(**{**ou, field: bad})
+    for field, bad in (("X", [["1", 0.2]] + X[1:]), ("X", [[True, 0]] + X[1:]),
+                       ("X", [[1, 0], [0]] + X[2:]), ("Y", [1, 0, "2", 1])):
+        with pytest.raises(InvalidSpecError, match=f"{field} entry must be a number"):
+            BayesParams(a=2.0, b=1.0, sigma0=0.1, **{"X": X, "Y": Y, field: bad})
+    for bad in (0.5, [[0.0, 1.0], [2.0, 3.0]]):
+        with pytest.raises(InvalidSpecError, match="times must be a list of numbers"):
+            OUParams(**{**ou, "times": bad})
+    p = OUParams(**{**ou, "times": np.array([0, 1, 2]), "obs": (np.float32(0.5), 1, 2.0)})
+    assert p.times == (0.0, 1.0, 2.0) and all(type(t) is float for t in p.times + p.obs)
+    b = BayesParams(a=2.0, b=1.0, sigma0=0.1, X=np.array(X), Y=Y)
+    assert b.X.dtype == float and np.array_equal(b.X, np.array(X, dtype=float))
 
 
 def test_nig_rate_exponent_regimes():
@@ -161,6 +180,11 @@ def test_bayes_beta2_tail_envelope():
     assert ratio <= (s_hi / s_lo) ** (-0.9 * rho)
 
 
+def bayes_crossover_sigma0_sq(p: BayesParams) -> float:
+    """Step-size-squared threshold below which the a' exponent dominates."""
+    return p.b_prime / (2.0 * p.a_prime * p.eig_max * p.p)
+
+
 def test_bayes_rate_exponent_and_crossover():
     p = _bayes_params(sigma0=0.05)
     assert bayes_rate_exponent(p) == pytest.approx(min(p.a_prime, p.b_prime / p.C2))
@@ -216,6 +240,20 @@ def test_ou_envelope_dominates_exact_curve():
     # squared-log coefficient matches the advertised rate constant
     assert env.a ** 2 == pytest.approx(ou_rate_coefficient(p))
     assert ou_rate_coefficient(p) == pytest.approx(2.0 / (p.eta ** 2 * p.tau0 ** 2))
+
+
+def diffusion_beta2_indicator(theta: float, p: OUParams) -> Indicator:
+    """Indicator profile of the bridge refresh at a fixed drift parameter.
+
+    Each segment's independence-Metropolis kernel has slice profile
+    1{s <= Gtilde_i} with Gtilde_i = exp{A(Y_i) - A(Y_{i-1}) - M(theta) dt_i / 2};
+    the product over segments keeps the worst one.  For the mean-reverting
+    drift b(x) = -theta x, A(u) = -theta u^2/2 and the lower bound
+    M(theta) = -theta give Gtilde_i = exp{theta (dt_i - Y_i^2 + Y_{i-1}^2) / 2}.
+    """
+    A = -theta * p.y * p.y / 2.0
+    g = np.exp(A[1:] - A[:-1] + 0.5 * theta * p.dts)
+    return Indicator(gamma=1.0 / float(np.max(g)))
 
 
 def test_diffusion_indicator_threshold():

@@ -260,6 +260,11 @@ INVALID = {
     "ou-fractional-M": ["sample", "--case", "ou", "--config", "{ou_fractional_M}"],
     "ou-M-beyond-float": ["sample", "--case", "ou", "--config", "{ou_huge_M}"],
     "ou-times-inf": ["sample", "--case", "ou", "--config", "{ou_times_inf}"],
+    # every entry of a list field is a JSON number too
+    "ou-times-bool": ["sample", "--case", "ou", "--config", "{ou_times_bool}"],
+    "ou-obs-string": ["bound", "--case", "ou", "--config", "{ou_obs_string}"],
+    "bayes-x-mixed": ["sample", "--case", "bayes", "--config", "{bayes_x_mixed}"],
+    "bayes-y-string": ["bound", "--case", "bayes", "--config", "{bayes_y_string}"],
     "beta-hyper-bayes": ["bound", "--case", "bayes", "--config", "{bayes}",
                          "--beta-hyper", "2"],
     "sigma0-bayes": ["sample", "--case", "bayes", "--config", "{bayes}", "--sigma0", "0.5"],
@@ -331,6 +336,11 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
         "ou_fractional_M": json.dumps({**CASE_CONFIGS["ou"], "M": 8.7}),
         "ou_huge_M": json.dumps({**CASE_CONFIGS["ou"], "M": 10 ** 400}),
         "ou_times_inf": json.dumps({**CASE_CONFIGS["ou"], "times": [0.0, 0.5, 1.0, math.inf]}),
+        "ou_times_bool": json.dumps({**CASE_CONFIGS["ou"], "times": [0.0, True, 2.0, 3.0]}),
+        "ou_obs_string": json.dumps({**CASE_CONFIGS["ou"], "obs": ["0.5", 0.1, 0.3, -0.1]}),
+        "bayes_x_mixed": json.dumps({**CASE_CONFIGS["bayes"],
+                                     "X": [["1", 0], [True, 1], [1, 1], [2, 1]]}),
+        "bayes_y_string": json.dumps({**CASE_CONFIGS["bayes"], "Y": [1, "0", 2, 1]}),
     }
     paths = {}
     for key, text in files.items():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wpgibbs.errors import DomainError, InvalidModeError
+from wpgibbs.errors import DomainError, InvalidModeError, InvalidSpecError
 from wpgibbs.finite import (
     FiniteJointModel,
     FiniteKernel,
@@ -63,10 +63,8 @@ def test_adjoint_rules():
 def test_spectral_gap_requires_reversibility():
     M = np.array([[0.1, 0.6, 0.3], [0.3, 0.1, 0.6], [0.6, 0.3, 0.1]])
     k = FiniteKernel(matrix=M, mu=np.full(3, 1.0 / 3.0))
-    with pytest.raises(InvalidModeError):
+    with pytest.raises(InvalidModeError, match="reversible"):
         spectral_gap(k)
-    g = spectral_gap(k, tt_star=True)
-    assert 0.0 <= g <= 1.0 + 1e-12
 
 
 def test_kernel_validation():
@@ -106,8 +104,39 @@ def test_random_joint_model_operators():
     assert 0.0 < g2 <= 1.0 + 1e-12
 
 
+def _model(seed, nx, ny, exact=False):
+    """A random model; ``exact`` uses the exact conditional refreshes as H1/H2
+    (the degenerate case where every comparison collapses to equality)."""
+    m = random_joint_model(seed, nx, ny)
+    if not exact:
+        return m
+    h1 = [m.cond_y_given_x[x][None, :].repeat(ny, axis=0) for x in range(nx)]
+    h2 = [m.cond_x_given_y[y][None, :].repeat(nx, axis=0) for y in range(ny)]
+    return FiniteJointModel(m.joint, h1_slices=h1, h2_slices=h2)
+
+
+def _dense_gap0(m):
+    """The right gap of P*P, from the formed n x n product."""
+    P = m.kernel("P")
+    return spectral_gap(FiniteKernel(adjoint(P).matrix @ P.matrix, m.mu))
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (5, 3), (4, 16), (16, 16)])
+@pytest.mark.parametrize("exact", [False, True])
+def test_exact_scan_gap_is_the_marginal_chain_gap(nx, ny, exact):
+    for seed in range(3):
+        m = _model(seed * 101 + nx * 17 + ny, nx, ny, exact)
+        assert m.component_gaps()[0] == pytest.approx(_dense_gap0(m), rel=0, abs=1e-13)
+
+
+def test_models_need_two_states_per_block():
+    for shape in ((1, 4), (4, 1), (1, 1), (6,)):
+        with pytest.raises(InvalidSpecError, match="at least 2x2"):
+            FiniteJointModel(np.full(shape, 0.25))
+
+
 def test_exact_slice_model_collapses():
-    m = random_joint_model(seed=5, nx=3, ny=4, exact=True)
+    m = _model(seed=5, nx=3, ny=4, exact=True)
     assert np.allclose(m.kernel("P12").matrix, m.kernel("P").matrix, atol=1e-13)
 
 
@@ -174,7 +203,7 @@ def _loop_operators(m, exact):
 @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 5), (5, 3), (16, 16)])
 @pytest.mark.parametrize("exact", [False, True])
 def test_model_build_matches_loop_reference(nx, ny, exact):
-    m = random_joint_model(seed=nx * 31 + ny, nx=nx, ny=ny, exact=exact)
+    m = _model(seed=nx * 31 + ny, nx=nx, ny=ny, exact=exact)
     for name, ref in _loop_operators(m, exact).items():
         assert np.array_equal(m.kernel(name).matrix, ref), name
 
@@ -234,8 +263,9 @@ def _dense_identities(m, trials=20, tol=1e-10, seed=0):
             1e-12, seed)
     rep.add("adjoint involution",
             np.max(np.abs(adjoint(adjoint(kP)).matrix - kP.matrix)), 1e-12, seed)
+    scans = {"P1": m.H1 @ m.G2, "P2": m.G1 @ m.H2}
     for name in ("G1", "G2", "H1", "H2", "P", "P1", "P2", "P12"):
-        T = m.kernel(name).matrix
+        T = scans[name] if name in scans else m.kernel(name).matrix
         rep.add(f"stationarity of {name}", np.max(np.abs(mu @ T - mu)), tol, seed)
     for name in ("H1", "H2"):
         lam = _dense_psd_min_eig(m.kernel(name).matrix, mu)
@@ -291,15 +321,16 @@ def _assert_same_report(report, ref):
 @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 5), (5, 3), (16, 16)])
 @pytest.mark.parametrize("exact", [False, True])
 def test_identities_match_dense_reference(nx, ny, exact):
-    m = random_joint_model(seed=nx * 7 + ny, nx=nx, ny=ny, exact=exact)
+    m = _model(seed=nx * 7 + ny, nx=nx, ny=ny, exact=exact)
     _assert_same_report(verify_identities(m, seed=nx), _dense_identities(m, seed=nx))
 
 
 def _chain_case():
     m = random_joint_model(seed=4, nx=3, ny=5)
     F = np.column_stack(random_centered_functions(m.mu, count=4, seed=9))
-    names = ("P", "H1", "G2", "H2", "P1")  # P and P1 are not self-adjoint
-    return m, tuple(m.kernel(n) for n in names), F
+    P1 = FiniteKernel(m.H1 @ m.G2, m.mu)
+    chain = tuple(m.kernel(n) for n in ("P", "H1", "G2", "H2")) + (P1,)
+    return m, chain, F  # P and P1 are not self-adjoint
 
 
 def test_product_forms_match_the_formed_product():
