@@ -127,6 +127,8 @@ def l2_decay_exact(k: FiniteKernel, f: np.ndarray, n_max: int) -> np.ndarray:
 def spectral_gap(k: FiniteKernel) -> float:
     """1 minus the second-largest eigenvalue of a reversible kernel, which
     mu^{1/2} conjugation symmetrizes; a non-reversible kernel is refused."""
+    if k.n < 2:
+        raise DomainError(f"spectral_gap needs at least 2 states, got {k.n}")
     if np.any(k.mu <= 0.0):
         raise DomainError("spectral_gap needs strictly positive mass")
     if not k.is_reversible():

@@ -43,6 +43,7 @@ def chain_rng(master_seed: int, chain_index: int) -> np.random.Generator:
 
 #: the nig chain's modes, which are also the ``--mode`` values of its case
 NIG_MODES = ("scaled", "fixed", "exact")
+_SQRT3 = math.sqrt(3.0)
 
 
 def nig_stationary_start(p: NIGParams, rng: np.random.Generator, size: int):
@@ -63,28 +64,27 @@ def nig_step(tau: np.ndarray, xi: np.ndarray, p: NIGParams, mode: str, rng: np.r
         raise InvalidModeError(f"unknown mode {mode!r}; choose one of {', '.join(NIG_MODES)}")
     if mode == "fixed" and p.sigma0 is None:
         raise InvalidModeError("mode fixed needs a numeric step sigma0")
-    tau = np.atleast_1d(np.asarray(tau, dtype=float)).copy()
-    xi = np.atleast_1d(np.asarray(xi, dtype=float)).copy()
-    beta_xi = p.beta_hyper + 0.5 * xi ** 2
+    # numpy draws normal, uniform and exponential variates as loc + scale *
+    # (standard draw); with loc 0 the standard draws below give the same
+    # values bit for bit ("0.0 +" also keeps the sign of an exact zero)
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi_sq = xi ** 2
+    beta_xi = p.beta_hyper + 0.5 * xi_sq
 
     if mode == "exact":
-        tau = rng.exponential(1.0 / beta_xi)
-    else:
-        step = np.sqrt(3.0) / beta_xi if mode == "scaled" else p.sigma0
-        prop = tau + step * rng.normal(size=tau.shape)
-        log_alpha = np.where(prop > 0.0, -beta_xi * (prop - tau), -np.inf)
-        accept = np.log(rng.uniform(size=tau.shape)) < log_alpha
-        tau = np.where(accept, prop, tau)
+        tau = (1.0 / beta_xi) * rng.standard_exponential(beta_xi.shape)
+        return tau, 0.0 + (1.0 / np.sqrt(tau)) * rng.standard_normal(tau.shape)
 
-    if mode == "exact":
-        xi = rng.normal(0.0, 1.0 / np.sqrt(tau))
-    else:
-        step = 1.0 / np.sqrt(2.0 * tau) if mode == "scaled" else p.sigma0
-        prop = xi + step * rng.normal(size=xi.shape)
-        log_alpha = -0.5 * tau * (prop ** 2 - xi ** 2)
-        accept = np.log(rng.uniform(size=xi.shape)) < log_alpha
-        xi = np.where(accept, prop, xi)
+    step = _SQRT3 / beta_xi if mode == "scaled" else p.sigma0
+    prop = tau + step * rng.standard_normal(tau.shape)
+    log_alpha = np.where(prop > 0.0, beta_xi * (tau - prop), -np.inf)
+    tau = np.where(np.log(rng.random(tau.shape)) < log_alpha, prop, tau)
 
+    step = 1.0 / np.sqrt(2.0 * tau) if mode == "scaled" else p.sigma0
+    prop = xi + step * rng.standard_normal(xi.shape)
+    log_alpha = -0.5 * tau * (prop ** 2 - xi_sq)
+    xi = np.where(np.log(rng.random(xi.shape)) < log_alpha, prop, xi)
     return tau, xi
 
 
@@ -148,11 +148,8 @@ def ou_initial_state(p: OUParams, rng: np.random.Generator):
     """The state (theta, paths): a prior drift draw and a (segments x (M+1))
     array of Brownian bridges pinned to the observations."""
     theta = rng.normal(p.mu0, p.tau0)
-    paths = np.array([
-        brownian_bridge(p.obs[i], p.obs[i + 1], p.times[i + 1] - p.times[i], p.M, rng)
-        for i in range(len(p.times) - 1)
-    ])
-    return float(theta), paths
+    steps = np.array([rng.normal(0.0, math.sqrt(dt / p.M), size=p.M) for dt in p.dts])
+    return float(theta), _bridges(p.y[:-1], p.y[1:], steps)
 
 
 @functools.lru_cache(maxsize=16)
@@ -163,16 +160,27 @@ def _unit_grid(M: int) -> np.ndarray:
     return grid
 
 
+def _bridges(a, b, steps: np.ndarray) -> np.ndarray:
+    """Brownian bridges from a to b on an M+1-point grid, built from the
+    random walk's M increments along the last axis of ``steps`` (one bridge
+    per row, with a and b one value per row)."""
+    M = steps.shape[-1]
+    w = np.zeros(steps.shape[:-1] + (M + 1,))
+    np.cumsum(steps, axis=-1, out=w[..., 1:])
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+    return a + w - _unit_grid(M) * (w[..., -1:] - (b - a))
+
+
 def brownian_bridge(a: float, b: float, dt: float, M: int, rng) -> np.ndarray:
     """Brownian bridge from a to b over duration dt on an M+1-point grid."""
-    w = np.zeros(M + 1)
-    np.cumsum(rng.normal(0.0, math.sqrt(dt / M), size=M), out=w[1:])
-    return a + w - _unit_grid(M) * (w[-1] - (b - a))
+    return _bridges(a, b, rng.normal(0.0, math.sqrt(dt / M), size=M))
 
 
 def _trapezoid_sq(x: np.ndarray, h):
-    """Trapezoid integral of x^2 along the last axis, grid step h (one per row)."""
-    return np.trapezoid(x ** 2, dx=h, axis=-1)
+    """Trapezoid integral of x^2 along the last axis, grid step h (one per
+    row): the arithmetic of np.trapezoid, without its Python wrapper."""
+    y = x ** 2
+    return (h * (y[..., 1:] + y[..., :-1]) / 2.0).sum(-1)
 
 
 def girsanov_log_g(seg: np.ndarray, theta: float, h: float) -> float:
@@ -185,9 +193,10 @@ def girsanov_log_g(seg: np.ndarray, theta: float, h: float) -> float:
     return A(seg[-1]) - A(seg[0]) - 0.5 * integral
 
 
-def ou_segment_log_alpha(old_x2: float, new_x2: float, theta: float) -> float:
-    """Acceptance log-ratio -(theta^2/2) int (X'^2 - X^2) dt from both segments' integrals."""
-    return float(-(theta ** 2 / 2.0) * (new_x2 - old_x2))
+def ou_segment_log_alpha(old_x2, new_x2, theta: float):
+    """Acceptance log-ratios -(theta^2/2) int (X'^2 - X^2) dt from the old and
+    the proposed segments' integrals (numbers or arrays of them)."""
+    return -(theta ** 2 / 2.0) * (new_x2 - old_x2)
 
 
 def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Generator):
@@ -206,21 +215,24 @@ def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Gene
 
     # theta | paths: N(mean, var) with var = 1/(int X^2 dt + tau0^-2), the
     # segments' integrals (reused in the accept ratios) summed in order
-    old_x2 = _trapezoid_sq(paths, hs[:, None]).tolist()
+    old_x2 = _trapezoid_sq(paths, hs[:, None])
     int_xdx = sum(np.sum(paths[:, :-1] * np.diff(paths, axis=1), axis=1).tolist())
-    var = 1.0 / (sum(old_x2) + p.tau0 ** -2)
+    var = 1.0 / (sum(old_x2.tolist()) + p.tau0 ** -2)
     mean = var * (-int_xdx + p.mu0 * p.tau0 ** -2)
     theta = float(rng.normal(mean, math.sqrt(var)))
 
-    new = paths.copy()
-    accepted = np.zeros(len(paths), dtype=bool)
-    for i, (h, dt) in enumerate(zip(hs, p.dts)):
-        prop = brownian_bridge(p.obs[i], p.obs[i + 1], dt, p.M, rng)
-        log_alpha = ou_segment_log_alpha(old_x2[i], _trapezoid_sq(prop, h), theta)
-        if math.log(rng.uniform()) < min(0.0, log_alpha):
-            new[i] = prop
-            accepted[i] = True
-    return theta, new, accepted
+    # Every segment's draws in stream order (its bridge's standard normals,
+    # then its accept uniform; no draw depends on an accept), then one pass
+    # over all segments.  0.0 + scale * z is numpy's normal(0.0, scale).
+    z = np.empty((len(paths), p.M))
+    log_u = np.empty(len(paths))
+    for i in range(len(paths)):
+        rng.standard_normal(out=z[i])
+        log_u[i] = math.log(rng.random())
+    props = _bridges(p.y[:-1], p.y[1:], 0.0 + np.sqrt(hs)[:, None] * z)
+    log_alpha = ou_segment_log_alpha(old_x2, _trapezoid_sq(props, hs[:, None]), theta)
+    accepted = log_u < np.minimum(0.0, log_alpha)
+    return theta, np.where(accepted[:, None], props, paths), accepted
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +243,20 @@ def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Gene
 def finite_simulate(
     k: FiniteKernel, start: np.ndarray, steps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Advance many chains of a finite kernel at once (categorical sampling)."""
-    cdf = np.cumsum(k.matrix, axis=1)
-    cdf[:, -1] = 1.0
+    """Advance many chains of a finite kernel at once (categorical sampling).
+
+    The next state is the number of cdf values of the current row below a
+    uniform u, counted one cdf column at a time; the last column is left out,
+    as u < 1 never passes it.
+    """
+    cols = np.cumsum(k.matrix, axis=1).T[:-1].copy()
     state = np.asarray(start, dtype=np.int64).copy()
     for _ in range(steps):
-        u = rng.uniform(size=state.shape)
-        state = (u[:, None] > cdf[state]).sum(axis=1).astype(np.int64)
+        u = rng.random(state.shape)
+        nxt = np.zeros_like(state)
+        for col in cols:
+            nxt += col[state] < u
+        state = nxt
     return state
 
 
@@ -281,7 +300,9 @@ def _paired_decay(start, step, f, osc_sq: float, n_grid, master_seed: int) -> De
     advanced one scan at a time by ``step(z, rng)`` on its own stream;
     f(Z^1_n) f(Z^2_n) is averaged over the starts and bootstrapped over them,
     each resample a row of counts per start: one product, summed over blocks
-    of starts in order, gives every resample's mean at every n.
+    of starts in order, gives every resample's mean at every n.  The counts
+    are kept as int32 and made float one block at a time, just before its
+    product.
     """
     rng1, rng2 = chain_rng(master_seed, 1), chain_rng(master_seed, 2)
     z1 = z2 = start
@@ -296,10 +317,10 @@ def _paired_decay(start, step, f, osc_sq: float, n_grid, master_seed: int) -> De
     x = np.array(xs)  # (grid, starts)
     starts = x.shape[1]
     rng = chain_rng(master_seed, 3)
-    counts = np.empty((BOOTSTRAP, starts))
+    counts = np.empty((BOOTSTRAP, starts), dtype=np.int32)
     for row in counts:
         row[:] = np.bincount(rng.integers(0, starts, size=starts), minlength=starts)
-    boots = sum(counts[:, i:i + _BLOCK] @ x[:, i:i + _BLOCK].T
+    boots = sum(counts[:, i:i + _BLOCK].astype(float) @ x[:, i:i + _BLOCK].T
                 for i in range(0, starts, _BLOCK)) / starts
     ci_low, ci_high = np.quantile(boots, [0.025, 0.975], axis=0)
     return DecayEstimate(np.asarray(n_grid), x.mean(axis=1), ci_low, ci_high,

@@ -67,6 +67,11 @@ def test_spectral_gap_requires_reversibility():
         spectral_gap(k)
 
 
+def test_spectral_gap_needs_two_states():
+    with pytest.raises(DomainError, match="at least 2 states, got 1"):
+        spectral_gap(FiniteKernel(matrix=[[1.0]], mu=[1.0]))
+
+
 def test_kernel_validation():
     mu = np.array([0.5, 0.5])
     with pytest.raises(DomainError):

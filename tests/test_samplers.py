@@ -15,6 +15,7 @@ from wpgibbs.errors import DomainError, InvalidModeError
 from wpgibbs.finite import FiniteKernel, random_centered_functions, random_joint_model
 from wpgibbs.samplers import (
     BOOTSTRAP,
+    NIG_MODES,
     DecayEstimate,
     bayes_step,
     brownian_bridge,
@@ -83,6 +84,49 @@ def test_nig_tiny_step_freezes_the_chain():
     t2, x2 = nig_step(tau, xi, p, "fixed", rng)
     assert np.max(np.abs(t2 - tau)) < 1e-10
     assert np.max(np.abs(x2 - xi)) < 1e-10
+
+
+def _nig_step_reference(tau, xi, p, mode, rng):
+    """The scan drawn through numpy's normal, uniform and exponential, on
+    copies of its inputs, as it was first written."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float)).copy()
+    xi = np.atleast_1d(np.asarray(xi, dtype=float)).copy()
+    beta_xi = p.beta_hyper + 0.5 * xi ** 2
+    if mode == "exact":
+        tau = rng.exponential(1.0 / beta_xi)
+    else:
+        step = np.sqrt(3.0) / beta_xi if mode == "scaled" else p.sigma0
+        prop = tau + step * rng.normal(size=tau.shape)
+        log_alpha = np.where(prop > 0.0, -beta_xi * (prop - tau), -np.inf)
+        accept = np.log(rng.uniform(size=tau.shape)) < log_alpha
+        tau = np.where(accept, prop, tau)
+    if mode == "exact":
+        xi = rng.normal(0.0, 1.0 / np.sqrt(tau))
+    else:
+        step = 1.0 / np.sqrt(2.0 * tau) if mode == "scaled" else p.sigma0
+        prop = xi + step * rng.normal(size=xi.shape)
+        log_alpha = -0.5 * tau * (prop ** 2 - xi ** 2)
+        accept = np.log(rng.uniform(size=xi.shape)) < log_alpha
+        xi = np.where(accept, prop, xi)
+    return tau, xi
+
+
+@pytest.mark.parametrize("size", [1, 8333])
+@pytest.mark.parametrize("mode", NIG_MODES)
+def test_nig_step_matches_reference_bit_for_bit(mode, size):
+    """nig_step gives the reference's states byte for byte over 100 scans
+    from one seed, and writes neither of its inputs."""
+    p = NIGParams(beta_hyper=1.5, sigma0=0.8)
+    tau, xi = nig_stationary_start(p, chain_rng(31, 0), size)
+    ref = (tau, xi)
+    rng, ref_rng = chain_rng(31, 1), chain_rng(31, 1)
+    for _ in range(100):
+        given = (tau.copy(), xi.copy())
+        new = nig_step(tau, xi, p, mode, rng)
+        assert tau.tobytes() == given[0].tobytes() and xi.tobytes() == given[1].tobytes()
+        ref = _nig_step_reference(*ref, p, mode, ref_rng)
+        assert [a.tobytes() for a in new] == [a.tobytes() for a in ref]
+        tau, xi = new
 
 
 def test_nig_decay_estimate_shrinks_and_is_reproducible():
@@ -158,6 +202,26 @@ def test_brownian_bridge_hits_endpoints():
     assert len(seg) == 17
     assert seg[0] == pytest.approx(0.2, abs=1e-12)
     assert seg[-1] == pytest.approx(-0.4, abs=1e-12)
+
+
+def test_bridges_match_one_segment_formula():
+    """brownian_bridge and ou_initial_state build each segment as the walk
+    pinned by a + w - t (w_M - (b - a)), bit for bit."""
+    p = OUParams(mu0=0.5, tau0=1.0, times=(0.0, 0.3, 1.0, 1.6), obs=(0.2, -0.4, 0.3, 0.1), M=16)
+
+    def bridge(a, b, dt, M, rng):
+        w = np.zeros(M + 1)
+        w[1:] = np.cumsum(rng.normal(0.0, math.sqrt(dt / M), size=M))
+        return a + w - np.linspace(0.0, 1.0, M + 1) * (w[-1] - (b - a))
+
+    rng, ref_rng = chain_rng(5, 0), chain_rng(5, 0)
+    assert brownian_bridge(0.2, -0.4, 0.7, 16, rng).tobytes() == \
+        bridge(0.2, -0.4, 0.7, 16, ref_rng).tobytes()
+    theta, paths = ou_initial_state(p, rng)
+    assert theta == float(ref_rng.normal(p.mu0, p.tau0))
+    ref = [bridge(p.obs[i], p.obs[i + 1], p.times[i + 1] - p.times[i], p.M, ref_rng)
+           for i in range(len(p.times) - 1)]
+    assert paths.tobytes() == np.array(ref).tobytes()
 
 
 def test_girsanov_ratio_matches_simplified_form():
@@ -268,6 +332,63 @@ def test_finite_simulate_reaches_stationarity():
     assert np.max(np.abs(freq - pi)) < 0.005
 
 
+def _finite_simulate_reference(k, start, steps, rng):
+    """Categorical steps through the full starts x n comparison matrix."""
+    cdf = np.cumsum(k.matrix, axis=1)
+    cdf[:, -1] = 1.0
+    state = np.asarray(start, dtype=np.int64).copy()
+    for _ in range(steps):
+        u = rng.uniform(size=state.shape)
+        state = (u[:, None] > cdf[state]).sum(axis=1).astype(np.int64)
+    return state
+
+
+# doubly stochastic up to 1e-13, so mu is uniform: zero entries tie cdf
+# values (row 1: 0, .5, .5, 1), and row 0's cumsum ends 1e-13 below 1
+_TIED = FiniteKernel(
+    matrix=[[0.7, 0.2, 0.1 - 1e-13, 0.0], [0.0, 0.5, 0.0, 0.5],
+            [0.3, 0.0, 0.4, 0.3], [0.0, 0.3, 0.5, 0.2]],
+    mu=np.full(4, 0.25),
+)
+
+
+class _FixedUniforms:
+    """A generator stand-in whose uniforms are a given array."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+    def uniform(self, size):
+        return self.random(size)
+
+
+@pytest.mark.parametrize("k", [_TIED, random_joint_model(3, 4, 4).kernel("P12")],
+                         ids=["tied", "4x4-P12"])
+def test_finite_simulate_matches_matrix_rule(k):
+    """The column-wise step lands where the comparison-matrix rule does, on
+    a seeded stream and on uniforms equal to the cdf values themselves."""
+    assert np.cumsum(_TIED.matrix[0])[-1] < np.nextafter(1.0, 0.0)
+    start = chain_rng(4, 0).choice(k.n, size=5000, p=k.mu)
+    rng, ref_rng = chain_rng(4, 1), chain_rng(4, 1)
+    state, ref = start, start
+    for steps in [1] * 30 + [20]:
+        state = finite_simulate(k, state, steps, rng)
+        ref = _finite_simulate_reference(k, ref, steps, ref_rng)
+        assert state.dtype == ref.dtype == np.int64
+        assert np.array_equal(state, ref)
+    cdf = np.cumsum(k.matrix, axis=1)
+    u = np.concatenate([cdf.ravel(), np.nextafter(cdf.ravel(), 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[u < 1.0]
+    start = np.repeat(np.arange(k.n), len(u))
+    fixed = _FixedUniforms(np.tile(u, k.n))
+    assert np.array_equal(finite_simulate(k, start, 1, fixed),
+                          _finite_simulate_reference(k, start, 1, fixed))
+
+
 def test_finite_decay_estimate_calibrated_on_two_state():
     p_, q_ = 0.3, 0.2
     M = np.array([[1.0 - p_, p_], [q_, 1.0 - q_]])
@@ -281,9 +402,8 @@ def test_finite_decay_estimate_calibrated_on_two_state():
         assert abs(est.mean[i] - exact) <= 3.0 * est.se[i]
 
 
-def _paired_decay_reference(start, step, f, osc_sq, n_grid, master_seed):
-    """The estimator with the bootstrap as a gather: one (BOOTSTRAP, starts)
-    index draw, and every resample's mean taken per n from x[idx]."""
+def _paired_values(start, step, f, osc_sq, n_grid, master_seed):
+    """The sorted grid and f(Z^1_n) f(Z^2_n) / osc_sq at each n of it."""
     rng1, rng2 = chain_rng(master_seed, 1), chain_rng(master_seed, 2)
     z1 = z2 = start
     n_grid = sorted(int(n) for n in n_grid)
@@ -294,6 +414,13 @@ def _paired_decay_reference(start, step, f, osc_sq, n_grid, master_seed):
             z1, z2 = step(z1, rng1), step(z2, rng2)
         now = n
         xs.append(f(z1) * f(z2) / osc_sq)
+    return n_grid, xs
+
+
+def _paired_decay_reference(start, step, f, osc_sq, n_grid, master_seed):
+    """The estimator with the bootstrap as a gather: one (BOOTSTRAP, starts)
+    index draw, and every resample's mean taken per n from x[idx]."""
+    n_grid, xs = _paired_values(start, step, f, osc_sq, n_grid, master_seed)
     starts = len(xs[0])
     idx = chain_rng(master_seed, 3).integers(0, starts, size=(BOOTSTRAP, starts))
     boots = [x[idx].mean(axis=1) for x in xs]
@@ -329,6 +456,35 @@ def test_bootstrap_by_counts_matches_gather_reference(monkeypatch, estimate, n_g
     assert np.array_equal(est.mean, ref.mean)
     for name in ("ci_low", "ci_high", "se"):
         np.testing.assert_allclose(getattr(est, name), getattr(ref, name), rtol=1e-12, atol=0)
+
+
+def _paired_decay_float_counts(start, step, f, osc_sq, n_grid, master_seed):
+    """The estimator with its resample counts kept as one float64 matrix."""
+    n_grid, xs = _paired_values(start, step, f, osc_sq, n_grid, master_seed)
+    x = np.array(xs)
+    starts = x.shape[1]
+    rng = chain_rng(master_seed, 3)
+    counts = np.empty((BOOTSTRAP, starts))
+    for row in counts:
+        row[:] = np.bincount(rng.integers(0, starts, size=starts), minlength=starts)
+    boots = sum(counts[:, i:i + 128] @ x[:, i:i + 128].T
+                for i in range(0, starts, 128)) / starts
+    ci_low, ci_high = np.quantile(boots, [0.025, 0.975], axis=0)
+    return DecayEstimate(np.asarray(n_grid), x.mean(axis=1), ci_low, ci_high,
+                         boots.std(axis=0, ddof=1))
+
+
+@pytest.mark.parametrize("estimate", [_finite_estimate, _nig_estimate])
+def test_int32_counts_match_float_counts_bit_for_bit(monkeypatch, estimate):
+    """int32 resample counts, made float one block at a time, give the
+    float64-count estimator's every number byte for byte."""
+    n_grid = [1, 2, 5, 10, 20, 50]
+    est = estimate(n_grid, 8333, 23)
+    with monkeypatch.context() as m:
+        m.setattr(samplers, "_paired_decay", _paired_decay_float_counts)
+        ref = estimate(n_grid, 8333, 23)
+    for name in ("n_grid", "mean", "ci_low", "ci_high", "se"):
+        assert getattr(est, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 @pytest.mark.parametrize("starts", [2, 3333, 8333])
