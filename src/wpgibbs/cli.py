@@ -38,6 +38,9 @@ def _n_grid(args) -> list:
     _at_least(args, 1, "n_step")
     if args.n_grid:
         ns = sorted(int(v) for v in args.n_grid.split(","))
+        repeated = [a for a, b in zip(ns, ns[1:]) if a == b]
+        if repeated:
+            raise WpgibbsError(f"--n-grid gives n = {repeated[0]} more than once")
     else:
         ns = list(range(0, args.n_max + 1, args.n_step))
     if not ns or ns[0] < 0:

@@ -3,9 +3,10 @@
 F(x) = integral_x^{1/4} dv / K*(v) and the bound ||T^n f||^2 <= osc^2 *
 F^{-1}(n).  Linear K* gives geometric decay 1/4 * exp(-slope * n); power
 K* gives polynomial decay; everything else is integrated on a dense
-logarithmic grid and inverted by bisection resolved toward the larger
-(conservative) root.  Where K* vanishes the integral diverges: the bound
-saturates at that level and ``saturated`` is set.
+logarithmic grid, built once per ``RateBound`` (F interpolates in log x on
+it), and inverted by bisection resolved toward the larger (conservative)
+root.  Where K* vanishes the integral diverges: the bound saturates at
+that level and ``saturated`` is set.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ class RateBound:
             raise DomainError("x_min must lie in (0, 1/4)")
         self._cf = _closed_form(self.kstar)
         self._grid = None
+        self._log_grid = None
         self._table = None
         if self._cf is None:
             self._build_table()
@@ -70,6 +72,7 @@ class RateBound:
         seg = 0.5 * (g[1:] + g[:-1]) * np.diff(t)
         F = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
         self._grid = v
+        self._log_grid = t
         self._table = F
 
     def F(self, x: float) -> float:
@@ -82,8 +85,7 @@ class RateBound:
             c, p = self._cf[1]
             return (x ** (1.0 - p) - X_MAX ** (1.0 - p)) / (c * (p - 1.0))
         x = max(x, self.x_min)
-        val = float(np.interp(math.log(x), np.log(self._grid), self._table))
-        return val
+        return float(np.interp(math.log(x), self._log_grid, self._table))
 
     def F_inv(self, n: float) -> float:
         """Largest x in [X_MIN, 1/4] with F(x) >= n (conservative root)."""

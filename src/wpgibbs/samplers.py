@@ -183,16 +183,6 @@ def _trapezoid_sq(x: np.ndarray, h):
     return (h * (y[..., 1:] + y[..., :-1]) / 2.0).sum(-1)
 
 
-def girsanov_log_g(seg: np.ndarray, theta: float, h: float) -> float:
-    """log G for one segment in the unsimplified endpoint form:
-    A(end) - A(start) - 1/2 int (b^2 + b') dt with A(u) = -theta u^2 / 2
-    and b^2 + b' = theta^2 x^2 - theta, integrals by trapezoid."""
-    A = lambda u: -theta * u * u / 2.0
-    dt = h * (len(seg) - 1)
-    integral = theta ** 2 * _trapezoid_sq(seg, h) - theta * dt
-    return A(seg[-1]) - A(seg[0]) - 0.5 * integral
-
-
 def ou_segment_log_alpha(old_x2, new_x2, theta: float):
     """Acceptance log-ratios -(theta^2/2) int (X'^2 - X^2) dt from the old and
     the proposed segments' integrals (numbers or arrays of them)."""

@@ -42,7 +42,6 @@ from wpgibbs.samplers import (
     brownian_bridge,
     chain_rng,
     finite_decay_estimate,
-    girsanov_log_g,
     mann_kendall_z,
     nig_decay_estimate,
     ou_da_step,
@@ -374,6 +373,16 @@ def _ou_params():
     return OUParams(
         mu0=0.5, tau0=1.0, times=(0.0, 0.5, 1.0), obs=(0.2, 0.1, 0.3), M=16
     )
+
+
+def girsanov_log_g(seg, theta, h):
+    """log G for one segment in the unsimplified endpoint form:
+    A(end) - A(start) - 1/2 int (b^2 + b') dt with A(u) = -theta u^2 / 2
+    and b^2 + b' = theta^2 x^2 - theta, integrals by np.trapezoid."""
+    A = lambda u: -theta * u * u / 2.0
+    dt = h * (len(seg) - 1)
+    integral = theta ** 2 * np.trapezoid(seg ** 2, dx=h) - theta * dt
+    return A(seg[-1]) - A(seg[0]) - 0.5 * integral
 
 
 def test_ou_girsanov_equals_simplified_1e10():

@@ -239,6 +239,8 @@ INVALID = {
     "negative-n-max": ["bound", "--beta", "indicator:0.2", "--n-max", "-3"],
     "negative-n-in-grid": ["bound", "--beta", "indicator:0.2", "--n-grid", "5,-1"],
     "negative-n-compare": ["compare", "--case", "finite", "--n-grid=-2,3"],
+    "repeated-n-in-grid": ["bound", "--beta", "indicator:0.2", "--n-grid", "5,5,2"],
+    "repeated-n-compare": ["compare", "--case", "finite", "--n-grid", "1,1,1,50"],
     # a flag and the config give the same field
     "beta-hyper-and-config": ["bound", "--case", "nig", "--config", "{nig_scaled}",
                               "--beta-hyper", "5"],
@@ -352,6 +354,12 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_repeated_n_is_named(tmp_path, capsys):
+    argv = ["compare", "--case", "finite", "--n-grid", "1,50,1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --n-grid gives n = 1 more than once\n"
 
 
 def test_help_exits_0():

@@ -4,9 +4,22 @@ import sys
 import numpy as np
 import pytest
 
-from wpgibbs import GridKStar, Linear, Power, RateBound, compose_mwg
+from wpgibbs import (
+    AdjointShift,
+    Clamped,
+    ExpLogSquareConjugate,
+    GridKStar,
+    Linear,
+    Power,
+    PowerLaw,
+    RateBound,
+    Sum,
+    Table,
+    compose_mwg,
+    conjugate,
+)
 from wpgibbs.kstar import Composite
-from wpgibbs.rates import X_MAX
+from wpgibbs.rates import _REL_TOL, X_MAX
 
 
 def test_linear_closed_form():
@@ -93,3 +106,63 @@ def test_f_inverse_inverts_f():
         x = rb.F_inv(n)
         assert rb.F(x) == pytest.approx(n, rel=1e-9)
     assert rb.F(X_MAX) == pytest.approx(0.0, abs=1e-12)
+
+
+class _LogEveryCall(RateBound):
+    """Reference for the numeric path: the bisection with an F that takes
+    np.log of the whole grid on every call."""
+
+    def F(self, x):
+        x = max(x, self.x_min)
+        return float(np.interp(math.log(x), np.log(self._grid), self._table))
+
+    def F_inv(self, n):
+        if n <= 0.0:
+            return X_MAX
+        finite = np.isfinite(self._table)
+        top = self._table[finite][0]
+        if top < n:
+            self.saturated = True
+            return float(self._grid[finite][0])
+        lo, hi = float(self._grid[finite][0]), X_MAX
+        while hi - lo > _REL_TOL * hi:
+            mid = math.sqrt(lo * hi)
+            if self.F(mid) >= n:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+
+def _numeric_curves():
+    table = conjugate(Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01), (1e4, 1e-4))))
+    total = conjugate(Sum((PowerLaw(0.5, 0.7), PowerLaw(1.2, 0.4))))
+    shifted = conjugate(AdjointShift(PowerLaw(0.8, 0.6)))
+    grid = np.geomspace(1e-8, 0.25, 500)
+    yield "table", table
+    yield "sum", total
+    yield "adjoint-shift", shifted
+    yield "explogsquare", ExpLogSquareConjugate(0.25, 1.0)
+    # Linear(2.0) exceeds v at 1/4, so full mode wraps it in Clamped
+    full = compose_mwg(Linear(0.8), table, Linear(2.0), mode="full")
+    assert isinstance(full.inner.outer, Clamped)
+    yield "full", full
+    yield "strong", compose_mwg(Linear(0.8), shifted, table, mode="strong")
+    yield "joint_2mg", compose_mwg(Linear(0.8), None, total, mode="joint_2mg")
+    yield "marginal_2mg", compose_mwg(Linear(0.5), None, shifted, mode="marginal_2mg")
+    yield "saturating", GridKStar(v_knots=tuple(grid),
+                                  values=tuple(np.where(grid < 0.01, 0.0, 0.3 * grid)))
+
+
+def test_numeric_curve_matches_log_every_call_reference(tmp_path):
+    ns = [0, *np.unique(np.geomspace(1, 1e6, 60).round().astype(int))]
+    for name, k in _numeric_curves():
+        rb, ref = RateBound(k), _LogEveryCall(k)
+        assert rb._cf is None, name
+        for n in ns:
+            assert rb.rate_bound(n).hex() == ref.rate_bound(n).hex(), (name, n)
+        assert rb.saturated == ref.saturated, name
+        rb.write_csv(tmp_path / "got.csv", ns)
+        ref.write_csv(tmp_path / "ref.csv", ns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+    assert rb.saturated  # the last curve reaches its floor

@@ -15,7 +15,7 @@ SCRIPT = ROOT / "scripts" / "reproduce.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 FILES = {"verify_report.txt", "compare.csv", "compare_meta.json", "chain_0.csv",
-         "run_meta.json", "bound.csv", "bound_meta.json", "ou.json"}
+         "run_meta.json", "bound.csv", "bound_meta.json", "ou.json", "bayes.json"}
 
 
 def _reproduce():
@@ -51,11 +51,13 @@ def test_smoke_run_writes_what_its_rows_write(tmp_path):
     assert run.returncode == 0, run.stderr
     written = _written(out)
     assert {pathlib.PurePath(p).name for p in written} == FILES
+    assert {"nig_fixed_bound/bound.csv", "bayes_bound/bound.csv"} <= set(written)
 
     # each row's argv, run through the CLI in this process, writes the same bytes
     for where, argv in _reproduce().rows(str(out), smoke=True):
         assert main(argv + ["--out", str(direct / os.path.relpath(where, out))]) == 0
-    assert _written(direct) == {p: b for p, b in written.items() if p != "ou.json"}
+    configs = {"ou.json", "bayes.json"}
+    assert _written(direct) == {p: b for p, b in written.items() if p not in configs}
 
     # the OU config is the one the benchmark's OU op runs
     assert json.loads(written["ou.json"]) == _ou_script_config()

@@ -22,7 +22,6 @@ from wpgibbs.samplers import (
     chain_rng,
     finite_decay_estimate,
     finite_simulate,
-    girsanov_log_g,
     mann_kendall_z,
     nig_decay_estimate,
     nig_stationary_start,
@@ -222,6 +221,16 @@ def test_bridges_match_one_segment_formula():
     ref = [bridge(p.obs[i], p.obs[i + 1], p.times[i + 1] - p.times[i], p.M, ref_rng)
            for i in range(len(p.times) - 1)]
     assert paths.tobytes() == np.array(ref).tobytes()
+
+
+def girsanov_log_g(seg, theta, h):
+    """log G for one segment in the unsimplified endpoint form:
+    A(end) - A(start) - 1/2 int (b^2 + b') dt with A(u) = -theta u^2 / 2
+    and b^2 + b' = theta^2 x^2 - theta, integrals by np.trapezoid."""
+    A = lambda u: -theta * u * u / 2.0
+    dt = h * (len(seg) - 1)
+    integral = theta ** 2 * np.trapezoid(seg ** 2, dx=h) - theta * dt
+    return A(seg[-1]) - A(seg[0]) - 0.5 * integral
 
 
 def test_girsanov_ratio_matches_simplified_form():
