@@ -126,6 +126,9 @@ class ExpLogSquareConjugate(KStarFn):
     def __post_init__(self):
         if not (self.c > 0.0 and self.a > 0.0):
             raise InvalidSpecError("ExpLogSquareConjugate needs c > 0 and a > 0")
+        a2 = self.a * self.a  # _eval's search bracket spans 5 / a^2
+        if not (a2 > 0.0 and np.isfinite(5.0 / a2)):
+            raise InvalidSpecError(f"ExpLogSquareConjugate needs 5 / a^2 finite, got a = {self.a!r}")
 
     def _eval(self, v):
         out = np.zeros_like(v)
@@ -244,7 +247,12 @@ def conjugate(spec: BetaSpec, v_grid=None) -> KStarFn:
     if isinstance(spec, _b.PowerLaw):
         alpha = spec.exponent
         c = spec.coefficient
-        coef = (alpha / (1.0 + alpha)) * (c * (1.0 + alpha)) ** (-1.0 / alpha)
+        try:
+            coef = (alpha / (1.0 + alpha)) * (c * (1.0 + alpha)) ** (-1.0 / alpha)
+        except OverflowError:
+            raise UnboundedConjugateError(
+                f"power-law conjugate coefficient overflows a double for "
+                f"coefficient {c!r}, exponent {alpha!r}") from None
         return Power(coef, 1.0 + 1.0 / alpha)
     if isinstance(spec, _b.ExpLogSquare) and (spec.cap is None or spec.cap >= spec.c):
         return ExpLogSquareConjugate(c=spec.c, a=spec.a, b=spec.b)

@@ -2,11 +2,11 @@
 
 F(x) = integral_x^{1/4} dv / K*(v) and the bound ||T^n f||^2 <= osc^2 *
 F^{-1}(n).  Linear K* gives geometric decay 1/4 * exp(-slope * n); power
-K* gives polynomial decay; everything else is integrated on a dense
-logarithmic grid, built once per ``RateBound`` (F interpolates in log x on
-it), and inverted by bisection resolved toward the larger (conservative)
-root.  Where K* vanishes the integral diverges: the bound saturates at
-that level and ``saturated`` is set.
+K* gives polynomial decay; everything else is integrated on a dense log
+grid once per ``RateBound``: F interpolates that table linearly in log x,
+and F^{-1} reads the same table the other way, raised by a relative margin
+to the conservative side.  Where K* vanishes the integral diverges: the
+bound saturates at that level and ``saturated`` is set.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .kstar import Composite, KStarFn, Linear, Power
 X_MIN = 1e-12
 X_MAX = 0.25
 _GRID_POINTS = 4096
-# relative width at which the bisection of F_inv stops
+# relative margin by which the numeric F_inv rounds its root upward
 _REL_TOL = 1e-9
 
 
@@ -34,7 +34,10 @@ def _closed_form(k: KStarFn):
     if isinstance(k, Power):
         if k.exponent == 1.0:
             return ("linear", k.coefficient)
-        return ("power", (k.coefficient, k.exponent))
+        try:  # with q = (1/4)**(1 - p), F's constant term
+            return ("power", (k.coefficient, k.exponent, X_MAX ** (1.0 - k.exponent)))
+        except OverflowError:
+            raise DomainError(f"power K* exponent {k.exponent!r} is too large for a double") from None
     if isinstance(k, Composite) and k.inner is None and isinstance(k.outer, Linear):
         return ("linear", k.pre_scale * k.post_scale * k.outer.slope)
     return None
@@ -82,13 +85,14 @@ class RateBound:
         if self._cf is not None:
             if self._cf[0] == "linear":
                 return math.log(X_MAX / x) / self._cf[1]
-            c, p = self._cf[1]
-            return (x ** (1.0 - p) - X_MAX ** (1.0 - p)) / (c * (p - 1.0))
+            c, p, q = self._cf[1]
+            return (x ** (1.0 - p) - q) / (c * (p - 1.0))
         x = max(x, self.x_min)
         return float(np.interp(math.log(x), self._log_grid, self._table))
 
     def F_inv(self, n: float) -> float:
-        """Largest x in [X_MIN, 1/4] with F(x) >= n (conservative root)."""
+        """Root of F(x) = n, never below it: on the numeric path raised by
+        the relative margin ``_REL_TOL``, or past the table's top its floor."""
         if n <= 0.0:
             return X_MAX
         if self._cf is not None:
@@ -97,8 +101,8 @@ class RateBound:
                 # near slope * n = 707 and underflows to 0 near 745; the
                 # floor stays above the true value
                 return max(X_MAX * math.exp(-self._cf[1] * n), sys.float_info.min)
-            c, p = self._cf[1]
-            x = (c * (p - 1.0) * n + X_MAX ** (1.0 - p)) ** (-1.0 / (p - 1.0))
+            c, p, q = self._cf[1]
+            x = (c * (p - 1.0) * n + q) ** (-1.0 / (p - 1.0))
             return max(x, self.x_min)
         finite = np.isfinite(self._table)
         top = self._table[finite][0]
@@ -107,14 +111,9 @@ class RateBound:
             # reaches this level; report the certified floor
             self.saturated = True
             return float(self._grid[finite][0])
-        lo, hi = float(self._grid[finite][0]), X_MAX
-        while hi - lo > _REL_TOL * hi:
-            mid = math.sqrt(lo * hi)
-            if self.F(mid) >= n:
-                lo = mid
-            else:
-                hi = mid
-        return hi  # larger root: never report a faster rate than certified
+        # F falls as x grows; np.interp needs rising points, so read both reversed
+        t = np.interp(n, self._table[finite][::-1], self._log_grid[finite][::-1])
+        return min(math.exp(t) * (1.0 + _REL_TOL), X_MAX)
 
     def rate_bound(self, n: float) -> float:
         """Squared-norm decay bound after n scans."""
@@ -127,8 +126,8 @@ class RateBound:
         return np.array([self.rate_bound(int(n)) for n in ns])
 
     def write_csv(self, path: str, ns) -> None:
+        bounds = self.curve(ns)  # a failing point leaves no partial file
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "bound"])
-            for n in ns:
-                writer.writerow([int(n), repr(self.rate_bound(int(n)))])
+            writer.writerows([int(n), repr(float(b))] for n, b in zip(ns, bounds))

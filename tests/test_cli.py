@@ -253,6 +253,10 @@ INVALID = {
     "nig-sigma0-nan": ["sample", "--case", "nig", "--mode", "fixed", "--sigma0", "nan"],
     "shorthand-inf": ["bound", "--beta", "indicator:inf"],
     "shorthand-not-a-number": ["bound", "--beta", "indicator:abc"],
+    # numbers that overflow or underflow where they are formed
+    "powerlaw-exponent-overflows": ["bound", "--beta", "powerlaw:1,1e-3"],
+    "powerlaw-coefficient-overflows": ["bound", "--beta", "powerlaw:1e-300,0.5"],
+    "explogsquare-a-squared-underflows": ["bound", "--beta", "explogsquare:0.25,1e-300"],
     # a config number is a JSON number: never a boolean or a numeric string
     "config-bool-number": ["bound", "--case", "nig", "--config", "{nig_bool}"],
     "config-string-number": ["bound", "--case", "nig", "--config", "{nig_string}"],
