@@ -419,9 +419,12 @@ class Case:
 
     ``modes`` are the allowed ``--mode`` values, the default first.
     ``bound(p, mode)`` returns (K*, constants, rate_shape).
-    ``trace(p, mode, rng, steps, acc)`` yields the CSV rows of one chain
-    (start, then ``steps`` scans) under the header ``columns(p)``; a case
-    that records acceptance appends its per-segment counts to ``acc``.
+    ``trace(p, mode, rngs, steps, acc)`` runs one chain per stream of
+    ``rngs`` side by side and yields, for the start and then each of
+    ``steps`` scans, a list of CSV rows under the header ``columns(p)``,
+    one row per chain in the order of ``rngs``; a chain's rows depend on
+    its own stream alone.  A case that records acceptance appends each
+    chain's per-segment counts to ``acc``, in chain order.
     ``sample_meta`` holds what the case adds to a trace run's metadata.
     ``fields`` are the params fields that the CLI's case flags may set.
     ``check(p, mode)`` rejects params that do not suit the mode.
@@ -475,11 +478,14 @@ def _nig_bound(p: NIGParams, mode: str):
     return k, constants, "C*n^(-rate_exponent)"
 
 
-def _nig_trace(p: NIGParams, mode: str, rng, steps: int, acc: list):
-    tau, xi = samplers.nig_stationary_start(p, rng, 1)
+def _nig_trace(p: NIGParams, mode: str, rngs, steps: int, acc: list):
+    # all chains in one batch, an entry and a stream per chain
+    starts = [samplers.nig_stationary_start(p, r, 1) for r in rngs]
+    tau = np.concatenate([t for t, _ in starts])
+    xi = np.concatenate([x for _, x in starts])
     for step in range(steps + 1):
-        yield step, repr(float(tau[0])), repr(float(xi[0]))
-        tau, xi = samplers.nig_step(tau, xi, p, mode, rng)
+        yield [(step, repr(t), repr(x)) for t, x in zip(tau.tolist(), xi.tolist())]
+        tau, xi = samplers.nig_step(tau, xi, p, mode, rngs)
 
 
 def _nig_decay(p: NIGParams, mode: str, n_grid, starts: int, seed: int):
@@ -503,12 +509,12 @@ def _bayes_bound(p: BayesParams, mode: str):
     return k, constants, "C*(n-1)^(-min{a',b'/C2})"
 
 
-def _bayes_trace(p: BayesParams, mode: str, rng, steps: int, acc: list):
-    lam = float(rng.gamma(p.a, 1.0 / p.b))
-    bvec = np.zeros(p.p)
+def _bayes_trace(p: BayesParams, mode: str, rngs, steps: int, acc: list):
+    # one bayes_step per chain: a batched X @ b over chains rounds differently
+    chains = [(float(r.gamma(p.a, 1.0 / p.b)), np.zeros(p.p)) for r in rngs]
     for step in range(steps + 1):
-        yield [step, repr(lam)] + [repr(float(v)) for v in bvec]
-        lam, bvec = samplers.bayes_step(lam, bvec, p, rng)
+        yield [[step, repr(lam)] + [repr(float(v)) for v in bvec] for lam, bvec in chains]
+        chains = [samplers.bayes_step(lam, bvec, p, r) for (lam, bvec), r in zip(chains, rngs)]
 
 
 def _ou_bound(p: OUParams, mode: str):
@@ -525,14 +531,16 @@ def _ou_bound(p: OUParams, mode: str):
     return k, constants, "exp(-(a/delta)*log^2((n-1)/(gamma/2)))"
 
 
-def _ou_trace(p: OUParams, mode: str, rng, steps: int, acc: list):
-    accepted = np.zeros(len(p.times) - 1)
-    acc.append(accepted)
-    theta, paths = samplers.ou_initial_state(p, rng)
+def _ou_trace(p: OUParams, mode: str, rngs, steps: int, acc: list):
+    accepted = [np.zeros(len(p.times) - 1) for _ in rngs]
+    acc.extend(accepted)
+    chains = [samplers.ou_initial_state(p, r) for r in rngs]
     for step in range(steps + 1):
-        yield step, repr(theta)
-        theta, paths, ok = samplers.ou_da_step(theta, paths, p, rng)
-        accepted += ok
+        yield [(step, repr(theta)) for theta, _ in chains]
+        for i, ((theta, paths), r) in enumerate(zip(chains, rngs)):
+            theta, paths, ok = samplers.ou_da_step(theta, paths, p, r)
+            chains[i] = theta, paths
+            accepted[i] += ok
 
 
 CASES = {

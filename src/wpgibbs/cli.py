@@ -23,6 +23,8 @@ EXIT_INVALID = 2
 _FIELD_FLAGS = {"--gamma": "gamma_dg", "--sigma0": "sigma0", "--beta-hyper": "beta_hyper"}
 # the flags that set a case's params or mode
 _CASE_FLAGS = ("--config", *_FIELD_FLAGS, "--mode")
+# trace rows that `sample` holds before it writes them out
+_BLOCK_ROWS = 2 ** 10
 
 
 def _at_least(args, lowest: int, *names) -> None:
@@ -163,14 +165,30 @@ def cmd_sample(args) -> int:
         **case.sample_meta,
         "params": config.to_dict(p),
     }
+    rngs = [samplers.chain_rng(args.seed, chain) for chain in range(args.chains)]
+    paths = [os.path.join(args.out, f"chain_{chain}.csv") for chain in range(args.chains)]
+    header = case.columns(p)
+
+    def write(block, how):
+        """Append a block of scans to every chain's file, one file at a time."""
+        for chain, path in enumerate(paths):
+            with open(path, how, newline="") as fh:
+                w = csv.writer(fh)
+                if how == "w":
+                    w.writerow(header)
+                w.writerows(scan[chain] for scan in block)
+
+    # the chains run side by side; their rows go out in blocks of scans that
+    # hold about _BLOCK_ROWS rows, so memory does not grow with --steps
     acc = []
-    for chain in range(args.chains):
-        rng = samplers.chain_rng(args.seed, chain)
-        path = os.path.join(args.out, f"chain_{chain}.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(case.columns(p))
-            w.writerows(case.trace(p, mode, rng, args.steps, acc))
+    block, how = [], "w"
+    for scan in case.trace(p, mode, rngs, args.steps, acc):
+        block.append(scan)
+        if len(block) * args.chains >= _BLOCK_ROWS:
+            write(block, how)
+            block, how = [], "a"
+    if block:
+        write(block, how)
     if acc:
         meta["acceptance_rate_per_segment"] = (
             sum(acc) / (args.chains * (args.steps + 1))

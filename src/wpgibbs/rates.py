@@ -86,7 +86,10 @@ class RateBound:
             if self._cf[0] == "linear":
                 return math.log(X_MAX / x) / self._cf[1]
             c, p, q = self._cf[1]
-            return (x ** (1.0 - p) - q) / (c * (p - 1.0))
+            try:
+                return (x ** (1.0 - p) - q) / (c * (p - 1.0))
+            except OverflowError:  # x^(1-p) past the largest double
+                return math.inf
         x = max(x, self.x_min)
         return float(np.interp(math.log(x), self._log_grid, self._table))
 

@@ -1,9 +1,12 @@
 """Runnable samplers for the three case studies and an L2-decay estimator.
 
 All samplers use deterministic-scan updates.  Randomness is drawn from
-``numpy.random.default_rng([master_seed, key])`` streams so chains are
-reproducible and embarrassingly parallel.  The decay estimator keys 0 for
-the starts, 1 and 2 for the two chains and 3 for the bootstrap resamples.
+``numpy.random.default_rng([master_seed, key])`` streams, so chains are
+reproducible.  A chain with a stream of its own gets the same values
+whichever chains run beside it: ``nig_step`` advances a batch of such
+chains in one array pass, given one stream per chain.  The decay estimator
+keys 0 for the starts, 1 and 2 for the two chains and 3 for the bootstrap
+resamples.
 
 The decay estimator uses paired chains: for a stationary start Z ~ Pi,
 two conditionally independent chains Z^1, Z^2 are run from the same start,
@@ -53,12 +56,41 @@ def nig_stationary_start(p: NIGParams, rng: np.random.Generator, size: int):
     return tau, xi
 
 
-def nig_step(tau: np.ndarray, xi: np.ndarray, p: NIGParams, mode: str, rng: np.random.Generator):
+def _draw(rng, method: str, shape) -> np.ndarray:
+    """Standard variates of ``shape`` by the Generator method ``method``.
+
+    ``rng`` is one Generator, or a sequence of them that split the flattened
+    array into equal contiguous shares, each stream filling its own share;
+    a scan that draws its variates kind after kind then draws each stream's
+    in the order that a scan over its share alone would.
+    """
+    if not isinstance(rng, Sequence):
+        return getattr(rng, method)(shape)
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    share, rest = divmod(flat.size, len(rng))
+    if rest:
+        raise DomainError(f"{flat.size} chains do not split into {len(rng)} equal shares")
+    for i, r in enumerate(rng):
+        getattr(r, method)(out=flat[i * share:(i + 1) * share])
+    return out
+
+
+def nig_step(
+    tau: np.ndarray,
+    xi: np.ndarray,
+    p: NIGParams,
+    mode: str,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+):
     """One deterministic scan (tau-update then xi-update), vectorized.
 
     ``exact`` draws both conditionals exactly; ``scaled`` and ``fixed`` use
     random-walk Metropolis, with the conditioning-dependent steps or with the
-    common fixed step ``p.sigma0`` of both updates.
+    common fixed step ``p.sigma0`` of both updates.  ``rng`` is one Generator
+    for the whole batch, or k Generators for k equal contiguous shares of
+    it (k chains in lockstep, say): each share then gets the states that a
+    call on it alone, with its own stream, would give.
     """
     if mode not in NIG_MODES:
         raise InvalidModeError(f"unknown mode {mode!r}; choose one of {', '.join(NIG_MODES)}")
@@ -73,18 +105,18 @@ def nig_step(tau: np.ndarray, xi: np.ndarray, p: NIGParams, mode: str, rng: np.r
     beta_xi = p.beta_hyper + 0.5 * xi_sq
 
     if mode == "exact":
-        tau = (1.0 / beta_xi) * rng.standard_exponential(beta_xi.shape)
-        return tau, 0.0 + (1.0 / np.sqrt(tau)) * rng.standard_normal(tau.shape)
+        tau = (1.0 / beta_xi) * _draw(rng, "standard_exponential", beta_xi.shape)
+        return tau, 0.0 + (1.0 / np.sqrt(tau)) * _draw(rng, "standard_normal", tau.shape)
 
     step = _SQRT3 / beta_xi if mode == "scaled" else p.sigma0
-    prop = tau + step * rng.standard_normal(tau.shape)
+    prop = tau + step * _draw(rng, "standard_normal", tau.shape)
     log_alpha = np.where(prop > 0.0, beta_xi * (tau - prop), -np.inf)
-    tau = np.where(np.log(rng.random(tau.shape)) < log_alpha, prop, tau)
+    tau = np.where(np.log(_draw(rng, "random", tau.shape)) < log_alpha, prop, tau)
 
     step = 1.0 / np.sqrt(2.0 * tau) if mode == "scaled" else p.sigma0
-    prop = xi + step * rng.standard_normal(xi.shape)
+    prop = xi + step * _draw(rng, "standard_normal", xi.shape)
     log_alpha = -0.5 * tau * (prop ** 2 - xi_sq)
-    xi = np.where(np.log(rng.random(xi.shape)) < log_alpha, prop, xi)
+    xi = np.where(np.log(_draw(rng, "random", xi.shape)) < log_alpha, prop, xi)
     return tau, xi
 
 
@@ -236,16 +268,23 @@ def finite_simulate(
     """Advance many chains of a finite kernel at once (categorical sampling).
 
     The next state is the number of cdf values of the current row below a
-    uniform u, counted one cdf column at a time; the last column is left out,
-    as u < 1 never passes it.
+    uniform u.  The kernel's ``sampling_table`` gives it by one lookup in
+    u's bucket wherever the bucket holds no cdf value of the row; the
+    chains it leaves open count their row's cdf columns one at a time.
     """
-    cols = np.cumsum(k.matrix, axis=1).T[:-1].copy()
+    cols, buckets, table = k.sampling_table
     state = np.asarray(start, dtype=np.int64).copy()
     for _ in range(steps):
         u = rng.random(state.shape)
-        nxt = np.zeros_like(state)
-        for col in cols:
-            nxt += col[state] < u
+        # u * buckets is exact (a power of two), so its floor is u's bucket
+        nxt = table[state * buckets + (u * buckets).astype(np.int64)]
+        pending = nxt < 0
+        if pending.any():
+            s, v = state[pending], u[pending]
+            count = np.zeros_like(s)
+            for col in cols:
+                count += col[s] < v
+            nxt[pending] = count
         state = nxt
     return state
 

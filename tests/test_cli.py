@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -5,9 +6,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wpgibbs
+from wpgibbs import cli, samplers
 from wpgibbs.cases import CASES
 from wpgibbs.cli import main
 from wpgibbs.config import case_params_from_dict, to_dict
@@ -169,6 +172,71 @@ def test_sample_every_case_and_mode(tmp_path, name, mode):
         assert all(0.0 <= a <= 1.0 for a in acc)
     else:
         assert acc is None
+
+
+def _one_chain_rows(name, p, mode, rng, steps, acc):
+    """One chain's rows from its own stream, the chain run alone."""
+    if name == "nig":
+        tau, xi = samplers.nig_stationary_start(p, rng, 1)
+        for step in range(steps + 1):
+            yield step, repr(float(tau[0])), repr(float(xi[0]))
+            tau, xi = samplers.nig_step(tau, xi, p, mode, rng)
+    elif name == "bayes":
+        lam = float(rng.gamma(p.a, 1.0 / p.b))
+        bvec = np.zeros(p.p)
+        for step in range(steps + 1):
+            yield [step, repr(lam)] + [repr(float(v)) for v in bvec]
+            lam, bvec = samplers.bayes_step(lam, bvec, p, rng)
+    else:
+        accepted = np.zeros(len(p.times) - 1)
+        acc.append(accepted)
+        theta, paths = samplers.ou_initial_state(p, rng)
+        for step in range(steps + 1):
+            yield step, repr(theta)
+            theta, paths, ok = samplers.ou_da_step(theta, paths, p, rng)
+            accepted += ok
+
+
+def _sample_reference(out, name, mode, seed, chains, steps):
+    """``sample`` with its chains run one after another, each chain's file
+    written whole before the next chain starts."""
+    case = CASES[name]
+    p = case_params_from_dict({**CASE_CONFIGS[name], **({"sigma0": 0.7} if mode == "fixed" else {})})
+    out.mkdir()
+    acc = []
+    for chain in range(chains):
+        with open(out / f"chain_{chain}.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(case.columns(p))
+            w.writerows(_one_chain_rows(name, p, mode, samplers.chain_rng(seed, chain), steps, acc))
+    meta = {"command": "sample", "case": name, "seed": seed, "chains": chains, "steps": steps,
+            "mode": mode, **case.sample_meta, "params": to_dict(p)}
+    if acc:
+        meta["acceptance_rate_per_segment"] = (sum(acc) / (chains * (steps + 1))).tolist()
+    samplers.write_metadata(str(out / "run_meta.json"), meta)
+
+
+@pytest.mark.parametrize("block_rows", [5, cli._BLOCK_ROWS])
+@pytest.mark.parametrize("steps", [0, 1, 40])
+@pytest.mark.parametrize("chains", [1, 3, 4])
+@pytest.mark.parametrize(
+    "name,mode", [(name, mode) for name, case in CASES.items() for mode in case.modes]
+)
+def test_sample_lockstep_matches_chains_run_alone(tmp_path, monkeypatch, name, mode, chains,
+                                                  steps, block_rows):
+    """The chains of one run, advanced side by side and written in blocks of
+    scans, give the bytes of the chains run one at a time."""
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    out, ref = tmp_path / "run", tmp_path / "ref"
+    argv = ["sample", *_case_argv(tmp_path, name, mode), "--seed", "9",
+            "--chains", str(chains), "--steps", str(steps), "--out", str(out)]
+    assert main(argv) == 0
+    _sample_reference(ref, name, mode, 9, chains, steps)
+    files = sorted(f.name for f in ref.iterdir())
+    assert files == sorted(f.name for f in out.iterdir())
+    assert len(files) == chains + 1
+    for f in files:
+        assert (out / f).read_bytes() == (ref / f).read_bytes(), f
 
 
 # bound has no recipe for the exact nig chain (see INVALID)

@@ -49,6 +49,13 @@ def test_power_closed_form():
     assert rb.rate_bound(0) == 0.25
 
 
+def test_power_closed_form_F_is_inf_past_the_largest_double():
+    rb = RateBound(Power(1.0, 300.0))
+    assert rb.F(1e-3) == math.inf  # 1e-3 ** -299 overflows a double
+    x = 0.2  # 0.2 ** -299 is about 1e209
+    assert rb.F(x) == (x ** -299.0 - X_MAX ** -299.0) / 299.0
+
+
 def test_numeric_matches_linear_closed_form():
     grid = np.geomspace(1e-8, 0.25, 2000)
     k = GridKStar(v_knots=tuple(grid), values=tuple(0.3 * grid))

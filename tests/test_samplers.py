@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pathlib
@@ -50,6 +51,8 @@ def test_nig_step_validation():
     # the fixed step lives in the params
     with pytest.raises(InvalidModeError, match="numeric step sigma0"):
         nig_step(np.ones(2), np.zeros(2), p, "fixed", rng)
+    with pytest.raises(DomainError, match="3 chains do not split into 2 equal shares"):
+        nig_step(np.ones(3), np.zeros(3), p, "scaled", [rng, chain_rng(0, 1)])
 
 
 def test_nig_exact_gibbs_preserves_stationarity():
@@ -114,7 +117,9 @@ def _nig_step_reference(tau, xi, p, mode, rng):
 @pytest.mark.parametrize("mode", NIG_MODES)
 def test_nig_step_matches_reference_bit_for_bit(mode, size):
     """nig_step gives the reference's states byte for byte over 100 scans
-    from one seed, and writes neither of its inputs."""
+    from one seed, and writes neither of its inputs.  With a list of k
+    streams over k shares of ``size`` chains it gives, byte for byte, the
+    states of k calls, one per share with its stream."""
     p = NIGParams(beta_hyper=1.5, sigma0=0.8)
     tau, xi = nig_stationary_start(p, chain_rng(31, 0), size)
     ref = (tau, xi)
@@ -126,6 +131,17 @@ def test_nig_step_matches_reference_bit_for_bit(mode, size):
         ref = _nig_step_reference(*ref, p, mode, ref_rng)
         assert [a.tobytes() for a in new] == [a.tobytes() for a in ref]
         tau, xi = new
+
+    k = 3
+    shares = [nig_stationary_start(p, chain_rng(32, i), size) for i in range(k)]
+    tau, xi = (np.concatenate(z) for z in zip(*shares))
+    rngs = [chain_rng(33, i) for i in range(k)]
+    alone_rngs = [chain_rng(33, i) for i in range(k)]
+    for _ in range(100):
+        tau, xi = nig_step(tau, xi, p, mode, rngs)
+        shares = [nig_step(*z, p, mode, r) for z, r in zip(shares, alone_rngs)]
+        assert tau.tobytes() == np.concatenate([t for t, _ in shares]).tobytes()
+        assert xi.tobytes() == np.concatenate([x for _, x in shares]).tobytes()
 
 
 def test_nig_decay_estimate_shrinks_and_is_reproducible():
@@ -375,11 +391,17 @@ class _FixedUniforms:
         return self.random(size)
 
 
-@pytest.mark.parametrize("k", [_TIED, random_joint_model(3, 4, 4).kernel("P12")],
-                         ids=["tied", "4x4-P12"])
+# P12 of an 8x8 model: 64 states and 256 buckets, so many buckets hold
+# several distinct cdf values of their row
+_KERNELS = pytest.mark.parametrize(
+    "k", [_TIED, random_joint_model(3, 4, 4).kernel("P12"), random_joint_model(3, 8, 8).kernel("P12")],
+    ids=["tied", "4x4-P12", "8x8-P12"])
+
+
+@_KERNELS
 def test_finite_simulate_matches_matrix_rule(k):
-    """The column-wise step lands where the comparison-matrix rule does, on
-    a seeded stream and on uniforms equal to the cdf values themselves."""
+    """The bucketed step lands where the comparison-matrix rule does, on a
+    seeded stream and on uniforms equal to the cdf values themselves."""
     assert np.cumsum(_TIED.matrix[0])[-1] < np.nextafter(1.0, 0.0)
     start = chain_rng(4, 0).choice(k.n, size=5000, p=k.mu)
     rng, ref_rng = chain_rng(4, 1), chain_rng(4, 1)
@@ -396,6 +418,41 @@ def test_finite_simulate_matches_matrix_rule(k):
     fixed = _FixedUniforms(np.tile(u, k.n))
     assert np.array_equal(finite_simulate(k, start, 1, fixed),
                           _finite_simulate_reference(k, start, 1, fixed))
+
+
+@_KERNELS
+def test_finite_simulate_at_every_bucket_edge(k):
+    """From every state, uniforms at each bucket edge b/B and at both of its
+    neighbours land where the comparison-matrix rule does."""
+    cols, buckets, table = k.sampling_table
+    assert table.dtype == np.int64 and table.size == k.n * buckets <= 2 ** 14
+    edges = np.arange(buckets + 1) / buckets
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+    u = u[u < 1.0]
+    fixed = _FixedUniforms(u)
+    for s in range(k.n):
+        start = np.full(len(u), s)
+        state = finite_simulate(k, start, 1, fixed)
+        assert state.dtype == np.int64
+        assert np.array_equal(state, _finite_simulate_reference(k, start, 1, fixed))
+
+
+def test_finite_sampling_table_built_once_per_kernel(monkeypatch):
+    built = []
+    build = FiniteKernel.sampling_table.func
+
+    def counted(k):
+        built.append(k)
+        return build(k)
+
+    table = functools.cached_property(counted)
+    table.__set_name__(FiniteKernel, "sampling_table")
+    monkeypatch.setattr(FiniteKernel, "sampling_table", table)
+    m = random_joint_model(3, 4, 4)
+    k = m.kernel("P12")
+    f = random_centered_functions(m.mu, 1, 4)[0]
+    finite_decay_estimate(k, f, n_grid=[200], starts=50, master_seed=1)
+    assert len(built) == 1 and built[0] is k
 
 
 def test_finite_decay_estimate_calibrated_on_two_state():
