@@ -28,7 +28,7 @@ from . import kstar, samplers
 from .beta import DEFAULT_CAP, BetaSpec, ExpLogSquare
 from .errors import DomainError, InvalidModeError, InvalidSpecError, ValidityRangeError
 from .kstar import Linear
-from .special import gammainc_lower, gammainc_upper, lambert_w
+from .special import gammainc_tails, lambert_w
 
 # conductance constants for random-walk / heavy-tail slice gap bounds
 C_RWM = 1.972e-4
@@ -167,6 +167,15 @@ class NIGBeta1(BetaSpec):
         return out
 
 
+def _gamma_at_branches(a: float, arg: np.ndarray, scale_w: float) -> np.ndarray:
+    """(gamma(a, x_lo) + Gamma(a, x_hi)) / Gamma(a) at x = scale_w * W(arg),
+    x_lo on the principal branch and x_hi on the minus-one branch: the form
+    both beta_2 profiles take once their slice profile is integrated over a
+    Gamma(a, .) marginal."""
+    w = lambert_w(arg, ("principal", "minus_one"))
+    return gammainc_tails(a, scale_w * w[0], scale_w * w[1]) / math.gamma(a)
+
+
 @dataclass(frozen=True)
 class NIGBeta2(BetaSpec):
     """Fixed-step profile of the xi-update: integrated against the
@@ -183,9 +192,7 @@ class NIGBeta2(BetaSpec):
         # in [-1/e, 0) up to rounding at the edge, which lambert_w absorbs
         arg = -2.0 / (C_RWM * s[valid])
         scale_w = -self.params.beta_hyper / (2.0 * sigma0 * sigma0)
-        x_lo = scale_w * lambert_w(arg, "principal")
-        x_hi = scale_w * lambert_w(arg, "minus_one")
-        out[valid] = (gammainc_lower(0.5, x_lo) + gammainc_upper(0.5, x_hi)) / math.sqrt(math.pi)
+        out[valid] = _gamma_at_branches(0.5, arg, scale_w)
         return out
 
 
@@ -284,11 +291,7 @@ class BayesBeta2(BetaSpec):
         out = np.full_like(s, DEFAULT_CAP)
         valid = s >= math.e * c1c2
         arg = -c1c2 / s[valid]  # in [-1/e, 0) up to rounding at the edge
-        scale_w = -p.b_prime / p.C2
-        x_lo = scale_w * lambert_w(arg, "principal")
-        x_hi = scale_w * lambert_w(arg, "minus_one")
-        ap = p.a_prime
-        out[valid] = (gammainc_lower(ap, x_lo) + gammainc_upper(ap, x_hi)) / math.gamma(ap)
+        out[valid] = _gamma_at_branches(p.a_prime, arg, -p.b_prime / p.C2)
         return out
 
 

@@ -7,6 +7,9 @@ grid once per ``RateBound``: F interpolates that table linearly in log x,
 and F^{-1} reads the same table the other way, raised by a relative margin
 to the conservative side.  Where K* vanishes the integral diverges: the
 bound saturates at that level and ``saturated`` is set.
+
+``F_inv``, ``rate_bound`` and ``curve`` share one array inverse, so a curve
+takes one pass over its whole grid on every path.
 """
 from __future__ import annotations
 
@@ -77,6 +80,13 @@ class RateBound:
         self._grid = v
         self._log_grid = t
         self._table = F
+        # F falls as x grows and np.interp needs rising points: F_inv reads
+        # the finite part of the table reversed; past its top, the floor
+        finite = np.isfinite(F)
+        self._rising_F = np.ascontiguousarray(F[finite][::-1])
+        self._rising_log_x = np.ascontiguousarray(t[finite][::-1])
+        self._top = self._rising_F[-1]
+        self._floor = float(v[finite][0])
 
     def F(self, x: float) -> float:
         """F(x) = integral_x^{1/4} dv / K*(v) (may be inf)."""
@@ -96,37 +106,44 @@ class RateBound:
     def F_inv(self, n: float) -> float:
         """Root of F(x) = n, never below it: on the numeric path raised by
         the relative margin ``_REL_TOL``, or past the table's top its floor."""
-        if n <= 0.0:
-            return X_MAX
+        return float(self._inverse(np.array([n], dtype=float))[0])
+
+    def _inverse(self, m: np.ndarray) -> np.ndarray:
+        """F_inv at every level of the float array ``m``, 1/4 where m <= 0,
+        in one pass; sets ``saturated`` if a level is past the table's top."""
         if self._cf is not None:
             if self._cf[0] == "linear":
                 # 1/4 exp(-slope n) falls below the smallest normal double
                 # near slope * n = 707 and underflows to 0 near 745; the
-                # floor stays above the true value
-                return max(X_MAX * math.exp(-self._cf[1] * n), sys.float_info.min)
+                # floor stays above the true value.  math.exp and ** per
+                # point, as np.exp and np.power need not round the same way
+                neg = -self._cf[1]
+                return np.array([max(X_MAX * math.exp(neg * n), sys.float_info.min)
+                                 if n > 0.0 else X_MAX for n in m.tolist()])
             c, p, q = self._cf[1]
-            x = (c * (p - 1.0) * n + q) ** (-1.0 / (p - 1.0))
-            return max(x, self.x_min)
-        finite = np.isfinite(self._table)
-        top = self._table[finite][0]
-        if top < n:
+            cp, e = c * (p - 1.0), -1.0 / (p - 1.0)
+            return np.array([max((cp * n + q) ** e, self.x_min) if n > 0.0 else X_MAX
+                             for n in m.tolist()])
+        t = np.interp(m, self._rising_F, self._rising_log_x)
+        out = np.array([math.exp(v) for v in t.tolist()])
+        out = np.minimum(out * (1.0 + _REL_TOL), X_MAX)
+        past = m > self._top
+        if np.count_nonzero(past):
             # K* vanishes (or the integral diverges) before the bound
             # reaches this level; report the certified floor
             self.saturated = True
-            return float(self._grid[finite][0])
-        # F falls as x grows; np.interp needs rising points, so read both reversed
-        t = np.interp(n, self._table[finite][::-1], self._log_grid[finite][::-1])
-        return min(math.exp(t) * (1.0 + _REL_TOL), X_MAX)
+            out[past] = self._floor
+        out[m <= 0.0] = X_MAX
+        return out
 
     def rate_bound(self, n: float) -> float:
         """Squared-norm decay bound after n scans."""
-        m = n - self.kstar.n_offset
-        if m <= 0:
-            return X_MAX
-        return min(self.F_inv(m), X_MAX)
+        return min(self.F_inv(n - self.kstar.n_offset), X_MAX)
 
     def curve(self, ns) -> np.ndarray:
-        return np.array([self.rate_bound(int(n)) for n in ns])
+        """``rate_bound(int(n))`` at every n of ``ns``, in one pass."""
+        off = self.kstar.n_offset
+        return np.minimum(self._inverse(np.array([int(n) - off for n in ns], dtype=float)), X_MAX)
 
     def write_csv(self, path: str, ns) -> None:
         bounds = self.curve(ns)  # a failing point leaves no partial file

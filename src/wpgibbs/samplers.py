@@ -336,14 +336,16 @@ def _paired_decay(start, step, f, osc_sq: float, n_grid, master_seed: int) -> De
     rng1, rng2 = chain_rng(master_seed, 1), chain_rng(master_seed, 2)
     z1 = z2 = start
     n_grid = sorted(int(n) for n in n_grid)
-    xs = []
+    x = None  # (grid, starts), filled row by row
     now = 0
-    for n in n_grid:
+    for i, n in enumerate(n_grid):
         for _ in range(n - now):
             z1, z2 = step(z1, rng1), step(z2, rng2)
         now = n
-        xs.append(f(z1) * f(z2) / osc_sq)
-    x = np.array(xs)  # (grid, starts)
+        row = f(z1) * f(z2) / osc_sq
+        if x is None:
+            x = np.empty((len(n_grid), row.size))
+        x[i] = row
     starts = x.shape[1]
     rng = chain_rng(master_seed, 3)
     counts = np.empty((BOOTSTRAP, starts), dtype=np.int32)

@@ -383,6 +383,9 @@ INVALID = {
     "compare-one-start": ["compare", "--case", "nig", "--starts", "1", "--n-grid", "1,2"],
     "bayes-1d-design": ["sample", "--case", "bayes", "--config", "{bayes_1d_x}"],
     "n-max-not-int": ["bound", "--n-max", "x"],
+    # beta / sigma0^2 overflows, so the profile's gamma arguments are inf
+    "nig-fixed-scale-overflows": ["bound", "--case", "nig", "--mode", "fixed",
+                                  "--beta-hyper", "1e308", "--sigma0", "1e-5"],
     "unknown-flag": ["bound", "--nosuch", "1"],
     # bound draws no random numbers, so it takes no --seed
     "bound-seed": ["bound", "--beta", "indicator:0.2", "--seed", "3"],

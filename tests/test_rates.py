@@ -112,15 +112,54 @@ def test_curve_and_csv(tmp_path):
 def test_write_csv_leaves_no_file_when_a_point_fails(tmp_path, monkeypatch):
     rb = RateBound(Linear(0.2))
 
-    def fails_at_5(n):
-        if n == 5:
+    def fails_at_5(m):
+        if 5.0 in m:
             raise OverflowError("n = 5")
-        return 0.25
+        return np.full_like(m, 0.25)
 
-    monkeypatch.setattr(rb, "rate_bound", fails_at_5)
+    # curve inverts every point in one call to _inverse
+    monkeypatch.setattr(rb, "_inverse", fails_at_5)
     with pytest.raises(OverflowError):
         rb.write_csv(tmp_path / "bound.csv", [0, 1, 5, 10])
     assert not (tmp_path / "bound.csv").exists()
+
+
+def _curve_cases():
+    grid = np.geomspace(1e-8, 0.25, 500)
+    saturating = GridKStar(v_knots=tuple(grid),
+                           values=tuple(np.where(grid < 0.01, 0.0, 0.3 * grid)))
+    plain = GridKStar(v_knots=tuple(grid), values=tuple(0.3 * grid))
+    for name, k in (("linear", Linear(0.3)), ("linear-underflow", Linear(2.0)),
+                    ("power", Power(0.1, 1.7)),
+                    ("numeric", plain), ("numeric-saturating", saturating)):
+        yield name, k
+        yield name + "-offset", Composite(k, offset=1)
+
+
+def test_curve_equals_rate_bound_point_by_point():
+    # linear, power and numeric paths (a power K* behind an offset takes the
+    # numeric one), offsets 0 and 1, n = 0, floats that curve truncates, and
+    # levels past each table's top
+    ns = [0, 1, 2, 3, 7, 50, 200, 1000, 10 ** 4, 10 ** 6, 10 ** 9]
+    for name, k in _curve_cases():
+        rb, ref = RateBound(k), RateBound(k)
+        got = rb.curve(ns)
+        want = [ref.rate_bound(n) for n in ns]
+        assert isinstance(got, np.ndarray) and got.dtype == float
+        assert list(got) == want, name
+        assert rb.saturated == ref.saturated == name.startswith("numeric"), name
+        assert got[0] == X_MAX and (got[1] == X_MAX) == bool(k.n_offset), name
+        assert list(RateBound(k).curve([n + 0.9 for n in ns])) == want, name
+        assert RateBound(k).curve([]).shape == (0,)
+    # the flag is set once a level passes the table's top (near 88 for the
+    # plain table with its floor at x_min, near 11 for the saturating one)
+    cases = dict(_curve_cases())
+    for name, below in (("numeric", 80), ("numeric-saturating", 10)):
+        rb = RateBound(cases[name])
+        rb.curve(range(below + 1))
+        assert not rb.saturated, name
+        rb.curve([below + 1, 10 ** 6])
+        assert rb.saturated, name
 
 
 def test_f_inverse_inverts_f():

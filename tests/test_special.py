@@ -5,7 +5,7 @@ import pytest
 import scipy.special as sps
 
 from wpgibbs.errors import DomainError
-from wpgibbs.special import gammainc_lower, gammainc_upper, lambert_w
+from wpgibbs.special import gammainc_lower, gammainc_tails, gammainc_upper, lambert_w
 
 
 def test_lambert_principal_identity():
@@ -86,6 +86,69 @@ def test_lambert_array_equals_scalar_calls():
     for branch in ("principal", "minus_one"):
         empty = lambert_w(np.array([]), branch)
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def test_lambert_branches_in_one_loop_equal_per_branch_calls():
+    # x = -1/e (both branches meet at -1), just past it (clamped onto it),
+    # every seed region of both branches and a grid over [-1/e, 0)
+    xs = np.concatenate([WM1_POINTS, [-1.0 / math.e - 1e-16],
+                         -np.geomspace(1e-300, 1.0 / math.e, 200)])
+    both = lambert_w(xs, ("principal", "minus_one"))
+    assert both.shape == (2,) + xs.shape
+    assert np.array_equal(both[0], lambert_w(xs, "principal"))
+    assert np.array_equal(both[1], lambert_w(xs, "minus_one"))
+    grid = xs[:6].reshape(2, 3)
+    assert np.array_equal(lambert_w(grid, ("minus_one", "principal")),
+                          [lambert_w(grid, "minus_one"), lambert_w(grid, "principal")])
+    # x = 0 and x > 0 only on the principal branch
+    assert np.array_equal(lambert_w(W0_POINTS, ("principal",)), [lambert_w(W0_POINTS)])
+    assert np.array_equal(lambert_w(-0.2, ("principal", "minus_one")),
+                          [lambert_w(-0.2), lambert_w(-0.2, "minus_one")])
+    assert lambert_w(np.array([]), ("principal", "minus_one")).shape == (2, 0)
+    with pytest.raises(DomainError):
+        lambert_w(np.array([-0.2, 0.0]), ("principal", "minus_one"))
+    with pytest.raises(DomainError):
+        lambert_w(0.5, ("principal", "minus_two"))
+
+
+def test_gamma_tails_equal_the_two_piece_calls():
+    # x = 0, the series below s + 1, x = s + 1 exactly, the continued
+    # fraction above it, and lo and hi in different regions at one point
+    rng = np.random.default_rng(3)
+    for s in (0.5, 1.0, 2.5, 40.0):
+        pts = np.array([0.0, 1e-300, 1e-12, 0.3 * (s + 1.0), s + 1.0 - 1e-9, s + 1.0,
+                        2.0 * s + 5.0, 700.0])
+        lo, hi = np.meshgrid(pts, pts)
+        lo = np.concatenate([lo.ravel(), rng.uniform(0.0, 3.0 * s + 5.0, 200)])
+        hi = np.concatenate([hi.ravel(), rng.uniform(0.0, 3.0 * s + 5.0, 200)])
+        got = gammainc_tails(s, lo, hi)
+        assert np.array_equal(got, gammainc_lower(s, lo) + gammainc_upper(s, hi))
+        for i in range(0, lo.size, 13):  # a scalar call is the array pass at one point
+            assert gammainc_tails(s, float(lo[i]), float(hi[i])) == got[i]
+        assert isinstance(gammainc_tails(s, 1.0, 2.0), float)
+        assert gammainc_tails(s, np.array([]), np.array([])).shape == (0,)
+    ss = np.array([0.5, 1.0, 2.5, 4.0])
+    xs = np.array([0.0, 0.7, 3.5, 9.0])
+    assert np.array_equal(gammainc_tails(ss, xs, xs[::-1]),
+                          gammainc_lower(ss, xs) + gammainc_upper(ss, xs[::-1]))
+    assert np.array_equal(gammainc_tails(ss[:, None], xs, 2.0),
+                          gammainc_lower(ss[:, None], xs) + gammainc_upper(ss[:, None], 2.0))
+
+
+def test_non_finite_inputs_raise():
+    for x in (math.inf, -math.inf, np.array([0.5, math.inf]), np.array([-0.2, -math.inf])):
+        for branch in ("principal", "minus_one", ("principal", "minus_one")):
+            with pytest.raises(DomainError):
+                lambert_w(x, branch)
+    for s, x in ((0.5, math.inf), (math.inf, 1.0), (0.5, np.array([1.0, math.inf])),
+                 (np.array([0.5, math.inf]), 1.0)):
+        for fn in (gammainc_lower, gammainc_upper):
+            with pytest.raises(DomainError):
+                fn(s, x)
+        with pytest.raises(DomainError):
+            gammainc_tails(s, x, 1.0)
+        with pytest.raises(DomainError):
+            gammainc_tails(s, 1.0, x)
 
 
 def test_lambert_array_matches_scipy_across_seed_regions():
