@@ -115,12 +115,12 @@ def gammainc_upper(s, x, tol: float = 1e-15):
     return _gammainc("gammainc_upper", s, ((x, True),), tol)
 
 
-def gammainc_tails(s, lo, hi, tol: float = 1e-15):
+def gammainc_tails(s, lo, hi):
     """gamma(s, lo) + Gamma(s, hi): the lower piece up to ``lo`` plus the
     upper piece from ``hi``, both pieces through one series loop and one
-    continued-fraction loop; bit-equal to
+    continued-fraction loop at the default tolerance of those; bit-equal to
     ``gammainc_lower(s, lo) + gammainc_upper(s, hi)``."""
-    return _gammainc("gammainc_tails", s, ((lo, False), (hi, True)), tol)
+    return _gammainc("gammainc_tails", s, ((lo, False), (hi, True)), 1e-15)
 
 
 def _gammainc(name: str, s, pieces, tol: float):
