@@ -167,13 +167,17 @@ class NIGBeta1(BetaSpec):
         return out
 
 
-def _gamma_at_branches(a: float, arg: np.ndarray, scale_w: float) -> np.ndarray:
+def _gamma_at_branches(a: float, arg: np.ndarray, scale_w: float, scale_name: str) -> np.ndarray:
     """(gamma(a, x_lo) + Gamma(a, x_hi)) / Gamma(a) at x = scale_w * W(arg),
     x_lo on the principal branch and x_hi on the minus-one branch: the form
     both beta_2 profiles take once their slice profile is integrated over a
-    Gamma(a, .) marginal."""
-    w = lambert_w(arg, ("principal", "minus_one"))
-    return gammainc_tails(a, scale_w * w[0], scale_w * w[1]) / math.gamma(a)
+    Gamma(a, .) marginal.  ``scale_name`` names the inputs behind scale_w
+    when x overflows."""
+    with np.errstate(over="ignore"):
+        x = scale_w * lambert_w(arg)
+    if not np.isfinite(x).all():
+        raise DomainError(f"{scale_name} overflows the beta_2 profile's incomplete-gamma arguments")
+    return gammainc_tails(a, x[0], x[1]) / math.gamma(a)
 
 
 @dataclass(frozen=True)
@@ -191,8 +195,10 @@ class NIGBeta2(BetaSpec):
         valid = s >= 2.0 * math.e / C_RWM
         # in [-1/e, 0) up to rounding at the edge, which lambert_w absorbs
         arg = -2.0 / (C_RWM * s[valid])
-        scale_w = -self.params.beta_hyper / (2.0 * sigma0 * sigma0)
-        out[valid] = _gamma_at_branches(0.5, arg, scale_w)
+        beta = self.params.beta_hyper
+        scale_w = -beta / (2.0 * sigma0 * sigma0)
+        out[valid] = _gamma_at_branches(
+            0.5, arg, scale_w, f"beta_hyper / (2 sigma0^2) at beta_hyper={beta!r}, sigma0={sigma0!r}")
         return out
 
 
@@ -291,7 +297,8 @@ class BayesBeta2(BetaSpec):
         out = np.full_like(s, DEFAULT_CAP)
         valid = s >= math.e * c1c2
         arg = -c1c2 / s[valid]  # in [-1/e, 0) up to rounding at the edge
-        out[valid] = _gamma_at_branches(p.a_prime, arg, -p.b_prime / p.C2)
+        out[valid] = _gamma_at_branches(
+            p.a_prime, arg, -p.b_prime / p.C2, f"b' / C2 at b={p.b!r}, sigma0={p.sigma0!r}")
         return out
 
 

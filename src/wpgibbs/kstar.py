@@ -19,6 +19,9 @@ from .errors import InvalidModeError, InvalidSpecError, UnboundedConjugateError
 # u-grid for numeric conjugation: beta families vary on a log scale
 _U_LO, _U_HI, _U_POINTS = 1e-8, 1e8, 4096
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# v-grid of every numeric conjugate, on (0, 1/4]
+_V_GRID = np.geomspace(1e-6, 0.25, 200)
+_V_GRID.flags.writeable = False
 
 
 def _as_v(v) -> np.ndarray:
@@ -233,7 +236,7 @@ def _convexify(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.interp(v, hv, hk)
 
 
-def conjugate(spec: BetaSpec, v_grid=None) -> KStarFn:
+def conjugate(spec: BetaSpec) -> KStarFn:
     """Convex conjugate of u -> u * beta(1/u).
 
     Closed forms are dispatched for the indicator and power-law families;
@@ -254,21 +257,16 @@ def conjugate(spec: BetaSpec, v_grid=None) -> KStarFn:
                 f"power-law conjugate coefficient overflows a double for "
                 f"coefficient {c!r}, exponent {alpha!r}") from None
         return Power(coef, 1.0 + 1.0 / alpha)
-    if isinstance(spec, _b.ExpLogSquare) and (spec.cap is None or spec.cap >= spec.c):
+    if isinstance(spec, _b.ExpLogSquare) and spec.cap >= spec.c:
         return ExpLogSquareConjugate(c=spec.c, a=spec.a, b=spec.b)
-    if v_grid is None:
-        v_grid = np.geomspace(1e-6, 0.25, 200)
-    v_grid = np.asarray(v_grid, dtype=float)
-    if np.any(v_grid <= 0.0) or np.any(v_grid > 0.25 + 1e-12):
-        raise InvalidSpecError("v_grid must lie in (0, 1/4]")
 
     u = np.geomspace(_U_LO, _U_HI, _U_POINTS)
     beta_at = np.asarray(spec(1.0 / u))
     # the best u-grid point of each v brackets its maximizer; one row at a
     # time, as a v-by-u matrix would cost 6.5 MB per temporary
-    best = np.empty_like(v_grid)
-    at = np.empty(len(v_grid), dtype=int)
-    for j, v in enumerate(v_grid):
+    best = np.empty_like(_V_GRID)
+    at = np.empty(len(_V_GRID), dtype=int)
+    for j, v in enumerate(_V_GRID):
         obj = u * (v - beta_at)
         at[j] = np.argmax(obj)
         if at[j] == len(u) - 1 and obj[-1] > obj[-2]:
@@ -279,10 +277,10 @@ def conjugate(spec: BetaSpec, v_grid=None) -> KStarFn:
         best[j] = obj[at[j]]
     lo = u[np.maximum(at - 1, 0)]
     hi = u[np.minimum(at + 1, len(u) - 1)]
-    refined = _golden_max(lambda uu: uu * (v_grid - spec(1.0 / uu)), lo, hi)
+    refined = _golden_max(lambda uu: uu * (_V_GRID - spec(1.0 / uu)), lo, hi)
     vals = np.maximum(0.0, np.maximum(refined, best))
-    vals = _convexify(v_grid, vals)
-    return GridKStar(tuple(v_grid), tuple(vals), convexified=True)
+    vals = _convexify(_V_GRID, vals)
+    return GridKStar(tuple(_V_GRID), tuple(vals), convexified=True)
 
 
 def _to_kstar(op: Union[BetaSpec, KStarFn]) -> KStarFn:

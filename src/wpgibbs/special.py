@@ -1,18 +1,18 @@
-"""Special functions used by the conjugate-model bounds.
+"""Special functions of the conjugate-model beta_2 profiles.
 
-Self-contained implementations of the real Lambert W (both real branches)
-and the unnormalized incomplete gamma functions, so the closed-form beta
-profiles do not silently depend on library conventions.  The test suite
-cross-checks them against scipy.
+Self-contained implementations of the two real Lambert W branches on
+[-1/e, 0) and of the unnormalized incomplete gamma pieces, so the
+closed-form beta profiles do not silently depend on library conventions.
+The test suite cross-checks them against scipy.
 
-Each function takes a scalar or an array and runs all its points through
-one iteration loop that holds only the points still iterating: a point is
-written back at the step where it converges on its own, and the survivors
-are compacted then, so no point's value depends on the points beside it.
-``lambert_w`` runs several branches through one Halley loop, and
-``gammainc_tails`` both incomplete-gamma pieces through one series loop
-and one continued-fraction loop.  A scalar input returns a float.  One bad
-point anywhere, a non-finite one included, raises ``DomainError``.
+Both functions take arrays and run all their points through one iteration
+loop that holds only the points still iterating: a point is written back at
+the step where it converges on its own, and the survivors are compacted
+then, so no point's value depends on the points beside it.  ``lambert_w``
+runs both branches through one Halley loop, and ``gammainc_tails`` both
+incomplete-gamma pieces through one series loop and one continued-fraction
+loop.  One bad point anywhere, a non-finite one included, raises
+``DomainError``.
 """
 from __future__ import annotations
 
@@ -23,62 +23,46 @@ import numpy as np
 from .errors import DomainError
 
 _E_INV = math.exp(-1.0)
-_BRANCHES = ("principal", "minus_one")
+# relative step that stops Halley's iteration, and the relative term (series)
+# or factor change (continued fraction) that stops the incomplete gammas
+_W_TOL = 1e-14
+_GAMMA_TOL = 1e-15
 
 
-def lambert_w(x, branch="principal", tol: float = 1e-14):
-    """Real Lambert W: solve w * exp(w) = x.
+def lambert_w(x) -> np.ndarray:
+    """Both real solutions w of w * exp(w) = x for x in [-1/e, 0): row 0
+    the principal branch W0, row 1 the branch W_{-1}, shape
+    ``(2,) + shape(x)``.
 
-    ``branch='principal'`` (W0) is defined on [-1/e, inf); ``'minus_one'``
-    (W_{-1}) on [-1/e, 0).  Halley iteration from a branch-appropriate seed.
-    A tuple of branch names, e.g. ``("principal", "minus_one")``, iterates
-    them all in one loop and returns one row per branch, shape
-    ``(len(branch),) + shape(x)``, each row bit-equal to that branch's own
-    call.
+    Halley iteration from a branch-appropriate seed.  An x that rounds just
+    past -1/e is taken as -1/e.
     """
-    branches = branch if isinstance(branch, tuple) else (branch,)
-    for b in branches:
-        if b not in _BRANCHES:
-            raise DomainError(f"unknown branch {b!r}")
     xa = np.asarray(x, dtype=float)
     if not np.isfinite(xa).all():
         raise DomainError("lambert_w needs finite x")
     if not np.all(xa >= -_E_INV - 1e-15):
         raise DomainError(f"lambert_w undefined below -1/e (got {np.min(xa)})")
-    xa = np.maximum(xa, -_E_INV)
-    if "minus_one" in branches and np.any(xa >= 0.0):
-        raise DomainError("minus_one branch needs x in [-1/e, 0)")
+    if np.any(xa >= 0.0):
+        raise DomainError("lambert_w needs x in [-1/e, 0)")
 
     xf = xa.reshape(-1)
-    at_branch_point = np.abs(xf + _E_INV) < 1e-300
-    todo = (xf != 0.0) & ~at_branch_point
-    w = np.zeros((len(branches), xf.size))
-    for row, b in zip(w, branches):
-        row[at_branch_point] = -1.0
-        _seed(row, xf, todo, b)
-    # the branches' rows side by side make one flat set of points
-    idx = np.flatnonzero(np.tile(todo, len(branches)))
-    _halley(w.reshape(-1), idx, np.tile(xf, len(branches))[idx], tol)
-    if isinstance(branch, tuple):
-        return w.reshape((len(branches),) + xa.shape)
-    return float(w[0, 0]) if xa.ndim == 0 else w[0].reshape(xa.shape)
+    # x at -1/e, or rounded just past it, is the branch point, where both are -1
+    todo = xf > -_E_INV
+    x = xf[todo]
+    w = np.full((2, xf.size), -1.0)
+    # W0 from the series about the branch point; W_{-1} from it at x <= -0.1
+    # and from the asymptotic logs above
+    p = np.sqrt(2.0 * (math.e * x + 1.0))
+    w[0, todo] = -1.0 + p - p * p / 3.0
+    lx = np.log(np.abs(x))
+    w[1, todo] = np.where(x > -0.1, lx - np.log(np.abs(lx)), -1.0 - p - p * p / 3.0)
+    # the two rows side by side make one flat set of points
+    idx = np.flatnonzero(np.tile(todo, 2))
+    _halley(w.reshape(-1), idx, np.tile(x, 2))
+    return w.reshape((2,) + xa.shape)
 
 
-def _seed(w: np.ndarray, x: np.ndarray, todo: np.ndarray, branch: str) -> None:
-    # asymptotic logs away from the branch point, the series about it
-    if branch == "principal":
-        far, near, side = todo & (x > math.e), todo & (x < 0.0), 1.0
-        mid = todo & (x > 0.0) & (x <= math.e)
-        w[mid] = x[mid] / (1.0 + x[mid])
-    else:
-        far, near, side = todo & (x > -0.1), todo & (x <= -0.1), -1.0
-    lx = np.log(np.abs(x[far]))
-    w[far] = lx - np.log(np.abs(lx))
-    p = np.sqrt(2.0 * (math.e * x[near] + 1.0))
-    w[near] = -1.0 + side * p - p * p / 3.0
-
-
-def _halley(w: np.ndarray, idx: np.ndarray, x: np.ndarray, tol: float) -> None:
+def _halley(w: np.ndarray, idx: np.ndarray, x: np.ndarray) -> None:
     """Halley steps toward w exp(w) = x on w[idx], in place; ``x`` is
     aligned with ``idx``.  A zero step denominator stops a point where it
     is."""
@@ -97,7 +81,7 @@ def _halley(w: np.ndarray, idx: np.ndarray, x: np.ndarray, tol: float) -> None:
             idx, wi, x, f, denom = idx[keep], wi[keep], x[keep], f[keep], denom[keep]
         dw = f / denom
         wi = wi - dw
-        done = np.abs(dw) <= tol * (1.0 + np.abs(wi))
+        done = np.abs(dw) <= _W_TOL * (1.0 + np.abs(wi))
         if np.count_nonzero(done):
             w[idx[done]] = wi[done]
             keep = ~done
@@ -105,89 +89,53 @@ def _halley(w: np.ndarray, idx: np.ndarray, x: np.ndarray, tol: float) -> None:
     w[idx] = wi
 
 
-def gammainc_lower(s, x, tol: float = 1e-15):
-    """Unnormalized lower incomplete gamma: integral of t^{s-1} e^{-t}, 0..x."""
-    return _gammainc("gammainc_lower", s, ((x, False),), tol)
-
-
-def gammainc_upper(s, x, tol: float = 1e-15):
-    """Unnormalized upper incomplete gamma: integral of t^{s-1} e^{-t}, x..inf."""
-    return _gammainc("gammainc_upper", s, ((x, True),), tol)
-
-
-def gammainc_tails(s, lo, hi):
-    """gamma(s, lo) + Gamma(s, hi): the lower piece up to ``lo`` plus the
-    upper piece from ``hi``, both pieces through one series loop and one
-    continued-fraction loop at the default tolerance of those; bit-equal to
-    ``gammainc_lower(s, lo) + gammainc_upper(s, hi)``."""
-    return _gammainc("gammainc_tails", s, ((lo, False), (hi, True)), 1e-15)
-
-
-def _gammainc(name: str, s, pieces, tol: float):
-    """The sum over ``pieces`` of (x, upper) of the upper incomplete gamma
-    from x or the lower one up to x, all pieces evaluated in one pass."""
-    s0 = np.asarray(s, dtype=float)
-    sa, *xs = np.broadcast_arrays(s0, *[np.asarray(x, dtype=float) for x, _ in pieces])
-    if not (np.isfinite(sa).all() and np.all(sa > 0.0)):
-        raise DomainError(f"{name} needs finite s > 0")
-    x = np.concatenate([xa.reshape(-1) for xa in xs])
+def gammainc_tails(s: float, lo, hi) -> np.ndarray:
+    """gamma(s, lo) + Gamma(s, hi): the unnormalized lower incomplete gamma
+    up to ``lo`` plus the upper one from ``hi``, for a float s > 0 and
+    arrays ``lo`` and ``hi`` of one shape."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.shape != hi.shape:
+        raise DomainError(f"gammainc_tails needs lo and hi of one shape, got {lo.shape} and {hi.shape}")
+    s = float(s)
+    if not (math.isfinite(s) and s > 0.0):
+        raise DomainError("gammainc_tails needs finite s > 0")
+    x = np.concatenate([lo.reshape(-1), hi.reshape(-1)])
     if not (np.isfinite(x).all() and np.all(x >= 0.0)):
-        raise DomainError(f"{name} needs finite x >= 0")
-    upper = np.repeat([u for _, u in pieces], sa.size)
-    # a scalar s stays a float through the loops
-    sv = float(s0) if s0.ndim == 0 else np.tile(sa.reshape(-1), len(pieces))
-    part = _pieces(sv, x, upper, tol).reshape(len(pieces), sa.size)
-    total = part[0] if len(pieces) == 1 else part[0] + part[1]
-    return float(total[0]) if sa.ndim == 0 else total.reshape(sa.shape)
-
-
-def _at(s, mask):
-    """``s`` at the points ``mask`` picks: a scalar s stays as it is."""
-    return s[mask] if isinstance(s, np.ndarray) else s
-
-
-def _pieces(s, x: np.ndarray, upper, tol: float) -> np.ndarray:
-    """The upper incomplete gamma where ``upper`` holds, the lower one
-    elsewhere; ``s`` is a float or an array aligned with ``x``."""
+        raise DomainError("gammainc_tails needs finite x >= 0")
+    upper = np.repeat([False, True], lo.size)
     series = (x > 0.0) & (x < s + 1.0)
     cf = x >= s + 1.0
     part = np.zeros_like(x)
-    part[series] = _lower_series(_at(s, series), x[series], tol)
-    part[cf] = _upper_cf(_at(s, cf), x[cf], tol)
+    part[series] = _lower_series(s, x[series])
+    part[cf] = _upper_cf(s, x[cf])
     # the series gives the lower piece, the continued fraction the upper one;
     # the other piece is Gamma(s) minus it (at x = 0, lower 0 and upper Gamma(s))
     complement = cf ^ upper
     if np.count_nonzero(complement):
-        if not isinstance(s, np.ndarray):
-            gam = math.gamma(s)
-        else:
-            vals, inv = np.unique(s[complement], return_inverse=True)
-            gam = np.array([math.gamma(v) for v in vals])[inv.reshape(-1)]
-        part[complement] = gam - part[complement]
-    return part
+        part[complement] = math.gamma(s) - part[complement]
+    return (part[:lo.size] + part[lo.size:]).reshape(lo.shape)
 
 
-def _lower_series(s, x: np.ndarray, tol: float) -> np.ndarray:
+def _lower_series(s: float, x: np.ndarray) -> np.ndarray:
     # gamma(s, x) = x^s e^{-x} sum_{k>=0} x^k / (s (s+1) ... (s+k)); with
     # x, s > 0 every term is >= 0, so the stopping test needs no abs
     total = np.ones_like(x) / s
-    idx = np.flatnonzero(total > tol * total)
-    term, tot, xi, si = total[idx], total[idx], x[idx], _at(s, idx)
+    idx = np.flatnonzero(total > _GAMMA_TOL * total)
+    term, tot, xi = total[idx], total[idx], x[idx]
     k = 0
     while idx.size and k < 10_000:
         k += 1
-        term = term * (xi / (si + k))
+        term = term * (xi / (s + k))
         tot = tot + term
-        going = term > tol * tot
+        going = term > _GAMMA_TOL * tot
         if np.count_nonzero(going) < going.size:
             total[idx[~going]] = tot[~going]
-            idx, term, tot, xi, si = (idx[going], term[going], tot[going], xi[going],
-                                      _at(si, going))
+            idx, term, tot, xi = idx[going], term[going], tot[going], xi[going]
     total[idx] = tot
     return total * np.exp(s * np.log(x) - x)
 
 
-def _upper_cf(s, x: np.ndarray, tol: float) -> np.ndarray:
+def _upper_cf(s: float, x: np.ndarray) -> np.ndarray:
     # Gamma(s, x) = x^s e^{-x} / (x + 1 - s - 1(1-s)/(x+3-s- ...)), Lentz
     tiny = 1e-300
     b = x + 1.0 - s
@@ -195,11 +143,11 @@ def _upper_cf(s, x: np.ndarray, tol: float) -> np.ndarray:
     h = d.copy()
     idx = np.arange(x.size)
     c = np.full_like(x, 1.0 / tiny)
-    hi, si = h, s
+    hi = h
     for i in range(1, 10_000):
         if idx.size == 0:
             break
-        an = -i * (i - si)
+        an = -i * (i - s)
         b = b + 2.0
         d = an * d + b
         if np.count_nonzero(d) < d.size:
@@ -210,10 +158,10 @@ def _upper_cf(s, x: np.ndarray, tol: float) -> np.ndarray:
             c[c == 0.0] = tiny
         delta = d * c
         hi = hi * delta
-        done = np.abs(delta - 1.0) < tol
+        done = np.abs(delta - 1.0) < _GAMMA_TOL
         if np.count_nonzero(done):
             h[idx[done]] = hi[done]
             keep = ~done
-            idx, b, d, c, hi, si = idx[keep], b[keep], d[keep], c[keep], hi[keep], _at(si, keep)
+            idx, b, d, c, hi = idx[keep], b[keep], d[keep], c[keep], hi[keep]
     h[idx] = hi
     return h * np.exp(s * np.log(x) - x)

@@ -27,9 +27,8 @@ from wpgibbs.cases import (
 )
 from wpgibbs.beta import DEFAULT_CAP, Indicator
 from wpgibbs.errors import DomainError, InvalidSpecError
-from wpgibbs.kstar import conjugate
 from wpgibbs.rates import RateBound
-from wpgibbs.special import gammainc_lower, gammainc_upper, lambert_w
+from test_special import _gammainc_scalar, _lambert_w_scalar
 
 
 def test_global_constants():
@@ -310,9 +309,9 @@ def _nig_betas_scalar(s, p):
     if s >= 2.0 * math.e / C_RWM:
         arg = -2.0 / (C_RWM * s)
         scale_w = -beta / (2.0 * s0sq)
-        x_lo = scale_w * lambert_w(arg, "principal")
-        x_hi = scale_w * lambert_w(arg, "minus_one")
-        b2 = (gammainc_lower(0.5, x_lo) + gammainc_upper(0.5, x_hi)) / math.sqrt(math.pi)
+        x_lo = scale_w * _lambert_w_scalar(arg, 0)
+        x_hi = scale_w * _lambert_w_scalar(arg, 1)
+        b2 = (_gammainc_scalar(0.5, x_lo, False) + _gammainc_scalar(0.5, x_hi, True)) / math.sqrt(math.pi)
         b2 = min(b2, DEFAULT_CAP)
     return b1, b2
 
@@ -323,10 +322,10 @@ def _bayes_beta2_scalar(s, p):
         return DEFAULT_CAP
     arg = -c1c2 / s
     scale_w = -p.b_prime / p.C2
-    x_lo = scale_w * lambert_w(arg, "principal")
-    x_hi = scale_w * lambert_w(arg, "minus_one")
+    x_lo = scale_w * _lambert_w_scalar(arg, 0)
+    x_hi = scale_w * _lambert_w_scalar(arg, 1)
     ap = p.a_prime
-    val = (gammainc_lower(ap, x_lo) + gammainc_upper(ap, x_hi)) / math.gamma(ap)
+    val = (_gammainc_scalar(ap, x_lo, False) + _gammainc_scalar(ap, x_hi, True)) / math.gamma(ap)
     return min(val, DEFAULT_CAP)
 
 
@@ -401,59 +400,9 @@ def test_bayes_array_profile_matches_scalar_formula_and_scipy(sigma0):
     assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
 
 
-class _TwoCallNIGBeta2(NIGBeta2):
-    """NIGBeta2 as two per-branch lambert_w calls and two per-piece gamma
-    calls, normalised by sqrt(pi)."""
-
-    def _eval(self, s):
-        out = np.full_like(s, DEFAULT_CAP)
-        valid = s >= 2.0 * math.e / C_RWM
-        arg = -2.0 / (C_RWM * s[valid])
-        sigma0 = self.params.sigma0
-        scale_w = -self.params.beta_hyper / (2.0 * sigma0 * sigma0)
-        x_lo = scale_w * lambert_w(arg, "principal")
-        x_hi = scale_w * lambert_w(arg, "minus_one")
-        out[valid] = (gammainc_lower(0.5, x_lo) + gammainc_upper(0.5, x_hi)) / math.sqrt(math.pi)
-        return out
-
-
-class _TwoCallBayesBeta2(BayesBeta2):
-    """BayesBeta2 as two per-branch and two per-piece calls."""
-
-    def _eval(self, s):
-        p = self.params
-        c1c2 = p.C1 * p.C2
-        out = np.full_like(s, DEFAULT_CAP)
-        valid = s >= math.e * c1c2
-        arg = -c1c2 / s[valid]
-        scale_w = -p.b_prime / p.C2
-        x_lo = scale_w * lambert_w(arg, "principal")
-        x_hi = scale_w * lambert_w(arg, "minus_one")
-        ap = p.a_prime
-        out[valid] = (gammainc_lower(ap, x_lo) + gammainc_upper(ap, x_hi)) / math.gamma(ap)
-        return out
-
-
 def test_gamma_of_one_half_is_root_pi_bitwise():
     # NIGBeta2 divides by Gamma(1/2) where its formula reads sqrt(pi)
     assert math.gamma(0.5) == math.sqrt(math.pi)
-
-
-def _beta2_pairs():
-    for beta, sigma0 in NIG_STEPS:
-        p = NIGParams(beta_hyper=beta, sigma0=sigma0)
-        yield NIGBeta2(p), _TwoCallNIGBeta2(p), _around(2.0 * math.e / C_RWM)
-    for sigma0 in (0.02, 0.1, 0.3):
-        p = _bayes_params(sigma0)
-        yield BayesBeta2(p), _TwoCallBayesBeta2(p), _around(math.e, 1e3) * p.C1 * p.C2
-
-
-def test_beta2_profiles_and_knots_equal_the_two_call_expression():
-    for spec, ref, s in _beta2_pairs():
-        got = spec(s)
-        assert np.any(got < DEFAULT_CAP) and np.any(got == DEFAULT_CAP)
-        assert np.array_equal(got, ref(s)), spec
-        assert conjugate(spec).values == conjugate(ref).values, spec
 
 
 def test_bayes_params_hold_read_only_copies():

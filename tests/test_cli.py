@@ -386,6 +386,9 @@ INVALID = {
     # beta / sigma0^2 overflows, so the profile's gamma arguments are inf
     "nig-fixed-scale-overflows": ["bound", "--case", "nig", "--mode", "fixed",
                                   "--beta-hyper", "1e308", "--sigma0", "1e-5"],
+    # a finite beta / sigma0^2 whose product with W_{-1} overflows
+    "nig-fixed-scaled-w-overflows": ["bound", "--case", "nig", "--mode", "fixed",
+                                     "--beta-hyper", "1e306", "--sigma0", "0.1"],
     "unknown-flag": ["bound", "--nosuch", "1"],
     # bound draws no random numbers, so it takes no --seed
     "bound-seed": ["bound", "--beta", "indicator:0.2", "--seed", "3"],
@@ -393,6 +396,8 @@ INVALID = {
 }
 
 
+# a warning would print to stderr beside the error line outside pytest
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", INVALID.values(), ids=INVALID.keys())
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
     files = {
@@ -429,6 +434,13 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["nig-fixed-scale-overflows", "nig-fixed-scaled-w-overflows"])
+def test_nig_scale_overflow_names_its_inputs(tmp_path, capsys, key):
+    assert main(INVALID[key] + ["--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "beta_hyper" in err and "sigma0" in err and "gammainc" not in err
 
 
 def test_repeated_n_is_named(tmp_path, capsys):
