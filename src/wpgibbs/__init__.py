@@ -30,7 +30,6 @@ from .kstar import (
     KStarFn,
     Linear,
     Power,
-    chain,
     compose_mwg,
     conjugate,
     scale,

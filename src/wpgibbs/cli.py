@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import re
 import sys
@@ -121,20 +122,25 @@ def cmd_verify(args) -> int:
     if min(nx, ny) < 2:
         raise WpgibbsError(f"--states must read NXxNY with both sizes >= 2, got {args.states!r}")
     rng = np.random.default_rng(args.seed)
+    seeds = [int(rng.integers(0, 2 ** 31)) for _ in range(args.models)]
+    # the models are checked in stacks of at most STACK_ENTRIES operator entries
+    stack = max(1, finite.STACK_ENTRIES // (nx * ny) ** 2)
     all_pass = True
     worst = 0.0
     lines = []
-    for i in range(args.models):
-        seed = int(rng.integers(0, 2 ** 31))
-        m = finite.random_joint_model(seed, nx, ny)
-        rep = finite.verify_identities(m, trials=args.trials, seed=seed)
-        fs = finite.random_centered_functions(m.mu, args.trials, seed + 1)
-        rep2 = finite.verify_bound_domination(m, fs, n_max=args.n_max)
-        for r in (rep, rep2):
-            all_pass &= r.passed
-            worst = max(worst, r.worst_residual)
-            if not r.passed or args.verbose:
-                lines.append(f"model {i} (seed {seed}):\n{r.to_text()}")
+    for start in range(0, args.models, stack):
+        chunk = seeds[start:start + stack]
+        m = finite.random_joint_model(chunk, nx, ny)
+        reps = finite.verify_identities(m, trials=args.trials, seed=chunk)
+        fs = [finite.random_centered_functions(mu, args.trials, seed + 1)
+              for mu, seed in zip(m.mu, chunk)]
+        reps2 = finite.verify_bound_domination(m, fs, n_max=args.n_max)
+        for i, (seed, rep, rep2) in enumerate(zip(chunk, reps, reps2), start):
+            for r in (rep, rep2):
+                all_pass &= r.passed
+                worst = max(worst, r.worst_residual)
+                if not r.passed or args.verbose:
+                    lines.append(f"model {i} (seed {seed}):\n{r.to_text()}")
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "verify_report.txt")
     with open(report_path, "w") as fh:
@@ -291,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid_options(sp)
     sp.add_argument("--beta", default=None,
                     help="profile shorthand, e.g. indicator:0.2; takes no case flag")
-    sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("verify", help="run the finite-state oracle")
     output(sp)
@@ -300,28 +305,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--states", default="3x3")
     sp.add_argument("--verbose", action="store_true")
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sample", help="run chains and write traces")
     output(sp)
     case_options(sp)
     sp.add_argument("--chains", type=int, default=4)
     sp.add_argument("--steps", type=int, default=1000)
-    sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("compare", help="bound vs empirical decay")
     output(sp)
     case_options(sp)
     grid_options(sp)
     sp.add_argument("--starts", type=int, default=20000)
-    sp.set_defaults(func=cmd_compare)
     return ap
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # the command function is looked up by name at each call, so the
+        # reused parser holds no reference to it
+        return globals()[f"cmd_{args.command}"](args)
     except (WpgibbsError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

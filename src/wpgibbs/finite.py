@@ -9,6 +9,12 @@ Joint states (x, y) are flattened as i = x * ny + y.  A scan step first
 refreshes y given x (operator G1, or its Metropolised version H1), then x
 given the new y (G2 / H2); operators act on functions by (Tf)(z) =
 sum_z' T[z, z'] f(z').
+
+Kernels, models and the functions on them take optional leading axes that
+stack independent models: a matrix of shape (..., n, n) with a stationary
+vector of shape (..., n).  Every operation runs on the whole stack at once
+(stacked ``np.matmul`` and ``np.linalg.eigvalsh``), and gives each model the
+bits it gets alone, as one model is the same code without leading axes.
 """
 from __future__ import annotations
 
@@ -26,6 +32,20 @@ PMF_FLOOR = 1e-6
 # build time and memory grow with it, and a 16-state kernel steps no faster
 # with more
 _TABLE_ENTRIES = 2 ** 14
+# most operator entries, models times (nx ny)^2, of one stack of models that
+# `verify` checks in one pass: one 16x16 model, so memory stays bounded at
+# any model count
+STACK_ENTRIES = 2 ** 16
+
+
+def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v @ M per model: v of shape (..., n), M of shape (..., n, m)."""
+    return (v[..., None, :] @ M)[..., 0, :]
+
+
+def _scalar(a):
+    """A 0-d result as a float, as one model or one kernel gives it."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +55,9 @@ _TABLE_ENTRIES = 2 ** 14
 
 @dataclass(frozen=True)
 class FiniteKernel:
-    """Row-stochastic matrix with an explicit stationary distribution."""
+    """Row-stochastic matrix with an explicit stationary distribution; a
+    matrix of shape (..., n, n) with ``mu`` of shape (..., n) is a stack of
+    kernels."""
 
     matrix: np.ndarray
     mu: np.ndarray
@@ -45,24 +67,23 @@ class FiniteKernel:
         mu = np.asarray(self.mu, dtype=float)
         object.__setattr__(self, "matrix", T)
         object.__setattr__(self, "mu", mu)
-        n = T.shape[0]
-        if T.shape != (n, n) or mu.shape != (n,):
+        if T.ndim < 2 or T.shape[-2] != T.shape[-1] or mu.shape != T.shape[:-1]:
             raise DomainError("kernel matrix and stationary vector mismatch")
         if np.any(T < -1e-15):
             raise DomainError("kernel entries must be nonnegative")
-        if np.max(np.abs(T.sum(axis=1) - 1.0)) > 1e-12:
+        if np.max(np.abs(T.sum(axis=-1) - 1.0)) > 1e-12:
             raise DomainError("kernel rows must sum to 1")
-        if np.max(np.abs(mu @ T - mu)) > 1e-10:
+        if np.max(np.abs(_vecmat(mu, T) - mu)) > 1e-10:
             raise DomainError("mu is not stationary for this kernel")
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @functools.cached_property
     def sampling_table(self):
         """(cols, B, table): what ``samplers.finite_simulate`` steps by, built
-        once per kernel.
+        once per kernel (of a single kernel, not a stack).
 
         ``cols`` holds the cdf columns but the last, which a uniform u < 1
         never passes.  B is the largest power of two with n * B <= 2^14 (1
@@ -82,8 +103,8 @@ class FiniteKernel:
         return cols, buckets, table.ravel()
 
     def is_reversible(self, tol: float = 1e-10) -> bool:
-        F = self.mu[:, None] * self.matrix
-        return bool(np.max(np.abs(F - F.T)) <= tol)
+        F = self.mu[..., :, None] * self.matrix
+        return bool(np.max(np.abs(F - np.swapaxes(F, -1, -2))) <= tol)
 
 
 def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
@@ -91,8 +112,9 @@ def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
 
     ``k`` is a kernel, or a tuple of kernels on one mu that stands for their
     product T = T_1 T_2 ... T_m: the factors are applied to ``f`` right to
-    left and the product is never formed.  ``f`` of shape (n,) gives a
-    float; ``f`` of shape (n, t) gives an array with one value per column.
+    left and the product is never formed.  For mu of shape (..., n), ``f``
+    of shape (..., n) gives one value per model (a float for a single
+    kernel); ``f`` of shape (..., n, t) gives one value per column.
     The double sum 1/2 sum_ij mu_i T_ij (f_i - f_j)^2 is evaluated expanded,
     as 1/2 (sum_i mu_i r_i f_i^2 + sum_j (mu^T T)_j f_j^2) - f^T (mu o T) f,
     with the row sums r = T 1 and mu^T T taken from the same factor chain,
@@ -104,56 +126,63 @@ def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
     if any(not np.array_equal(t.mu, mu) for t in factors[1:]):
         raise DomainError("product factors need one stationary vector")
     f = np.asarray(f, dtype=float)
-    if f.ndim not in (1, 2) or f.shape[0] != mu.size:
+    one = f.ndim == mu.ndim
+    if not (one or f.ndim == mu.ndim + 1) or f.shape[:mu.ndim] != mu.shape:
         raise DomainError("function dimension mismatch")
-    F = f[:, None] if f.ndim == 1 else f
+    F = f[..., None] if one else f
     # T F and the row sums T 1 as the columns of one block, then mu^T T
-    TF = np.column_stack((F, np.ones(mu.size)))
+    TF = np.concatenate((F, np.ones(mu.shape + (1,))), axis=-1)
     for t in reversed(factors):
         TF = t.matrix @ TF
-    TF, rows = TF[:, :-1], TF[:, -1]
+    TF, rows = TF[..., :-1], TF[..., -1]
     mu_T = mu
     for t in factors:
-        mu_T = mu_T @ t.matrix
-    inner = mu @ ((F - TF) * F)
-    double = 0.5 * ((mu * rows + mu_T) @ F ** 2) - mu @ (F * TF)
+        mu_T = _vecmat(mu_T, t.matrix)
+    inner = _vecmat(mu, (F - TF) * F)
+    double = 0.5 * _vecmat(mu * rows + mu_T, F ** 2) - _vecmat(mu, F * TF)
     bad = np.abs(inner - double) > 1e-10 * np.maximum(1.0, np.abs(inner))
     if np.any(bad):
         j = int(np.argmax(bad))
         raise DomainError(
-            f"Dirichlet-form cross-check failed: {inner[j]} vs {double[j]}"
+            f"Dirichlet-form cross-check failed: {inner.flat[j]} vs {double.flat[j]}"
         )
     out = np.maximum(inner, 0.0)
-    return float(out[0]) if f.ndim == 1 else out
+    return _scalar(out[..., 0] if one else out)
 
 
 def adjoint(k: FiniteKernel) -> FiniteKernel:
     """mu-adjoint kernel T*[y, x] = mu[x] T[x, y] / mu[y]."""
     if np.any(k.mu <= 0.0):
         raise DomainError("adjoint needs strictly positive stationary mass")
-    T_star = (k.mu[:, None] * k.matrix).T / k.mu[:, None]
-    return FiniteKernel(T_star, k.mu)
+    mu = k.mu[..., :, None]
+    return FiniteKernel(np.swapaxes(mu * k.matrix, -1, -2) / mu, k.mu)
 
 
 def l2_decay_exact(k: FiniteKernel, f: np.ndarray, n_max: int) -> np.ndarray:
     """Exact sequence ||T^n f||^2_mu for n = 0..n_max; f must be centered.
 
-    ``f`` of shape (n, t) gives shape (n_max + 1, t), one sequence per column.
+    ``f`` of shape (..., n) gives shape (..., n_max + 1); ``f`` of shape
+    (..., n, t) gives shape (..., n_max + 1, t), one sequence per column.
     """
     f = np.asarray(f, dtype=float)
-    if np.any(np.abs(k.mu @ f) > 1e-12):
+    one = f.ndim == k.mu.ndim
+    F = f[..., None] if one else f
+    if np.any(np.abs(_vecmat(k.mu, F)) > 1e-12):
         raise DomainError("l2_decay_exact needs a centered function")
-    out = np.empty((n_max + 1,) + f.shape[1:])
-    g = f.copy()
-    for n in range(n_max + 1):
-        out[n] = k.mu @ g ** 2
+    out = np.empty(F.shape[:-2] + (n_max + 1, F.shape[-1]))
+    mu_row = k.mu[..., None, :]
+    g = F.copy()
+    # row n of out, as a (..., 1, t) view, takes mu @ (T^n f)^2
+    for row in np.moveaxis(out[..., None, :], -3, 0):
+        np.matmul(mu_row, g ** 2, out=row)
         g = k.matrix @ g
-    return out
+    return out[..., 0] if one else out
 
 
-def spectral_gap(k: FiniteKernel) -> float:
+def spectral_gap(k: FiniteKernel):
     """1 minus the second-largest eigenvalue of a reversible kernel, which
-    mu^{1/2} conjugation symmetrizes; a non-reversible kernel is refused."""
+    mu^{1/2} conjugation symmetrizes; a non-reversible kernel is refused.
+    A stack of kernels gives an array of gaps."""
     if k.n < 2:
         raise DomainError(f"spectral_gap needs at least 2 states, got {k.n}")
     if np.any(k.mu <= 0.0):
@@ -161,9 +190,9 @@ def spectral_gap(k: FiniteKernel) -> float:
     if not k.is_reversible():
         raise InvalidModeError("spectral_gap needs a reversible kernel")
     root = np.sqrt(k.mu)
-    S = root[:, None] * k.matrix / root[None, :]
-    vals = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return float(1.0 - np.sort(vals)[-2])
+    S = root[..., :, None] * k.matrix / root[..., None, :]
+    vals = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))
+    return _scalar(1.0 - np.sort(vals, axis=-1)[..., -2])
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +205,17 @@ def lazy_rwm_kernel(pi: np.ndarray) -> np.ndarray:
 
     Proposes +-1 steps (rejected at the boundary), Metropolis-corrected,
     then mixed half-and-half with the identity so the kernel is positive
-    semidefinite, as the comparison theory assumes.
+    semidefinite, as the comparison theory assumes.  A pi of shape (..., m)
+    gives one kernel per pmf, shape (..., m, m).
     """
     pi = np.asarray(pi, dtype=float)
-    m = len(pi)
-    M = np.zeros((m, m))
+    m = pi.shape[-1]
+    M = np.zeros(pi.shape + (m,))
     i = np.arange(m - 1)
-    M[i, i + 1] = 0.5 * np.minimum(1.0, pi[1:] / pi[:-1])
-    M[i + 1, i] = 0.5 * np.minimum(1.0, pi[:-1] / pi[1:])
-    np.fill_diagonal(M, 1.0 - M.sum(axis=1))
+    M[..., i, i + 1] = 0.5 * np.minimum(1.0, pi[..., 1:] / pi[..., :-1])
+    M[..., i + 1, i] = 0.5 * np.minimum(1.0, pi[..., :-1] / pi[..., 1:])
+    d = np.arange(m)
+    M[..., d, d] = 1.0 - M.sum(axis=-1)
     return 0.5 * np.eye(m) + 0.5 * M
 
 
@@ -194,7 +225,9 @@ class FiniteJointModel:
     Attributes G1/G2 are the exact conditional refreshes of y|x and x|y;
     H1/H2 their per-slice Markov substitutes; P = G1 G2 the exact scan,
     P12 = H1 H2 the Metropolis-within-Gibbs scan; P_X the x-marginal chain
-    of P.  Both sizes must be at least 2.
+    of P.  Both sizes must be at least 2.  A joint pmf of shape
+    (..., nx, ny) is a stack of models: every array attribute then carries
+    the same leading axes.
     """
 
     def __init__(
@@ -204,36 +237,44 @@ class FiniteJointModel:
         h2_slices: Optional[Sequence[np.ndarray]] = None,
     ):
         Pi = np.asarray(joint, dtype=float)
-        if Pi.ndim != 2 or min(Pi.shape) < 2 or np.any(Pi <= 0.0):
+        if Pi.ndim < 2 or min(Pi.shape[-2:]) < 2 or np.any(Pi <= 0.0):
             raise InvalidSpecError("joint pmf must be a positive matrix of at least 2x2")
-        if Pi.size > MAX_JOINT_STATES:
+        nx, ny = Pi.shape[-2:]
+        if nx * ny > MAX_JOINT_STATES:
             raise InvalidSpecError("joint state space too large for dense algebra")
-        Pi = Pi / Pi.sum()
+        lead = Pi.shape[:-2]
+        Pi = Pi / Pi.sum(axis=(-2, -1), keepdims=True)
         self.joint = Pi
-        self.nx, self.ny = Pi.shape
-        self.mu = Pi.reshape(-1)  # state (x, y) at index x * ny + y
-        self.marg_x = Pi.sum(axis=1)
-        self.marg_y = Pi.sum(axis=0)
-        self.cond_y_given_x = Pi / self.marg_x[:, None]
-        self.cond_x_given_y = (Pi / self.marg_y[None, :]).T  # [y, x]
+        self.nx, self.ny = nx, ny
+        self.mu = Pi.reshape(lead + (nx * ny,))  # state (x, y) at index x * ny + y
+        self.marg_x = Pi.sum(axis=-1)
+        self.marg_y = Pi.sum(axis=-2)
+        self.cond_y_given_x = Pi / self.marg_x[..., :, None]
+        self.cond_x_given_y = np.swapaxes(Pi / self.marg_y[..., None, :], -1, -2)  # [y, x]
 
+        # the slices of each block, [x, y, y'] and [y, x, x']
         if h1_slices is None:
-            h1_slices = [lazy_rwm_kernel(self.cond_y_given_x[x]) for x in range(self.nx)]
+            h1_slices = lazy_rwm_kernel(self.cond_y_given_x)
         if h2_slices is None:
-            h2_slices = [lazy_rwm_kernel(self.cond_x_given_y[y]) for y in range(self.ny)]
-        self.h1_slices = [np.asarray(h, dtype=float) for h in h1_slices]
-        self.h2_slices = [np.asarray(h, dtype=float) for h in h2_slices]
+            h2_slices = lazy_rwm_kernel(self.cond_x_given_y)
+        self.h1_slices = np.asarray(h1_slices, dtype=float)
+        self.h2_slices = np.asarray(h2_slices, dtype=float)
 
-        # fill the operators through [x, y, x', y'] views of the matrices
-        nx, ny = self.nx, self.ny
+        # fill the operators through [x, y, x', y'] views of the matrices:
+        # G1 and H1 at x' = x, indexed by (x, y, y'); G2 and H2 at y' = y,
+        # indexed by (x, y, x')
         n = nx * ny
-        G1, G2, H1, H2 = (np.zeros((n, n)) for _ in range(4))
-        ax, ay = np.arange(nx), np.arange(ny)
-        h2 = np.stack(self.h2_slices)  # [y, x, x']
-        G1.reshape(nx, ny, nx, ny)[ax, :, ax, :] = self.cond_y_given_x[:, None, :]
-        H1.reshape(nx, ny, nx, ny)[ax, :, ax, :] = np.stack(self.h1_slices)
-        G2.reshape(nx, ny, nx, ny)[:, ay, :, ay] = self.cond_x_given_y[:, None, :]
-        H2.reshape(nx, ny, nx, ny)[:, ay, :, ay] = h2
+        G1, G2, H1, H2 = (np.zeros(lead + (n, n)) for _ in range(4))
+        x, y = np.arange(nx)[:, None, None], np.arange(ny)[None, :, None]
+        x2, y2 = np.arange(nx)[None, None, :], np.arange(ny)[None, None, :]
+
+        def view(T):
+            return T.reshape(lead + (nx, ny, nx, ny))
+
+        view(G1)[..., x, y, x, y2] = self.cond_y_given_x[..., :, None, :]
+        view(H1)[..., x, y, x, y2] = self.h1_slices
+        view(G2)[..., x, y, x2, y] = self.cond_x_given_y[..., None, :, :]
+        view(H2)[..., x, y, x2, y] = np.swapaxes(self.h2_slices, -3, -2)
         self.G1, self.G2, self.H1, self.H2 = G1, G2, H1, H2
         self.P = G1 @ G2
         self.P12 = H1 @ H2
@@ -248,30 +289,29 @@ class FiniteJointModel:
         return FiniteKernel(mats[name], self.mu)
 
     def component_gaps(self):
-        """(gamma0, gamma1, gamma2): right gap of P*P and worst slice gaps.
+        """(gamma0, gamma1, gamma2): right gap of P*P and worst slice gaps,
+        floats for one model and arrays for a stack.
 
         G1 is idempotent, so P*P = G2 G1 G2: the y-marginal chain on
         functions of y and 0 on their complement.  The x- and y-marginal
         chains share their nonzero spectrum, so gamma0 is the gap of P_X.
         """
         g0 = spectral_gap(self.kernel("P_X"))
-        g1 = min(
-            spectral_gap(FiniteKernel(h, self.cond_y_given_x[x]))
-            for x, h in enumerate(self.h1_slices)
-        )
-        g2 = min(
-            spectral_gap(FiniteKernel(h, self.cond_x_given_y[y]))
-            for y, h in enumerate(self.h2_slices)
-        )
-        return g0, g1, g2
+        g1 = spectral_gap(FiniteKernel(self.h1_slices, self.cond_y_given_x))
+        g2 = spectral_gap(FiniteKernel(self.h2_slices, self.cond_x_given_y))
+        return g0, _scalar(np.min(g1, axis=-1)), _scalar(np.min(g2, axis=-1))
 
 
-def random_joint_model(seed: int, nx: int = 4, ny: int = 4) -> FiniteJointModel:
-    """Random two-block model: Dirichlet(1) joint pmf floored at 1e-6."""
-    rng = np.random.default_rng(seed)
-    Pi = rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)
+def random_joint_model(seed, nx: int = 4, ny: int = 4) -> FiniteJointModel:
+    """Random two-block model: Dirichlet(1) joint pmf floored at 1e-6.
+
+    A sequence of seeds gives the stack of their models, each pmf drawn from
+    its own seed.
+    """
+    draws = [np.random.default_rng(s).dirichlet(np.ones(nx * ny)) for s in np.ravel(seed)]
+    Pi = np.reshape(draws, np.shape(seed) + (nx, ny))
     Pi = np.maximum(Pi, PMF_FLOOR)
-    return FiniteJointModel(Pi / Pi.sum())
+    return FiniteJointModel(Pi / Pi.sum(axis=(-2, -1), keepdims=True))
 
 
 def random_centered_functions(
@@ -330,74 +370,107 @@ class Report:
         return "\n".join(lines)
 
 
-def _blockwise_psd_min_eig(T4: np.ndarray, w: np.ndarray) -> float:
+def _reports(checks, lead: tuple, seeds):
+    """One Report per model of a stack with leading shape ``lead`` (a Report
+    for a single model) from (name, residuals of shape ``lead``, tol) in
+    check order; ``seeds`` holds each model's report seed."""
+    values = [np.broadcast_to(residual, lead).ravel().tolist() for _, residual, _ in checks]
+    reps = []
+    for i, seed in enumerate(seeds):
+        rep = Report()
+        for (name, _, tol), residual in zip(checks, values):
+            rep.add(name, residual[i], tol, seed)
+        reps.append(rep)
+    return reps if lead else reps[0]
+
+
+def _blockwise_psd_min_eig(T4: np.ndarray, w: np.ndarray):
     """Smallest eigenvalue of a kernel in the w-weighted geometry, for a
     kernel that is block diagonal in its first state index.
 
-    ``T4[a, b, a', b']`` is the kernel on states (a, b) and ``w[a, b]`` its
-    stationary mass.  Each diagonal block a = a' is symmetrized on its own;
-    a nonzero entry off those blocks gives -inf, as the block minimum is
-    then no bound on the whole spectrum.
+    ``T4[..., a, b, a', b']`` is the kernel on states (a, b) and
+    ``w[..., a, b]`` its stationary mass.  Each diagonal block a = a' is
+    symmetrized on its own; a nonzero entry off those blocks gives -inf, as
+    the block minimum is then no bound on the whole spectrum.
     """
-    ia = np.arange(T4.shape[0])
-    blocks = T4[ia, :, ia, :]  # [a, b, b']
-    if np.count_nonzero(blocks) != np.count_nonzero(T4):
-        return -np.inf
+    a = np.arange(T4.shape[-4])[:, None, None]
+    b, b2 = np.arange(T4.shape[-3])[None, :, None], np.arange(T4.shape[-3])[None, None, :]
+    blocks = T4[..., a, b, a, b2]  # [..., a, b, b']
+    off = np.count_nonzero(blocks, axis=(-3, -2, -1)) != np.count_nonzero(T4, axis=(-4, -3, -2, -1))
     root = np.sqrt(w)
-    S = root[:, :, None] * blocks / root[:, None, :]
-    return float(np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2))).min())
+    S = root[..., :, :, None] * blocks / root[..., :, None, :]
+    lam = np.min(np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2))), axis=(-2, -1))
+    return np.where(off, -np.inf, lam)
+
+
+def _larger(a, b):
+    """``max(a, b)`` per model: b where b > a, else a."""
+    return np.where(b > a, b, a)
 
 
 def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
-                      seed: int = 0) -> Report:
+                      seed=0):
     """Exhaustive check of the operator identities and comparisons.
 
     Every Dirichlet form of a scan product is evaluated on its chain of
     factors (a tuple, see ``dirichlet_form``), on all trial functions at
     once as the columns of one array.  The only n x n products formed here
     are G1^2, G2^2 and G2 G1 of the structural checks.
+
+    A stacked model gives a list with one Report per model, in order; its
+    ``seed`` then holds one seed per model (one seed is shared by all).
+    Each model draws its trial functions from its own seed.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    rep = Report()
     mu = m.mu
+    lead = mu.shape[:-1]
+    seeds = np.broadcast_to(np.asarray(seed, dtype=object), lead).ravel().tolist()
+    checks = []
+
+    def worst_of(vals):
+        """The largest entry of each model's part of ``vals``."""
+        return np.max(np.reshape(vals, lead + (-1,)), axis=-1)
+
     k = {name: m.kernel(name) for name in ("G1", "G2", "H1", "H2", "P", "P12")}
     kP = k["P"]
     kP_star = adjoint(kP)
 
     # structural facts that need no test function
-    rep.add("G1 idempotent", np.max(np.abs(m.G1 @ m.G1 - m.G1)), 1e-12, seed)
-    rep.add("G2 idempotent", np.max(np.abs(m.G2 @ m.G2 - m.G2)), 1e-12, seed)
-    rep.add("P adjoint is G2 G1", np.max(np.abs(kP_star.matrix - m.G2 @ m.G1)), 1e-12, seed)
-    rep.add(
-        "adjoint involution",
-        np.max(np.abs(adjoint(kP_star).matrix - kP.matrix)),
-        1e-12,
-        seed,
-    )
+    checks.append(("G1 idempotent", worst_of(np.abs(m.G1 @ m.G1 - m.G1)), 1e-12))
+    checks.append(("G2 idempotent", worst_of(np.abs(m.G2 @ m.G2 - m.G2)), 1e-12))
+    checks.append(("P adjoint is G2 G1",
+                   worst_of(np.abs(kP_star.matrix - m.G2 @ m.G1)), 1e-12))
+    checks.append(("adjoint involution",
+                   worst_of(np.abs(adjoint(kP_star).matrix - kP.matrix)), 1e-12))
     # P1 = H1 G2 and P2 = G1 H2 are not formed: mu is pushed through their factors
     chains = {"P1": ("H1", "G2"), "P2": ("G1", "H2")}
     for name in ("G1", "G2", "H1", "H2", "P", "P1", "P2", "P12"):
         mu_T = mu
         for factor in chains.get(name, (name,)):
-            mu_T = mu_T @ k[factor].matrix
-        rep.add(f"stationarity of {name}", np.max(np.abs(mu_T - mu)), tol, seed)
+            mu_T = _vecmat(mu_T, k[factor].matrix)
+        checks.append((f"stationarity of {name}", worst_of(np.abs(mu_T - mu)), tol))
     # H1 is block diagonal in x, H2 in y once (x, y) is reordered to (y, x)
     nx, ny = m.nx, m.ny
-    w = mu.reshape(nx, ny)
-    lam1 = _blockwise_psd_min_eig(m.H1.reshape(nx, ny, nx, ny), w)
-    lam2 = _blockwise_psd_min_eig(m.H2.reshape(nx, ny, nx, ny).transpose(1, 0, 3, 2), w.T)
-    rep.add("positivity of H1", max(0.0, -lam1), 1e-10, seed)
-    rep.add("positivity of H2", max(0.0, -lam2), 1e-10, seed)
+    w = mu.reshape(lead + (nx, ny))
+    lam1 = _blockwise_psd_min_eig(m.H1.reshape(lead + (nx, ny, nx, ny)), w)
+    lam2 = _blockwise_psd_min_eig(
+        np.moveaxis(m.H2.reshape(lead + (nx, ny, nx, ny)), (-4, -2), (-3, -1)),
+        np.swapaxes(w, -1, -2))
+    checks.append(("positivity of H1", _larger(0.0, -lam1), 1e-10))
+    checks.append(("positivity of H2", _larger(0.0, -lam2), 1e-10))
 
-    F = np.column_stack(random_centered_functions(mu, trials, seed))
-    osc_F = np.ptp(F, axis=0)
+    # each model's trial functions, from its own seed, as the columns of F
+    F = np.empty(mu.shape + (trials,))
+    for i, s in zip(np.ndindex(lead), seeds):
+        F[i] = np.column_stack(random_centered_functions(mu[i], trials, s))
+    osc_F = np.ptp(F, axis=-2)
     worst = {key: 0.0 for key in (
         "decomposition", "doubling", "positive-part", "adjoint-comparison",
         "marginal equality", "marginal lift", "oscillation contraction")}
 
     def bump(key, vals):
-        worst[key] = max(worst[key], float(np.max(vals)))
+        worst[key] = _larger(worst[key], worst_of(vals))
 
     # T = T1 T2 for P, P1, P2 and P12; the components are self-adjoint, so
     # T* = T2 T1
@@ -409,26 +482,26 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
         bump("decomposition", np.abs(lhs - rhs))
         bump("doubling", lhs - 2.0 * dirichlet_form((T1, T2), F))
         bump("adjoint-comparison", dirichlet_form((T1, T2, T2, T1), TF) - lhs)
-        bump("oscillation contraction", np.ptp(TF, axis=0) - osc_F)
+        bump("oscillation contraction", np.ptp(TF, axis=-2) - osc_F)
     for name in ("G1", "G2", "H1", "H2"):
         bump("positive-part",
              dirichlet_form(k[name], F) - dirichlet_form((k[name], k[name]), F))
     # cylinder functions: marginal Dirichlet form equality and the lift
-    g = F[::ny]  # f(x, 0)
-    g = g - m.marg_x @ g
+    g = F[..., ::ny, :]  # f(x, 0)
+    g = g - _vecmat(m.marg_x, g)[..., None, :]
     kPX = m.kernel("P_X")
-    lhs = dirichlet_form((kP_star, kP), np.repeat(g, ny, axis=0))
+    lhs = dirichlet_form((kP_star, kP), np.repeat(g, ny, axis=-2))
     rhs = dirichlet_form((adjoint(kPX), kPX), g)
     bump("marginal equality", np.abs(lhs - rhs))
     # P f is constant on x-fibers; its x-function advances by P_X
     pf = kP.matrix @ F
-    fiber = pf.reshape(nx, ny, -1)
-    bump("marginal lift", np.abs(fiber - fiber[:, :1]))
-    bump("marginal lift", np.abs(np.repeat(m.P_X @ fiber[:, 0], ny, axis=0)
+    fiber = pf.reshape(lead + (nx, ny, trials))
+    bump("marginal lift", np.abs(fiber - fiber[..., :, :1, :]))
+    bump("marginal lift", np.abs(np.repeat(m.P_X @ fiber[..., :, 0, :], ny, axis=-2)
                                  - kP.matrix @ pf))
     for key, val in worst.items():
-        rep.add(key, val, tol if key != "marginal lift" else 1e-12, seed)
-    return rep
+        checks.append((key, val, tol if key != "marginal lift" else 1e-12))
+    return _reports(checks, lead, seeds)
 
 
 def verify_bound_domination(
@@ -437,30 +510,36 @@ def verify_bound_domination(
     n_max: int = 200,
     slack: float = 1e-9,
     mode: str = "full",
-) -> Report:
+):
     """Exact decay of the Metropolis-within-Gibbs scan vs the composed bound.
 
     Component SPI constants are exact spectral gaps (worst slice for the
     Metropolised refreshes, right gap of P*P for the exact scan); the
     composed rate function must dominate ||P12^n f||^2 / ||f||^2_osc for
     every supplied f and every n <= n_max.
+
+    For a stacked model, ``f_set`` has shape (..., count, n), each model's
+    functions under its index, and one Report per model comes back.
     """
     from .kstar import Linear, compose_mwg
     from .rates import RateBound
 
-    g0, g1, g2 = m.component_gaps()
-    k = compose_mwg(Linear(g0), Linear(g1), Linear(g2), mode=mode)
-    rb = RateBound(k)
-    bounds = rb.curve(range(n_max + 1))
+    lead = m.mu.shape[:-1]
+    gaps = [np.asarray(g) for g in m.component_gaps()]
+    # the composed bound is closed-form: one rate curve per model
+    bounds = np.empty(lead + (n_max + 1,))
+    for i in np.ndindex(lead):
+        k = compose_mwg(*(Linear(float(g[i])) for g in gaps), mode=mode)
+        bounds[i] = RateBound(k).curve(range(n_max + 1))
 
-    rep = Report()
-    F = np.array(f_set, dtype=float).reshape(len(f_set), m.mu.size).T
-    F = F - m.mu @ F
-    osc_sq = np.ptp(F, axis=0) ** 2
-    keep = osc_sq > 0.0
-    worst = -np.inf
-    if np.any(keep):
-        decay = l2_decay_exact(m.kernel("P12"), F[:, keep], n_max)
-        worst = float(np.max(decay / osc_sq[keep] - bounds[:, None]))
-    rep.add(f"bound domination ({mode})", worst, slack)
-    return rep
+    F = np.asarray(f_set, dtype=float).reshape(lead + (-1, m.mu.shape[-1]))
+    F = np.swapaxes(F, -1, -2)
+    F = F - _vecmat(m.mu, F)[..., None, :]
+    osc_sq = np.ptp(F, axis=-2) ** 2
+    keep = osc_sq > 0.0  # a constant f has nothing to decay
+    decay = l2_decay_exact(m.kernel("P12"), F, n_max)
+    excess = decay / np.where(keep, osc_sq, 1.0)[..., None, :] - bounds[..., :, None]
+    worst = np.max(np.where(keep[..., None, :], excess, -np.inf), axis=(-2, -1),
+                   initial=-np.inf)
+    return _reports([(f"bound domination ({mode})", worst, slack)], lead,
+                    [None] * int(np.prod(lead)))

@@ -9,7 +9,7 @@ half-argument shift, and the Metropolis-within-Gibbs nestings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -281,29 +281,6 @@ def conjugate(spec: BetaSpec) -> KStarFn:
     vals = np.maximum(0.0, np.maximum(refined, best))
     vals = _convexify(_V_GRID, vals)
     return GridKStar(tuple(_V_GRID), tuple(vals), convexified=True)
-
-
-def _to_kstar(op: Union[BetaSpec, KStarFn]) -> KStarFn:
-    if isinstance(op, KStarFn):
-        return op
-    if isinstance(op, BetaSpec):
-        return conjugate(op)
-    raise InvalidSpecError(f"cannot convert {type(op).__name__} to a K* function")
-
-
-def chain(first: Union[BetaSpec, KStarFn], second: Union[BetaSpec, KStarFn]) -> KStarFn:
-    """Chained comparison: K* = K*_second o K*_first.
-
-    Equivalent to the inf-convolution beta(s) = inf{s1*b2(s2) + b1(s1) :
-    s1*s2 = s} at the beta level.
-    """
-    k1 = _to_kstar(first)
-    k2 = _to_kstar(second)
-    if isinstance(k1, Linear) and isinstance(k2, Linear):
-        return Linear(k1.slope * k2.slope)
-    if isinstance(k1, Linear) and abs(k1.slope - 1.0) < 1e-15:
-        return k2
-    return Composite(outer=k2, inner=k1)
 
 
 def scale(k: KStarFn, c1: float, c2: float) -> KStarFn:

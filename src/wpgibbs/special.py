@@ -26,6 +26,9 @@ _E_INV = math.exp(-1.0)
 # relative step that stops Halley's iteration, and the relative term (series)
 # or factor change (continued fraction) that stops the incomplete gammas
 _W_TOL = 1e-14
+# below this |x|, W0 is its Maclaurin series: Halley's stopping test is
+# absolute near w = 0 and would stop a tiny w short, or at 0
+_W0_SERIES = 1e-8
 _GAMMA_TOL = 1e-15
 
 
@@ -34,8 +37,9 @@ def lambert_w(x) -> np.ndarray:
     the principal branch W0, row 1 the branch W_{-1}, shape
     ``(2,) + shape(x)``.
 
-    Halley iteration from a branch-appropriate seed.  An x that rounds just
-    past -1/e is taken as -1/e.
+    Halley iteration from a branch-appropriate seed; W0 at |x| < 1e-8 is
+    x - x^2 + 3x^3/2 - 8x^4/3, whose next term is below 1e-31 of x there.
+    An x that rounds just past -1/e is taken as -1/e.
     """
     xa = np.asarray(x, dtype=float)
     if not np.isfinite(xa).all():
@@ -56,9 +60,13 @@ def lambert_w(x) -> np.ndarray:
     w[0, todo] = -1.0 + p - p * p / 3.0
     lx = np.log(np.abs(x))
     w[1, todo] = np.where(x > -0.1, lx - np.log(np.abs(lx)), -1.0 - p - p * p / 3.0)
+    small = xf > -_W0_SERIES
+    xs = xf[small]
+    w[0, small] = xs * (1.0 - xs * (1.0 - xs * (1.5 - xs * (8.0 / 3.0))))
     # the two rows side by side make one flat set of points
-    idx = np.flatnonzero(np.tile(todo, 2))
-    _halley(w.reshape(-1), idx, np.tile(x, 2))
+    halley = todo & ~small
+    idx = np.flatnonzero(np.concatenate([halley, todo]))
+    _halley(w.reshape(-1), idx, np.concatenate([xf[halley], x]))
     return w.reshape((2,) + xa.shape)
 
 

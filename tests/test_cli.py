@@ -449,6 +449,36 @@ def test_repeated_n_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --n-grid gives n = 1 more than once\n"
 
 
+def _run_pair(tmp_path, capsys, fresh: bool):
+    """An exit-2 command (a parse error and a rejected value) and then a
+    valid one, each on the reused parser or on one built for it alone."""
+    outputs = []
+    for i, argv in enumerate((["bound", "--n-max", "ten"], ["verify", "--models", "0"],
+                              ["verify", "--models", "2", "--trials", "3", "--n-max", "20",
+                               "--verbose", "--seed", "4"])):
+        if fresh:
+            cli._parser.cache_clear()
+        out = tmp_path / f"{'fresh' if fresh else 'reused'}{i}"
+        rc = main(argv + ["--out", str(out)])
+        report = out / "verify_report.txt"
+        outputs.append((rc, capsys.readouterr(), report.read_text() if report.exists() else None))
+    return outputs
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    reused = _run_pair(tmp_path, capsys, fresh=False)
+    assert len(builds) == 1
+    fresh = _run_pair(tmp_path, capsys, fresh=True)
+    assert [rc for rc, _, _ in reused] == [2, 2, 0]
+    assert [(rc, (io.out + io.err).replace("fresh", "reused"), text) for rc, io, text in fresh] == [
+        (rc, io.out + io.err, text) for rc, io, text in reused]
+    assert reused[0][1].err.startswith("error: argument --n-max: invalid int value")
+
+
 def test_help_exits_0():
     for argv in (["-h"], ["bound", "--help"]):
         with pytest.raises(SystemExit) as exc:

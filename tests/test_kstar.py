@@ -16,7 +16,6 @@ from wpgibbs import (
     Sum,
     Table,
     UnboundedConjugateError,
-    chain,
     compose_mwg,
     conjugate,
     scale,
@@ -140,9 +139,11 @@ def test_conjugate_equals_per_v_reference(spec):
 
 
 def test_chain_linear_product():
-    k = chain(Indicator(0.5), Indicator(0.4))
-    assert isinstance(k, Linear)
-    assert k.slope == pytest.approx(0.2)
+    # chaining two indicator profiles composes their linear conjugates
+    k1, k2 = conjugate(Indicator(0.5)), conjugate(Indicator(0.4))
+    assert isinstance(k1, Linear) and isinstance(k2, Linear)
+    v = np.geomspace(1e-6, 0.25, 7)
+    assert np.allclose(Composite(outer=k2, inner=k1)(v), 0.2 * v, rtol=1e-12, atol=0.0)
 
 
 def test_chain_inf_formula_agreement():
@@ -159,7 +160,7 @@ def test_chain_inf_formula_agreement():
 
     numeric = conjugate(_Chained())
     vg = _knots_from(numeric, 1e-2)
-    composed = chain(Power(0.25, 2.0), Power(0.25, 2.0))
+    composed = Composite(outer=Power(0.25, 2.0), inner=Power(0.25, 2.0))
     exact = np.asarray(composed(vg))
     assert np.allclose(exact, vg ** 4 / 64.0, rtol=1e-12)
     rel = np.abs(np.asarray(numeric(vg)) - exact) / exact

@@ -13,7 +13,7 @@ E_INV = 1.0 / math.e
 W_POINTS = np.array([-E_INV, -E_INV - 1e-16, -E_INV + 1e-9, -0.3, -0.1, np.nextafter(-0.1, 0.0),
                      -0.0999, -1e-5, -1e-300, -5e-324])
 # W is ill-conditioned at the branch point, so the scipy grid stops 1e-6 short;
-# it stops at -1e-12 as Halley's stopping test is absolute near W0 = 0
+# W0 near 0 has a test of its own
 SCIPY_GRID = -np.geomspace(1e-12, E_INV - 1e-6, 80)
 # an argument whose upper piece underflows to 0 for every s <= 40 here
 FAR = 1e4
@@ -47,6 +47,17 @@ def test_lambert_matches_scipy():
     for x, w0, wm1 in zip(xs, w[0], w[1]):
         assert w0 == pytest.approx(float(sps.lambertw(x, 0).real), rel=1e-12)
         assert wm1 == pytest.approx(float(sps.lambertw(x, -1).real), rel=1e-10)
+
+
+def test_lambert_w0_near_zero_matches_scipy():
+    """W0 keeps its relative accuracy down to x = -1e-300, on both sides of
+    the switch to its Maclaurin series at |x| = 1e-8."""
+    xs = np.concatenate([-np.geomspace(1e-300, 1e-3, 301),
+                         [-1e-8, np.nextafter(-1e-8, 0.0), np.nextafter(-1e-8, -1.0)]])
+    w0 = lambert_w(xs)[0]
+    ref = sps.lambertw(xs, 0).real
+    assert np.all(np.abs(w0 - ref) <= 1e-15 * np.abs(ref))
+    assert np.all(w0 < 0.0)
 
 
 def test_lambert_domain_errors():
@@ -161,6 +172,8 @@ def _lambert_w_scalar(x, row):
     x = max(x, -1.0 / math.e)
     if abs(x + math.exp(-1.0)) < 1e-300:
         return -1.0
+    if row == 0 and x > -1e-8:
+        return x * (1.0 - x * (1.0 - x * (1.5 - x * (8.0 / 3.0))))
     if row == 1 and x > -0.1:
         w = math.log(-x) - math.log(-math.log(-x))
     else:
