@@ -2,15 +2,14 @@
 
 Every CLI artifact embeds the fully resolved configuration produced here, so
 runs are reproducible from their own metadata.  Each of these is written as
-its dataclass fields under a tag (``family``, ``kind`` or ``case``); profiles
-and rate functions are read back with every field coerced to its declared
-type.
+its dataclass fields under a tag (``family``, ``kind`` or ``case``).
+Profiles and case params are read back, every number through the one check
+``cases._number``; nothing reads a rate function back.
 """
 from __future__ import annotations
 
 import functools
 import json
-import math
 import typing
 from dataclasses import MISSING, fields
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import beta as b
 from . import kstar as k
-from .cases import CASES
+from .cases import CASES, _number
 from .errors import InvalidSpecError
 
 #: profile families by their ``family`` tag
@@ -41,12 +40,11 @@ KINDS = {
     "grid": k.GridKStar,
 }
 
-# the tag key and tag table of each spec base class
-_TABLES = {b.BetaSpec: ("family", FAMILIES), k.KStarFn: ("kind", KINDS)}
 # (tag key, tag) of every class ``to_dict`` writes
 _TAG_OF = {
     cls: (key, tag)
-    for key, table in (*_TABLES.values(), ("case", {n: c.params for n, c in CASES.items()}))
+    for key, table in (("family", FAMILIES), ("kind", KINDS),
+                       ("case", {n: c.params for n, c in CASES.items()}))
     for tag, cls in table.items()
 }
 
@@ -58,7 +56,7 @@ def to_dict(v):
     tagged = _TAG_OF.get(type(v))
     if tagged is not None:
         return {tagged[0]: tagged[1], **{f.name: to_dict(getattr(v, f.name)) for f in fields(v)}}
-    if isinstance(v, tuple(_TABLES)):
+    if isinstance(v, (b.BetaSpec, k.KStarFn)):
         raise InvalidSpecError(f"{type(v).__name__} has no JSON form")
     if isinstance(v, np.ndarray):
         return v.tolist()
@@ -70,21 +68,12 @@ def to_dict(v):
 
 
 def beta_from_dict(d: dict) -> b.BetaSpec:
-    return _decode(b.BetaSpec, d)
-
-
-def kstar_from_dict(d: dict) -> k.KStarFn:
-    return _decode(k.KStarFn, d)
-
-
-def _decode(base, d):
-    key, table = _TABLES[base]
     if not isinstance(d, dict):
-        raise InvalidSpecError(f"a {key} spec must be a JSON object, got {d!r}")
-    tag = d.get(key)
-    if tag not in table:
-        raise InvalidSpecError(f"unknown {key} {tag!r}; choose one of {', '.join(table)}")
-    return _build(table[tag], tag, {n: v for n, v in d.items() if n != key})
+        raise InvalidSpecError(f"a family spec must be a JSON object, got {d!r}")
+    tag = d.get("family")
+    if tag not in FAMILIES:
+        raise InvalidSpecError(f"unknown family {tag!r}; choose one of {', '.join(FAMILIES)}")
+    return _build(FAMILIES[tag], tag, {n: v for n, v in d.items() if n != "family"})
 
 
 def _missing(cls, d: dict) -> list:
@@ -117,12 +106,12 @@ def _build(cls, tag: str, values: dict):
 
 
 def _coerce(tp, v, name: str):
-    if tp in _TABLES:
-        return _decode(tp, v)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is typing.Union:  # Optional[X]
-        return None if v is None else _coerce(args[0], v, name)
-    if origin is tuple:
+    """``v`` read as a profile field of declared type ``tp``: a nested
+    profile, a list of the tuple's shape, or a finite number."""
+    if tp is b.BetaSpec:
+        return beta_from_dict(v)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
         if not isinstance(v, (list, tuple)):
             raise InvalidSpecError(f"{name} must be a list, got {v!r}")
         if args[-1] is Ellipsis:
@@ -130,21 +119,7 @@ def _coerce(tp, v, name: str):
         if len(v) != len(args):
             raise InvalidSpecError(f"{name} entries need {len(args)} values, got {v!r}")
         return tuple(_coerce(t, x, name) for t, x in zip(args, v))
-    if tp is bool and type(v) is not bool:
-        raise InvalidSpecError(f"{name} must be true or false, got {v!r}")
-    # a JSON integer, or an integral float such as 1.0; never a boolean
-    if tp is int and not (type(v) is int or type(v) is float and v.is_integer()):
-        raise InvalidSpecError(f"{name} must be an integer, got {v!r}")
-    # a JSON number; never a boolean or a string
-    if tp is float and (type(v) is bool or not isinstance(v, (int, float))):
-        raise InvalidSpecError(f"{name} must be a float, got {v!r}")
-    try:
-        x = tp(v)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if tp is float and not math.isfinite(x):
-        raise InvalidSpecError(f"{name} must be a finite number, got {v!r}")
-    return x
+    return _number(name, v)
 
 
 def parse_beta_shorthand(text: str) -> b.BetaSpec:
@@ -175,7 +150,7 @@ def parse_beta_shorthand(text: str) -> b.BetaSpec:
         try:
             values[n] = float(v)
         except ValueError:
-            raise InvalidSpecError(f"{tag}.{n} must be a float, got {v!r}") from None
+            raise InvalidSpecError(f"{tag}.{n} must be a number, got {v!r}") from None
     return _build(cls, tag, values)
 
 

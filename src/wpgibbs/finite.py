@@ -314,15 +314,13 @@ def random_joint_model(seed, nx: int = 4, ny: int = 4) -> FiniteJointModel:
     return FiniteJointModel(Pi / Pi.sum(axis=(-2, -1), keepdims=True))
 
 
-def random_centered_functions(
-    mu: np.ndarray, count: int, seed: int
-) -> List[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        f = rng.normal(size=len(mu))
-        out.append(f - float(mu @ f))
-    return out
+def random_centered_functions(mu: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """``count`` standard-normal functions on the states of ``mu``, the rows
+    of a (count, n) array, each centred to mean zero under ``mu``."""
+    F = np.random.default_rng(seed).normal(size=(count, len(mu)))
+    for f in F:
+        f -= float(mu @ f)
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +461,7 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
     # each model's trial functions, from its own seed, as the columns of F
     F = np.empty(mu.shape + (trials,))
     for i, s in zip(np.ndindex(lead), seeds):
-        F[i] = np.column_stack(random_centered_functions(mu[i], trials, s))
+        F[i] = random_centered_functions(mu[i], trials, s).T
     osc_F = np.ptp(F, axis=-2)
     worst = {key: 0.0 for key in (
         "decomposition", "doubling", "positive-part", "adjoint-comparison",

@@ -62,7 +62,6 @@ class RateBound:
         if not (0.0 < self.x_min < X_MAX):
             raise DomainError("x_min must lie in (0, 1/4)")
         self._cf = _closed_form(self.kstar)
-        self._grid = None
         self._log_grid = None
         self._table = None
         if self._cf is None:
@@ -77,7 +76,6 @@ class RateBound:
         # cumulative trapezoid from the top: F at each grid point
         seg = 0.5 * (g[1:] + g[:-1]) * np.diff(t)
         F = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-        self._grid = v
         self._log_grid = t
         self._table = F
         # F falls as x grows and np.interp needs rising points: F_inv reads

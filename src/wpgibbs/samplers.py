@@ -203,11 +203,6 @@ def _bridges(a, b, steps: np.ndarray) -> np.ndarray:
     return a + w - _unit_grid(M) * (w[..., -1:] - (b - a))
 
 
-def brownian_bridge(a: float, b: float, dt: float, M: int, rng) -> np.ndarray:
-    """Brownian bridge from a to b over duration dt on an M+1-point grid."""
-    return _bridges(a, b, rng.normal(0.0, math.sqrt(dt / M), size=M))
-
-
 def _trapezoid_sq(x: np.ndarray, h):
     """Trapezoid integral of x^2 along the last axis, grid step h (one per
     row): the arithmetic of np.trapezoid, without its Python wrapper."""

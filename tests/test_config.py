@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +24,6 @@ from wpgibbs.config import (
     KINDS,
     beta_from_dict,
     case_params_from_dict,
-    kstar_from_dict,
     load_config,
     parse_beta_shorthand,
     to_dict,
@@ -68,11 +68,11 @@ def test_beta_round_trip(cls):
 
 @pytest.mark.parametrize("cls", KINDS.values(), ids=lambda c: c.__name__)
 def test_kstar_round_trip(cls):
-    k = KSTARS[cls]
-    back = _json_round_trip(k, kstar_from_dict)
-    for v in (0.01, 0.1, 0.25):
-        assert back(v) == k(v)
-    assert back.n_offset == k.n_offset
+    """A rate function is only written (into bound_meta.json), never read
+    back: its dict holds only JSON values, so the text reads back as the
+    same dict (a tuple left unconverted would read back as a list)."""
+    d = to_dict(KSTARS[cls])
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
 
 
 def test_tags_are_written_first_with_the_fields_in_order():
@@ -81,6 +81,15 @@ def test_tags_are_written_first_with_the_fields_in_order():
     assert list(to_dict(KSTARS[Composite])) == [
         "kind", "outer", "inner", "pre_scale", "post_scale", "offset"]
     assert to_dict(Composite(outer=Linear(1.0)))["inner"] is None
+    # every registered class: its tag, then each field as to_dict writes it
+    for key, table, examples in (("family", FAMILIES, BETAS), ("kind", KINDS, KSTARS)):
+        for tag, cls in table.items():
+            spec = examples[cls]
+            d = to_dict(spec)
+            assert list(d) == [key] + [f.name for f in dataclasses.fields(cls)]
+            assert d[key] == tag
+            assert all(d[f.name] == to_dict(getattr(spec, f.name))
+                       for f in dataclasses.fields(cls))
 
 
 def test_nested_specs_round_trip():
@@ -97,8 +106,19 @@ def test_nested_specs_round_trip():
         inner=Composite(outer=Linear(0.5), pre_scale=0.25, post_scale=0.5),
         post_scale=2.0,
     )
-    back = _json_round_trip(kstar, kstar_from_dict)
-    assert back.n_offset == 0 and back.outer.child.n_offset == 1
+    assert to_dict(kstar) == {
+        "kind": "composite",
+        "outer": {"kind": "clamped", "child": {
+            "kind": "composite",
+            "outer": {"kind": "grid", "v_knots": [0.1, 0.25], "values": [0.01, 0.05],
+                      "convexified": False},
+            "inner": {"kind": "clamped", "child": {"kind": "power", "coefficient": 0.5,
+                                                   "exponent": 2.0}},
+            "pre_scale": 1.0, "post_scale": 1.0, "offset": 1}},
+        "inner": {"kind": "composite", "outer": {"kind": "linear", "slope": 0.5},
+                  "inner": None, "pre_scale": 0.25, "post_scale": 0.5, "offset": 0},
+        "pre_scale": 1.0, "post_scale": 2.0, "offset": 0,
+    }
 
 
 def test_int_valued_spec_reads_back_as_floats():
@@ -111,11 +131,6 @@ def test_int_valued_spec_reads_back_as_floats():
     assert all(type(x) is float for knot in shift.child.knots for x in knot)
     assert back == Sum(children=(PowerLaw(2.0, 1.0),
                                  AdjointShift(Table(knots=((1.0, 1.0), (10.0, 0.0))))))
-    grid = kstar_from_dict({"kind": "composite", "outer": {"kind": "grid", "v_knots": [1],
-                            "values": [0]}, "pre_scale": 2, "offset": 1.0})
-    assert json.dumps(to_dict(grid)) == json.dumps(to_dict(
-        Composite(outer=GridKStar((1.0,), (0.0,)), pre_scale=2.0, offset=1)))
-    assert type(grid.offset) is int
 
 
 @pytest.mark.parametrize("d,message", [
@@ -125,31 +140,26 @@ def test_int_valued_spec_reads_back_as_floats():
     ({"family": "indicator", "gamma": 0.5, "cap": 0.25}, "indicator has no field cap"),
     ({"family": "mixture"}, "unknown family 'mixture'"),
     ({"gamma": 0.5}, "unknown family None"),
-    ({"family": "indicator", "gamma": "fast"}, "indicator.gamma must be a float"),
+    ({"family": "indicator", "gamma": "fast"}, "indicator.gamma must be a number"),
     ({"family": "table", "knots": [[1.0, 0.2, 3.0]]}, "table.knots entries need 2 values"),
     ({"family": "table", "knots": 1.0}, "table.knots must be a list"),
-    ({"kind": "composite", "inner": None}, "composite needs outer"),
-    ({"kind": "clamped", "child": {"family": "indicator", "gamma": 1.0}}, "unknown kind None"),
+    # a rate function is not read where a profile is expected
+    ({"family": "adjoint_shift", "child": {"kind": "linear", "slope": 1.0}},
+     "unknown family None"),
+    # every nested profile is a JSON object
+    ({"family": "sum", "children": [{"family": "indicator", "gamma": 0.5}, 0.5]},
+     "a family spec must be a JSON object, got 0.5"),
     ({"family": "powerlaw", "coefficient": float("inf"), "exponent": 1.0},
      "powerlaw.coefficient must be a finite number"),
-    ({"kind": "linear", "slope": float("nan")}, "linear.slope must be a finite number"),
-    # an int field takes only an integral number, a bool field only a boolean
-    ({"kind": "grid", "v_knots": [1.0], "values": [0.0], "convexified": "false"},
-     "grid.convexified must be true or false, got 'false'"),
-    ({"kind": "composite", "outer": {"kind": "linear", "slope": 1.0}, "offset": 1.7},
-     "composite.offset must be an integer, got 1.7"),
-    ({"kind": "composite", "outer": {"kind": "linear", "slope": 1.0}, "offset": True},
-     "composite.offset must be an integer, got True"),
-    # a float field takes only a JSON number: never a boolean or a numeric string
-    ({"family": "indicator", "gamma": True}, "indicator.gamma must be a float, got True"),
-    ({"family": "indicator", "gamma": "0.5"}, "indicator.gamma must be a float, got '0.5'"),
-    ({"family": "table", "knots": [[1.0, False]]}, "table.knots must be a float, got False"),
-    ({"kind": "linear", "slope": "1"}, "linear.slope must be a float, got '1'"),
+    ({"family": "indicator", "gamma": float("nan")}, "indicator.gamma must be a finite number"),
+    # a number field takes only a JSON number: never a boolean or a numeric string
+    ({"family": "indicator", "gamma": True}, "indicator.gamma must be a number, got True"),
+    ({"family": "indicator", "gamma": "0.5"}, "indicator.gamma must be a number, got '0.5'"),
+    ({"family": "table", "knots": [[1.0, False]]}, "table.knots must be a number, got False"),
 ])
 def test_spec_errors_name_the_keys(d, message):
-    from_dict = beta_from_dict if "family" in d or "gamma" in d else kstar_from_dict
     with pytest.raises(InvalidSpecError, match=message):
-        from_dict(d)
+        beta_from_dict(d)
 
 
 def test_unregistered_spec_has_no_json_form():
@@ -180,7 +190,7 @@ def test_shorthand_parsing():
     ("explogsquare:0.25,1,0,2", "got 4"),
     ("table:1", "table has no shorthand"),
     ("sum:1,2", "sum has no shorthand"),
-    ("indicator:x", "indicator.gamma must be a float"),
+    ("indicator:x", "indicator.gamma must be a number"),
 ])
 def test_shorthand_errors(text, message):
     with pytest.raises(InvalidSpecError, match=message):
@@ -253,3 +263,18 @@ def test_case_params_errors_name_the_keys():
         case_params_from_dict({"case": "nig", "beta_hyper": None})
     with pytest.raises(InvalidSpecError, match="unknown case"):
         case_params_from_dict({"case": "custom"})
+
+
+@pytest.mark.parametrize("bad,wording", [
+    (True, "must be a number, got True"),
+    ("0.5", "must be a number, got '0.5'"),
+    (float("inf"), "must be a finite number, got inf"),
+    (float("nan"), "must be a finite number, got nan"),
+])
+def test_profiles_and_case_params_reject_a_bad_number_alike(bad, wording):
+    """One check reads every JSON number, so a profile field and a case
+    param reject the same value in the same words."""
+    with pytest.raises(InvalidSpecError, match=f"^indicator.gamma {wording}$"):
+        beta_from_dict({"family": "indicator", "gamma": bad})
+    with pytest.raises(InvalidSpecError, match=f"^beta_hyper {wording}$"):
+        case_params_from_dict({"case": "nig", "beta_hyper": bad})

@@ -215,7 +215,7 @@ def test_model_build_matches_loop_reference(nx, ny, exact):
 
 def _batch_case():
     m = random_joint_model(seed=8, nx=4, ny=5)
-    F = np.column_stack(random_centered_functions(m.mu, count=6, seed=2))
+    F = random_centered_functions(m.mu, count=6, seed=2).T
     return m.kernel("P12"), F
 
 
@@ -277,7 +277,7 @@ def _dense_identities(m, trials=20, tol=1e-10, seed=0):
         rep.add(f"positivity of {name}", max(0.0, -lam), 1e-10, seed)
 
     pairs = ((m.G1, m.G2), (m.H1, m.G2), (m.G1, m.H2), (m.H1, m.H2))
-    F = np.column_stack(random_centered_functions(mu, trials, seed))
+    F = random_centered_functions(mu, trials, seed).T.copy()  # C order, as verify_identities keeps it
     osc_F = np.ptp(F, axis=0)
     worst = {key: 0.0 for key in (
         "decomposition", "doubling", "positive-part", "adjoint-comparison",
@@ -332,7 +332,7 @@ def test_identities_match_dense_reference(nx, ny, exact):
 
 def _chain_case():
     m = random_joint_model(seed=4, nx=3, ny=5)
-    F = np.column_stack(random_centered_functions(m.mu, count=4, seed=9))
+    F = random_centered_functions(m.mu, count=4, seed=9).T
     P1 = FiniteKernel(m.H1 @ m.G2, m.mu)
     chain = tuple(m.kernel(n) for n in ("P", "H1", "G2", "H2")) + (P1,)
     return m, chain, F  # P and P1 are not self-adjoint

@@ -146,7 +146,7 @@ def _ref_verify_identities(m, trials=20, tol=1e-10, seed=0):
     rep.add("positivity of H1", max(0.0, -lam1), 1e-10, seed)
     rep.add("positivity of H2", max(0.0, -lam2), 1e-10, seed)
 
-    F = np.column_stack(random_centered_functions(mu, trials, seed))
+    F = random_centered_functions(mu, trials, seed).T.copy()  # C order, as verify_identities keeps it
     osc_F = np.ptp(F, axis=0)
     worst = {key: 0.0 for key in (
         "decomposition", "doubling", "positive-part", "adjoint-comparison",

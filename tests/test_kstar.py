@@ -146,27 +146,6 @@ def test_chain_linear_product():
     assert np.allclose(Composite(outer=k2, inner=k1)(v), 0.2 * v, rtol=1e-12, atol=0.0)
 
 
-def test_chain_inf_formula_agreement():
-    # beta_chain(s) = inf{s1 b2(s/s1) + b1(s1)} for two raw power laws has
-    # conjugate exactly K2* o K1* = v^4/64; check the numeric path agrees.
-    @dataclass(frozen=True)
-    class _Chained(BetaSpec):
-        def _eval(self, s):
-            out = np.empty_like(s)
-            for i, si in enumerate(s):
-                s1 = np.geomspace(1e-6, si, 4096)
-                out[i] = np.min(s1 * (s1 / si) + 1.0 / s1)
-            return out
-
-    numeric = conjugate(_Chained())
-    vg = _knots_from(numeric, 1e-2)
-    composed = Composite(outer=Power(0.25, 2.0), inner=Power(0.25, 2.0))
-    exact = np.asarray(composed(vg))
-    assert np.allclose(exact, vg ** 4 / 64.0, rtol=1e-12)
-    rel = np.abs(np.asarray(numeric(vg)) - exact) / exact
-    assert np.max(rel) <= 1e-3
-
-
 def test_scale_rules():
     assert scale(Linear(0.4), 3.0, 2.0).slope == pytest.approx(0.8)
     p = scale(Power(0.25, 2.0), 2.0, 3.0)

@@ -21,7 +21,7 @@ from wpgibbs import (
     conjugate,
 )
 from wpgibbs.kstar import Composite
-from wpgibbs.rates import _REL_TOL, X_MAX
+from wpgibbs.rates import _GRID_POINTS, _REL_TOL, X_MAX
 
 
 def test_linear_closed_form():
@@ -174,6 +174,10 @@ class _LogEveryCall(RateBound):
     """Reference for the numeric path: F_inv by geometric bisection of the
     interpolated F down to a relative width _REL_TOL, returning the upper
     end, with an F that takes np.log of the whole grid on every call."""
+
+    def _build_table(self):
+        super()._build_table()
+        self._grid = np.geomspace(self.x_min, X_MAX, _GRID_POINTS)
 
     def F(self, x):
         x = max(x, self.x_min)

@@ -18,8 +18,8 @@ from wpgibbs.samplers import (
     BOOTSTRAP,
     NIG_MODES,
     DecayEstimate,
+    _bridges,
     bayes_step,
-    brownian_bridge,
     chain_rng,
     finite_decay_estimate,
     finite_simulate,
@@ -213,14 +213,14 @@ def _ou_params():
 
 def test_brownian_bridge_hits_endpoints():
     rng = chain_rng(0, 0)
-    seg = brownian_bridge(0.2, -0.4, 0.5, 16, rng)
+    seg = _bridges(0.2, -0.4, rng.normal(0.0, math.sqrt(0.5 / 16), size=16))
     assert len(seg) == 17
     assert seg[0] == pytest.approx(0.2, abs=1e-12)
     assert seg[-1] == pytest.approx(-0.4, abs=1e-12)
 
 
 def test_bridges_match_one_segment_formula():
-    """brownian_bridge and ou_initial_state build each segment as the walk
+    """_bridges and ou_initial_state build each segment as the walk
     pinned by a + w - t (w_M - (b - a)), bit for bit."""
     p = OUParams(mu0=0.5, tau0=1.0, times=(0.0, 0.3, 1.0, 1.6), obs=(0.2, -0.4, 0.3, 0.1), M=16)
 
@@ -230,8 +230,8 @@ def test_bridges_match_one_segment_formula():
         return a + w - np.linspace(0.0, 1.0, M + 1) * (w[-1] - (b - a))
 
     rng, ref_rng = chain_rng(5, 0), chain_rng(5, 0)
-    assert brownian_bridge(0.2, -0.4, 0.7, 16, rng).tobytes() == \
-        bridge(0.2, -0.4, 0.7, 16, ref_rng).tobytes()
+    steps = rng.normal(0.0, math.sqrt(0.7 / 16), size=16)
+    assert _bridges(0.2, -0.4, steps).tobytes() == bridge(0.2, -0.4, 0.7, 16, ref_rng).tobytes()
     theta, paths = ou_initial_state(p, rng)
     assert theta == float(ref_rng.normal(p.mu0, p.tau0))
     ref = [bridge(p.obs[i], p.obs[i + 1], p.times[i + 1] - p.times[i], p.M, ref_rng)
@@ -256,8 +256,8 @@ def test_girsanov_ratio_matches_simplified_form():
     worst = 0.0
     for _ in range(50):
         theta = rng.normal(0.0, 1.5)
-        old = brownian_bridge(0.2, 0.1, 0.5, p.M, rng)
-        new = brownian_bridge(0.2, 0.1, 0.5, p.M, rng)
+        old = _bridges(0.2, 0.1, rng.normal(0.0, math.sqrt(0.5 / p.M), size=p.M))
+        new = _bridges(0.2, 0.1, rng.normal(0.0, math.sqrt(0.5 / p.M), size=p.M))
         full = girsanov_log_g(new, theta, h) - girsanov_log_g(old, theta, h)
         simple = ou_segment_log_alpha(np.trapezoid(old ** 2, dx=h),
                                       np.trapezoid(new ** 2, dx=h), theta)
@@ -300,7 +300,8 @@ def _ou_da_step_reference(theta, paths, p, rng):
     theta = float(rng.normal(mean, math.sqrt(var)))
     new_paths, accepted = [], []
     for i, (seg, h, dt) in enumerate(zip(paths, hs, dts)):
-        prop = brownian_bridge(p.obs[i], p.obs[i + 1], dt, p.M, rng)
+        steps = rng.normal(0.0, math.sqrt(dt / p.M), size=p.M)
+        prop = _bridges(p.obs[i], p.obs[i + 1], steps)
         log_alpha = -(theta ** 2 / 2.0) * (trap(prop, h) - trap(seg, h))
         ok = math.log(rng.uniform()) < min(0.0, log_alpha)
         new_paths.append(prop if ok else seg.copy())
