@@ -3,10 +3,13 @@
 All samplers use deterministic-scan updates.  Randomness is drawn from
 ``numpy.random.default_rng([master_seed, key])`` streams, so chains are
 reproducible.  A chain with a stream of its own gets the same values
-whichever chains run beside it: ``nig_step`` advances a batch of such
-chains in one array pass, given one stream per chain.  The decay estimator
-keys 0 for the starts, 1 and 2 for the two chains and 3 for the bootstrap
-resamples.
+whichever chains run beside it: ``nig_step`` and ``finite_simulate`` advance
+a batch of such chains in one array pass, given one stream per equal share
+of the batch.  The decay estimator keys 0 for the starts and 3 for the
+bootstrap resamples.  Keys 1 and 2 are the streams of the first and the
+second chain of every start: the estimator stacks the two chains into one
+batch of two shares, the first on stream 1, and advances it by one call per
+scan, so each chain draws what it would draw alone.
 
 The decay estimator uses paired chains: for a stationary start Z ~ Pi,
 two conditionally independent chains Z^1, Z^2 are run from the same start,
@@ -59,12 +62,12 @@ def nig_stationary_start(p: NIGParams, rng: np.random.Generator, size: int):
 def _draw(rng, method: str, shape) -> np.ndarray:
     """Standard variates of ``shape`` by the Generator method ``method``.
 
-    ``rng`` is one Generator, or a sequence of them that split the flattened
-    array into equal contiguous shares, each stream filling its own share;
-    a scan that draws its variates kind after kind then draws each stream's
-    in the order that a scan over its share alone would.
+    ``rng`` is one Generator, or a list or tuple of them that split the
+    flattened array into equal contiguous shares, each stream filling its own
+    share; a scan that draws its variates kind after kind then draws each
+    stream's in the order that a scan over its share alone would.
     """
-    if not isinstance(rng, Sequence):
+    if not isinstance(rng, (list, tuple)):
         return getattr(rng, method)(shape)
     out = np.empty(shape)
     flat = out.reshape(-1)
@@ -98,26 +101,54 @@ def nig_step(
         raise InvalidModeError("mode fixed needs a numeric step sigma0")
     # numpy draws normal, uniform and exponential variates as loc + scale *
     # (standard draw); with loc 0 the standard draws below give the same
-    # values bit for bit ("0.0 +" also keeps the sign of an exact zero)
+    # values bit for bit ("+= 0.0" also keeps the sign of an exact zero).
+    # Each pass writes into a temporary of this call, in the order that the
+    # comments' expressions evaluate.
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    xi_sq = xi ** 2
-    beta_xi = p.beta_hyper + 0.5 * xi_sq
+    shape = tau.shape
+    xi_sq = np.square(xi)
+    beta_xi = 0.5 * xi_sq
+    beta_xi += p.beta_hyper  # beta + xi^2 / 2
 
     if mode == "exact":
-        tau = (1.0 / beta_xi) * _draw(rng, "standard_exponential", beta_xi.shape)
-        return tau, 0.0 + (1.0 / np.sqrt(tau)) * _draw(rng, "standard_normal", tau.shape)
+        # tau' = (1 / beta_xi) * e, then xi' = 0.0 + (1 / sqrt(tau')) * z
+        new_tau = _draw(rng, "standard_exponential", shape)
+        new_tau *= np.divide(1.0, beta_xi, out=beta_xi)
+        scale = np.sqrt(new_tau)
+        new_xi = _draw(rng, "standard_normal", shape)
+        new_xi *= np.divide(1.0, scale, out=scale)
+        new_xi += 0.0
+        return new_tau, new_xi
 
-    step = _SQRT3 / beta_xi if mode == "scaled" else p.sigma0
-    prop = tau + step * _draw(rng, "standard_normal", tau.shape)
-    log_alpha = np.where(prop > 0.0, beta_xi * (tau - prop), -np.inf)
-    tau = np.where(np.log(_draw(rng, "random", tau.shape)) < log_alpha, prop, tau)
+    # prop = tau + step * z, taken if log u < beta_xi * (tau - prop) and prop > 0
+    prop = _draw(rng, "standard_normal", shape)
+    prop *= np.divide(_SQRT3, beta_xi) if mode == "scaled" else p.sigma0
+    prop += tau
+    log_u = _draw(rng, "random", shape)
+    np.log(log_u, out=log_u)
+    log_alpha = np.subtract(tau, prop)
+    log_alpha *= beta_xi
+    accept = log_u < log_alpha
+    accept &= prop > 0.0
+    tau = np.where(accept, prop, tau)
 
-    step = 1.0 / np.sqrt(2.0 * tau) if mode == "scaled" else p.sigma0
-    prop = xi + step * _draw(rng, "standard_normal", xi.shape)
-    log_alpha = -0.5 * tau * (prop ** 2 - xi_sq)
-    xi = np.where(np.log(_draw(rng, "random", xi.shape)) < log_alpha, prop, xi)
-    return tau, xi
+    # prop = xi + step * z, taken if log u < -0.5 * tau * (prop^2 - xi^2)
+    if mode == "scaled":
+        step = np.multiply(2.0, tau)
+        np.sqrt(step, out=step)
+        np.divide(1.0, step, out=step)  # 1 / sqrt(2 tau)
+    else:
+        step = p.sigma0
+    prop = _draw(rng, "standard_normal", shape)
+    prop *= step
+    prop += xi
+    np.log(_draw(rng, "random", shape), out=log_u)
+    np.multiply(-0.5, tau, out=log_alpha)
+    sq = np.square(prop, out=beta_xi)
+    sq -= xi_sq
+    log_alpha *= sq
+    return tau, np.where(log_u < log_alpha, prop, xi)
 
 
 def nig_decay_estimate(
@@ -258,7 +289,10 @@ def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Gene
 
 
 def finite_simulate(
-    k: FiniteKernel, start: np.ndarray, steps: int, rng: np.random.Generator
+    k: FiniteKernel,
+    start: np.ndarray,
+    steps: int,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Advance many chains of a finite kernel at once (categorical sampling).
 
@@ -266,11 +300,13 @@ def finite_simulate(
     uniform u.  The kernel's ``sampling_table`` gives it by one lookup in
     u's bucket wherever the bucket holds no cdf value of the row; the
     chains it leaves open count their row's cdf columns one at a time.
+    ``rng`` is one Generator, or k of them for k equal contiguous shares of
+    the chains, as in ``nig_step``.
     """
     cols, buckets, table = k.sampling_table
     state = np.asarray(start, dtype=np.int64).copy()
     for _ in range(steps):
-        u = rng.random(state.shape)
+        u = _draw(rng, "random", state.shape)
         # u * buckets is exact (a power of two), so its floor is u's bucket
         nxt = table[state * buckets + (u * buckets).astype(np.int64)]
         pending = nxt < 0
@@ -320,28 +356,30 @@ class DecayEstimate:
 def _paired_decay(start, step, f, osc_sq: float, n_grid, master_seed: int) -> DecayEstimate:
     """Estimate ||P^n f||^2 / osc_sq at each n of ``n_grid``.
 
-    Two chains leave the shared stationary ``start`` (a batch of starts), each
-    advanced one scan at a time by ``step(z, rng)`` on its own stream;
-    f(Z^1_n) f(Z^2_n) is averaged over the starts and bootstrapped over them,
-    each resample a row of counts per start: one product, summed over blocks
-    of starts in order, gives every resample's mean at every n.  The counts
-    are kept as int32 and made float one block at a time, just before its
-    product.
+    Two chains leave the shared stationary ``start`` (a batch of starts along
+    its last axis) on streams 1 and 2.  They run as one stacked batch, chain 1
+    in the first half, that ``step(z, rngs)`` advances one scan at a time with
+    one stream per half.  f(Z^1_n) f(Z^2_n), from the halves of f(z), is
+    averaged over the starts and bootstrapped over them, each resample a row
+    of counts per start: one product, summed over blocks of starts in order,
+    gives every resample's mean at every n.  The counts are kept as int32
+    and made float one block at a time, just before its product.
     """
-    rng1, rng2 = chain_rng(master_seed, 1), chain_rng(master_seed, 2)
-    z1 = z2 = start
     n_grid = sorted(int(n) for n in n_grid)
-    x = None  # (grid, starts), filled row by row
+    if not n_grid or n_grid[0] < 0:
+        raise DomainError(f"the decay grid must be nonempty with every n >= 0, got {n_grid}")
+    rngs = (chain_rng(master_seed, 1), chain_rng(master_seed, 2))
+    z = np.concatenate([start, start], axis=-1)  # chain 1's share, then chain 2's
+    starts = z.shape[-1] // 2
+    x = np.empty((len(n_grid), starts))
     now = 0
     for i, n in enumerate(n_grid):
         for _ in range(n - now):
-            z1, z2 = step(z1, rng1), step(z2, rng2)
+            z = step(z, rngs)
         now = n
-        row = f(z1) * f(z2) / osc_sq
-        if x is None:
-            x = np.empty((len(n_grid), row.size))
-        x[i] = row
-    starts = x.shape[1]
+        fz = f(z)
+        np.multiply(fz[:starts], fz[starts:], out=x[i])
+        x[i] /= osc_sq  # f(Z^1_n) * f(Z^2_n) / osc_sq
     rng = chain_rng(master_seed, 3)
     counts = np.empty((BOOTSTRAP, starts), dtype=np.int32)
     for row in counts:

@@ -438,6 +438,23 @@ def test_finite_simulate_at_every_bucket_edge(k):
         assert np.array_equal(state, _finite_simulate_reference(k, start, 1, fixed))
 
 
+@_KERNELS
+def test_finite_simulate_with_a_stream_per_share(k):
+    """A list of k streams over k equal shares of the chains gives, byte for
+    byte, the states of k calls, one per share with its stream; chains that
+    do not split into equal shares are refused."""
+    shares = [chain_rng(34, i).choice(k.n, size=1000, p=k.mu) for i in range(3)]
+    state = np.concatenate(shares)
+    rngs = [chain_rng(35, i) for i in range(3)]
+    alone_rngs = [chain_rng(35, i) for i in range(3)]
+    for steps in [1] * 30 + [20]:
+        state = finite_simulate(k, state, steps, rngs)
+        shares = [finite_simulate(k, s, steps, r) for s, r in zip(shares, alone_rngs)]
+        assert state.tobytes() == np.concatenate(shares).tobytes()
+    with pytest.raises(DomainError, match="1000 chains do not split into 3 equal shares"):
+        finite_simulate(k, state[:1000], 1, rngs)
+
+
 def test_finite_sampling_table_built_once_per_kernel(monkeypatch):
     built = []
     build = FiniteKernel.sampling_table.func
@@ -552,6 +569,53 @@ def test_int32_counts_match_float_counts_bit_for_bit(monkeypatch, estimate):
         ref = estimate(n_grid, 8333, 23)
     for name in ("n_grid", "mean", "ci_low", "ci_high", "se"):
         assert getattr(est, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+@pytest.mark.parametrize("starts", [2, 3, 3333])
+@pytest.mark.parametrize("n_grid", [[0, 1, 2, 5, 10, 20, 50, 100, 200], [7, 3, 3, 1]])
+@pytest.mark.parametrize("estimate", [_finite_estimate, _nig_estimate])
+def test_stacked_pair_matches_per_chain_stepping(monkeypatch, estimate, n_grid, starts):
+    """Both chains of every start advanced in one call per scan, on a stream
+    per half of the stacked batch, give every number of the estimator that
+    steps Z^1 and Z^2 in calls of their own, byte for byte."""
+    est = estimate(n_grid, starts, 29)
+    with monkeypatch.context() as m:
+        m.setattr(samplers, "_paired_decay", _paired_decay_float_counts)
+        ref = estimate(n_grid, starts, 29)
+    for name in ("n_grid", "mean", "ci_low", "ci_high", "se"):
+        assert getattr(est, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+@pytest.mark.parametrize("estimate, step, chains", [
+    (_finite_estimate, "finite_simulate", lambda a: np.size(a[1]) * int(a[2])),
+    (_nig_estimate, "nig_step", lambda a: np.size(a[0])),
+])
+def test_paired_decay_steps_both_chains_in_one_call_per_scan(monkeypatch, estimate, step, chains):
+    """One step call per scan, each carrying the 2 * starts chains of the
+    stacked pair, so the chain steps add up to 2 * starts * max(grid)."""
+    calls = []
+    wrapped = getattr(samplers, step)
+
+    def counted(*args):
+        calls.append(chains(args))
+        return wrapped(*args)
+
+    monkeypatch.setattr(samplers, step, counted)
+    estimate([1, 2, 5, 20], 150, 3)
+    assert calls == [2 * 150] * 20
+    assert sum(calls) == 2 * 150 * 20
+
+
+@pytest.mark.parametrize("estimate", [_finite_estimate, _nig_estimate])
+def test_decay_estimate_refuses_an_empty_grid(estimate):
+    with pytest.raises(DomainError, match="nonempty"):
+        estimate([], 50, 1)
+
+
+@pytest.mark.parametrize("estimate", [_finite_estimate, _nig_estimate])
+def test_decay_estimate_refuses_a_negative_n(estimate):
+    with pytest.raises(DomainError, match="n >= 0, got \\[-3, 2\\]"):
+        estimate([-3, 2], 50, 1)
 
 
 @pytest.mark.parametrize("starts", [2, 3333, 8333])
