@@ -36,6 +36,9 @@ _TABLE_ENTRIES = 2 ** 14
 # `verify` checks in one pass: one 16x16 model, so memory stays bounded at
 # any model count
 STACK_ENTRIES = 2 ** 16
+# most entries of the block of T^n F that `l2_decay_exact` projects in one
+# product: a longer block takes more page faults than the calls it saves
+_DECAY_ENTRIES = 2 ** 14
 
 
 def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -125,7 +128,9 @@ def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
     mu = factors[0].mu
     if any(not np.array_equal(t.mu, mu) for t in factors[1:]):
         raise DomainError("product factors need one stationary vector")
-    f = np.asarray(f, dtype=float)
+    # numpy passes BLAS a C-order and an F-order operand as different calls,
+    # which sum in different orders: f in C order gives every layout its bits
+    f = np.asarray(f, dtype=float, order="C")
     one = f.ndim == mu.ndim
     if not (one or f.ndim == mu.ndim + 1) or f.shape[:mu.ndim] != mu.shape:
         raise DomainError("function dimension mismatch")
@@ -163,6 +168,9 @@ def l2_decay_exact(k: FiniteKernel, f: np.ndarray, n_max: int) -> np.ndarray:
 
     ``f`` of shape (..., n) gives shape (..., n_max + 1); ``f`` of shape
     (..., n, t) gives shape (..., n_max + 1, t), one sequence per column.
+    T^n f is advanced one n at a time into a C-order block of at most
+    ``_DECAY_ENTRIES`` entries (one n, if that alone holds more), and
+    mu @ (T^n f)^2 is taken for the whole block in one stacked product.
     """
     f = np.asarray(f, dtype=float)
     one = f.ndim == k.mu.ndim
@@ -170,12 +178,24 @@ def l2_decay_exact(k: FiniteKernel, f: np.ndarray, n_max: int) -> np.ndarray:
     if np.any(np.abs(_vecmat(k.mu, F)) > 1e-12):
         raise DomainError("l2_decay_exact needs a centered function")
     out = np.empty(F.shape[:-2] + (n_max + 1, F.shape[-1]))
-    mu_row = k.mu[..., None, :]
-    g = F.copy()
-    # row n of out, as a (..., 1, t) view, takes mu @ (T^n f)^2
-    for row in np.moveaxis(out[..., None, :], -3, 0):
-        np.matmul(mu_row, g ** 2, out=row)
-        g = k.matrix @ g
+    size = max(1, min(n_max + 1, _DECAY_ENTRIES // max(1, F.size)))
+    block = np.empty(F.shape[:-2] + (size,) + F.shape[-2:])
+    slots = np.moveaxis(block, -3, 0)  # slots[b], a (..., n, t) view, holds T^(first + b) F
+    mu_row = k.mu[..., None, None, :]
+    g = F
+    for first in range(0, n_max + 1, size):
+        m = min(size, n_max + 1 - first)
+        for b in range(m):
+            if first + b:
+                np.matmul(k.matrix, g, out=slots[b])
+            else:
+                slots[0][...] = F
+            g = slots[b]
+        if first + m <= n_max:
+            g = g.copy()  # the block is squared in place
+        sq = np.square(block[..., :m, :, :], out=block[..., :m, :, :])
+        # rows first..first + m - 1 of out, as (..., m, 1, t), take mu @ (T^n F)^2
+        np.matmul(mu_row, sq, out=out[..., first:first + m, None, :])
     return out[..., 0] if one else out
 
 
@@ -276,10 +296,36 @@ class FiniteJointModel:
         view(G2)[..., x, y, x2, y] = self.cond_x_given_y[..., None, :, :]
         view(H2)[..., x, y, x2, y] = np.swapaxes(self.h2_slices, -3, -2)
         self.G1, self.G2, self.H1, self.H2 = G1, G2, H1, H2
-        self.P = G1 @ G2
-        self.P12 = H1 @ H2
+        self.P = self.scan("G1", "G2")
+        self.P12 = self.scan("H1", "H2")
         # x-marginal chain: draw y given x, then x' given y
         self.P_X = self.cond_y_given_x @ self.cond_x_given_y
+
+    def scan(self, first: str, second: str) -> np.ndarray:
+        """The product of two refreshes of different blocks, ``first`` then
+        ``second`` (of "G1", "H1", "G2", "H2"), built entry by entry.
+
+        With s1_x(y, y') and s2_y(x, x') the slices of the block-1 and the
+        block-2 refresh, block 1 then block 2 has entry s1_x(y, y')
+        s2_y'(x, x') at [x, y, x', y'], and block 2 then block 1 has
+        s2_y(x, x') s1_x'(y, y').  That is the one nonzero term of the
+        entry's sum in the matrix product: its other terms are exact zeros,
+        the entries being finite and nonnegative, so this gives the
+        product's bits in O(n^2) in place of O(n^3).
+        """
+        if first[-1] == second[-1]:
+            raise DomainError(f"a scan takes one refresh of each block, got {first} {second}")
+        slices = {"G1": self.cond_y_given_x[..., :, None, :], "H1": self.h1_slices,
+                  "G2": self.cond_x_given_y[..., :, None, :], "H2": self.h2_slices}
+        s, t = slices[first], slices[second]
+        if first[-1] == "1":
+            a, b = s[..., :, :, None, :], np.moveaxis(t, -3, -1)[..., :, None, :, :]
+        else:
+            a, b = np.swapaxes(s, -3, -2)[..., None], np.swapaxes(t, -3, -2)[..., None, :, :, :]
+        nx, ny = self.nx, self.ny
+        out = np.empty(self.mu.shape[:-1] + (nx, ny, nx, ny))
+        np.multiply(a, b, out=out)
+        return out.reshape(self.mu.shape + (nx * ny,))
 
     def kernel(self, name: str) -> FiniteKernel:
         if name == "P_X":
@@ -412,8 +458,10 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
 
     Every Dirichlet form of a scan product is evaluated on its chain of
     factors (a tuple, see ``dirichlet_form``), on all trial functions at
-    once as the columns of one array.  The only n x n products formed here
-    are G1^2, G2^2 and G2 G1 of the structural checks.
+    once as the columns of one array.  The only n x n matrix products
+    formed here are G1^2 and G2^2 of the idempotence checks; G2 G1 of the
+    adjoint check is built entry by entry by ``FiniteJointModel.scan``, as
+    are P and P12.
 
     A stacked model gives a list with one Report per model, in order; its
     ``seed`` then holds one seed per model (one seed is shared by all).
@@ -438,7 +486,7 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
     checks.append(("G1 idempotent", worst_of(np.abs(m.G1 @ m.G1 - m.G1)), 1e-12))
     checks.append(("G2 idempotent", worst_of(np.abs(m.G2 @ m.G2 - m.G2)), 1e-12))
     checks.append(("P adjoint is G2 G1",
-                   worst_of(np.abs(kP_star.matrix - m.G2 @ m.G1)), 1e-12))
+                   worst_of(np.abs(kP_star.matrix - m.scan("G2", "G1"))), 1e-12))
     checks.append(("adjoint involution",
                    worst_of(np.abs(adjoint(kP_star).matrix - kP.matrix)), 1e-12))
     # P1 = H1 G2 and P2 = G1 H2 are not formed: mu is pushed through their factors

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidModeError
-from .finite import FiniteKernel
+from .finite import _TABLE_ENTRIES, FiniteKernel
 
 if TYPE_CHECKING:
     from .cases import BayesParams, NIGParams, OUParams
@@ -299,23 +299,22 @@ def finite_simulate(
     The next state is the number of cdf values of the current row below a
     uniform u.  The kernel's ``sampling_table`` gives it by one lookup in
     u's bucket wherever the bucket holds no cdf value of the row; the
-    chains it leaves open count their row's cdf columns one at a time.
+    chains it leaves open compare u with all cdf columns of their row at
+    once, in chunks of at most ``_TABLE_ENTRIES`` comparisons.
     ``rng`` is one Generator, or k of them for k equal contiguous shares of
     the chains, as in ``nig_step``.
     """
     cols, buckets, table = k.sampling_table
+    chunk = _TABLE_ENTRIES // max(1, len(cols))
     state = np.asarray(start, dtype=np.int64).copy()
     for _ in range(steps):
         u = _draw(rng, "random", state.shape)
         # u * buckets is exact (a power of two), so its floor is u's bucket
         nxt = table[state * buckets + (u * buckets).astype(np.int64)]
-        pending = nxt < 0
-        if pending.any():
-            s, v = state[pending], u[pending]
-            count = np.zeros_like(s)
-            for col in cols:
-                count += col[s] < v
-            nxt[pending] = count
+        pending = np.flatnonzero(nxt < 0)
+        for i in range(0, len(pending), chunk):
+            p = pending[i:i + chunk]
+            nxt[p] = (cols[:, state[p]] < u[p]).sum(axis=0)
         state = nxt
     return state
 
@@ -368,9 +367,11 @@ def _paired_decay(start, step, f, osc_sq: float, n_grid, master_seed: int) -> De
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 0:
         raise DomainError(f"the decay grid must be nonempty with every n >= 0, got {n_grid}")
+    starts = np.shape(start)[-1]
+    if starts < 2:  # the bootstrap needs two starts to vary at all
+        raise DomainError(f"the decay estimate needs at least 2 starts, got {starts}")
     rngs = (chain_rng(master_seed, 1), chain_rng(master_seed, 2))
     z = np.concatenate([start, start], axis=-1)  # chain 1's share, then chain 2's
-    starts = z.shape[-1] // 2
     x = np.empty((len(n_grid), starts))
     now = 0
     for i, n in enumerate(n_grid):

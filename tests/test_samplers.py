@@ -455,6 +455,49 @@ def test_finite_simulate_with_a_stream_per_share(k):
         finite_simulate(k, state[:1000], 1, rngs)
 
 
+def _finite_simulate_column_loop(k, start, steps, rng):
+    """The table step with its pending chains settled one cdf column at a
+    time, as the sampler first did it."""
+    cols, buckets, table = k.sampling_table
+    state = np.asarray(start, dtype=np.int64).copy()
+    for _ in range(steps):
+        u = rng.random(state.shape)
+        nxt = table[state * buckets + (u * buckets).astype(np.int64)]
+        pending = nxt < 0
+        if pending.any():
+            s, v = state[pending], u[pending]
+            count = np.zeros_like(s)
+            for col in cols:
+                count += col[s] < v
+            nxt[pending] = count
+        state = nxt
+    return state
+
+
+def test_finite_simulate_settles_pending_chains_in_bounded_chunks(monkeypatch):
+    """On a 4,096-state kernel, four buckets a row, most chains are pending;
+    settled in chunks of 4 (at most ``_TABLE_ENTRIES`` cdf values compared
+    at once), of 1 or of all of them, they land where the column loop puts
+    them, byte for byte."""
+    n = 4096
+    w = chain_rng(41, 0).dirichlet(np.ones(7))  # a circulant band, so mu is uniform
+    M = np.zeros((n, n))
+    rows = np.arange(n)
+    for shift, weight in zip(range(-3, 4), w):
+        M[rows, (rows + shift) % n] = weight
+    k = FiniteKernel(M, np.full(n, 1.0 / n))
+    cols, buckets, table = k.sampling_table
+    assert buckets == 4 and samplers._TABLE_ENTRIES // (n - 1) == 4
+    assert np.mean(table < 0) > 0.7
+    start = chain_rng(41, 1).integers(0, n, size=600)
+    ref = _finite_simulate_column_loop(k, start, 3, chain_rng(41, 2))
+    assert len(np.unique(ref)) > 300
+    for cap in (samplers._TABLE_ENTRIES, n - 1, 600 * (n - 1)):
+        monkeypatch.setattr(samplers, "_TABLE_ENTRIES", cap)
+        state = finite_simulate(k, start, 3, chain_rng(41, 2))
+        assert state.dtype == np.int64 and state.tobytes() == ref.tobytes(), cap
+
+
 def test_finite_sampling_table_built_once_per_kernel(monkeypatch):
     built = []
     build = FiniteKernel.sampling_table.func
@@ -616,6 +659,14 @@ def test_decay_estimate_refuses_an_empty_grid(estimate):
 def test_decay_estimate_refuses_a_negative_n(estimate):
     with pytest.raises(DomainError, match="n >= 0, got \\[-3, 2\\]"):
         estimate([-3, 2], 50, 1)
+
+
+@pytest.mark.parametrize("starts", [0, 1])
+@pytest.mark.parametrize("estimate", [_finite_estimate, _nig_estimate])
+def test_decay_estimate_needs_two_starts(estimate, starts):
+    """No start leaves nothing to average, one no spread to bootstrap."""
+    with pytest.raises(DomainError, match=f"at least 2 starts, got {starts}"):
+        estimate([1, 2], starts, 1)
 
 
 @pytest.mark.parametrize("starts", [2, 3333, 8333])
