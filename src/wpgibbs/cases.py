@@ -355,6 +355,29 @@ class OUParams:
         """The (segments x 2) endpoints every bridge path is pinned to."""
         return _frozen(np.stack((self.y[:-1], self.y[1:]), axis=1))
 
+    # The sampler's per-segment constants, one row per segment: each bridge's
+    # grid step dt / M and its square root, start y_i and gap y_{i+1} - y_i.
+    @functools.cached_property
+    def hs(self) -> np.ndarray:
+        return _frozen((self.dts / self.M)[:, None])
+
+    @functools.cached_property
+    def sqrt_hs(self) -> np.ndarray:
+        return _frozen(np.sqrt(self.hs))
+
+    @functools.cached_property
+    def bridge_starts(self) -> np.ndarray:
+        return _frozen(self.y[:-1, None])
+
+    @functools.cached_property
+    def bridge_gaps(self) -> np.ndarray:
+        return _frozen(self.y[1:, None] - self.y[:-1, None])
+
+    @functools.cached_property
+    def prior_precision(self) -> float:
+        """tau0^-2."""
+        return self.tau0 ** -2
+
     @property
     def T(self) -> float:
         return self.times[-1] - self.times[0]

@@ -85,25 +85,26 @@ class FiniteKernel:
 
     @functools.cached_property
     def sampling_table(self):
-        """(cols, B, table): what ``samplers.finite_simulate`` steps by, built
-        once per kernel (of a single kernel, not a stack).
+        """(B, table): what ``samplers.finite_simulate`` steps by, built once
+        per kernel (of a single kernel, not a stack).
 
-        ``cols`` holds the cdf columns but the last, which a uniform u < 1
-        never passes.  B is the largest power of two with n * B <= 2^14 (1
-        for larger kernels), so u * B and the bucket edges b / B are exact.
+        A row's cdf values are its prefix sums but the last, which a uniform
+        u < 1 never passes.  B is the largest power of two with n * B <= 2^14
+        (1 for larger kernels), so u * B and the bucket edges b / B are exact.
         For u in bucket b, [b/B, (b+1)/B), the count of row s's cdf values
         below u lies between lo = #{cdf < b/B} and hi = #{cdf < (b+1)/B}.
         ``table`` (int64, n * B entries) holds at s * B + b that count, lo,
         where lo == hi, and -1 where the bucket holds a cdf value of the row.
+        It is built row by row, so no second kernel-sized array is made.
         """
-        cols = np.cumsum(self.matrix, axis=1).T[:-1].copy()
         buckets = 1 << max(0, (_TABLE_ENTRIES // self.n).bit_length() - 1)
         edges = np.arange(buckets + 1) / buckets
         table = np.empty((self.n, buckets), dtype=np.int64)
-        for row, c in zip(table, cols.T):
-            below = np.searchsorted(np.sort(c), edges)  # lo of each bucket, then the last hi
+        for row, t in zip(table, self.matrix):
+            cdf = np.sort(np.cumsum(t[:-1]))
+            below = np.searchsorted(cdf, edges)  # lo of each bucket, then the last hi
             row[:] = np.where(below[:-1] == below[1:], below[:-1], -1)
-        return cols, buckets, table.ravel()
+        return buckets, table.ravel()
 
     def is_reversible(self, tol: float = 1e-10) -> bool:
         F = self.mu[..., :, None] * self.matrix

@@ -70,13 +70,26 @@ def _draw(rng, method: str, shape) -> np.ndarray:
     if not isinstance(rng, (list, tuple)):
         return getattr(rng, method)(shape)
     out = np.empty(shape)
-    flat = out.reshape(-1)
-    share, rest = divmod(flat.size, len(rng))
+    share, rest = divmod(out.size, len(rng))
     if rest:
-        raise DomainError(f"{flat.size} chains do not split into {len(rng)} equal shares")
-    for i, r in enumerate(rng):
-        getattr(r, method)(out=flat[i * share:(i + 1) * share])
+        raise DomainError(f"{out.size} chains do not split into {len(rng)} equal shares")
+    for r, part in zip(rng, out.reshape(len(rng), share)):
+        getattr(r, method)(out=part)
     return out
+
+
+def _select(accept: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``np.where(accept, new, old)`` bit for bit (NaN payloads, signed zeros,
+    infinities), written into ``new``, a float64 temporary the caller owns;
+    ``old`` is only read.  It takes old ^ ((new ^ old) * accept) on the
+    int64 views, which has no branch per element: np.where's masked copy
+    mispredicts on a mask that is neither mostly true nor mostly false."""
+    bits = new.view(np.int64)
+    old = old.view(np.int64)
+    bits ^= old
+    bits *= accept  # (new ^ old) where accepted, else zero
+    bits ^= old
+    return new
 
 
 def nig_step(
@@ -104,8 +117,8 @@ def nig_step(
     # values bit for bit ("+= 0.0" also keeps the sign of an exact zero).
     # Each pass writes into a temporary of this call, in the order that the
     # comments' expressions evaluate.
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    tau = np.array(tau, dtype=float, copy=None, ndmin=1)
+    xi = np.array(xi, dtype=float, copy=None, ndmin=1)
     shape = tau.shape
     xi_sq = np.square(xi)
     beta_xi = 0.5 * xi_sq
@@ -131,7 +144,7 @@ def nig_step(
     log_alpha *= beta_xi
     accept = log_u < log_alpha
     accept &= prop > 0.0
-    tau = np.where(accept, prop, tau)
+    tau = _select(accept, prop, tau)
 
     # prop = xi + step * z, taken if log u < -0.5 * tau * (prop^2 - xi^2)
     if mode == "scaled":
@@ -148,7 +161,7 @@ def nig_step(
     sq = np.square(prop, out=beta_xi)
     sq -= xi_sq
     log_alpha *= sq
-    return tau, np.where(log_u < log_alpha, prop, xi)
+    return tau, _select(log_u < log_alpha, prop, xi)
 
 
 def nig_decay_estimate(
@@ -212,7 +225,7 @@ def ou_initial_state(p: OUParams, rng: np.random.Generator):
     array of Brownian bridges pinned to the observations."""
     theta = rng.normal(p.mu0, p.tau0)
     steps = np.array([rng.normal(0.0, math.sqrt(dt / p.M), size=p.M) for dt in p.dts])
-    return float(theta), _bridges(p.y[:-1], p.y[1:], steps)
+    return float(theta), _bridges(p.bridge_starts, p.bridge_gaps, steps)
 
 
 @functools.lru_cache(maxsize=16)
@@ -223,15 +236,15 @@ def _unit_grid(M: int) -> np.ndarray:
     return grid
 
 
-def _bridges(a, b, steps: np.ndarray) -> np.ndarray:
-    """Brownian bridges from a to b on an M+1-point grid, built from the
-    random walk's M increments along the last axis of ``steps`` (one bridge
-    per row, with a and b one value per row)."""
+def _bridges(a, gap, steps: np.ndarray) -> np.ndarray:
+    """Brownian bridges from a to a + gap (b - a, taken by the caller) on an
+    M+1-point grid, built from the random walk's M increments along the last
+    axis of ``steps``: a + w - t (w_M - gap) for the walk w on the grid t.
+    One bridge per row; a and gap are numbers or columns of one per row."""
     M = steps.shape[-1]
     w = np.zeros(steps.shape[:-1] + (M + 1,))
-    np.cumsum(steps, axis=-1, out=w[..., 1:])
-    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
-    return a + w - _unit_grid(M) * (w[..., -1:] - (b - a))
+    steps.cumsum(axis=-1, out=w[..., 1:])
+    return a + w - _unit_grid(M) * (w[..., -1:] - gap)
 
 
 def _trapezoid_sq(x: np.ndarray, h):
@@ -257,16 +270,16 @@ def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Gene
     paths = np.asarray(paths, dtype=float)
     if paths.shape != (len(p.dts), p.M + 1):
         raise DomainError(f"paths must have shape {(len(p.dts), p.M + 1)}, got {paths.shape}")
-    if not np.all(np.abs(paths[:, ::p.M] - p.ends) <= 1e-12):  # columns 0 and M
+    if not (np.abs(paths[:, ::p.M] - p.ends) <= 1e-12).all():  # columns 0 and M
         raise DomainError("segment endpoints must equal the observations")
-    hs = p.dts / p.M
 
     # theta | paths: N(mean, var) with var = 1/(int X^2 dt + tau0^-2), the
     # segments' integrals (reused in the accept ratios) summed in order
-    old_x2 = _trapezoid_sq(paths, hs[:, None])
-    int_xdx = sum(np.sum(paths[:, :-1] * np.diff(paths, axis=1), axis=1).tolist())
-    var = 1.0 / (sum(old_x2.tolist()) + p.tau0 ** -2)
-    mean = var * (-int_xdx + p.mu0 * p.tau0 ** -2)
+    old_x2 = _trapezoid_sq(paths, p.hs)
+    head = paths[:, :-1]
+    int_xdx = sum((head * (paths[:, 1:] - head)).sum(axis=1).tolist())
+    var = 1.0 / (sum(old_x2.tolist()) + p.prior_precision)
+    mean = var * (-int_xdx + p.mu0 * p.prior_precision)
     theta = float(rng.normal(mean, math.sqrt(var)))
 
     # Every segment's draws in stream order (its bridge's standard normals,
@@ -277,8 +290,8 @@ def ou_da_step(theta: float, paths: np.ndarray, p: OUParams, rng: np.random.Gene
     for i in range(len(paths)):
         rng.standard_normal(out=z[i])
         log_u[i] = math.log(rng.random())
-    props = _bridges(p.y[:-1], p.y[1:], 0.0 + np.sqrt(hs)[:, None] * z)
-    log_alpha = ou_segment_log_alpha(old_x2, _trapezoid_sq(props, hs[:, None]), theta)
+    props = _bridges(p.bridge_starts, p.bridge_gaps, 0.0 + p.sqrt_hs * z)
+    log_alpha = ou_segment_log_alpha(old_x2, _trapezoid_sq(props, p.hs), theta)
     accepted = log_u < np.minimum(0.0, log_alpha)
     return theta, np.where(accepted[:, None], props, paths), accepted
 
@@ -299,13 +312,14 @@ def finite_simulate(
     The next state is the number of cdf values of the current row below a
     uniform u.  The kernel's ``sampling_table`` gives it by one lookup in
     u's bucket wherever the bucket holds no cdf value of the row; the
-    chains it leaves open compare u with all cdf columns of their row at
-    once, in chunks of at most ``_TABLE_ENTRIES`` comparisons.
+    chains it leaves open compare u with all cdf values of their row at
+    once, each row's prefix sums taken from the kernel's row, in chunks of
+    at most ``_TABLE_ENTRIES`` cdf values.
     ``rng`` is one Generator, or k of them for k equal contiguous shares of
     the chains, as in ``nig_step``.
     """
-    cols, buckets, table = k.sampling_table
-    chunk = _TABLE_ENTRIES // max(1, len(cols))
+    buckets, table = k.sampling_table
+    chunk = _TABLE_ENTRIES // max(1, k.n - 1)
     state = np.asarray(start, dtype=np.int64).copy()
     for _ in range(steps):
         u = _draw(rng, "random", state.shape)
@@ -314,7 +328,8 @@ def finite_simulate(
         pending = np.flatnonzero(nxt < 0)
         for i in range(0, len(pending), chunk):
             p = pending[i:i + chunk]
-            nxt[p] = (cols[:, state[p]] < u[p]).sum(axis=0)
+            cdf = k.matrix.take(state[p], axis=0)[:, :-1].cumsum(axis=1)
+            nxt[p] = (cdf < u[p][:, None]).sum(axis=1)
         state = nxt
     return state
 

@@ -395,8 +395,8 @@ def test_ou_girsanov_equals_simplified_1e10():
     h = 0.5 / p.M
     for _ in range(50):
         theta = rng.normal(0.0, 1.5)
-        old = _bridges(0.2, 0.1, rng.normal(0.0, math.sqrt(0.5 / p.M), size=p.M))
-        new = _bridges(0.2, 0.1, rng.normal(0.0, math.sqrt(0.5 / p.M), size=p.M))
+        old = _bridges(0.2, 0.1 - 0.2, rng.normal(0.0, math.sqrt(0.5 / p.M), size=p.M))
+        new = _bridges(0.2, 0.1 - 0.2, rng.normal(0.0, math.sqrt(0.5 / p.M), size=p.M))
         full = girsanov_log_g(new, theta, h) - girsanov_log_g(old, theta, h)
         simple = ou_segment_log_alpha(np.trapezoid(old ** 2, dx=h),
                                       np.trapezoid(new ** 2, dx=h), theta)

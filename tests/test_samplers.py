@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +146,38 @@ def test_nig_step_matches_reference_bit_for_bit(mode, size):
         assert xi.tobytes() == np.concatenate([x for _, x in shares]).tobytes()
 
 
+def _special_floats(rng, n):
+    """n float64 values in random order, drawn from equal numbers of quiet
+    NaNs of random sign and payload, +-0.0 and +-inf, +-subnormals and
+    standard normals."""
+    nans = np.uint64(0x7FF8000000000000) | rng.integers(0, 2 ** 51, size=n, dtype=np.uint64)
+    nans |= rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
+    subnormals = rng.integers(1, 2 ** 52, size=n, dtype=np.uint64).view(np.float64)
+    signed = np.repeat([0.0, -0.0, np.inf, -np.inf], n // 4 + 1)
+    pool = np.concatenate([nans.view(np.float64), signed, subnormals * rng.choice([-1.0, 1.0], n),
+                           rng.standard_normal(n)])
+    return rng.permutation(pool)[:n]
+
+
+@pytest.mark.parametrize("size", [1, 16_666])
+@pytest.mark.parametrize("mask", ["false", "true", "random"])
+def test_select_matches_np_where_byte_for_byte(mask, size):
+    """The accept select gives np.where's bits on every kind of float, with
+    a contiguous or a strided ``old``; it writes into ``new`` and leaves
+    ``old`` and the mask as they were."""
+    rng = chain_rng(51, size)
+    accept = {"false": np.zeros(size, bool), "true": np.ones(size, bool),
+              "random": rng.random(size) < 0.37}[mask]
+    base = _special_floats(rng, 3 * size)
+    for old in (base[:size], base[::3]):
+        new = _special_floats(rng, size)
+        given = (accept.copy(), new.copy(), old.copy())
+        want = np.where(accept, new, old)
+        got = samplers._select(accept, new, old)
+        assert got is new and got.tobytes() == want.tobytes()
+        assert accept.tobytes() == given[0].tobytes() and old.tobytes() == given[2].tobytes()
+
+
 def test_nig_decay_estimate_shrinks_and_is_reproducible():
     p = NIGParams(beta_hyper=2.0)
     est1 = nig_decay_estimate(p, "exact", n_grid=[1, 3], starts=20_000, master_seed=5)
@@ -213,7 +247,7 @@ def _ou_params():
 
 def test_brownian_bridge_hits_endpoints():
     rng = chain_rng(0, 0)
-    seg = _bridges(0.2, -0.4, rng.normal(0.0, math.sqrt(0.5 / 16), size=16))
+    seg = _bridges(0.2, -0.4 - 0.2, rng.normal(0.0, math.sqrt(0.5 / 16), size=16))
     assert len(seg) == 17
     assert seg[0] == pytest.approx(0.2, abs=1e-12)
     assert seg[-1] == pytest.approx(-0.4, abs=1e-12)
@@ -231,7 +265,8 @@ def test_bridges_match_one_segment_formula():
 
     rng, ref_rng = chain_rng(5, 0), chain_rng(5, 0)
     steps = rng.normal(0.0, math.sqrt(0.7 / 16), size=16)
-    assert _bridges(0.2, -0.4, steps).tobytes() == bridge(0.2, -0.4, 0.7, 16, ref_rng).tobytes()
+    want = bridge(0.2, -0.4, 0.7, 16, ref_rng)
+    assert _bridges(0.2, -0.4 - 0.2, steps).tobytes() == want.tobytes()
     theta, paths = ou_initial_state(p, rng)
     assert theta == float(ref_rng.normal(p.mu0, p.tau0))
     ref = [bridge(p.obs[i], p.obs[i + 1], p.times[i + 1] - p.times[i], p.M, ref_rng)
@@ -256,8 +291,8 @@ def test_girsanov_ratio_matches_simplified_form():
     worst = 0.0
     for _ in range(50):
         theta = rng.normal(0.0, 1.5)
-        old = _bridges(0.2, 0.1, rng.normal(0.0, math.sqrt(0.5 / p.M), size=p.M))
-        new = _bridges(0.2, 0.1, rng.normal(0.0, math.sqrt(0.5 / p.M), size=p.M))
+        old = _bridges(0.2, 0.1 - 0.2, rng.normal(0.0, math.sqrt(0.5 / p.M), size=p.M))
+        new = _bridges(0.2, 0.1 - 0.2, rng.normal(0.0, math.sqrt(0.5 / p.M), size=p.M))
         full = girsanov_log_g(new, theta, h) - girsanov_log_g(old, theta, h)
         simple = ou_segment_log_alpha(np.trapezoid(old ** 2, dx=h),
                                       np.trapezoid(new ** 2, dx=h), theta)
@@ -301,7 +336,7 @@ def _ou_da_step_reference(theta, paths, p, rng):
     new_paths, accepted = [], []
     for i, (seg, h, dt) in enumerate(zip(paths, hs, dts)):
         steps = rng.normal(0.0, math.sqrt(dt / p.M), size=p.M)
-        prop = _bridges(p.obs[i], p.obs[i + 1], steps)
+        prop = _bridges(p.obs[i], p.obs[i + 1] - p.obs[i], steps)
         log_alpha = -(theta ** 2 / 2.0) * (trap(prop, h) - trap(seg, h))
         ok = math.log(rng.uniform()) < min(0.0, log_alpha)
         new_paths.append(prop if ok else seg.copy())
@@ -309,12 +344,18 @@ def _ou_da_step_reference(theta, paths, p, rng):
     return theta, new_paths, np.array(accepted)
 
 
-@pytest.mark.parametrize("M", [8, 32])
-def test_ou_da_step_matches_segment_reference(M):
+_OU_FOUR_SEGMENTS = ((0.0, 0.3, 1.0, 1.6, 2.0), (0.2, -0.4, 0.3, 0.1, -0.2))
+_OU_ONE_SEGMENT = ((0.0, 0.7), (0.2, -0.1))
+
+
+@pytest.mark.parametrize(
+    "times, obs, M",
+    [pytest.param(*_OU_FOUR_SEGMENTS, M, id=str(M)) for M in (2, 8, 32)]
+    + [pytest.param(*_OU_ONE_SEGMENT, M, id=f"one-segment-{M}") for M in (2, 32)])
+def test_ou_da_step_matches_segment_reference(times, obs, M):
     """The array scan is bit-identical to the per-segment one: same theta,
     same paths and same flags over 50 scans from one seed."""
-    p = OUParams(mu0=0.5, tau0=1.0, times=(0.0, 0.3, 1.0, 1.6, 2.0),
-                 obs=(0.2, -0.4, 0.3, 0.1, -0.2), M=M)
+    p = OUParams(mu0=0.5, tau0=1.0, times=times, obs=obs, M=M)
     theta, paths = ou_initial_state(p, chain_rng(21, 0))
     ref_theta, ref_paths = theta, list(paths.copy())
     rng, ref_rng = chain_rng(21, 1), chain_rng(21, 1)
@@ -326,11 +367,33 @@ def test_ou_da_step_matches_segment_reference(M):
         paths = new
         ref_theta, ref_paths, ref_accepted = _ou_da_step_reference(
             ref_theta, ref_paths, p, ref_rng)
-        assert theta == ref_theta
-        assert np.array_equal(paths, np.array(ref_paths))
-        assert np.array_equal(accepted, ref_accepted)
+        assert theta.hex() == ref_theta.hex()
+        assert paths.tobytes() == np.array(ref_paths).tobytes()
+        assert accepted.dtype == ref_accepted.dtype == bool
+        assert accepted.tobytes() == ref_accepted.tobytes()
         flags.update(accepted.tolist())
     assert flags == {True, False}
+
+
+def test_ou_params_sampler_constants_are_read_only():
+    """The per-segment constants ou_da_step reads are cached once per params
+    object, hold their formulas' values and cannot be written."""
+    p = OUParams(mu0=0.5, tau0=0.8, times=(0.0, 0.3, 1.0), obs=(0.2, -0.4, 0.3), M=16)
+    dts = np.diff(np.asarray(p.times))
+    y = np.asarray(p.obs)
+    want = {"hs": (dts / 16)[:, None], "sqrt_hs": np.sqrt(dts / 16)[:, None],
+            "bridge_starts": y[:-1, None], "bridge_gaps": (y[1:] - y[:-1])[:, None]}
+    for name, value in want.items():
+        got = getattr(p, name)
+        assert got is getattr(p, name) and got.tobytes() == value.tobytes(), name
+        assert not got.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+    assert p.prior_precision == 0.8 ** -2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.prior_precision = 1.0
 
 
 def test_ou_da_step_rejects_unpinned_or_misshapen_paths():
@@ -425,7 +488,7 @@ def test_finite_simulate_matches_matrix_rule(k):
 def test_finite_simulate_at_every_bucket_edge(k):
     """From every state, uniforms at each bucket edge b/B and at both of its
     neighbours land where the comparison-matrix rule does."""
-    cols, buckets, table = k.sampling_table
+    buckets, table = k.sampling_table
     assert table.dtype == np.int64 and table.size == k.n * buckets <= 2 ** 14
     edges = np.arange(buckets + 1) / buckets
     u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
@@ -458,7 +521,8 @@ def test_finite_simulate_with_a_stream_per_share(k):
 def _finite_simulate_column_loop(k, start, steps, rng):
     """The table step with its pending chains settled one cdf column at a
     time, as the sampler first did it."""
-    cols, buckets, table = k.sampling_table
+    buckets, table = k.sampling_table
+    cols = np.cumsum(k.matrix, axis=1).T[:-1]
     state = np.asarray(start, dtype=np.int64).copy()
     for _ in range(steps):
         u = rng.random(state.shape)
@@ -486,7 +550,7 @@ def test_finite_simulate_settles_pending_chains_in_bounded_chunks(monkeypatch):
     for shift, weight in zip(range(-3, 4), w):
         M[rows, (rows + shift) % n] = weight
     k = FiniteKernel(M, np.full(n, 1.0 / n))
-    cols, buckets, table = k.sampling_table
+    buckets, table = k.sampling_table
     assert buckets == 4 and samplers._TABLE_ENTRIES // (n - 1) == 4
     assert np.mean(table < 0) > 0.7
     start = chain_rng(41, 1).integers(0, n, size=600)
@@ -496,6 +560,28 @@ def test_finite_simulate_settles_pending_chains_in_bounded_chunks(monkeypatch):
         monkeypatch.setattr(samplers, "_TABLE_ENTRIES", cap)
         state = finite_simulate(k, start, 3, chain_rng(41, 2))
         assert state.dtype == np.int64 and state.tobytes() == ref.tobytes(), cap
+
+
+def test_finite_sampling_table_and_step_allocate_a_fraction_of_the_kernel():
+    """The table of a 4,096-state kernel and one step of 600 chains, most of
+    them pending, allocate under a tenth of the kernel's 128 MB: the cdf is
+    taken row by row, never as a second kernel-sized array."""
+    n = 4096
+    M = np.zeros((n, n))
+    rows = np.arange(n)
+    for shift, weight in zip(range(-3, 4), chain_rng(42, 0).dirichlet(np.ones(7))):
+        M[rows, (rows + shift) % n] = weight
+    k = FiniteKernel(M, np.full(n, 1.0 / n))
+    start = chain_rng(42, 1).integers(0, n, size=600)
+    tracemalloc.start()
+    try:
+        buckets, table = k.sampling_table
+        finite_simulate(k, start, 1, chain_rng(42, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.mean(table < 0) > 0.7
+    assert peak < 0.1 * k.matrix.nbytes, peak
 
 
 def test_finite_sampling_table_built_once_per_kernel(monkeypatch):
