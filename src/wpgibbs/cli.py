@@ -58,8 +58,11 @@ def _reject(args, where: str, flags=_CASE_FLAGS) -> None:
         raise WpgibbsError(f"{', '.join(given)} cannot be used {where}")
 
 
-def _load_case(args):
-    """(case, params, mode) from --case, --config and the parameter flags."""
+def _load_case(args, needs: str = "--case"):
+    """(case, params, mode) from --case, --config and the parameter flags;
+    without --case, exit 2 naming the flags ``needs`` that would give one."""
+    if args.case is None:
+        raise WpgibbsError(f"{args.command} needs {needs}")
     case = cases.CASES.get(args.case)
     if case is None:
         raise WpgibbsError(
@@ -90,16 +93,14 @@ def _load_case(args):
 
 def cmd_bound(args) -> int:
     ns = _n_grid(args)
-    meta = {"command": "bound", "case": args.case}
+    meta = {"command": "bound", "case": args.case or "custom"}
     if args.beta:
-        if args.case != "custom":
-            raise WpgibbsError("--beta takes no --case: the profile is the whole input")
-        _reject(args, "with --beta")
+        _reject(args, "with --beta", ("--case", *_CASE_FLAGS))
         spec = config.parse_beta_shorthand(args.beta)
         k = kstar.conjugate(spec)
         meta["beta"] = config.to_dict(spec)
     else:
-        case, p, mode = _load_case(args)
+        case, p, mode = _load_case(args, "--beta or --case")
         k, meta["constants"], meta["rate_shape"] = case.bound(p, mode)
         meta["params"] = config.to_dict(p)
 
@@ -224,6 +225,8 @@ def cmd_compare(args) -> int:
             kern, f, ns, starts=args.starts, master_seed=args.seed,
         )
         meta["gaps"] = [g0, g1, g2]
+    elif args.case is None:
+        raise WpgibbsError("compare needs --case")
     elif getattr(cases.CASES.get(args.case), "decay", None) is not None:
         case, p, mode = _load_case(args)
         est = case.decay(p, mode, ns, args.starts, args.seed)
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0)
 
     def case_options(sp):
-        sp.add_argument("--case", default="custom")
+        sp.add_argument("--case", default=None)
         sp.add_argument("--config", help="JSON parameter file")
         sp.add_argument("--gamma", type=float, default=None,
                         help="exact-scan SPI constant (user input)")

@@ -46,9 +46,12 @@ def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ M)[..., 0, :]
 
 
-def _scalar(a):
-    """A 0-d result as a float, as one model or one kernel gives it."""
-    return float(a) if np.ndim(a) == 0 else a
+def _sym_eigvalsh(T: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric part of mu^{1/2} T mu^{-1/2}
+    per kernel: T of shape (..., n, n), mu of shape (..., n)."""
+    root = np.sqrt(mu)
+    S = root[..., :, None] * T / root[..., None, :]
+    return np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +109,10 @@ class FiniteKernel:
             row[:] = np.where(below[:-1] == below[1:], below[:-1], -1)
         return buckets, table.ravel()
 
-    def is_reversible(self, tol: float = 1e-10) -> bool:
+    def is_reversible(self) -> bool:
+        """Whether mu_i T_ij and mu_j T_ji agree within 1e-10 everywhere."""
         F = self.mu[..., :, None] * self.matrix
-        return bool(np.max(np.abs(F - np.swapaxes(F, -1, -2))) <= tol)
+        return bool(np.max(np.abs(F - np.swapaxes(F, -1, -2))) <= 1e-10)
 
 
 def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
@@ -117,8 +121,8 @@ def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
     ``k`` is a kernel, or a tuple of kernels on one mu that stands for their
     product T = T_1 T_2 ... T_m: the factors are applied to ``f`` right to
     left and the product is never formed.  For mu of shape (..., n), ``f``
-    of shape (..., n) gives one value per model (a float for a single
-    kernel); ``f`` of shape (..., n, t) gives one value per column.
+    holds functions as columns, shape (..., n, t), and gives one value per
+    column, shape (..., t).
     The double sum 1/2 sum_ij mu_i T_ij (f_i - f_j)^2 is evaluated expanded,
     as 1/2 (sum_i mu_i r_i f_i^2 + sum_j (mu^T T)_j f_j^2) - f^T (mu o T) f,
     with the row sums r = T 1 and mu^T T taken from the same factor chain,
@@ -131,11 +135,9 @@ def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
         raise DomainError("product factors need one stationary vector")
     # numpy passes BLAS a C-order and an F-order operand as different calls,
     # which sum in different orders: f in C order gives every layout its bits
-    f = np.asarray(f, dtype=float, order="C")
-    one = f.ndim == mu.ndim
-    if not (one or f.ndim == mu.ndim + 1) or f.shape[:mu.ndim] != mu.shape:
-        raise DomainError("function dimension mismatch")
-    F = f[..., None] if one else f
+    F = np.asarray(f, dtype=float, order="C")
+    if F.ndim != mu.ndim + 1 or F.shape[:mu.ndim] != mu.shape:
+        raise DomainError("function dimension mismatch: f takes columns, shape (..., n, t)")
     # T F and the row sums T 1 as the columns of one block, then mu^T T
     TF = np.concatenate((F, np.ones(mu.shape + (1,))), axis=-1)
     for t in reversed(factors):
@@ -152,8 +154,7 @@ def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
         raise DomainError(
             f"Dirichlet-form cross-check failed: {inner.flat[j]} vs {double.flat[j]}"
         )
-    out = np.maximum(inner, 0.0)
-    return _scalar(out[..., 0] if one else out)
+    return np.maximum(inner, 0.0)
 
 
 def adjoint(k: FiniteKernel) -> FiniteKernel:
@@ -167,15 +168,15 @@ def adjoint(k: FiniteKernel) -> FiniteKernel:
 def l2_decay_exact(k: FiniteKernel, f: np.ndarray, n_max: int) -> np.ndarray:
     """Exact sequence ||T^n f||^2_mu for n = 0..n_max; f must be centered.
 
-    ``f`` of shape (..., n) gives shape (..., n_max + 1); ``f`` of shape
-    (..., n, t) gives shape (..., n_max + 1, t), one sequence per column.
+    ``f`` holds functions as columns, shape (..., n, t), and gives shape
+    (..., n_max + 1, t), one sequence per column.
     T^n f is advanced one n at a time into a C-order block of at most
     ``_DECAY_ENTRIES`` entries (one n, if that alone holds more), and
     mu @ (T^n f)^2 is taken for the whole block in one stacked product.
     """
-    f = np.asarray(f, dtype=float)
-    one = f.ndim == k.mu.ndim
-    F = f[..., None] if one else f
+    F = np.asarray(f, dtype=float)
+    if F.ndim != k.mu.ndim + 1 or F.shape[:k.mu.ndim] != k.mu.shape:
+        raise DomainError("function dimension mismatch: f takes columns, shape (..., n, t)")
     if np.any(np.abs(_vecmat(k.mu, F)) > 1e-12):
         raise DomainError("l2_decay_exact needs a centered function")
     out = np.empty(F.shape[:-2] + (n_max + 1, F.shape[-1]))
@@ -197,23 +198,20 @@ def l2_decay_exact(k: FiniteKernel, f: np.ndarray, n_max: int) -> np.ndarray:
         sq = np.square(block[..., :m, :, :], out=block[..., :m, :, :])
         # rows first..first + m - 1 of out, as (..., m, 1, t), take mu @ (T^n F)^2
         np.matmul(mu_row, sq, out=out[..., first:first + m, None, :])
-    return out[..., 0] if one else out
+    return out
 
 
 def spectral_gap(k: FiniteKernel):
     """1 minus the second-largest eigenvalue of a reversible kernel, which
     mu^{1/2} conjugation symmetrizes; a non-reversible kernel is refused.
-    A stack of kernels gives an array of gaps."""
+    One kernel gives an np.float64, a stack of kernels an array of gaps."""
     if k.n < 2:
         raise DomainError(f"spectral_gap needs at least 2 states, got {k.n}")
     if np.any(k.mu <= 0.0):
         raise DomainError("spectral_gap needs strictly positive mass")
     if not k.is_reversible():
         raise InvalidModeError("spectral_gap needs a reversible kernel")
-    root = np.sqrt(k.mu)
-    S = root[..., :, None] * k.matrix / root[..., None, :]
-    vals = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))
-    return _scalar(1.0 - np.sort(vals, axis=-1)[..., -2])
+    return 1.0 - np.sort(_sym_eigvalsh(k.matrix, k.mu), axis=-1)[..., -2]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +335,7 @@ class FiniteJointModel:
 
     def component_gaps(self):
         """(gamma0, gamma1, gamma2): right gap of P*P and worst slice gaps,
-        floats for one model and arrays for a stack.
+        np.float64 values for one model and arrays for a stack.
 
         G1 is idempotent, so P*P = G2 G1 G2: the y-marginal chain on
         functions of y and 0 on their complement.  The x- and y-marginal
@@ -346,7 +344,7 @@ class FiniteJointModel:
         g0 = spectral_gap(self.kernel("P_X"))
         g1 = spectral_gap(FiniteKernel(self.h1_slices, self.cond_y_given_x))
         g2 = spectral_gap(FiniteKernel(self.h2_slices, self.cond_x_given_y))
-        return g0, _scalar(np.min(g1, axis=-1)), _scalar(np.min(g2, axis=-1))
+        return g0, np.min(g1, axis=-1), np.min(g2, axis=-1)
 
 
 def random_joint_model(seed, nx: int = 4, ny: int = 4) -> FiniteJointModel:
@@ -442,9 +440,7 @@ def _blockwise_psd_min_eig(T4: np.ndarray, w: np.ndarray):
     b, b2 = np.arange(T4.shape[-3])[None, :, None], np.arange(T4.shape[-3])[None, None, :]
     blocks = T4[..., a, b, a, b2]  # [..., a, b, b']
     off = np.count_nonzero(blocks, axis=(-3, -2, -1)) != np.count_nonzero(T4, axis=(-4, -3, -2, -1))
-    root = np.sqrt(w)
-    S = root[..., :, :, None] * blocks / root[..., :, None, :]
-    lam = np.min(np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2))), axis=(-2, -1))
+    lam = np.min(_sym_eigvalsh(blocks, w), axis=(-2, -1))
     return np.where(off, -np.inf, lam)
 
 

@@ -118,8 +118,8 @@ class ExpLogSquareConjugate(KStarFn):
     The maximizing u sits far outside any fixed grid once v is tiny, so
     this evaluates the supremum per point: with u = exp(b/a - w) the
     objective is exp(b/a) * (v*exp(-w) - c*exp(-w - a^2 w^2)), positive
-    only for w above sqrt(log(c/v))/a and unimodal there, which a
-    golden-section search resolves at any representable v.
+    only for w above sqrt(log(c/v))/a and unimodal there, which the
+    golden-section search ``_golden_max`` resolves at any representable v.
     """
 
     c: float
@@ -150,14 +150,7 @@ class ExpLogSquareConjugate(KStarFn):
         def g(w):
             return vp * np.exp(-w) - self.c * np.exp(-w - a2 * w * w)
 
-        for _ in range(120):
-            d = hi - lo
-            w1 = hi - _GOLDEN * d
-            w2 = lo + _GOLDEN * d
-            keep_lo = g(w1) >= g(w2)
-            hi = np.where(keep_lo, w2, hi)
-            lo = np.where(keep_lo, lo, w1)
-        out[pos] = np.maximum(np.exp(self.b / self.a) * g(0.5 * (lo + hi)), 0.0)
+        out[pos] = np.maximum(np.exp(self.b / self.a) * _golden_max(g, lo, hi), 0.0)
         return out
 
 
@@ -196,7 +189,7 @@ def check_subunit(k: KStarFn) -> bool:
     return bool(k(0.25) <= 0.25 * (1.0 + 1e-9))
 
 
-def _golden_max(g, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarray:
+def _golden_max(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Golden-section maximization of g on every bracket [lo[j], hi[j]] at
     once; returns the max values.  g maps an array of points to their
     values, one call per iteration for all brackets."""
@@ -204,7 +197,7 @@ def _golden_max(g, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarra
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     gc, gd = g(c), g(d)
-    for _ in range(iters):
+    for _ in range(80):  # 0.618^80: each bracket shrinks to 2e-17 of its width
         left = gc >= gd  # the max lies in [a, d]: d becomes b, c becomes d
         a = np.where(left, a, c)
         b = np.where(left, d, b)

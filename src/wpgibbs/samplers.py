@@ -59,21 +59,21 @@ def nig_stationary_start(p: NIGParams, rng: np.random.Generator, size: int):
     return tau, xi
 
 
-def _draw(rng, method: str, shape) -> np.ndarray:
+def _draw(rngs: Sequence[np.random.Generator], method: str, shape) -> np.ndarray:
     """Standard variates of ``shape`` by the Generator method ``method``.
 
-    ``rng`` is one Generator, or a list or tuple of them that split the
-    flattened array into equal contiguous shares, each stream filling its own
-    share; a scan that draws its variates kind after kind then draws each
-    stream's in the order that a scan over its share alone would.
+    ``rngs`` is a list or tuple of Generators that split the flattened array
+    into equal contiguous shares, each stream filling its own share; a scan
+    that draws its variates kind after kind then draws each stream's in the
+    order that a scan over its share alone would.
     """
-    if not isinstance(rng, (list, tuple)):
-        return getattr(rng, method)(shape)
+    if not isinstance(rngs, (list, tuple)):
+        raise DomainError(f"the streams must be a sequence of Generators, got {type(rngs).__name__}")
     out = np.empty(shape)
-    share, rest = divmod(out.size, len(rng))
+    share, rest = divmod(out.size, len(rngs))
     if rest:
-        raise DomainError(f"{out.size} chains do not split into {len(rng)} equal shares")
-    for r, part in zip(rng, out.reshape(len(rng), share)):
+        raise DomainError(f"{out.size} chains do not split into {len(rngs)} equal shares")
+    for r, part in zip(rngs, out.reshape(len(rngs), share)):
         getattr(r, method)(out=part)
     return out
 
@@ -97,16 +97,16 @@ def nig_step(
     xi: np.ndarray,
     p: NIGParams,
     mode: str,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
 ):
     """One deterministic scan (tau-update then xi-update), vectorized.
 
     ``exact`` draws both conditionals exactly; ``scaled`` and ``fixed`` use
     random-walk Metropolis, with the conditioning-dependent steps or with the
-    common fixed step ``p.sigma0`` of both updates.  ``rng`` is one Generator
-    for the whole batch, or k Generators for k equal contiguous shares of
-    it (k chains in lockstep, say): each share then gets the states that a
-    call on it alone, with its own stream, would give.
+    common fixed step ``p.sigma0`` of both updates.  ``rngs`` holds k
+    Generators for k equal contiguous shares of the batch (k chains in
+    lockstep, say; ``[rng]`` for one stream): each share then gets the
+    states that a call on it alone, with its own stream, would give.
     """
     if mode not in NIG_MODES:
         raise InvalidModeError(f"unknown mode {mode!r}; choose one of {', '.join(NIG_MODES)}")
@@ -126,19 +126,19 @@ def nig_step(
 
     if mode == "exact":
         # tau' = (1 / beta_xi) * e, then xi' = 0.0 + (1 / sqrt(tau')) * z
-        new_tau = _draw(rng, "standard_exponential", shape)
+        new_tau = _draw(rngs, "standard_exponential", shape)
         new_tau *= np.divide(1.0, beta_xi, out=beta_xi)
         scale = np.sqrt(new_tau)
-        new_xi = _draw(rng, "standard_normal", shape)
+        new_xi = _draw(rngs, "standard_normal", shape)
         new_xi *= np.divide(1.0, scale, out=scale)
         new_xi += 0.0
         return new_tau, new_xi
 
     # prop = tau + step * z, taken if log u < beta_xi * (tau - prop) and prop > 0
-    prop = _draw(rng, "standard_normal", shape)
+    prop = _draw(rngs, "standard_normal", shape)
     prop *= np.divide(_SQRT3, beta_xi) if mode == "scaled" else p.sigma0
     prop += tau
-    log_u = _draw(rng, "random", shape)
+    log_u = _draw(rngs, "random", shape)
     np.log(log_u, out=log_u)
     log_alpha = np.subtract(tau, prop)
     log_alpha *= beta_xi
@@ -153,10 +153,10 @@ def nig_step(
         np.divide(1.0, step, out=step)  # 1 / sqrt(2 tau)
     else:
         step = p.sigma0
-    prop = _draw(rng, "standard_normal", shape)
+    prop = _draw(rngs, "standard_normal", shape)
     prop *= step
     prop += xi
-    np.log(_draw(rng, "random", shape), out=log_u)
+    np.log(_draw(rngs, "random", shape), out=log_u)
     np.multiply(-0.5, tau, out=log_alpha)
     sq = np.square(prop, out=beta_xi)
     sq -= xi_sq
@@ -305,7 +305,7 @@ def finite_simulate(
     k: FiniteKernel,
     start: np.ndarray,
     steps: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Advance many chains of a finite kernel at once (categorical sampling).
 
@@ -315,14 +315,14 @@ def finite_simulate(
     chains it leaves open compare u with all cdf values of their row at
     once, each row's prefix sums taken from the kernel's row, in chunks of
     at most ``_TABLE_ENTRIES`` cdf values.
-    ``rng`` is one Generator, or k of them for k equal contiguous shares of
-    the chains, as in ``nig_step``.
+    ``rngs`` holds k Generators for k equal contiguous shares of the
+    chains, as in ``nig_step``.
     """
     buckets, table = k.sampling_table
     chunk = _TABLE_ENTRIES // max(1, k.n - 1)
     state = np.asarray(start, dtype=np.int64).copy()
     for _ in range(steps):
-        u = _draw(rng, "random", state.shape)
+        u = _draw(rngs, "random", state.shape)
         # u * buckets is exact (a power of two), so its floor is u's bucket
         nxt = table[state * buckets + (u * buckets).astype(np.int64)]
         pending = np.flatnonzero(nxt < 0)

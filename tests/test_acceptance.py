@@ -194,7 +194,7 @@ def test_tensor_beta_sum_dominates_exact_decay():
             f = rng.normal(size=prod.n)
             f -= float(prod.mu @ f)
             osc_sq = (f.max() - f.min()) ** 2
-            decay = l2_decay_exact(prod, f, 100) / osc_sq
+            decay = l2_decay_exact(prod, f[:, None], 100)[:, 0] / osc_sq
             worst = max(worst, float(np.max(decay - bounds)))
     assert worst <= 1e-12
 
@@ -325,7 +325,7 @@ def test_estimator_calibration_within_3_se():
     osc_sq = (f.max() - f.min()) ** 2
     n_grid = [1, 2, 5, 10]
     est = finite_decay_estimate(kern, f, n_grid=n_grid, starts=100_000, master_seed=42)
-    exact = l2_decay_exact(kern, f, 10) / osc_sq
+    exact = l2_decay_exact(kern, f[:, None], 10)[:, 0] / osc_sq
     for i, n in enumerate(n_grid):
         z = abs(est.mean[i] - exact[n]) / est.se[i]
         assert z <= 3.0, f"n={n}: z={z:.2f}"

@@ -180,7 +180,7 @@ def _one_chain_rows(name, p, mode, rng, steps, acc):
         tau, xi = samplers.nig_stationary_start(p, rng, 1)
         for step in range(steps + 1):
             yield step, repr(float(tau[0])), repr(float(xi[0]))
-            tau, xi = samplers.nig_step(tau, xi, p, mode, rng)
+            tau, xi = samplers.nig_step(tau, xi, p, mode, [rng])
     elif name == "bayes":
         lam = float(rng.gamma(p.a, 1.0 / p.b))
         bvec = np.zeros(p.p)
@@ -393,6 +393,10 @@ INVALID = {
     # bound draws no random numbers, so it takes no --seed
     "bound-seed": ["bound", "--beta", "indicator:0.2", "--seed", "3"],
     "no-command": [],
+    # no --case (and for bound no --beta): the error names the missing flag
+    "bound-without-case": ["bound"],
+    "sample-without-case": ["sample"],
+    "compare-without-case": ["compare"],
 }
 
 
@@ -434,6 +438,13 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("bound", "--beta or --case"), ("sample", "--case"), ("compare", "--case")])
+def test_missing_case_names_the_flag(tmp_path, capsys, command, flags):
+    assert main([command, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {command} needs {flags}\n"
 
 
 @pytest.mark.parametrize("key", ["nig-fixed-scale-overflows", "nig-fixed-scaled-w-overflows"])

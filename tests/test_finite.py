@@ -32,10 +32,10 @@ def test_two_state_closed_forms():
     # mu0 mu1 (p+q) |f(0)-f(1)|^2
     mu = k.mu
     f = np.array([1.0, 0.0]) - mu[0]
-    assert dirichlet_form(k, f) == pytest.approx(mu[0] * mu[1] * (p + q))
+    assert dirichlet_form(k, f[:, None])[0] == pytest.approx(mu[0] * mu[1] * (p + q))
     # exact decay: ||P^n f||^2 = (1-p-q)^(2n) ||f||^2
     norm_sq = float(mu @ f ** 2)
-    decay = l2_decay_exact(k, f, n_max=5)
+    decay = l2_decay_exact(k, f[:, None], n_max=5)[:, 0]
     expect = [(1.0 - p - q) ** (2 * n) * norm_sq for n in range(6)]
     assert np.allclose(decay, expect, atol=1e-14)
 
@@ -84,7 +84,7 @@ def test_kernel_validation():
 def test_uncentered_function_rejected():
     k = _two_state()
     with pytest.raises(DomainError):
-        l2_decay_exact(k, np.array([1.0, 0.0]), n_max=3)
+        l2_decay_exact(k, np.array([[1.0], [0.0]]), n_max=3)
 
 
 def test_lazy_rwm_kernel_properties():
@@ -221,23 +221,33 @@ def _batch_case():
 
 def test_batched_forms_match_column_calls():
     k, F = _batch_case()
-    cols = np.array([dirichlet_form(k, F[:, j]) for j in range(F.shape[1])])
+    cols = np.array([dirichlet_form(k, F[:, j:j + 1])[0] for j in range(F.shape[1])])
     batched = dirichlet_form(k, F)
     assert batched.shape == (F.shape[1],)
     assert np.allclose(batched, cols, rtol=1e-12, atol=1e-15)
-    assert isinstance(dirichlet_form(k, F[:, 0]), float)
     decay = l2_decay_exact(k, F, n_max=30)
     assert decay.shape == (31, F.shape[1])
     for j in range(F.shape[1]):
-        assert np.allclose(decay[:, j], l2_decay_exact(k, F[:, j], 30),
+        assert np.allclose(decay[:, j], l2_decay_exact(k, F[:, j:j + 1], 30)[:, 0],
                            rtol=1e-12, atol=1e-15)
+
+
+def test_functions_are_columns_only():
+    """A one-dimensional f is refused: one function is one column."""
+    k, F = _batch_case()
+    with pytest.raises(DomainError, match="f takes columns"):
+        dirichlet_form(k, F[:, 0])
+    with pytest.raises(DomainError, match="f takes columns"):
+        l2_decay_exact(k, F[:, 0], 3)
+    with pytest.raises(DomainError, match="f takes columns"):
+        l2_decay_exact(k, F[:-1], 3)
 
 
 def test_corrupted_kernel_fails_cross_check():
     k, F = _batch_case()
     k.matrix[0, 0] += 0.1  # no longer stochastic nor stationary
     with pytest.raises(DomainError, match="cross-check"):
-        dirichlet_form(k, F[:, 0])
+        dirichlet_form(k, F[:, :1])
     with pytest.raises(DomainError, match="cross-check"):
         dirichlet_form(k, F)
     with pytest.raises(DomainError, match="dimension"):
@@ -345,11 +355,10 @@ def test_product_forms_match_the_formed_product():
         for t in chain[1:end]:
             T = T @ t.matrix
         whole = FiniteKernel(T, m.mu)
-        assert dirichlet_form(chain[:end], F[:, 0]) == pytest.approx(
-            dirichlet_form(whole, F[:, 0]), rel=1e-12, abs=1e-15)
+        assert dirichlet_form(chain[:end], F[:, :1])[0] == pytest.approx(
+            dirichlet_form(whole, F[:, :1])[0], rel=1e-12, abs=1e-15)
         assert np.allclose(dirichlet_form(chain[:end], F), dirichlet_form(whole, F),
                            rtol=1e-12, atol=1e-15)
-    assert isinstance(dirichlet_form(chain, F[:, 0]), float)
 
 
 def test_corrupted_factor_fails_cross_check():
@@ -358,7 +367,7 @@ def test_corrupted_factor_fails_cross_check():
     with pytest.raises(DomainError, match="cross-check"):
         dirichlet_form(chain, F)
     with pytest.raises(DomainError, match="cross-check"):
-        dirichlet_form(chain, F[:, 0])
+        dirichlet_form(chain, F[:, :1])
 
 
 def test_product_factors_need_one_mu():

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from wpgibbs import (
     AdjointShift,
     Clamped,
     Composite,
+    ExpLogSquareConjugate,
     GridKStar,
     Indicator,
     InvalidModeError,
@@ -119,6 +123,39 @@ def _conjugate_reference(spec, v_grid):
         lo, hi = u[max(i - 1, 0)], u[min(i + 1, len(u) - 1)]
         vals[j] = max(0.0, _golden_max_reference(g, lo, hi), float(obj[i]))
     return kstar._convexify(v_grid, vals)
+
+
+def _explogsquare_sup_reference(v, c, a, b):
+    """K*(v) of c * exp(-(a log s + b)^2) by scipy's bounded scalar
+    minimizer.  With u = exp(b/a - w) the objective u * (v - beta(1/u)) is
+    exp(b/a - w) * (v - c exp(-a^2 w^2)), positive only past
+    w0 = sqrt(log(c/v)) / a; its logarithm is maximized on a bracket far
+    wider than the maximizer's distance from w0, so the search never underflows."""
+    L = math.log(c / v)
+    w0 = math.sqrt(max(L, 0.0)) / a
+
+    def neg_log(w):
+        x = L - a * a * w * w
+        return w - math.log1p(-math.exp(x)) if x < 0.0 else math.inf
+
+    res = minimize_scalar(neg_log, bounds=(w0, w0 + 40.0 / a + 40.0), method="bounded",
+                          options={"xatol": 1e-12})
+    return math.exp(b / a + math.log(v) - res.fun)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("b", [-0.5, 0.0, 0.5])
+def test_explogsquare_conjugate_matches_an_independent_supremum(a, b):
+    """The closed path's per-point search agrees with scipy's maximizer
+    within 1e-10 relative, for v from 1e-300 up to the height c.  Below the
+    smallest normal double a result keeps fewer than 52 bits, so there the
+    1e-10 is taken relative to that smallest normal double."""
+    tiny = np.finfo(float).tiny
+    for c in (0.25, 0.05):
+        v = np.geomspace(1e-300, c, 150)
+        got = ExpLogSquareConjugate(c, a, b)(v)
+        ref = np.array([_explogsquare_sup_reference(x, c, a, b) for x in v])
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(ref, tiny)), (c, a, b)
 
 
 _TABLE = Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01), (1e4, 1e-4)))

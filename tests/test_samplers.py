@@ -49,10 +49,10 @@ def test_nig_step_validation():
     rng = chain_rng(0, 0)
     for mode in ("nosuch", "mwg_fixed"):
         with pytest.raises(InvalidModeError, match="unknown mode"):
-            nig_step(np.ones(2), np.zeros(2), p, mode, rng)
+            nig_step(np.ones(2), np.zeros(2), p, mode, [rng])
     # the fixed step lives in the params
     with pytest.raises(InvalidModeError, match="numeric step sigma0"):
-        nig_step(np.ones(2), np.zeros(2), p, "fixed", rng)
+        nig_step(np.ones(2), np.zeros(2), p, "fixed", [rng])
     with pytest.raises(DomainError, match="3 chains do not split into 2 equal shares"):
         nig_step(np.ones(3), np.zeros(3), p, "scaled", [rng, chain_rng(0, 1)])
 
@@ -62,7 +62,7 @@ def test_nig_exact_gibbs_preserves_stationarity():
     rng = chain_rng(7, 0)
     tau, xi = nig_stationary_start(p, rng, 100_000)
     for _ in range(3):
-        tau, xi = nig_step(tau, xi, p, "exact", rng)
+        tau, xi = nig_step(tau, xi, p, "exact", [rng])
     # tau marginal stays Gamma(1/2, rate beta)
     ks_tau = stats.kstest(tau, stats.gamma(a=0.5, scale=1.0 / p.beta_hyper).cdf)
     assert ks_tau.statistic < 0.0073  # 1% critical value at n = 1e5
@@ -76,7 +76,7 @@ def test_nig_mwg_preserves_stationarity():
     rng = chain_rng(11, 0)
     tau, xi = nig_stationary_start(p, rng, 100_000)
     for _ in range(3):
-        tau, xi = nig_step(tau, xi, p, "scaled", rng)
+        tau, xi = nig_step(tau, xi, p, "scaled", [rng])
     ks_tau = stats.kstest(tau, stats.gamma(a=0.5, scale=1.0 / p.beta_hyper).cdf)
     assert ks_tau.statistic < 0.0073
 
@@ -85,7 +85,7 @@ def test_nig_tiny_step_freezes_the_chain():
     p = NIGParams(beta_hyper=2.0, sigma0=1e-12)
     rng = chain_rng(3, 0)
     tau, xi = nig_stationary_start(p, rng, 100)
-    t2, x2 = nig_step(tau, xi, p, "fixed", rng)
+    t2, x2 = nig_step(tau, xi, p, "fixed", [rng])
     assert np.max(np.abs(t2 - tau)) < 1e-10
     assert np.max(np.abs(x2 - xi)) < 1e-10
 
@@ -128,7 +128,7 @@ def test_nig_step_matches_reference_bit_for_bit(mode, size):
     rng, ref_rng = chain_rng(31, 1), chain_rng(31, 1)
     for _ in range(100):
         given = (tau.copy(), xi.copy())
-        new = nig_step(tau, xi, p, mode, rng)
+        new = nig_step(tau, xi, p, mode, [rng])
         assert tau.tobytes() == given[0].tobytes() and xi.tobytes() == given[1].tobytes()
         ref = _nig_step_reference(*ref, p, mode, ref_rng)
         assert [a.tobytes() for a in new] == [a.tobytes() for a in ref]
@@ -141,7 +141,7 @@ def test_nig_step_matches_reference_bit_for_bit(mode, size):
     alone_rngs = [chain_rng(33, i) for i in range(k)]
     for _ in range(100):
         tau, xi = nig_step(tau, xi, p, mode, rngs)
-        shares = [nig_step(*z, p, mode, r) for z, r in zip(shares, alone_rngs)]
+        shares = [nig_step(*z, p, mode, [r]) for z, r in zip(shares, alone_rngs)]
         assert tau.tobytes() == np.concatenate([t for t, _ in shares]).tobytes()
         assert xi.tobytes() == np.concatenate([x for _, x in shares]).tobytes()
 
@@ -416,7 +416,7 @@ def test_finite_simulate_reaches_stationarity():
     M = np.tile(pi, (3, 1))  # one step lands exactly in pi
     k = FiniteKernel(matrix=M, mu=pi)
     rng = chain_rng(2, 0)
-    end = finite_simulate(k, np.zeros(200_000, dtype=np.int64), 1, rng)
+    end = finite_simulate(k, np.zeros(200_000, dtype=np.int64), 1, [rng])
     freq = np.bincount(end, minlength=3) / len(end)
     assert np.max(np.abs(freq - pi)) < 0.005
 
@@ -447,12 +447,13 @@ class _FixedUniforms:
     def __init__(self, u):
         self.u = u
 
-    def random(self, shape):
-        assert shape == self.u.shape
-        return self.u.copy()
+    def random(self, out):
+        assert out.shape == self.u.shape
+        out[...] = self.u
 
     def uniform(self, size):
-        return self.random(size)
+        assert size == self.u.shape
+        return self.u.copy()
 
 
 # P12 of an 8x8 model: 64 states and 256 buckets, so many buckets hold
@@ -471,7 +472,7 @@ def test_finite_simulate_matches_matrix_rule(k):
     rng, ref_rng = chain_rng(4, 1), chain_rng(4, 1)
     state, ref = start, start
     for steps in [1] * 30 + [20]:
-        state = finite_simulate(k, state, steps, rng)
+        state = finite_simulate(k, state, steps, [rng])
         ref = _finite_simulate_reference(k, ref, steps, ref_rng)
         assert state.dtype == ref.dtype == np.int64
         assert np.array_equal(state, ref)
@@ -480,7 +481,7 @@ def test_finite_simulate_matches_matrix_rule(k):
     u = u[u < 1.0]
     start = np.repeat(np.arange(k.n), len(u))
     fixed = _FixedUniforms(np.tile(u, k.n))
-    assert np.array_equal(finite_simulate(k, start, 1, fixed),
+    assert np.array_equal(finite_simulate(k, start, 1, [fixed]),
                           _finite_simulate_reference(k, start, 1, fixed))
 
 
@@ -496,7 +497,7 @@ def test_finite_simulate_at_every_bucket_edge(k):
     fixed = _FixedUniforms(u)
     for s in range(k.n):
         start = np.full(len(u), s)
-        state = finite_simulate(k, start, 1, fixed)
+        state = finite_simulate(k, start, 1, [fixed])
         assert state.dtype == np.int64
         assert np.array_equal(state, _finite_simulate_reference(k, start, 1, fixed))
 
@@ -512,10 +513,21 @@ def test_finite_simulate_with_a_stream_per_share(k):
     alone_rngs = [chain_rng(35, i) for i in range(3)]
     for steps in [1] * 30 + [20]:
         state = finite_simulate(k, state, steps, rngs)
-        shares = [finite_simulate(k, s, steps, r) for s, r in zip(shares, alone_rngs)]
+        shares = [finite_simulate(k, s, steps, [r]) for s, r in zip(shares, alone_rngs)]
         assert state.tobytes() == np.concatenate(shares).tobytes()
     with pytest.raises(DomainError, match="1000 chains do not split into 3 equal shares"):
         finite_simulate(k, state[:1000], 1, rngs)
+
+
+def test_a_bare_generator_is_refused():
+    """The streams are a sequence, one Generator per equal share of the
+    chains; a bare Generator is refused as such, not by a TypeError."""
+    p = NIGParams(beta_hyper=2.0, sigma0=0.5)
+    for mode in NIG_MODES:
+        with pytest.raises(DomainError, match="sequence of Generators, got Generator"):
+            nig_step(np.ones(2), np.zeros(2), p, mode, chain_rng(0, 0))
+    with pytest.raises(DomainError, match="sequence of Generators, got Generator"):
+        finite_simulate(_TIED, np.zeros(4, dtype=np.int64), 1, chain_rng(0, 0))
 
 
 def _finite_simulate_column_loop(k, start, steps, rng):
@@ -558,7 +570,7 @@ def test_finite_simulate_settles_pending_chains_in_bounded_chunks(monkeypatch):
     assert len(np.unique(ref)) > 300
     for cap in (samplers._TABLE_ENTRIES, n - 1, 600 * (n - 1)):
         monkeypatch.setattr(samplers, "_TABLE_ENTRIES", cap)
-        state = finite_simulate(k, start, 3, chain_rng(41, 2))
+        state = finite_simulate(k, start, 3, [chain_rng(41, 2)])
         assert state.dtype == np.int64 and state.tobytes() == ref.tobytes(), cap
 
 
@@ -576,7 +588,7 @@ def test_finite_sampling_table_and_step_allocate_a_fraction_of_the_kernel():
     tracemalloc.start()
     try:
         buckets, table = k.sampling_table
-        finite_simulate(k, start, 1, chain_rng(42, 2))
+        finite_simulate(k, start, 1, [chain_rng(42, 2)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -624,7 +636,7 @@ def _paired_values(start, step, f, osc_sq, n_grid, master_seed):
     now = 0
     for n in n_grid:
         for _ in range(n - now):
-            z1, z2 = step(z1, rng1), step(z2, rng2)
+            z1, z2 = step(z1, [rng1]), step(z2, [rng2])
         now = n
         xs.append(f(z1) * f(z2) / osc_sq)
     return n_grid, xs
