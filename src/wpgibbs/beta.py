@@ -99,7 +99,8 @@ class ExpLogSquare(BetaSpec):
             raise InvalidSpecError("ExpLogSquare needs c > 0 and a > 0")
 
     def _eval(self, s):
-        mode = np.exp(-self.b / self.a)
+        with np.errstate(over="ignore"):  # an infinite mode is right: c at every s
+            mode = np.exp(-self.b / self.a)
         val = self.c * np.exp(-((self.a * np.log(s) + self.b) ** 2))
         return np.where(s < mode, self.c, val)
 

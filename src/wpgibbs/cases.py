@@ -167,17 +167,20 @@ class NIGBeta1(BetaSpec):
         return out
 
 
-def _gamma_at_branches(a: float, arg: np.ndarray, scale_w: float, scale_name: str) -> np.ndarray:
-    """(gamma(a, x_lo) + Gamma(a, x_hi)) / Gamma(a) at x = scale_w * W(arg),
-    x_lo on the principal branch and x_hi on the minus-one branch: the form
-    both beta_2 profiles take once their slice profile is integrated over a
-    Gamma(a, .) marginal.  ``scale_name`` names the inputs behind scale_w
-    when x overflows."""
+def _gamma_marginal_profile(s: np.ndarray, a: float, c: float, rate: float, rate_name: str):
+    """P(a, x_lo) + Q(a, x_hi) at x = -rate W(-c/s), W0 for x_lo and W_{-1}
+    for x_hi, where s >= e c; the cap 1/4 below.  Both beta_2 profiles take
+    this form: the mass of their Gamma(a, rate) marginal outside a Lambert-W
+    interval.  ``rate_name`` names the inputs behind ``rate`` if x overflows."""
+    out = np.full_like(s, DEFAULT_CAP)
+    valid = s >= math.e * c
+    arg = -c / s[valid]  # in [-1/e, 0) up to rounding at the edge, which lambert_w absorbs
     with np.errstate(over="ignore"):
-        x = scale_w * lambert_w(arg)
+        x = -rate * lambert_w(arg)
     if not np.isfinite(x).all():
-        raise DomainError(f"{scale_name} overflows the beta_2 profile's incomplete-gamma arguments")
-    return gammainc_tails(a, x[0], x[1]) / math.gamma(a)
+        raise DomainError(f"{rate_name} overflows the beta_2 profile's incomplete-gamma arguments")
+    out[valid] = gammainc_tails(a, x[0], x[1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,16 +193,10 @@ class NIGBeta2(BetaSpec):
     cap = DEFAULT_CAP
 
     def _eval(self, s):
-        sigma0 = _nig_sigma0(self.params)
-        out = np.full_like(s, DEFAULT_CAP)
-        valid = s >= 2.0 * math.e / C_RWM
-        # in [-1/e, 0) up to rounding at the edge, which lambert_w absorbs
-        arg = -2.0 / (C_RWM * s[valid])
-        beta = self.params.beta_hyper
-        scale_w = -beta / (2.0 * sigma0 * sigma0)
-        out[valid] = _gamma_at_branches(
-            0.5, arg, scale_w, f"beta_hyper / (2 sigma0^2) at beta_hyper={beta!r}, sigma0={sigma0!r}")
-        return out
+        sigma0, beta = _nig_sigma0(self.params), self.params.beta_hyper
+        return _gamma_marginal_profile(
+            s, 0.5, 2.0 / C_RWM, beta / (2.0 * sigma0 * sigma0),
+            f"beta_hyper / (2 sigma0^2) at beta_hyper={beta!r}, sigma0={sigma0!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +281,7 @@ def bayes_rate_exponent(p: BayesParams) -> float:
 @dataclass(frozen=True)
 class BayesBeta2(BetaSpec):
     """Profile of the coefficient update integrated over the precision
-    marginal: the normalized lower+upper incomplete-gamma expression at the
+    marginal: the regularised lower+upper incomplete-gamma expression at the
     two Lambert-W branch points of -C1 C2 / s, valid for s >= e C1 C2; the
     cap 1/4 below."""
 
@@ -293,13 +290,8 @@ class BayesBeta2(BetaSpec):
 
     def _eval(self, s):
         p = self.params
-        c1c2 = p.C1 * p.C2
-        out = np.full_like(s, DEFAULT_CAP)
-        valid = s >= math.e * c1c2
-        arg = -c1c2 / s[valid]  # in [-1/e, 0) up to rounding at the edge
-        out[valid] = _gamma_at_branches(
-            p.a_prime, arg, -p.b_prime / p.C2, f"b' / C2 at b={p.b!r}, sigma0={p.sigma0!r}")
-        return out
+        return _gamma_marginal_profile(
+            s, p.a_prime, p.C1 * p.C2, p.b_prime / p.C2, f"b' / C2 at b={p.b!r}, sigma0={p.sigma0!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Special functions of the conjugate-model beta_2 profiles.
 
 Self-contained implementations of the two real Lambert W branches on
-[-1/e, 0) and of the unnormalized incomplete gamma pieces, so the
+[-1/e, 0) and of the regularised incomplete gamma pieces, so the
 closed-form beta profiles do not silently depend on library conventions.
 The test suite cross-checks them against scipy.
 
@@ -98,9 +98,11 @@ def _halley(w: np.ndarray, idx: np.ndarray, x: np.ndarray) -> None:
 
 
 def gammainc_tails(s: float, lo, hi) -> np.ndarray:
-    """gamma(s, lo) + Gamma(s, hi): the unnormalized lower incomplete gamma
-    up to ``lo`` plus the upper one from ``hi``, for a float s > 0 and
-    arrays ``lo`` and ``hi`` of one shape."""
+    """P(s, lo) + Q(s, hi): the regularised lower incomplete gamma up to
+    ``lo`` plus the regularised upper one from ``hi``, for a float s > 0 and
+    arrays ``lo`` and ``hi`` of one shape.  Gamma(s) is never formed: the
+    prefactor x^s e^{-x} / Gamma(s) is one exp, whose rounding grows like
+    s log x (about 2e-11 relative at s = 1e4)."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if lo.shape != hi.shape:
         raise DomainError(f"gammainc_tails needs lo and hi of one shape, got {lo.shape} and {hi.shape}")
@@ -117,15 +119,15 @@ def gammainc_tails(s: float, lo, hi) -> np.ndarray:
     part[series] = _lower_series(s, x[series])
     part[cf] = _upper_cf(s, x[cf])
     # the series gives the lower piece, the continued fraction the upper one;
-    # the other piece is Gamma(s) minus it (at x = 0, lower 0 and upper Gamma(s))
+    # the other piece is 1 minus it (at x = 0, lower 0 and upper 1)
     complement = cf ^ upper
     if np.count_nonzero(complement):
-        part[complement] = math.gamma(s) - part[complement]
+        part[complement] = 1.0 - part[complement]
     return (part[:lo.size] + part[lo.size:]).reshape(lo.shape)
 
 
 def _lower_series(s: float, x: np.ndarray) -> np.ndarray:
-    # gamma(s, x) = x^s e^{-x} sum_{k>=0} x^k / (s (s+1) ... (s+k)); with
+    # P(s, x) = x^s e^{-x} / Gamma(s) sum_{k>=0} x^k / (s (s+1) ... (s+k)); with
     # x, s > 0 every term is >= 0, so the stopping test needs no abs
     total = np.ones_like(x) / s
     idx = np.flatnonzero(total > _GAMMA_TOL * total)
@@ -140,11 +142,11 @@ def _lower_series(s: float, x: np.ndarray) -> np.ndarray:
             total[idx[~going]] = tot[~going]
             idx, term, tot, xi = idx[going], term[going], tot[going], xi[going]
     total[idx] = tot
-    return total * np.exp(s * np.log(x) - x)
+    return total * np.exp(s * np.log(x) - x - math.lgamma(s))
 
 
 def _upper_cf(s: float, x: np.ndarray) -> np.ndarray:
-    # Gamma(s, x) = x^s e^{-x} / (x + 1 - s - 1(1-s)/(x+3-s- ...)), Lentz
+    # Q(s, x) = x^s e^{-x} / Gamma(s) / (x + 1 - s - 1(1-s)/(x+3-s- ...)), Lentz
     tiny = 1e-300
     b = x + 1.0 - s
     d = 1.0 / np.where(b != 0.0, b, tiny)
@@ -172,4 +174,4 @@ def _upper_cf(s: float, x: np.ndarray) -> np.ndarray:
             keep = ~done
             idx, b, d, c, hi = idx[keep], b[keep], d[keep], c[keep], hi[keep]
     h[idx] = hi
-    return h * np.exp(s * np.log(x) - x)
+    return h * np.exp(s * np.log(x) - x - math.lgamma(s))

@@ -442,4 +442,4 @@ def test_incomplete_gamma_partition_1e10():
     xs = np.linspace(0.0, 50.0, 101)
     for s in (0.5, 1.0, 2.5):
         for total in gammainc_tails(s, xs, xs):
-            assert abs(total - math.gamma(s)) <= 1e-10
+            assert abs(total - 1.0) <= 1e-10

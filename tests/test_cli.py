@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wpgibbs
 from wpgibbs import cli, samplers
@@ -529,3 +535,124 @@ def test_commands_run_without_scipy(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# one error line or a sound curve, for every input
+# ---------------------------------------------------------------------------
+
+
+def _assert_sound_bound(out):
+    """``out`` holds a finite, nonincreasing curve in [0, 1/4] and a
+    ``bound_meta.json`` of plain JSON; returns the metadata."""
+    with open(os.path.join(out, "bound.csv"), newline="") as fh:
+        curve = np.array([float(row["bound"]) for row in csv.DictReader(fh)])
+    assert curve.size > 0 and np.isfinite(curve).all()
+    assert np.all((curve >= 0.0) & (curve <= 0.25)) and np.all(np.diff(curve) <= 0.0)
+    with open(os.path.join(out, "bound_meta.json")) as fh:
+        return json.load(fh, parse_constant=lambda c: pytest.fail(f"bound_meta.json holds {c}"))
+
+
+def _bayes_design(N, p, scales, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(N, p)) * scales
+    return X, X @ rng.normal(size=p) + rng.normal(size=N)
+
+
+# exit-0 inputs once found by the fuzz below; a warning fails them
+EXIT_0 = {
+    # the profile's mode exp(-b/a) overflows; beta is c at every s
+    "explogsquare-mode-overflows": ["--beta", "explogsquare:3.16,0.0034,-14.7"],
+    # the OU envelope's mode passes the largest double (tau0 = 13.3, m = 552)
+    "ou-envelope-mode-overflows": ["--case", "ou", "--config", "{ou_far_mode}"],
+    # a' = a + (N - p)/2 passes 171.6, where Gamma(a') overflows
+    "bayes-400": ["--case", "bayes", "--config", "{bayes_400}"],
+    "bayes-5000": ["--case", "bayes", "--config", "{bayes_5000}"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", EXIT_0.values(), ids=EXIT_0.keys())
+def test_named_inputs_exit_0_with_a_sound_curve(tmp_path, argv):
+    files = {"ou_far_mode": {"case": "ou", "mu0": 419.3325, "tau0": 13.3,
+                             "times": [0.0, 0.5, 1.0, 1.5], "obs": [3.0, 0.0, 0.3, -0.1], "M": 8}}
+    for N in (400, 5000):
+        X, Y = _bayes_design(N, 2, [1.0, 1.0], N)
+        files[f"bayes_{N}"] = {"case": "bayes", "a": 2.5, "b": 1.0, "sigma0": 0.3,
+                               "X": X.tolist(), "Y": Y.tolist()}
+    paths = {}
+    for key, cfg in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["bound", *(a.format(**paths) for a in argv), "--out", str(out)]) == 0
+    meta = _assert_sound_bound(out)
+    key = argv[-1].strip("{}")
+    if key.startswith("bayes_"):
+        N = len(files[key]["X"])
+        assert meta["constants"]["a_prime"] == 2.5 + (N - 2) / 2
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _fuzz_argv(draw, kind):
+    """A ``bound`` argv of one kind, and the config file it reads, if any."""
+    if kind == "nig":
+        edge = st.sampled_from([1e-6, 1e6])
+        beta, sigma0 = (draw(_log_uniform(1e-6, 1e6) | edge) for _ in range(2))
+        return ["--case", "nig", "--mode", "fixed", "--beta-hyper", repr(beta),
+                "--sigma0", repr(sigma0)], None
+    if kind == "bayes":
+        N, p = draw(st.integers(2, 2000)), draw(st.integers(1, 4))
+        scales = [draw(_log_uniform(1e-2, 1e2)) for _ in range(p)]
+        X, Y = _bayes_design(N, p, scales, draw(st.integers(0, 2 ** 31)))
+        cfg = {"case": "bayes", "a": draw(st.just(1.0) | _log_uniform(1e-6, 1e6).map(lambda v: 1.0 + v)),
+               "b": draw(_log_uniform(1e-6, 1e6)), "sigma0": draw(_log_uniform(1e-6, 1e6)),
+               "X": X.tolist(), "Y": Y.tolist()}
+        return ["--case", "bayes"], cfg
+    if kind == "ou":
+        gaps = draw(st.lists(_log_uniform(1e-3, 25.0), min_size=1, max_size=40))
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        times = times[times <= 50.0]
+        obs = draw(st.lists(st.floats(-50.0, 50.0), min_size=times.size, max_size=times.size))
+        cfg = {"case": "ou", "mu0": draw(st.floats(-1e3, 1e3)), "tau0": draw(_log_uniform(1e-3, 1e3)),
+               "times": times.tolist(), "obs": obs, "M": draw(st.integers(2, 256))}
+        return ["--case", "ou"], cfg
+    family = draw(st.sampled_from(["indicator", "powerlaw", "explogsquare"]))
+    if family == "indicator":
+        values = [draw(_log_uniform(1e-6, 1e6))]
+    elif family == "powerlaw":
+        values = [draw(_log_uniform(1e-6, 1e6)), draw(_log_uniform(1e-3, 1e3))]
+    else:
+        values = [draw(_log_uniform(1e-6, 1e2)), draw(_log_uniform(1e-4, 1e2)),
+                  draw(st.floats(-100.0, 100.0))]
+    return ["--beta", f"{family}:{','.join(map(repr, values))}"], None
+
+
+@pytest.mark.parametrize("kind", ["nig", "bayes", "ou", "beta"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bound_fuzz_exits_2_with_one_line_or_writes_a_sound_curve(kind, data):
+    argv, cfg = data.draw(_fuzz_argv(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        if cfg is not None:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            argv = argv + ["--config", path]
+        out = os.path.join(tmp, "run")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(["bound", *argv, "--n-max", "50", "--out", out])
+        assert not caught, [str(w.message) for w in caught]
+        if rc == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)
+            return
+        assert rc == 0 and err.getvalue() == ""
+        _assert_sound_bound(out)

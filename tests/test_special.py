@@ -15,8 +15,8 @@ W_POINTS = np.array([-E_INV, -E_INV - 1e-16, -E_INV + 1e-9, -0.3, -0.1, np.nexta
 # W is ill-conditioned at the branch point, so the scipy grid stops 1e-6 short;
 # W0 near 0 has a test of its own
 SCIPY_GRID = -np.geomspace(1e-12, E_INV - 1e-6, 80)
-# an argument whose upper piece underflows to 0 for every s <= 40 here
-FAR = 1e4
+# an argument whose upper piece underflows to 0 for every s <= 1e4 here
+FAR = 1e6
 
 
 def _lower(s, x):
@@ -66,25 +66,37 @@ def test_lambert_domain_errors():
             lambert_w(x)
 
 
-def test_gamma_pieces_sum_to_gamma():
+def test_gamma_pieces_sum_to_one():
     xs = np.linspace(0.0, 50.0, 26)
     for s in (0.5, 1.0, 2.5):
-        assert np.allclose(gammainc_tails(s, xs, xs), math.gamma(s), rtol=0.0, atol=1e-10)
+        assert np.allclose(gammainc_tails(s, xs, xs), 1.0, rtol=0.0, atol=1e-10)
 
 
 def test_gamma_pieces_match_scipy():
     xs = np.array([0.01, 0.5, 2.0, 10.0, 40.0])
     for s in (0.5, 1.3, 2.5, 4.0):
-        g = math.gamma(s)
         for x, lower, upper in zip(xs, _lower(s, xs), _upper(s, xs)):
-            assert lower == pytest.approx(g * sps.gammainc(s, x), rel=1e-10)
-            assert upper == pytest.approx(g * sps.gammaincc(s, x), rel=1e-10, abs=1e-300)
+            assert lower == pytest.approx(sps.gammainc(s, x), rel=1e-10)
+            assert upper == pytest.approx(sps.gammaincc(s, x), rel=1e-10, abs=1e-300)
+
+
+def test_gamma_regularised_matches_scipy_up_to_s_1e4():
+    """P and Q keep 1e-10 relative accuracy past s = 171.6, where Gamma(s)
+    overflows, on both sides of x = s, across the series / continued-fraction
+    switch at s + 1."""
+    t = np.linspace(-6.0, 6.0, 49)
+    for s in np.geomspace(0.5, 1e4, 25):
+        s = float(s)
+        xs = s + t * math.sqrt(s)
+        xs = np.concatenate([xs[xs > 0.0], [s, s + 1.0, np.nextafter(s + 1.0, 0.0)]])
+        assert np.allclose(_lower(s, xs), sps.gammainc(s, xs), rtol=1e-10, atol=0.0)
+        assert np.allclose(_upper(s, xs), sps.gammaincc(s, xs), rtol=1e-10, atol=0.0)
 
 
 def test_gamma_edge_cases():
-    # at x = 0 the lower piece is 0 and the upper one Gamma(s), exactly
+    # at x = 0 the lower piece is 0 and the upper one 1, exactly
     assert gammainc_tails(1.5, [0.0], [FAR]).tolist() == [0.0]
-    assert gammainc_tails(1.5, [0.0], [0.0]).tolist() == [math.gamma(1.5)]
+    assert gammainc_tails(1.5, [0.0], [0.0]).tolist() == [1.0]
     for s, lo, hi in ((-1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)):
         with pytest.raises(DomainError):
             gammainc_tails(s, [lo], [hi])
@@ -145,11 +157,10 @@ def test_gamma_array_equals_scalar_calls():
 def test_gamma_array_matches_scipy():
     xs = np.concatenate([[0.0], np.geomspace(1e-6, 80.0, 120)])
     for s in (0.5, 1.3, 7.0):
-        g = math.gamma(s)
-        assert np.allclose(_lower(s, xs), g * sps.gammainc(s, xs), rtol=1e-10, atol=0.0)
-        assert np.allclose(_upper(s, xs), g * sps.gammaincc(s, xs), rtol=1e-10, atol=1e-300)
+        assert np.allclose(_lower(s, xs), sps.gammainc(s, xs), rtol=1e-10, atol=0.0)
+        assert np.allclose(_upper(s, xs), sps.gammaincc(s, xs), rtol=1e-10, atol=1e-300)
         assert np.allclose(gammainc_tails(s, xs, xs[::-1]),
-                           g * (sps.gammainc(s, xs) + sps.gammaincc(s, xs[::-1])), rtol=1e-10, atol=0.0)
+                           sps.gammainc(s, xs) + sps.gammaincc(s, xs[::-1]), rtol=1e-10, atol=0.0)
 
 
 def test_gamma_one_bad_element_raises():
@@ -193,8 +204,9 @@ def _lambert_w_scalar(x, row):
 
 
 def _gammainc_scalar(s, x, upper):
+    """Q(s, x) if ``upper`` else P(s, x)."""
     if x == 0.0:
-        return math.gamma(s) if upper else 0.0
+        return 1.0 if upper else 0.0
     if x < s + 1.0:
         term = total = 1.0 / s
         k = 0
@@ -202,8 +214,8 @@ def _gammainc_scalar(s, x, upper):
             k += 1
             term *= x / (s + k)
             total += term
-        lower = total * math.exp(s * math.log(x) - x)
-        return math.gamma(s) - lower if upper else lower
+        lower = total * math.exp(s * math.log(x) - x - math.lgamma(s))
+        return 1.0 - lower if upper else lower
     tiny = 1e-300
     b = x + 1.0 - s
     c, d = 1.0 / tiny, 1.0 / (b if b != 0.0 else tiny)
@@ -218,8 +230,8 @@ def _gammainc_scalar(s, x, upper):
         h *= d * c
         if abs(d * c - 1.0) < 1e-15:
             break
-    up = h * math.exp(s * math.log(x) - x)
-    return up if upper else math.gamma(s) - up
+    up = h * math.exp(s * math.log(x) - x - math.lgamma(s))
+    return up if upper else 1.0 - up
 
 
 def test_lambert_array_matches_scalar_iteration():
