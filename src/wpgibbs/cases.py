@@ -89,6 +89,14 @@ def _positive(obj, *names) -> None:
             raise DomainError(f"{name} must be positive, got {getattr(obj, name)}")
 
 
+def _gap_at_most_one(obj) -> None:
+    """``gamma_dg`` is a right spectral gap of a positive semidefinite
+    operator (P*P, or the marginal chain), so it is at most 1."""
+    if obj.gamma_dg > 1.0:
+        raise DomainError(f"gamma_dg must be at most 1, as a spectral gap of a positive "
+                          f"semidefinite kernel; got {obj.gamma_dg}")
+
+
 # ---------------------------------------------------------------------------
 # normal/exponential scale model
 # ---------------------------------------------------------------------------
@@ -111,6 +119,7 @@ class NIGParams:
 
     def __post_init__(self):
         _positive(self, "beta_hyper", "gamma_dg", *(() if self.sigma0 is None else ("sigma0",)))
+        _gap_at_most_one(self)
 
 
 def nig_scaled_kstar(p: NIGParams) -> Linear:
@@ -222,6 +231,7 @@ class BayesParams:
         object.__setattr__(self, "Y", _number_array("Y", self.Y))
         _numbers(self, float, "a")
         _positive(self, "b", "sigma0", "gamma_dg")
+        _gap_at_most_one(self)
         if not self.a > 1.0:
             raise DomainError("a must be > 1")
         if self.X.ndim != 2:
@@ -327,6 +337,7 @@ class OUParams:
         _numbers(self, float, "mu0")
         _numbers(self, int, "M")
         _positive(self, "tau0", "gamma_dg", "envelope_K")
+        _gap_at_most_one(self)
         if self.M < 2:
             raise DomainError("segment grid resolution M must be >= 2")
         if len(self.times) < 2 or np.any(self.dts <= 0.0):

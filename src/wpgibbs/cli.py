@@ -38,14 +38,13 @@ def _at_least(args, lowest: int, *names) -> None:
 
 
 def _n_grid(args) -> list:
-    _at_least(args, 1, "n_step")
     if args.n_grid:
         ns = sorted(int(v) for v in args.n_grid.split(","))
         repeated = [a for a, b in zip(ns, ns[1:]) if a == b]
         if repeated:
             raise WpgibbsError(f"--n-grid gives n = {repeated[0]} more than once")
     else:
-        ns = list(range(0, args.n_max + 1, args.n_step))
+        ns = list(range(args.n_max + 1))
     if not ns or ns[0] < 0:
         raise WpgibbsError(f"the n grid must be nonempty with every n >= 0, got {ns}")
     return ns
@@ -290,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def grid_options(sp):
         sp.add_argument("--n-max", type=int, default=200)
-        sp.add_argument("--n-step", type=int, default=1)
         sp.add_argument("--n-grid", default=None,
                         help="comma-separated n values (overrides --n-max)")
 

@@ -75,12 +75,14 @@ class FiniteKernel:
         object.__setattr__(self, "mu", mu)
         if T.ndim < 2 or T.shape[-2] != T.shape[-1] or mu.shape != T.shape[:-1]:
             raise DomainError("kernel matrix and stationary vector mismatch")
-        if np.any(T < -1e-15):
-            raise DomainError("kernel entries must be nonnegative")
-        if np.max(np.abs(T.sum(axis=-1) - 1.0)) > 1e-12:
+        # each test is phrased so that a NaN fails it
+        if not np.all(T >= -1e-15):
+            raise DomainError("kernel entries must be nonnegative numbers")
+        if not np.max(np.abs(T.sum(axis=-1) - 1.0)) <= 1e-12:
             raise DomainError("kernel rows must sum to 1")
-        if np.max(np.abs(_vecmat(mu, T) - mu)) > 1e-10:
-            raise DomainError("mu is not stationary for this kernel")
+        with np.errstate(invalid="ignore"):  # an infinite mu leaves a NaN residual
+            if not np.max(np.abs(_vecmat(mu, T) - mu)) <= 1e-10:
+                raise DomainError("mu is not stationary for this kernel")
 
     @property
     def n(self) -> int:
@@ -256,8 +258,8 @@ class FiniteJointModel:
         h2_slices: Optional[Sequence[np.ndarray]] = None,
     ):
         Pi = np.asarray(joint, dtype=float)
-        if Pi.ndim < 2 or min(Pi.shape[-2:]) < 2 or np.any(Pi <= 0.0):
-            raise InvalidSpecError("joint pmf must be a positive matrix of at least 2x2")
+        if Pi.ndim < 2 or min(Pi.shape[-2:]) < 2 or not np.all((Pi > 0.0) & (Pi < np.inf)):
+            raise InvalidSpecError("joint pmf must be a finite positive matrix of at least 2x2")
         nx, ny = Pi.shape[-2:]
         if nx * ny > MAX_JOINT_STATES:
             raise InvalidSpecError("joint state space too large for dense algebra")

@@ -8,7 +8,8 @@ half-argument shift, and the Metropolis-within-Gibbs nestings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -182,10 +183,6 @@ def check_subunit(k: KStarFn) -> bool:
     """Check K*(v) <= v on (0, 1/4].  K*(v)/v is nondecreasing for a convex
     K* with K*(0) = 0, and so for every composition and scaling of such, so
     the check at v = 1/4 decides it."""
-    if isinstance(k, Linear):
-        return k.slope <= 1.0 + 1e-12
-    if isinstance(k, Clamped):
-        return True
     return bool(k(0.25) <= 0.25 * (1.0 + 1e-9))
 
 
@@ -280,8 +277,6 @@ def scale(k: KStarFn, c1: float, c2: float) -> KStarFn:
     """K~*(v) = c1 * c2 * K*(v / c1); rates obey F~^{-1}(x) <= c1 F^{-1}(c2 x)."""
     if not (c1 > 0.0 and c2 > 0.0):
         raise InvalidSpecError("scale needs c1, c2 > 0")
-    if c1 == 1.0 and c2 == 1.0:
-        return k
     if isinstance(k, Linear):
         return Linear(c2 * k.slope)
     if isinstance(k, Power):
@@ -293,6 +288,16 @@ def _guard(k: KStarFn) -> KStarFn:
     return k if check_subunit(k) else Clamped(k)
 
 
+# compose_mwg's rules as data: mode -> (scale of K0's argument, scale of
+# K0's value, whether K1 wraps K2, outer factor, clock offset)
+_MODES = {
+    "full": (0.25, 0.5, True, 2.0, 0),
+    "strong": (0.25, 1.0, True, 2.0, 0),
+    "joint_2mg": (0.25, 0.5, False, 2.0, 0),
+    "marginal_2mg": (1.0, 0.5, False, 1.0, 1),
+}
+
+
 def compose_mwg(
     k0: Optional[KStarFn],
     k1: Optional[KStarFn],
@@ -301,52 +306,34 @@ def compose_mwg(
 ) -> KStarFn:
     """Composed K* for a two-component Metropolis-within-Gibbs sampler.
 
-    Modes:
+    Modes, one row of ``_MODES`` each:
       full         2 K1*(K2*(1/2 K0*(v/4)))   both conditionals intractable
-      strong       2 K1*(K2*(gamma/4 v))      exact-scan SPI input (k0 linear)
+      strong       2 K1*(K2*(K0*(v/4)))       exact-scan SPI input: k0 is the
+                                              linear gamma v, so K2*(gamma v/4)
       joint_2mg    2 K2*(1/2 K0*(v/4))        second conditional intractable
       marginal_2mg K2*(1/2 K0*(v)),           marginal route; bound clock reads
                                               F^{-1}(n-1) (n_offset = 1)
+
+    K1 and K2 are guarded by min(K*(v), v) unless ``check_subunit`` passes.
+    When every part is linear, so is the result: its slope is the product
+    of the parts' slopes times outer * post * pre.
     """
-    if mode not in ("full", "strong", "joint_2mg", "marginal_2mg"):
+    if mode not in _MODES:
         raise InvalidModeError(f"unknown mode {mode!r}")
-    if mode in ("full", "strong") and k1 is None:
+    pre, post, wraps_k1, outer, offset = _MODES[mode]
+    if wraps_k1 and k1 is None:
         raise InvalidModeError(f"mode {mode!r} requires k1")
     if k0 is None or k2 is None:
         raise InvalidModeError("k0 and k2 are always required")
-    k2g = _guard(k2)
+    if mode == "strong" and not isinstance(k0, Linear):
+        raise InvalidModeError("strong mode requires a linear (SPI) k0")
+    k2g, k1g = _guard(k2), (_guard(k1) if wraps_k1 else None)
+    parts = (k0, k1g, k2g) if wraps_k1 else (k0, k2g)
+    if all(isinstance(k, Linear) for k in parts):
+        top = Linear(math.prod(k.slope for k in parts) * (outer * post * pre))
+        return Composite(outer=top, offset=offset) if offset else top
 
-    if mode == "strong":
-        if not isinstance(k0, Linear):
-            raise InvalidModeError("strong mode requires a linear (SPI) k0")
-        gamma = k0.slope
-        k1g = _guard(k1)
-        if isinstance(k1g, Linear) and isinstance(k2g, Linear):
-            return Linear(2.0 * k1g.slope * k2g.slope * gamma / 4.0)
-        inner = scale(k2g, 4.0 / gamma, gamma / 4.0)  # K2*(gamma/4 * v)
-        return Composite(outer=k1g, inner=inner, post_scale=2.0)
-
-    # shared core: 1/2 * K0*(v/4) for full/joint, 1/2 * K0*(v) for marginal
-    if mode == "marginal_2mg":
-        if isinstance(k0, Linear) and isinstance(k2g, Linear):
-            return Composite(
-                outer=Linear(k2g.slope * k0.slope / 2.0), offset=1
-            )
-        core = Composite(outer=k0, pre_scale=1.0, post_scale=0.5)
-        return Composite(outer=k2g, inner=core, offset=1)
-
-    core = Composite(outer=k0, pre_scale=0.25, post_scale=0.5)
-    if mode == "joint_2mg":
-        if isinstance(k0, Linear) and isinstance(k2g, Linear):
-            return Linear(2.0 * k2g.slope * 0.5 * k0.slope * 0.25)
-        return Composite(outer=k2g, inner=core, post_scale=2.0)
-
-    k1g = _guard(k1)
-    if (
-        isinstance(k0, Linear)
-        and isinstance(k1g, Linear)
-        and isinstance(k2g, Linear)
-    ):
-        return Linear(k0.slope * k1g.slope * k2g.slope / 4.0)
-    mid = Composite(outer=k2g, inner=core)
-    return Composite(outer=k1g, inner=mid, post_scale=2.0)
+    node, top = Composite(outer=k0, pre_scale=pre, post_scale=post), k2g
+    if wraps_k1:
+        node, top = Composite(outer=k2g, inner=node), k1g
+    return Composite(outer=top, inner=node, post_scale=outer, offset=offset)

@@ -83,7 +83,7 @@ def test_fixed_betas_need_a_step():
 def test_params_take_numbers_not_bools_or_strings(value):
     with pytest.raises(InvalidSpecError, match="beta_hyper must be a number"):
         NIGParams(beta_hyper=value)
-    assert NIGParams(beta_hyper=np.float32(2.0), gamma_dg=3).gamma_dg == 3.0
+    assert NIGParams(beta_hyper=np.float32(2.0), gamma_dg=1).gamma_dg == 1.0
 
 
 def test_list_fields_take_numbers_entry_by_entry():

@@ -324,6 +324,9 @@ INVALID = {
                           "--sigma0", "0.5"],
     # non-finite and fractional numbers
     "nig-gamma-inf": ["bound", "--case", "nig", "--gamma", "inf"],
+    # gamma_dg is a spectral gap of a positive semidefinite kernel: at most 1
+    "nig-gamma-above-one": ["bound", "--case", "nig", "--gamma", "4"],
+    "bayes-gamma-above-one": ["bound", "--case", "bayes", "--config", "{bayes_gamma_big}"],
     "nig-sigma0-nan": ["sample", "--case", "nig", "--mode", "fixed", "--sigma0", "nan"],
     "shorthand-inf": ["bound", "--beta", "indicator:inf"],
     "shorthand-not-a-number": ["bound", "--beta", "indicator:abc"],
@@ -379,8 +382,10 @@ INVALID = {
     "sample-ou-negative-steps": ["sample", "--case", "ou", "--config", "{ou}", "--steps", "-1"],
     "verify-zero-models": ["verify", "--models", "0"],
     "verify-negative-n-max": ["verify", "--n-max", "-1"],
+    # --n-step is not an option: --n-grid gives any grid it could
     "n-step-zero": ["bound", "--beta", "indicator:0.2", "--n-step", "0"],
     "n-step-negative": ["compare", "--case", "finite", "--n-step", "-2"],
+    "n-step": ["bound", "--case", "nig", "--n-step", "2"],
     "compare-grid-without-positive-n": ["compare", "--case", "finite", "--n-grid", "0"],
     "verify-states-zero": ["verify", "--states", "0x3"],
     "verify-states-one": ["verify", "--states", "1x3"],
@@ -422,6 +427,7 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
         "ou": json.dumps(CASE_CONFIGS["ou"]),
         "bayes_1d_x": json.dumps({**CASE_CONFIGS["bayes"], "X": [1, 2, 3], "Y": [1, 0, 2]}),
         "bayes_gamma": json.dumps({**CASE_CONFIGS["bayes"], "gamma_dg": 0.5}),
+        "bayes_gamma_big": json.dumps({**CASE_CONFIGS["bayes"], "gamma_dg": 1.5}),
         "bayes_a_inf": json.dumps({**CASE_CONFIGS["bayes"], "a": math.inf}),
         "bayes_y_nan": json.dumps({**CASE_CONFIGS["bayes"], "Y": [1, 0, math.nan, 1]}),
         "ou_mu0_inf": json.dumps({**CASE_CONFIGS["ou"], "mu0": math.inf}),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wpgibbs.errors import DomainError, InvalidModeError, InvalidSpecError
+from wpgibbs.errors import DomainError, InvalidModeError, InvalidSpecError, WpgibbsError
 from wpgibbs.finite import (
     FiniteJointModel,
     FiniteKernel,
@@ -138,6 +138,20 @@ def test_models_need_two_states_per_block():
     for shape in ((1, 4), (4, 1), (1, 1), (6,)):
         with pytest.raises(InvalidSpecError, match="at least 2x2"):
             FiniteJointModel(np.full(shape, 0.25))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_refused(bad):
+    """A NaN or an infinity fails every entry check: none reaches numpy's
+    linear algebra."""
+    with pytest.raises(WpgibbsError):
+        FiniteKernel([[bad, 0.5], [0.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(WpgibbsError):
+        FiniteKernel([[0.5, 0.5], [0.5, 0.5]], [bad, 0.5])
+    joint = np.full((3, 3), 1.0 / 9.0)
+    joint[1, 2] = bad
+    with pytest.raises(WpgibbsError, match="finite positive"):
+        FiniteJointModel(joint)
 
 
 def test_exact_slice_model_collapses():
