@@ -4,10 +4,10 @@
 Runs the ops of the bound-pipeline and sampler-scan benchmark cycles (each
 seed's cycles 0 .. TURNS-1, drawn as ``perfbench/run.py`` draws them) through
 its ``execute``, then ``sample`` and ``bound`` for every case and mode, both
-``compare`` cases and one ``verify``.  Each command writes into its own
-directory under OUT_DIR.  Prints one ``sha256  relative/path`` line per file
-written and one ``exit CODE  command`` line per command, so the output of two
-checkouts can be compared with ``diff``.
+``compare`` cases and two ``verify`` runs, 3x3 and 3x5.  Each command writes
+into its own directory under OUT_DIR.  Prints one ``sha256  relative/path``
+line per file written and one ``exit CODE  command`` line per command, so the
+output of two checkouts can be compared with ``diff``.
 
 Usage:
     python3 scripts/output_hashes.py OUT_DIR [--seeds 1,2] [--turns 4]
@@ -43,7 +43,8 @@ MODE_FLAGS = {"fixed": ["--sigma0", "0.8"]}
 
 
 def case_commands():
-    """(name, argv, files) of every case x mode, both compare cases and a verify."""
+    """(name, argv, files) of every case x mode, both compare cases, a square
+    verify and a non-square one, where a swap of the two blocks would show."""
     for case, entry in CASES.items():
         files = {"case.json": CONFIGS[case]} if case in CONFIGS else {}
         flags = ["--case", case] + (["--config", "{dir}/case.json"] if files else [])
@@ -55,6 +56,8 @@ def case_commands():
     yield "compare.nig", ["compare", "--case", "nig", "--starts", "400", "--seed", "7", *GRID], {}
     yield "compare.finite", ["compare", "--case", "finite", "--starts", "400", "--seed", "7", *GRID], {}
     yield "verify", ["verify", "--models", "3", "--trials", "4", "--n-max", "20", "--seed", "7"], {}
+    yield "verify-3x5", ["verify", "--models", "3", "--trials", "4", "--n-max", "20",
+                         "--states", "3x5", "--verbose", "--seed", "7"], {}
 
 
 def commands(seeds, turns):

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import kstar, samplers
 from .beta import DEFAULT_CAP, BetaSpec, ExpLogSquare
-from .errors import DomainError, InvalidModeError, InvalidSpecError, ValidityRangeError
+from .errors import (DomainError, InvalidModeError, InvalidSpecError, UnboundedConjugateError,
+                     ValidityRangeError)
 from .kstar import Linear
 from .special import gammainc_tails, lambert_w
 
@@ -562,7 +563,12 @@ def _ou_bound(p: OUParams, mode: str):
         "delta": OU_DELTA,
         "envelope_K": p.envelope_K,
     }
-    k2 = kstar.conjugate(ou_exp_log_square_envelope(p))
+    try:
+        k2 = kstar.conjugate(ou_exp_log_square_envelope(p))
+    except UnboundedConjugateError:
+        raise UnboundedConjugateError(
+            f"at mu0={p.mu0!r}, tau0={p.tau0!r} the ou envelope (m={p.m:.6g}, eta={p.eta:.6g})"
+            " has its conjugate beyond the package's u-grid, so no bound is given") from None
     k = kstar.compose_mwg(Linear(p.gamma_dg), None, k2, mode="marginal_2mg")
     return k, constants, "exp(-(a/delta)*log^2((n-1)/(gamma/2)))"
 

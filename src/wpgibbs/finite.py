@@ -281,22 +281,9 @@ class FiniteJointModel:
         self.h1_slices = np.asarray(h1_slices, dtype=float)
         self.h2_slices = np.asarray(h2_slices, dtype=float)
 
-        # fill the operators through [x, y, x', y'] views of the matrices:
-        # G1 and H1 at x' = x, indexed by (x, y, y'); G2 and H2 at y' = y,
-        # indexed by (x, y, x')
-        n = nx * ny
-        G1, G2, H1, H2 = (np.zeros(lead + (n, n)) for _ in range(4))
-        x, y = np.arange(nx)[:, None, None], np.arange(ny)[None, :, None]
-        x2, y2 = np.arange(nx)[None, None, :], np.arange(ny)[None, None, :]
-
-        def view(T):
-            return T.reshape(lead + (nx, ny, nx, ny))
-
-        view(G1)[..., x, y, x, y2] = self.cond_y_given_x[..., :, None, :]
-        view(H1)[..., x, y, x, y2] = self.h1_slices
-        view(G2)[..., x, y, x2, y] = self.cond_x_given_y[..., None, :, :]
-        view(H2)[..., x, y, x2, y] = np.swapaxes(self.h2_slices, -3, -2)
-        self.G1, self.G2, self.H1, self.H2 = G1, G2, H1, H2
+        # a refresh of one block is its scan with the identity on the other
+        self.G1, self.H1 = self.scan("G1", "I2"), self.scan("H1", "I2")
+        self.G2, self.H2 = self.scan("I1", "G2"), self.scan("I1", "H2")
         self.P = self.scan("G1", "G2")
         self.P12 = self.scan("H1", "H2")
         # x-marginal chain: draw y given x, then x' given y
@@ -304,7 +291,9 @@ class FiniteJointModel:
 
     def scan(self, first: str, second: str) -> np.ndarray:
         """The product of two refreshes of different blocks, ``first`` then
-        ``second`` (of "G1", "H1", "G2", "H2"), built entry by entry.
+        ``second`` (of "G1", "H1", "I1" and "G2", "H2", "I2"), built entry by
+        entry.  The identity refreshes "I1" and "I2" have slices delta(y, y')
+        and delta(x, x'): a scan with one is the other refresh alone.
 
         With s1_x(y, y') and s2_y(x, x') the slices of the block-1 and the
         block-2 refresh, block 1 then block 2 has entry s1_x(y, y')
@@ -317,7 +306,9 @@ class FiniteJointModel:
         if first[-1] == second[-1]:
             raise DomainError(f"a scan takes one refresh of each block, got {first} {second}")
         slices = {"G1": self.cond_y_given_x[..., :, None, :], "H1": self.h1_slices,
-                  "G2": self.cond_x_given_y[..., :, None, :], "H2": self.h2_slices}
+                  "I1": np.eye(self.ny)[None],
+                  "G2": self.cond_x_given_y[..., :, None, :], "H2": self.h2_slices,
+                  "I2": np.eye(self.nx)[None]}
         s, t = slices[first], slices[second]
         if first[-1] == "1":
             a, b = s[..., :, :, None, :], np.moveaxis(t, -3, -1)[..., :, None, :, :]
@@ -329,11 +320,10 @@ class FiniteJointModel:
         return out.reshape(self.mu.shape + (nx * ny,))
 
     def kernel(self, name: str) -> FiniteKernel:
-        if name == "P_X":
-            return FiniteKernel(self.P_X, self.marg_x)
-        mats = {"G1": self.G1, "G2": self.G2, "H1": self.H1, "H2": self.H2,
-                "P": self.P, "P12": self.P12}
-        return FiniteKernel(mats[name], self.mu)
+        names = ("G1", "G2", "H1", "H2", "P", "P12", "P_X")
+        if name not in names:
+            raise DomainError(f"unknown operator {name!r}: expected one of {', '.join(names)}")
+        return FiniteKernel(getattr(self, name), self.marg_x if name == "P_X" else self.mu)
 
     def component_gaps(self):
         """(gamma0, gamma1, gamma2): right gap of P*P and worst slice gaps,

@@ -466,6 +466,19 @@ def test_nig_scale_overflow_names_its_inputs(tmp_path, capsys, key):
     assert "beta_hyper" in err and "sigma0" in err and "gammainc" not in err
 
 
+def test_ou_envelope_beyond_the_grid_names_its_inputs(tmp_path, capsys):
+    # m = -422.4 and eta = 1459.7: the envelope's mode exp(-b/a) underflows,
+    # so the profile is 0 at every u-grid point
+    cfg = tmp_path / "ou.json"
+    cfg.write_text(json.dumps({"case": "ou", "mu0": -427, "tau0": 2.15, "times": [0, 0.5, 1, 2],
+                               "obs": [-38.2, 0.07, 10.9, -21.9]}))
+    out = tmp_path / "run"
+    assert main(["bound", "--case", "ou", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "mu0" in err and "tau0" in err and not out.exists()
+
+
 def test_repeated_n_is_named(tmp_path, capsys):
     argv = ["compare", "--case", "finite", "--n-grid", "1,50,1", "--out", str(tmp_path)]
     assert main(argv) == 2

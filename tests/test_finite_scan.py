@@ -4,10 +4,17 @@
 from the slices, as the one nonzero term of each entry; ``l2_decay_exact``
 projects T^n F for a block of n in one product.  Both must give the bits of
 the dense matrix products and of the row-at-a-time sequence they replace.
+A single refresh is a scan with the identity on the other block, so every
+operator of a model must also give the bits of the scatter-built reference.
 """
 import numpy as np
 import pytest
-from test_finite_stack import _ref_l2_decay_exact, _ref_random_joint_model, _slice_cases
+from test_finite_stack import (
+    _ref_l2_decay_exact,
+    _ref_random_joint_model,
+    _RefModel,
+    _slice_cases,
+)
 
 from wpgibbs import finite
 from wpgibbs.errors import DomainError
@@ -51,11 +58,47 @@ def test_scans_match_dense_products(nx, ny):
     _check_scans(random_joint_model([1, 2, 3], nx, ny))
 
 
+OPERATORS = ("G1", "G2", "H1", "H2", "P", "P12", "P_X")
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 3), (2, 5), (5, 3), (4, 4)])
+def test_operators_match_scatter_reference(nx, ny):
+    """Every operator of the model is the scatter-built reference's byte for
+    byte, with its stationary vector: lazy, exact and plain (not PSD)
+    slices, on single models and on their stack."""
+    joints, h1s, h2s, refs = [], [], [], []
+    for seed in (nx * 31 + ny, 7):
+        base = _ref_random_joint_model(seed, nx, ny)
+        for h1, h2 in _slice_cases(base):
+            ref = _RefModel(base.joint, h1_slices=h1, h2_slices=h2)
+            m = FiniteJointModel(base.joint, h1_slices=h1, h2_slices=h2)
+            for name in OPERATORS:
+                k, k_ref = m.kernel(name), ref.kernel(name)
+                assert k.matrix.tobytes() == k_ref.matrix.tobytes(), name
+                assert k.mu.tobytes() == k_ref.mu.tobytes(), name
+            joints.append(base.joint)
+            h1s.append(h1)
+            h2s.append(h2)
+            refs.append(ref)
+    stack = FiniteJointModel(np.stack(joints), h1_slices=np.stack(h1s), h2_slices=np.stack(h2s))
+    for name in OPERATORS:
+        k = stack.kernel(name)
+        assert k.matrix.tobytes() == np.stack([r.kernel(name).matrix for r in refs]).tobytes()
+        assert k.mu.tobytes() == np.stack([r.kernel(name).mu for r in refs]).tobytes()
+
+
 def test_scan_takes_one_refresh_of_each_block():
     m = random_joint_model(2, 3, 3)
-    for first, second in (("G1", "H1"), ("H2", "G2")):
+    for first, second in (("G1", "H1"), ("H2", "G2"), ("I1", "G1"), ("I2", "I2")):
         with pytest.raises(DomainError, match="one refresh of each block"):
             m.scan(first, second)
+
+
+def test_kernel_names_its_operators():
+    m = random_joint_model(2, 3, 3)
+    for name in ("Q", "I1", "G2G1"):
+        with pytest.raises(DomainError, match=", ".join(OPERATORS)):
+            m.kernel(name)
 
 
 def _decay_case(lead, trials, nx=4, ny=3):
