@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import re
@@ -39,7 +38,7 @@ def _at_least(args, lowest: int, *names) -> None:
 
 def _n_grid(args) -> list:
     if args.n_grid:
-        ns = sorted(int(v) for v in args.n_grid.split(","))
+        ns = sorted(map(int, args.n_grid.split(",")))
         repeated = [a for a, b in zip(ns, ns[1:]) if a == b]
         if repeated:
             raise WpgibbsError(f"--n-grid gives n = {repeated[0]} more than once")
@@ -178,11 +177,9 @@ def cmd_sample(args) -> int:
     def write(block, how):
         """Append a block of scans to every chain's file, one file at a time."""
         for chain, path in enumerate(paths):
+            rows = [scan[chain] for scan in block]
             with open(path, how, newline="") as fh:
-                w = csv.writer(fh)
-                if how == "w":
-                    w.writerow(header)
-                w.writerows(scan[chain] for scan in block)
+                rates._write_rows(fh, [header, *rows] if how == "w" else rows)
 
     # the chains run side by side; their rows go out in blocks of scans that
     # hold about _BLOCK_ROWS rows, so memory does not grow with --steps
@@ -236,19 +233,12 @@ def cmd_compare(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "compare.csv")
-    dominated = 0
     bounds = rb.curve(est.n_grid)
+    rows = list(zip(map(int, est.n_grid), bounds.tolist(), est.mean.tolist(),
+                    est.ci_low.tolist(), est.ci_high.tolist()))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "bound", "empirical_mean", "ci_low", "ci_high"])
-        for i, n in enumerate(est.n_grid):
-            bound = float(bounds[i])
-            dominated += est.ci_high[i] <= bound
-            w.writerow(
-                [int(n), repr(bound), repr(float(est.mean[i])),
-                 repr(float(est.ci_low[i])), repr(float(est.ci_high[i]))]
-            )
-    meta["domination_fraction"] = dominated / len(est.n_grid)
+        rates._write_rows(fh, [("n", "bound", "empirical_mean", "ci_low", "ci_high"), *rows])
+    meta["domination_fraction"] = sum(row[4] <= row[1] for row in rows) / len(rows)
     samplers.write_metadata(os.path.join(args.out, "compare_meta.json"), meta)
     print(f"wrote {path}; domination fraction {meta['domination_fraction']:.3f}")
     return EXIT_OK

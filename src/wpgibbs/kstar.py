@@ -121,6 +121,8 @@ class ExpLogSquareConjugate(KStarFn):
     objective is exp(b/a) * (v*exp(-w) - c*exp(-w - a^2 w^2)), positive
     only for w above sqrt(log(c/v))/a and unimodal there, which the
     golden-section search ``_golden_max`` resolves at any representable v.
+    Where the maximum of the bracketed difference is below the smallest
+    normal double, K* is given as 0.
     """
 
     c: float
@@ -151,7 +153,12 @@ class ExpLogSquareConjugate(KStarFn):
         def g(w):
             return vp * np.exp(-w) - self.c * np.exp(-w - a2 * w * w)
 
-        out[pos] = np.maximum(np.exp(self.b / self.a) * _golden_max(g, lo, hi), 0.0)
+        top = _golden_max(g, lo, hi)
+        # below the smallest normal double both terms of g are subnormal and
+        # the maximum keeps few bits, wrong upward as well as downward: there
+        # K* is reported as 0, the safe side
+        out[pos] = np.where(top < np.finfo(float).tiny, 0.0,
+                            np.maximum(np.exp(self.b / self.a) * top, 0.0))
         return out
 
 
@@ -252,19 +259,25 @@ def conjugate(spec: BetaSpec) -> KStarFn:
 
     u = np.geomspace(_U_LO, _U_HI, _U_POINTS)
     beta_at = np.asarray(spec(1.0 / u))
-    # the best u-grid point of each v brackets its maximizer; one row at a
-    # time, as a v-by-u matrix would cost 6.5 MB per temporary
+    # the best u-grid point of each v brackets its maximizer; 16 rows of v
+    # at a time in one 512 KB buffer, as a v-by-u matrix would cost 6.5 MB
+    # per temporary
     best = np.empty_like(_V_GRID)
     at = np.empty(len(_V_GRID), dtype=int)
-    for j, v in enumerate(_V_GRID):
-        obj = u * (v - beta_at)
-        at[j] = np.argmax(obj)
-        if at[j] == len(u) - 1 and obj[-1] > obj[-2]:
+    buf = np.empty((16, len(u)))
+    for j in range(0, len(_V_GRID), len(buf)):
+        v = _V_GRID[j:j + len(buf), None]
+        obj = buf[:len(v)]
+        np.subtract(v, beta_at, out=obj)
+        obj *= u
+        i = obj.argmax(axis=1)
+        if np.any((i == len(u) - 1) & (obj[:, -1] > obj[:, -2])):
             raise UnboundedConjugateError(
                 "conjugate diverges on the u-grid; beta decays too fast "
                 "without a cap"
             )
-        best[j] = obj[at[j]]
+        at[j:j + len(v)] = i
+        best[j:j + len(v)] = obj[np.arange(len(v)), i]
     lo = u[np.maximum(at - 1, 0)]
     hi = u[np.minimum(at + 1, len(u) - 1)]
     refined = _golden_max(lambda uu: uu * (_V_GRID - spec(1.0 / uu)), lo, hi)

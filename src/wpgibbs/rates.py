@@ -13,7 +13,6 @@ takes one pass over its whole grid on every path.
 """
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, field
@@ -115,15 +114,16 @@ class RateBound:
                 # near slope * n = 707 and underflows to 0 near 745; the
                 # floor stays above the true value.  math.exp and ** per
                 # point, as np.exp and np.power need not round the same way
-                neg = -self._cf[1]
-                return np.array([max(X_MAX * math.exp(neg * n), sys.float_info.min)
-                                 if n > 0.0 else X_MAX for n in m.tolist()])
+                neg, top, exp = -self._cf[1], X_MAX, math.exp
+                return np.maximum([top * exp(neg * n) if n > 0.0 else top
+                                   for n in m.tolist()], sys.float_info.min)
             c, p, q = self._cf[1]
             cp, e = c * (p - 1.0), -1.0 / (p - 1.0)
-            return np.array([max((cp * n + q) ** e, self.x_min) if n > 0.0 else X_MAX
-                             for n in m.tolist()])
+            return np.maximum([(cp * n + q) ** e if n > 0.0 else X_MAX
+                               for n in m.tolist()], self.x_min)
         t = np.interp(m, self._rising_F, self._rising_log_x)
-        out = np.array([math.exp(v) for v in t.tolist()])
+        exp = math.exp
+        out = np.array([exp(v) for v in t.tolist()])
         out = np.minimum(out * (1.0 + _REL_TOL), X_MAX)
         past = m > self._top
         if np.count_nonzero(past):
@@ -144,8 +144,22 @@ class RateBound:
         return np.minimum(self._inverse(np.array([int(n) - off for n in ns], dtype=float)), X_MAX)
 
     def write_csv(self, path: str, ns) -> None:
-        bounds = self.curve(ns)  # a failing point leaves no partial file
+        bounds = self.curve(ns).tolist()  # a failing point leaves no partial file
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "bound"])
-            writer.writerows([int(n), repr(float(b))] for n, b in zip(ns, bounds))
+            _write_rows(fh, [("n", "bound"), *zip(map(int, ns), bounds)])
+
+
+def _write_rows(fh, rows: list) -> None:
+    """Write the equal-length ``rows`` to ``fh`` as CSV lines in one
+    ``fh.write``, rendering them a column at a time.
+
+    Every cell is an int, a float (whose ``str`` is its ``repr``) or a
+    string that is already a cell: a fixed column name or a number's
+    ``repr``.  None holds a comma, a quote or a line break, so
+    ``csv.writer`` would quote none of them, and the bytes are the ones it
+    writes: cells joined by commas and each row ended by CRLF.  ``fh`` is
+    opened with ``newline=""``.
+    """
+    if rows:
+        cols = [map(str, col) for col in zip(*rows, strict=True)]
+        fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")

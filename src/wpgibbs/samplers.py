@@ -423,6 +423,7 @@ def mann_kendall_z(x: Sequence[float]) -> float:
 
 
 def write_metadata(path: str, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as indented JSON, in one write."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -127,6 +127,25 @@ def test_compare_finite_negative_control(tmp_path):
             float(cell)  # plain numbers, not numpy scalar reprs
 
 
+@pytest.mark.parametrize("case", ["finite", "nig"])
+def test_compare_csv_gives_the_bytes_of_csv_writer(tmp_path, case):
+    """compare.csv at smoke size holds the bytes csv.writer gives for its own
+    cells, each re-rendered from its value: the header as it is, n by
+    str(int(cell)) and every other cell by repr(float(cell))."""
+    out = tmp_path / "run"
+    assert main(["compare", "--case", case, "--starts", "200", "--n-max", "20",
+                 "--out", str(out)]) == 0
+    data = (out / "compare.csv").read_bytes()
+    header, *rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    assert header == ["n", "bound", "empirical_mean", "ci_low", "ci_high"]
+    assert [int(row[0]) for row in rows] == list(range(1, 21))
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(header)
+    w.writerows([str(int(row[0]))] + [repr(float(cell)) for cell in row[1:]] for row in rows)
+    assert data == ref.getvalue().encode()
+
+
 CASE_CONFIGS = {
     "nig": {"case": "nig", "beta_hyper": 1.5},
     "bayes": {"case": "bayes", "a": 3, "b": 1, "X": [[1, 0], [0, 1], [1, 1], [2, 1]],

@@ -91,6 +91,17 @@ def test_unbounded_conjugate_raises():
         conjugate(dead)
 
 
+def test_conjugate_raises_when_only_the_last_partial_block_diverges():
+    # beta = 0.2 at every s, so u * (v - 0.2) grows to the last u only for
+    # v > 0.2: rows 196-199 of the v-grid, all in its last partial block of
+    # the 16-row argmax blocks
+    flat = Table(knots=((1e9, 0.2),))
+    assert list(np.nonzero(kstar._V_GRID > 0.2)[0]) == [196, 197, 198, 199]
+    assert len(kstar._V_GRID) % 16 == 8
+    with pytest.raises(UnboundedConjugateError):
+        conjugate(flat)
+
+
 def _golden_max_reference(g, lo, hi, iters=80):
     """Scalar golden-section maximization, one bracket and one g call at a time."""
     a, b = lo, hi
@@ -147,15 +158,19 @@ def _explogsquare_sup_reference(v, c, a, b):
 @pytest.mark.parametrize("b", [-0.5, 0.0, 0.5])
 def test_explogsquare_conjugate_matches_an_independent_supremum(a, b):
     """The closed path's per-point search agrees with scipy's maximizer
-    within 1e-10 relative, for v from 1e-300 up to the height c.  Below the
-    smallest normal double a result keeps fewer than 52 bits, so there the
-    1e-10 is taken relative to that smallest normal double."""
+    within 1e-10 relative, for v from 1e-300 up to the height c, wherever
+    the reference and the maximum of the objective without its exp(b/a)
+    factor are normal doubles.  Below that the package gives 0, so at no v
+    does it exceed the reference by more than the 1e-10.  (a, b) = (0.5, 0.5)
+    runs on 2,000 v, where the subnormal search erred up to 14% upward."""
     tiny = np.finfo(float).tiny
     for c in (0.25, 0.05):
-        v = np.geomspace(1e-300, c, 150)
+        v = np.geomspace(1e-300, c, 2000 if (a, b) == (0.5, 0.5) else 150)
         got = ExpLogSquareConjugate(c, a, b)(v)
         ref = np.array([_explogsquare_sup_reference(x, c, a, b) for x in v])
-        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(ref, tiny)), (c, a, b)
+        assert np.all(got <= ref * (1.0 + 1e-10)), (c, a, b)
+        normal = ref * min(1.0, math.exp(-b / a)) >= tiny
+        assert np.all(np.abs(got - ref)[normal] <= 1e-10 * ref[normal]), (c, a, b)
 
 
 _TABLE = Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01), (1e4, 1e-4)))

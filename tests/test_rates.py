@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import sys
 
@@ -107,6 +109,28 @@ def test_curve_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,bound"
     assert float(lines[1].split(",")[1]) == 0.25
+
+
+@pytest.mark.parametrize("name,top", [
+    ("linear-underflow", 400), ("power", 2000), ("numeric-saturating", 60),
+])
+def test_write_csv_gives_the_bytes_of_csv_writer(tmp_path, name, top):
+    """bound.csv holds the bytes csv.writer gives for the same cells: the
+    header, then each n and the repr of its bound, CRLF line ends."""
+    k = dict(_curve_cases())[name]
+    ns = list(range(top + 1))
+    rb = RateBound(k)
+    rb.write_csv(tmp_path / "bound.csv", ns)
+    bounds = RateBound(k).curve(ns)
+    if name == "linear-underflow":  # 1/4 exp(-2 n) stops at the smallest normal double
+        assert bounds[-1] == sys.float_info.min and bounds[300] > bounds[-1]
+    if name == "numeric-saturating":
+        assert rb.saturated
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["n", "bound"])
+    w.writerows([int(n), repr(float(b))] for n, b in zip(ns, bounds))
+    assert (tmp_path / "bound.csv").read_bytes() == ref.getvalue().encode()
 
 
 def test_write_csv_leaves_no_file_when_a_point_fails(tmp_path, monkeypatch):
