@@ -15,6 +15,9 @@ stack independent models: a matrix of shape (..., n, n) with a stationary
 vector of shape (..., n).  Every operation runs on the whole stack at once
 (stacked ``np.matmul`` and ``np.linalg.eigvalsh``), and gives each model the
 bits it gets alone, as one model is the same code without leading axes.
+Stacks also broadcast: ``verify_identities`` checks the four scans of a
+model as one 2 x 2 grid, its (2, 1) stack of block-1 refreshes against its
+(1, 2) stack of block-2 refreshes.
 """
 from __future__ import annotations
 
@@ -41,6 +44,15 @@ STACK_ENTRIES = 2 ** 16
 _DECAY_ENTRIES = 2 ** 14
 
 
+def _broadcasts(*shapes: tuple) -> bool:
+    """Whether the shapes broadcast together."""
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        return False
+    return True
+
+
 def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     """v @ M per model: v of shape (..., n), M of shape (..., n, m)."""
     return (v[..., None, :] @ M)[..., 0, :]
@@ -63,7 +75,7 @@ def _sym_eigvalsh(T: np.ndarray, mu: np.ndarray) -> np.ndarray:
 class FiniteKernel:
     """Row-stochastic matrix with an explicit stationary distribution; a
     matrix of shape (..., n, n) with ``mu`` of shape (..., n) is a stack of
-    kernels."""
+    kernels; ``mu`` may have size 1 on a leading axis, shared along it."""
 
     matrix: np.ndarray
     mu: np.ndarray
@@ -73,7 +85,9 @@ class FiniteKernel:
         mu = np.asarray(self.mu, dtype=float)
         object.__setattr__(self, "matrix", T)
         object.__setattr__(self, "mu", mu)
-        if T.ndim < 2 or T.shape[-2] != T.shape[-1] or mu.shape != T.shape[:-1]:
+        if (T.ndim < 2 or T.shape[-2] != T.shape[-1] or mu.ndim != T.ndim - 1
+                or mu.shape[-1] != T.shape[-1]
+                or any(a not in (1, b) for a, b in zip(mu.shape, T.shape))):
             raise DomainError("kernel matrix and stationary vector mismatch")
         # each test is phrased so that a NaN fails it
         if not np.all(T >= -1e-15):
@@ -124,7 +138,8 @@ def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
     product T = T_1 T_2 ... T_m: the factors are applied to ``f`` right to
     left and the product is never formed.  For mu of shape (..., n), ``f``
     holds functions as columns, shape (..., n, t), and gives one value per
-    column, shape (..., t).
+    column, shape (..., t).  The leading axes of ``f`` and of the factors
+    broadcast, each value the bits of its own call.
     The double sum 1/2 sum_ij mu_i T_ij (f_i - f_j)^2 is evaluated expanded,
     as 1/2 (sum_i mu_i r_i f_i^2 + sum_j (mu^T T)_j f_j^2) - f^T (mu o T) f,
     with the row sums r = T 1 and mu^T T taken from the same factor chain,
@@ -133,15 +148,16 @@ def dirichlet_form(k: FiniteKernel | tuple, f: np.ndarray):
     """
     factors = k if isinstance(k, tuple) else (k,)
     mu = factors[0].mu
-    if any(not np.array_equal(t.mu, mu) for t in factors[1:]):
+    if any(t.mu is not mu and not np.array_equal(t.mu, mu) for t in factors[1:]):
         raise DomainError("product factors need one stationary vector")
     # numpy passes BLAS a C-order and an F-order operand as different calls,
     # which sum in different orders: f in C order gives every layout its bits
     F = np.asarray(f, dtype=float, order="C")
-    if F.ndim != mu.ndim + 1 or F.shape[:mu.ndim] != mu.shape:
+    if (F.ndim != mu.ndim + 1 or F.shape[-2] != mu.shape[-1]
+            or not _broadcasts(F.shape[:-2], *(t.matrix.shape[:-2] for t in factors))):
         raise DomainError("function dimension mismatch: f takes columns, shape (..., n, t)")
     # T F and the row sums T 1 as the columns of one block, then mu^T T
-    TF = np.concatenate((F, np.ones(mu.shape + (1,))), axis=-1)
+    TF = np.concatenate((F, np.ones(F.shape[:-1] + (1,))), axis=-1)
     for t in reversed(factors):
         TF = t.matrix @ TF
     TF, rows = TF[..., :-1], TF[..., -1]
@@ -249,6 +265,12 @@ class FiniteJointModel:
     of P.  Both sizes must be at least 2.  A joint pmf of shape
     (..., nx, ny) is a stack of models: every array attribute then carries
     the same leading axes.
+
+    The refreshes are views of two stacks that ``scan`` writes in place:
+    ``refresh1``, G1 over H1 of shape (..., 2, 1, n, n), and ``refresh2``,
+    G2 beside H2 of shape (..., 1, 2, n, n).  Broadcast together, they are
+    the grid of scans T1 T2: P at [0, 0], P2 = G1 H2 at [0, 1], P1 = H1 G2
+    at [1, 0] and P12 at [1, 1].
     """
 
     def __init__(
@@ -281,19 +303,30 @@ class FiniteJointModel:
         self.h1_slices = np.asarray(h1_slices, dtype=float)
         self.h2_slices = np.asarray(h2_slices, dtype=float)
 
-        # a refresh of one block is its scan with the identity on the other
-        self.G1, self.H1 = self.scan("G1", "I2"), self.scan("H1", "I2")
-        self.G2, self.H2 = self.scan("I1", "G2"), self.scan("I1", "H2")
+        # a refresh of one block is its scan with the identity on the other,
+        # written in place into its slot of the block's stack
+        n = nx * ny
+        refresh1 = np.empty(lead + (2, 1, nx, ny, nx, ny))
+        refresh2 = np.empty(lead + (1, 2, nx, ny, nx, ny))
+        self.scan("G1", "I2", out=refresh1[..., 0, 0, :, :, :, :])
+        self.scan("H1", "I2", out=refresh1[..., 1, 0, :, :, :, :])
+        self.scan("I1", "G2", out=refresh2[..., 0, 0, :, :, :, :])
+        self.scan("I1", "H2", out=refresh2[..., 0, 1, :, :, :, :])
+        self.refresh1 = refresh1.reshape(lead + (2, 1, n, n))
+        self.refresh2 = refresh2.reshape(lead + (1, 2, n, n))
+        self.G1, self.H1 = self.refresh1[..., 0, 0, :, :], self.refresh1[..., 1, 0, :, :]
+        self.G2, self.H2 = self.refresh2[..., 0, 0, :, :], self.refresh2[..., 0, 1, :, :]
         self.P = self.scan("G1", "G2")
         self.P12 = self.scan("H1", "H2")
         # x-marginal chain: draw y given x, then x' given y
         self.P_X = self.cond_y_given_x @ self.cond_x_given_y
 
-    def scan(self, first: str, second: str) -> np.ndarray:
+    def scan(self, first: str, second: str, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The product of two refreshes of different blocks, ``first`` then
         ``second`` (of "G1", "H1", "I1" and "G2", "H2", "I2"), built entry by
         entry.  The identity refreshes "I1" and "I2" have slices delta(y, y')
         and delta(x, x'): a scan with one is the other refresh alone.
+        ``out``, of shape (..., nx, ny, nx, ny), takes the entries in place.
 
         With s1_x(y, y') and s2_y(x, x') the slices of the block-1 and the
         block-2 refresh, block 1 then block 2 has entry s1_x(y, y')
@@ -315,7 +348,8 @@ class FiniteJointModel:
         else:
             a, b = np.swapaxes(s, -3, -2)[..., None], np.swapaxes(t, -3, -2)[..., None, :, :, :]
         nx, ny = self.nx, self.ny
-        out = np.empty(self.mu.shape[:-1] + (nx, ny, nx, ny))
+        if out is None:
+            out = np.empty(self.mu.shape[:-1] + (nx, ny, nx, ny))
         np.multiply(a, b, out=out)
         return out.reshape(self.mu.shape + (nx * ny,))
 
@@ -353,10 +387,10 @@ def random_joint_model(seed, nx: int = 4, ny: int = 4) -> FiniteJointModel:
 
 def random_centered_functions(mu: np.ndarray, count: int, seed: int) -> np.ndarray:
     """``count`` standard-normal functions on the states of ``mu``, the rows
-    of a (count, n) array, each centred to mean zero under ``mu``."""
+    of a (count, n) array, each centred to mean zero under ``mu`` by one
+    stacked (1, n) @ (n, 1) product, the bits of ``mu @ f`` per row."""
     F = np.random.default_rng(seed).normal(size=(count, len(mu)))
-    for f in F:
-        f -= float(mu @ f)
+    F -= (F[:, None, :] @ mu[:, None])[:, 0]
     return F
 
 
@@ -445,12 +479,14 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
                       seed=0):
     """Exhaustive check of the operator identities and comparisons.
 
-    Every Dirichlet form of a scan product is evaluated on its chain of
-    factors (a tuple, see ``dirichlet_form``), on all trial functions at
-    once as the columns of one array.  The only n x n matrix products
-    formed here are G1^2 and G2^2 of the idempotence checks; G2 G1 of the
-    adjoint check is built entry by entry by ``FiniteJointModel.scan``, as
-    are P and P12.
+    The scans T = T1 T2 (P, P1 = H1 G2, P2 = G1 H2 and P12) are one 2 x 2
+    grid, the model's refresh stack (G1, H1) broadcast against (G2, H2):
+    each form of the decomposition, doubling and adjoint-comparison checks
+    is one ``dirichlet_form`` call over the grid, each positive-part form
+    one call per stack, on all trial functions at once as the columns of
+    one array, each value the bits of its own per-scan call.  Forms run on
+    chains of factors, so the only n x n matrix products formed here are
+    G1^2 and G2^2 of the idempotence checks.
 
     A stacked model gives a list with one Report per model, in order; its
     ``seed`` then holds one seed per model (one seed is shared by all).
@@ -467,8 +503,11 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
         """The largest entry of each model's part of ``vals``."""
         return np.max(np.reshape(vals, lead + (-1,)), axis=-1)
 
-    k = {name: m.kernel(name) for name in ("G1", "G2", "H1", "H2", "P", "P12")}
-    kP = k["P"]
+    # the refresh stacks on one mu, with the grid's two axes of size 1
+    grid_mu = mu[..., None, None, :]
+    k1 = FiniteKernel(m.refresh1, grid_mu)  # G1 over H1
+    k2 = FiniteKernel(m.refresh2, grid_mu)  # G2 beside H2
+    kP = m.kernel("P")
     kP_star = adjoint(kP)
 
     # structural facts that need no test function
@@ -478,12 +517,14 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
                    worst_of(np.abs(kP_star.matrix - m.scan("G2", "G1"))), 1e-12))
     checks.append(("adjoint involution",
                    worst_of(np.abs(adjoint(kP_star).matrix - kP.matrix)), 1e-12))
-    # P1 = H1 G2 and P2 = G1 H2 are not formed: mu is pushed through their factors
-    chains = {"P1": ("H1", "G2"), "P2": ("G1", "H2")}
-    for name in ("G1", "G2", "H1", "H2", "P", "P1", "P2", "P12"):
-        mu_T = mu
-        for factor in chains.get(name, (name,)):
-            mu_T = _vecmat(mu_T, k[factor].matrix)
+    # P1 and P2 are not formed: mu is pushed through their factors
+    mu_T1, mu_T2 = _vecmat(grid_mu, k1.matrix), _vecmat(grid_mu, k2.matrix)
+    mu_T12 = _vecmat(mu_T1, k2.matrix)  # mu T1 T2 over the grid
+    moved = {"G1": mu_T1[..., 0, 0, :], "G2": mu_T2[..., 0, 0, :],
+             "H1": mu_T1[..., 1, 0, :], "H2": mu_T2[..., 0, 1, :],
+             "P": _vecmat(mu, m.P), "P1": mu_T12[..., 1, 0, :], "P2": mu_T12[..., 0, 1, :],
+             "P12": _vecmat(mu, m.P12)}
+    for name, mu_T in moved.items():
         checks.append((f"stationarity of {name}", worst_of(np.abs(mu_T - mu)), tol))
     # H1 is block diagonal in x, H2 in y once (x, y) is reordered to (y, x)
     nx, ny = m.nx, m.ny
@@ -499,7 +540,6 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
     F = np.empty(mu.shape + (trials,))
     for i, s in zip(np.ndindex(lead), seeds):
         F[i] = random_centered_functions(mu[i], trials, s).T
-    osc_F = np.ptp(F, axis=-2)
     worst = {key: 0.0 for key in (
         "decomposition", "doubling", "positive-part", "adjoint-comparison",
         "marginal equality", "marginal lift", "oscillation contraction")}
@@ -507,20 +547,18 @@ def verify_identities(m: FiniteJointModel, trials: int = 20, tol: float = 1e-10,
     def bump(key, vals):
         worst[key] = _larger(worst[key], worst_of(vals))
 
-    # T = T1 T2 for P, P1, P2 and P12; the components are self-adjoint, so
-    # T* = T2 T1
-    for T1, T2 in ((k["G1"], k["G2"]), (k["H1"], k["G2"]), (k["G1"], k["H2"]), (k["H1"], k["H2"])):
-        T2F = T2.matrix @ F
-        TF = T1.matrix @ T2F
-        lhs = dirichlet_form((T2, T1, T1, T2), F)
-        rhs = dirichlet_form((T2, T2), F) + dirichlet_form((T1, T1), T2F)
-        bump("decomposition", np.abs(lhs - rhs))
-        bump("doubling", lhs - 2.0 * dirichlet_form((T1, T2), F))
-        bump("adjoint-comparison", dirichlet_form((T1, T2, T2, T1), TF) - lhs)
-        bump("oscillation contraction", np.ptp(TF, axis=-2) - osc_F)
-    for name in ("G1", "G2", "H1", "H2"):
-        bump("positive-part",
-             dirichlet_form(k[name], F) - dirichlet_form((k[name], k[name]), F))
+    # T = T1 T2 over the grid; the components are self-adjoint, so T* = T2 T1
+    Fg = F[..., None, None, :, :]
+    T2F = k2.matrix @ Fg
+    TF = k1.matrix @ T2F
+    lhs = dirichlet_form((k2, k1, k1, k2), Fg)
+    rhs = dirichlet_form((k2, k2), Fg) + dirichlet_form((k1, k1), T2F)
+    bump("decomposition", np.abs(lhs - rhs))
+    bump("doubling", lhs - 2.0 * dirichlet_form((k1, k2), Fg))
+    bump("adjoint-comparison", dirichlet_form((k1, k2, k2, k1), TF) - lhs)
+    bump("oscillation contraction", np.ptp(TF, axis=-2) - np.ptp(Fg, axis=-2))
+    for k in (k1, k2):
+        bump("positive-part", dirichlet_form(k, Fg) - dirichlet_form((k, k), Fg))
     # cylinder functions: marginal Dirichlet form equality and the lift
     g = F[..., ::ny, :]  # f(x, 0)
     g = g - _vecmat(m.marg_x, g)[..., None, :]
@@ -555,9 +593,18 @@ def verify_bound_domination(
 
     For a stacked model, ``f_set`` has shape (..., count, n), each model's
     functions under its index, and one Report per model comes back.
+
+    Only ``full`` and ``strong`` bound P12; the two-stage modes, which bound
+    scan("G1", "H2"), are refused (ROADMAP item 17).
     """
     from .kstar import Linear, compose_mwg
     from .rates import RateBound
+
+    if mode in ("joint_2mg", "marginal_2mg"):
+        raise InvalidModeError(
+            f"mode {mode!r} bounds the two-stage chain scan('G1', 'H2'), not P12 = H1 H2, "
+            "which verify_bound_domination measures; checking it on its own chain is "
+            "ROADMAP item 17")
 
     lead = m.mu.shape[:-1]
     gaps = [np.asarray(g) for g in m.component_gaps()]

@@ -174,6 +174,18 @@ def test_verify_bound_domination():
     assert result.passed, result.to_text()
 
 
+@pytest.mark.parametrize("mode", ["joint_2mg", "marginal_2mg"])
+def test_domination_refuses_the_two_stage_modes(mode):
+    """The two-stage modes bound scan("G1", "H2"), not the P12 this check
+    measures, where they fail: they are refused, and the other two run."""
+    m = random_joint_model(seed=11, nx=3, ny=3)
+    fs = random_centered_functions(m.mu, count=4, seed=1)
+    with pytest.raises(InvalidModeError, match=r"scan\('G1', 'H2'\).*item 17"):
+        verify_bound_domination(m, fs, n_max=20, mode=mode)
+    for other in ("full", "strong"):
+        assert verify_bound_domination(m, fs, n_max=20, mode=other).passed
+
+
 def test_tensor_product_gap():
     pa = np.random.default_rng(1).dirichlet(np.ones(4))
     pb = np.random.default_rng(2).dirichlet(np.ones(5))

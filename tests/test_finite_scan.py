@@ -176,3 +176,68 @@ def test_results_do_not_depend_on_memory_order(nx, ny, trials, seeds):
     for k in (kP12, (kP12, kP12), (finite.adjoint(kP), kP), (kG2, kH1, kH1, kG2)):
         assert dirichlet_form(k, view).tobytes() == dirichlet_form(k, copy).tobytes()
     assert l2_decay_exact(kP12, view, 40).tobytes() == l2_decay_exact(kP12, copy, 40).tobytes()
+
+
+def _ref_centered_functions(mu, count, seed):
+    """``random_centered_functions`` as first written: one row at a time."""
+    F = np.random.default_rng(seed).normal(size=(count, len(mu)))
+    for f in F:
+        f -= float(mu @ f)
+    return F
+
+
+@pytest.mark.parametrize("n,count", [(2, 1), (4, 20), (9, 7), (15, 3), (64, 20), (256, 2)])
+def test_centring_matches_the_row_loop(n, count):
+    for seed in range(8):
+        mu = np.random.default_rng(100 + seed).dirichlet(np.ones(n))
+        assert np.array_equal(random_centered_functions(mu, count, seed),
+                              _ref_centered_functions(mu, count, seed))
+
+
+GRID = [("G1", "H1"), ("G2", "H2")]  # the slots of refresh1 and of refresh2
+
+
+@pytest.mark.parametrize("seeds,nx,ny", [([1, 2, 3, 4, 5], 3, 3), ([6, 7, 8, 9], 3, 5),
+                                         (10, 16, 16)])
+def test_grid_forms_are_the_per_pair_calls(seeds, nx, ny):
+    """Every Dirichlet form of verify_identities, taken once over the 2 x 2
+    grid of the refresh stacks, equals its per-pair and per-refresh calls
+    bit for bit."""
+    m = random_joint_model(seeds, nx, ny)
+    lead, trials = m.mu.shape[:-1], 5
+    F = np.empty(m.mu.shape + (trials,))
+    for i in np.ndindex(lead):
+        F[i] = random_centered_functions(m.mu[i], trials, 3 + sum(i)).T
+    grid_mu = m.mu[..., None, None, :]
+    k1, k2 = FiniteKernel(m.refresh1, grid_mu), FiniteKernel(m.refresh2, grid_mu)
+    Fg = F[..., None, None, :, :]
+    T2F = k2.matrix @ Fg
+    TF = k1.matrix @ T2F
+    grid = {"TF": TF,
+            "lhs": dirichlet_form((k2, k1, k1, k2), Fg),
+            "T2 T2": dirichlet_form((k2, k2), Fg),
+            "T1 T1": dirichlet_form((k1, k1), T2F),
+            "T": dirichlet_form((k1, k2), Fg),
+            "T T*": dirichlet_form((k1, k2, k2, k1), TF)}
+    for a, name1 in enumerate(GRID[0]):
+        for b, name2 in enumerate(GRID[1]):
+            t1, t2 = m.kernel(name1), m.kernel(name2)
+            t2F = t2.matrix @ F
+            tF = t1.matrix @ t2F
+            pair = {"TF": tF,
+                    "lhs": dirichlet_form((t2, t1, t1, t2), F),
+                    "T2 T2": dirichlet_form((t2, t2), F),
+                    "T1 T1": dirichlet_form((t1, t1), t2F),
+                    "T": dirichlet_form((t1, t2), F),
+                    "T T*": dirichlet_form((t1, t2, t2, t1), tF)}
+            for key, value in pair.items():
+                cells = np.broadcast_to(grid[key], lead + (2, 2) + value.shape[len(lead):])
+                assert np.array_equal(cells[(slice(None),) * len(lead) + (a, b)], value), (
+                    key, name1, name2)
+    # the positive-part forms, one call per stack
+    for k, slots, names in ((k1, ((0, 0), (1, 0)), GRID[0]), (k2, ((0, 0), (0, 1)), GRID[1])):
+        one, two = dirichlet_form(k, Fg), dirichlet_form((k, k), Fg)
+        for (a, b), name in zip(slots, names):
+            t = m.kernel(name)
+            assert np.array_equal(one[..., a, b, :], dirichlet_form(t, F)), name
+            assert np.array_equal(two[..., a, b, :], dirichlet_form((t, t), F)), name

@@ -384,19 +384,25 @@ def test_under_reports_do_not_rise(flagged, name):
     assert count <= UNDER_REPORTS[name], (name, flagged[name])
 
 
-def test_the_ou_curve_is_flagged(flagged):
-    """Power: the numeric path's known under-report of the OU curve shows.
-    Once that curve turns sound its count falls to 0; this check then
-    becomes a 1% lowering of the curve at n = 200, as for the closed forms."""
-    assert len(flagged["cli.ou"]) > 0
+def test_the_ou_curve_is_flagged(curves, flagged):
+    """Power: the OU curve lowered by 10% at n = 50, where it is not flagged,
+    is flagged there.  This holds whether or not the numeric path's known
+    under-reports elsewhere on the curve remain."""
+    recipe, offset, points = curves["cli.ou"]
+    n = 50
+    assert n in dict(points) and n not in flagged["cli.ou"]
+    lowered = [(m, 0.9 * b if m == n else b) for m, b in points]
+    assert n in under_reports(recipe, offset, lowered)
 
 
-def test_the_table_floor_is_flagged(curves, flagged):
-    """Power: the Table profile's true floor is 1e-4, and the curve reports
-    less at n = 1e5."""
-    points = dict(curves["lib.table"][2])
-    assert points[100_000] < 1e-4
-    assert 100_000 in flagged["lib.table"]
+def test_the_table_floor_is_flagged(curves):
+    """Power: the Table profile's true floor is 1e-4, so a copy of its curve
+    set to 0.99e-4 at n = 1e5 is flagged there."""
+    recipe, offset, points = curves["lib.table"]
+    n = 100_000
+    assert n in dict(points)
+    lowered = [(m, 0.99e-4 if m == n else b) for m, b in points]
+    assert n in under_reports(recipe, offset, lowered)
 
 
 @pytest.mark.parametrize("name", ["cli.indicator", "cli.powerlaw"])
