@@ -177,9 +177,9 @@ def cmd_sample(args) -> int:
     def write(block, how):
         """Append a block of scans to every chain's file, one file at a time."""
         for chain, path in enumerate(paths):
-            rows = [scan[chain] for scan in block]
+            cols = zip(*[scan[chain] for scan in block], strict=True)
             with open(path, how, newline="") as fh:
-                rates._write_rows(fh, [header, *rows] if how == "w" else rows)
+                rates._write_rows(fh, header if how == "w" else (), cols)
 
     # the chains run side by side; their rows go out in blocks of scans that
     # hold about _BLOCK_ROWS rows, so memory does not grow with --steps
@@ -233,12 +233,11 @@ def cmd_compare(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "compare.csv")
-    bounds = rb.curve(est.n_grid)
-    rows = list(zip(map(int, est.n_grid), bounds.tolist(), est.mean.tolist(),
-                    est.ci_low.tolist(), est.ci_high.tolist()))
+    bounds, ci_high = rb.curve(est.n_grid).tolist(), est.ci_high.tolist()
+    cols = [map(int, est.n_grid), bounds, est.mean.tolist(), est.ci_low.tolist(), ci_high]
     with open(path, "w", newline="") as fh:
-        rates._write_rows(fh, [("n", "bound", "empirical_mean", "ci_low", "ci_high"), *rows])
-    meta["domination_fraction"] = sum(row[4] <= row[1] for row in rows) / len(rows)
+        rates._write_rows(fh, ("n", "bound", "empirical_mean", "ci_low", "ci_high"), cols)
+    meta["domination_fraction"] = sum(h <= b for b, h in zip(bounds, ci_high)) / len(bounds)
     samplers.write_metadata(os.path.join(args.out, "compare_meta.json"), meta)
     print(f"wrote {path}; domination fraction {meta['domination_fraction']:.3f}")
     return EXIT_OK

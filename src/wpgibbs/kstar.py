@@ -239,6 +239,14 @@ def conjugate(spec: BetaSpec) -> KStarFn:
     Closed forms are dispatched for the indicator and power-law families;
     any other spec is conjugated numerically on a logarithmic u-grid with
     golden-section refinement, then convexified.
+
+    Only live rows of the v-grid are refined.  Row v's best u-grid point
+    brackets its maximizer in [lo, hi], the grid points beside it.  beta is
+    nonincreasing, so beta(1/u) is nondecreasing in u, and v <= beta(1/lo)
+    gives u (v - beta(1/u)) <= 0 on the whole bracket, the best grid point
+    included: the row's knot is 0.0 whatever the search finds.  So the
+    search runs on the rows with v > beta(1/lo) alone, and not at all when
+    there is none.
     """
     from . import beta as _b
 
@@ -278,10 +286,14 @@ def conjugate(spec: BetaSpec) -> KStarFn:
             )
         at[j:j + len(v)] = i
         best[j:j + len(v)] = obj[np.arange(len(v)), i]
-    lo = u[np.maximum(at - 1, 0)]
-    hi = u[np.minimum(at + 1, len(u) - 1)]
-    refined = _golden_max(lambda uu: uu * (_V_GRID - spec(1.0 / uu)), lo, hi)
-    vals = np.maximum(0.0, np.maximum(refined, best))
+    below = np.maximum(at - 1, 0)
+    live = _V_GRID > beta_at[below]
+    vals = np.zeros_like(_V_GRID)
+    if np.any(live):
+        v = _V_GRID[live]
+        lo, hi = u[below[live]], u[np.minimum(at[live] + 1, len(u) - 1)]
+        refined = _golden_max(lambda uu: uu * (v - spec(1.0 / uu)), lo, hi)
+        vals[live] = np.maximum(0.0, np.maximum(refined, best[live]))
     vals = _convexify(_V_GRID, vals)
     return GridKStar(tuple(_V_GRID), tuple(vals), convexified=True)
 

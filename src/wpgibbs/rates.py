@@ -146,12 +146,12 @@ class RateBound:
     def write_csv(self, path: str, ns) -> None:
         bounds = self.curve(ns).tolist()  # a failing point leaves no partial file
         with open(path, "w", newline="") as fh:
-            _write_rows(fh, [("n", "bound"), *zip(map(int, ns), bounds)])
+            _write_rows(fh, ("n", "bound"), [map(int, ns), bounds])
 
 
-def _write_rows(fh, rows: list) -> None:
-    """Write the equal-length ``rows`` to ``fh`` as CSV lines in one
-    ``fh.write``, rendering them a column at a time.
+def _write_rows(fh, header, cols) -> None:
+    """Write the equal-length columns ``cols`` to ``fh`` as CSV lines under
+    the ``header`` row (none if it is empty), in one ``fh.write``.
 
     Every cell is an int, a float (whose ``str`` is its ``repr``) or a
     string that is already a cell: a fixed column name or a number's
@@ -160,6 +160,7 @@ def _write_rows(fh, rows: list) -> None:
     writes: cells joined by commas and each row ended by CRLF.  ``fh`` is
     opened with ``newline=""``.
     """
-    if rows:
-        cols = [map(str, col) for col in zip(*rows, strict=True)]
-        fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+    lines = [",".join(header)] if header else []
+    lines += map(",".join, zip(*[map(str, col) for col in cols], strict=True))
+    if lines:
+        fh.write("\r\n".join(lines) + "\r\n")

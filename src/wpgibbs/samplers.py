@@ -422,8 +422,50 @@ def mann_kendall_z(x: Sequence[float]) -> float:
     return 0.0
 
 
+def _json(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, default=str)`` for ``obj``
+    at the indent ``pad``, byte for byte.
+
+    json runs its pure-Python encoder whenever ``indent`` is set, one
+    generator step per value.  Here the layout is written by this function
+    and json's C encoder writes every key and every scalar: a list or dict
+    that holds no list or dict goes to it whole, in one ``json.dumps`` call
+    whose item separator ``",\n" + indent`` puts each item on a line of its
+    own.  json's C encoder sorts a dict's items as ``sorted`` does.
+    """
+    if isinstance(obj, (list, tuple)):
+        items, brackets = obj, "[]"
+    elif isinstance(obj, dict):
+        items, brackets = obj.values(), "{}"
+    else:
+        return json.dumps(obj, default=str)
+    if not obj:
+        return brackets
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, items))):
+        body = json.dumps(obj, sort_keys=True, separators=(sep, ": "), default=str)[1:-1]
+    elif brackets == "[]":
+        body = sep.join(_json(x, inner) for x in obj)
+    else:
+        body = sep.join(f"{_json_key(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string as itself, a number, bool or
+    None as the quoted text of its value; any other key is a TypeError."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{json.dumps(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def write_metadata(path: str, payload: dict) -> None:
-    """Write ``payload`` to ``path`` as indented JSON, in one write."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    """Write ``payload`` to ``path`` as indented JSON with sorted keys, in one
+    write: the text of ``json.dumps(payload, indent=2, sort_keys=True,
+    default=str)``, rendered by ``_json``."""
+    text = _json(payload)
     with open(path, "w") as fh:
         fh.write(text + "\n")

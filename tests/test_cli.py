@@ -238,7 +238,7 @@ def _sample_reference(out, name, mode, seed, chains, steps):
             "mode": mode, **case.sample_meta, "params": to_dict(p)}
     if acc:
         meta["acceptance_rate_per_segment"] = (sum(acc) / (chains * (steps + 1))).tolist()
-    samplers.write_metadata(str(out / "run_meta.json"), meta)
+    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
 
 
 @pytest.mark.parametrize("block_rows", [5, cli._BLOCK_ROWS])
@@ -261,6 +261,21 @@ def test_sample_lockstep_matches_chains_run_alone(tmp_path, monkeypatch, name, m
     assert files == sorted(f.name for f in out.iterdir())
     assert len(files) == chains + 1
     for f in files:
+        assert (out / f).read_bytes() == (ref / f).read_bytes(), f
+
+
+def test_sample_rows_cross_a_block_boundary(tmp_path):
+    """401 scans of 3 chains are 1,203 rows, past the _BLOCK_ROWS = 1,024 at
+    which ``sample`` writes out a block: each file is written as 342 rows
+    under the header and then appended by 59, and holds the bytes of
+    csv.writer with its chain run alone."""
+    assert cli._BLOCK_ROWS == 1024
+    out, ref = tmp_path / "run", tmp_path / "ref"
+    argv = ["sample", *_case_argv(tmp_path, "nig", "scaled"), "--seed", "9",
+            "--chains", "3", "--steps", "400", "--out", str(out)]
+    assert main(argv) == 0
+    _sample_reference(ref, "nig", "scaled", 9, 3, 400)
+    for f in sorted(p.name for p in ref.iterdir()):
         assert (out / f).read_bytes() == (ref / f).read_bytes(), f
 
 

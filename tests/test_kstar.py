@@ -26,6 +26,7 @@ from wpgibbs import (
 )
 from wpgibbs import kstar
 from wpgibbs.beta import BetaSpec, ExpLogSquare
+from wpgibbs.cases import BayesBeta2, BayesParams, NIGBeta1, NIGBeta2, NIGParams
 from dataclasses import dataclass
 
 
@@ -174,20 +175,71 @@ def test_explogsquare_conjugate_matches_an_independent_supremum(a, b):
 
 
 _TABLE = Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01), (1e4, 1e-4)))
+_G = float(kstar._V_GRID[120])
+_NIG = NIGParams(beta_hyper=1.0, sigma0=0.5)
+# an ill-conditioned design: C1 C2 = 1.7e8 holds the profile at its cap 1/4
+# over the whole u-grid
+_BAYES_CAPPED = BayesParams(a=2.5, b=1.0, sigma0=0.3, Y=[0.3, -0.1, 0.8, 0.2, -0.9],
+                            X=[[1.0, 0.0], [1.0, 0.01], [1.0, 0.02], [1.0, -0.01], [1.0, 0.015]])
 
 
-@pytest.mark.parametrize("spec", [
-    _TABLE,
-    Sum((PowerLaw(0.5, 0.7), PowerLaw(1.2, 0.4), PowerLaw(0.3, 1.3))),
-    AdjointShift(PowerLaw(0.8, 0.6)),
-    AdjointShift(_TABLE),
-    ExpLogSquare(c=0.6, a=1.2, b=0.1),  # c above the cap: numeric path
-], ids=["table", "sum", "adjoint-powerlaw", "adjoint-table", "explogsquare-capped"])
-def test_conjugate_equals_per_v_reference(spec):
-    v_grid = np.geomspace(1e-6, 0.25, 200)
+@pytest.mark.parametrize("spec,live", [
+    (_TABLE, 126),
+    (Sum((PowerLaw(0.5, 0.7), PowerLaw(1.2, 0.4), PowerLaw(0.3, 1.3))), 93),
+    (AdjointShift(PowerLaw(0.8, 0.6)), 159),
+    (AdjointShift(_TABLE), 126),
+    (ExpLogSquare(c=0.6, a=1.2, b=0.1), 200),  # c above the cap: numeric path
+    (NIGBeta1(_NIG), 0),
+    (BayesBeta2(_BAYES_CAPPED), 0),
+    (NIGBeta2(_NIG), 44),
+    # values that rise by 1e-15, as Table's validator allows, on both sides
+    # of the grid v _G, which the profile reaches at s = 100 and keeps to 1e8
+    (Table(knots=((1.0, 0.25), (10.0, _G + 1e-15), (100.0, _G), (200.0, _G + 1e-15))), 79),
+], ids=["table", "sum", "adjoint-powerlaw", "adjoint-table", "explogsquare-capped",
+        "nig1", "bayes-capped", "nig2", "table-rising"])
+def test_conjugate_equals_per_v_reference(monkeypatch, spec, live):
+    """The knots are those of the per-v reference, which refines every row,
+    while only the ``live`` rows, those with v > beta(1/lo), reach the
+    golden-section search.  With no live row the profile is evaluated once,
+    on the u-grid."""
+    refined, evaluated = [], []
+    golden, evaluate = kstar._golden_max, type(spec)._eval
+
+    def counted_golden(g, lo, hi):
+        refined.append(len(lo))
+        return golden(g, lo, hi)
+
+    def counted_eval(self, s):
+        evaluated.append(len(s))
+        return evaluate(self, s)
+
+    monkeypatch.setattr(kstar, "_golden_max", counted_golden)
+    monkeypatch.setattr(type(spec), "_eval", counted_eval)
     k = conjugate(spec)
     assert isinstance(k, GridKStar)
-    assert np.array_equal(np.array(k.values), _conjugate_reference(spec, v_grid))
+    assert refined == ([live] if live else [])
+    if not live:
+        assert evaluated == [kstar._U_POINTS]
+    monkeypatch.undo()
+    assert np.array_equal(np.array(k.values), _conjugate_reference(spec, kstar._V_GRID))
+
+
+def test_a_table_dip_between_u_points_reads_zero_below_the_reference():
+    """The live rule rests on beta being nonincreasing.  Table admits values
+    that rise by up to 1e-15, so a profile may dip below a grid v strictly
+    between the first two u-grid points and nowhere on the grid.  That row
+    is dead by the rule and its knot is 0, where refinement finds an
+    objective of about 4e-24: the conjugate is lower there and equal
+    elsewhere, which only loosens the bound."""
+    u = np.geomspace(kstar._U_LO, kstar._U_HI, kstar._U_POINTS)
+    s0, s1 = 1.0 / u[1], 1.0 / u[0]
+    spec = Table(knots=((1.0, 0.25), (s0 * (1.0 + 1e-7), _G + 5e-16),
+                        ((s0 + s1) / 2.0, _G - 4e-16), (s1 * (1.0 - 1e-7), _G + 5e-16)))
+    got = np.array(conjugate(spec).values)
+    ref = _conjugate_reference(spec, kstar._V_GRID)
+    assert np.all(got <= ref)
+    assert np.flatnonzero(got != ref).tolist() == [120]
+    assert got[120] == 0.0 < ref[120] < 1e-23
 
 
 def test_chain_linear_product():

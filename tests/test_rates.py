@@ -133,6 +133,23 @@ def test_write_csv_gives_the_bytes_of_csv_writer(tmp_path, name, top):
     assert (tmp_path / "bound.csv").read_bytes() == ref.getvalue().encode()
 
 
+@pytest.mark.parametrize("points", [0, 1, 16, 2001])
+@pytest.mark.parametrize("name", ["power", "numeric-offset"])
+def test_bound_columns_give_the_bytes_of_csv_writer(tmp_path, name, points):
+    """``write_csv`` hands its n and bound columns to the renderer as they
+    are; the file holds the rows csv.writer writes from the same cells, the
+    header alone at 0 points.  The closed power curve and a numeric curve
+    behind an offset, at ``points`` n spaced by 500 from 0."""
+    k = dict(_curve_cases())[name]
+    ns = list(range(0, 500 * points, 500))
+    RateBound(k).write_csv(tmp_path / "bound.csv", ns)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["n", "bound"])
+    w.writerows(zip(ns, RateBound(k).curve(ns).tolist()))
+    assert (tmp_path / "bound.csv").read_bytes() == ref.getvalue().encode()
+
+
 def test_write_csv_leaves_no_file_when_a_point_fails(tmp_path, monkeypatch):
     rb = RateBound(Linear(0.2))
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import types
 
+from wpgibbs import samplers
 from wpgibbs.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -61,3 +62,23 @@ def test_smoke_run_writes_what_its_rows_write(tmp_path):
 
     # the OU config is the one the benchmark's OU op runs
     assert json.loads(written["ou.json"]) == _ou_script_config()
+
+
+def test_smoke_metadata_is_json_dumps_byte_for_byte(tmp_path, monkeypatch):
+    """Every metadata payload of a smoke run, numpy scalars and all, is
+    written as the text json.dumps(indent=2, sort_keys=True, default=str)
+    gives for it."""
+    payloads = []
+    write = samplers.write_metadata
+
+    def recorded(path, payload):
+        payloads.append((path, payload))
+        write(path, payload)
+
+    monkeypatch.setattr(samplers, "write_metadata", recorded)
+    assert _reproduce().run([str(tmp_path), "--smoke"]) == 0
+    names = sorted(pathlib.PurePath(path).name for path, _ in payloads)
+    assert names == ["bound_meta.json"] * 3 + ["compare_meta.json", "run_meta.json"]
+    for path, payload in payloads:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        assert pathlib.Path(path).read_text() == text, path

@@ -65,6 +65,7 @@ UNDER_REPORTS = {
     "cli.powerlaw": 0,
     "cli.nig-scaled": 0,
     "cli.explogsquare": 0,
+    "cli.explogsquare-numeric": 7,
     "cli.ou": 53,
     "cli.nig-fixed": 0,
     "cli.bayes": 0,
@@ -346,6 +347,9 @@ def _curves(tmp: pathlib.Path) -> dict:
             "mode": None, "k2": {"linear": nig_scaled_slope}}),
         "cli.explogsquare": (["bound", "--beta", "explogsquare:0.25,1.0,0.2", *grid], 0, {
             "mode": None, "k2": {"family": "explogsquare", "c": 0.25, "a": 1.0, "b": 0.2}}),
+        # c above the cap: the numeric conjugate, not the closed form
+        "cli.explogsquare-numeric": (["bound", "--beta", "explogsquare:0.5,1.0,0.2", *grid], 0, {
+            "mode": None, "k2": {"family": "explogsquare", "c": 0.5, "a": 1.0, "b": 0.2}}),
     }
     out = {name: (recipe, offset, _cli_curve(argv, tmp / name))
            for name, (argv, offset, recipe) in cli.items()}
