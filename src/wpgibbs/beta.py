@@ -7,6 +7,7 @@ definition: ``config`` writes and reads exactly those.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -122,7 +123,9 @@ class Table(BetaSpec):
         vv = [k[1] for k in self.knots]
         if any(b <= a for a, b in zip(ss, ss[1:])):
             raise InvalidSpecError("Table knots must have strictly increasing s")
-        if any(b > a + 1e-15 for a, b in zip(vv, vv[1:])):
+        # each value against the lowest before it, so that rises of up to
+        # 1e-15 cannot add up along a staircase of knots
+        if any(v > low + 1e-15 for low, v in zip(itertools.accumulate(vv, min), vv[1:])):
             raise InvalidSpecError("Table values must be nonincreasing")
         if any(v < 0.0 for v in vv):
             raise InvalidSpecError("Table values must be nonnegative")

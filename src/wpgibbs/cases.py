@@ -258,12 +258,21 @@ class BayesParams:
         return _frozen(self.X.T @ self.X)
 
     @functools.cached_property
+    def gram_inv(self) -> np.ndarray:
+        return _frozen(np.linalg.inv(self.gram))
+
+    @functools.cached_property
+    def posterior_mean(self) -> np.ndarray:
+        """The coefficients' conditional mean (X^T X)^-1 X^T Y, at any precision."""
+        return _frozen(np.linalg.solve(self.gram, self.X.T @ self.Y))
+
+    @functools.cached_property
     def a_prime(self) -> float:
         return self.a + self.N / 2.0 - self.p / 2.0
 
     @functools.cached_property
     def b_prime(self) -> float:
-        u = np.linalg.solve(self.gram, self.X.T @ self.Y)
+        u = self.posterior_mean
         resid = float(self.Y @ self.Y - u @ self.gram @ u)
         return self.b + max(resid, 0.0) / 2.0
 
@@ -547,11 +556,13 @@ def _bayes_bound(p: BayesParams, mode: str):
 
 
 def _bayes_trace(p: BayesParams, mode: str, rngs, steps: int, acc: list):
-    # one bayes_step per chain: a batched X @ b over chains rounds differently
-    chains = [(float(r.gamma(p.a, 1.0 / p.b)), np.zeros(p.p)) for r in rngs]
+    # all chains in one batch, a stream per chain; bayes_step takes each
+    # chain's residuals by a product of its own, so a chain rounds as alone
+    lam = np.array([r.gamma(p.a, 1.0 / p.b) for r in rngs])
+    beta = np.zeros((len(rngs), p.p))
     for step in range(steps + 1):
-        yield [[step, repr(lam)] + [repr(float(v)) for v in bvec] for lam, bvec in chains]
-        chains = [samplers.bayes_step(lam, bvec, p, r) for (lam, bvec), r in zip(chains, rngs)]
+        yield [[step, v, *b] for v, b in zip(lam.tolist(), beta.tolist())]
+        lam, beta = samplers.bayes_step(lam, beta, p, rngs)
 
 
 def _ou_bound(p: OUParams, mode: str):

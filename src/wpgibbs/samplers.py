@@ -3,13 +3,13 @@
 All samplers use deterministic-scan updates.  Randomness is drawn from
 ``numpy.random.default_rng([master_seed, key])`` streams, so chains are
 reproducible.  A chain with a stream of its own gets the same values
-whichever chains run beside it: ``nig_step`` and ``finite_simulate`` advance
-a batch of such chains in one array pass, given one stream per equal share
-of the batch.  The decay estimator keys 0 for the starts and 3 for the
-bootstrap resamples.  Keys 1 and 2 are the streams of the first and the
-second chain of every start: the estimator stacks the two chains into one
-batch of two shares, the first on stream 1, and advances it by one call per
-scan, so each chain draws what it would draw alone.
+whichever chains run beside it: ``nig_step``, ``bayes_step`` and
+``finite_simulate`` advance a batch of such chains in one call, given one
+stream per equal share of the batch.  The decay estimator keys 0 for the
+starts and 3 for the bootstrap resamples.  Keys 1 and 2 are the streams of
+the first and the second chain of every start: the estimator stacks the two
+chains into one batch of two shares, the first on stream 1, and advances it
+by one call per scan, so each chain draws what it would draw alone.
 
 The decay estimator uses paired chains: for a stationary start Z ~ Pi,
 two conditionally independent chains Z^1, Z^2 are run from the same start,
@@ -59,6 +59,18 @@ def nig_stationary_start(p: NIGParams, rng: np.random.Generator, size: int):
     return tau, xi
 
 
+def _share(rngs: Sequence[np.random.Generator], n: int) -> int:
+    """The size of each of ``len(rngs)`` equal contiguous shares of n chains.
+
+    ``rngs`` must be a list or tuple of Generators, one per share."""
+    if not isinstance(rngs, (list, tuple)):
+        raise DomainError(f"the streams must be a sequence of Generators, got {type(rngs).__name__}")
+    share, rest = divmod(n, len(rngs))
+    if rest:
+        raise DomainError(f"{n} chains do not split into {len(rngs)} equal shares")
+    return share
+
+
 def _draw(rngs: Sequence[np.random.Generator], method: str, shape) -> np.ndarray:
     """Standard variates of ``shape`` by the Generator method ``method``.
 
@@ -67,12 +79,8 @@ def _draw(rngs: Sequence[np.random.Generator], method: str, shape) -> np.ndarray
     that draws its variates kind after kind then draws each stream's in the
     order that a scan over its share alone would.
     """
-    if not isinstance(rngs, (list, tuple)):
-        raise DomainError(f"the streams must be a sequence of Generators, got {type(rngs).__name__}")
     out = np.empty(shape)
-    share, rest = divmod(out.size, len(rngs))
-    if rest:
-        raise DomainError(f"{out.size} chains do not split into {len(rngs)} equal shares")
+    share = _share(rngs, out.size)
     for r, part in zip(rngs, out.reshape(len(rngs), share)):
         getattr(r, method)(out=part)
     return out
@@ -184,35 +192,71 @@ def nig_decay_estimate(
 # ---------------------------------------------------------------------------
 
 
+def _rss(p: BayesParams, b: np.ndarray) -> np.ndarray:
+    """|Y - X b|^2 for each row b of ``b``: one gemv and one dot per row,
+    which round as ``X @ b`` and ``r @ r`` do on one row; a gemm over the
+    rows (``B @ X.T``) sums in another order."""
+    r = np.matmul(p.X, b[:, :, None])
+    np.subtract(p.Y[:, None], r, out=r)
+    return np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0]
+
+
 def bayes_step(
-    lam: float,
-    beta_vec: np.ndarray,
+    lam: np.ndarray,
+    beta: np.ndarray,
     p: BayesParams,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     exact_beta: bool = False,
 ):
-    """One scan: exact Gamma draw for the precision, then one RWM move of
-    the coefficient vector (or the exact Gaussian draw with exact_beta)."""
-    if not lam > 0.0:
+    """One scan of k chains in lockstep: an exact Gamma draw for each
+    precision in ``lam`` (shape (k,)), then one RWM move of each coefficient
+    row of ``beta`` (shape (k, p)), or the exact Gaussian draw with
+    ``exact_beta``.  ``rngs`` holds Generators for equal contiguous shares
+    of the chains, as in ``nig_step``: each share gets the states that a
+    call on it alone, with its own stream, would give.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not all(v > 0.0 for v in lam.tolist()):
         raise DomainError("precision must stay positive")
-    beta_vec = np.asarray(beta_vec, dtype=float)
-    resid = p.Y - p.X @ beta_vec
-    rss = float(resid @ resid)
-    lam = rng.gamma(p.a + p.N / 2.0, 1.0 / (p.b + 0.5 * rss))
-
+    beta = np.asarray(beta, dtype=float)
+    k = len(lam)
+    # numpy's gamma(shape, scale) is scale * standard_gamma(shape), its
+    # normal 0.0 + 1.0 * standard_normal and its uniform 0.0 + 1.0 * random.
+    # The precision's scale 1 / (b + rss/2) and the accept ratio are taken
+    # per chain on Python floats, which round as numpy does and cost less
+    # than a numpy call on a few chains.
+    shape = p.a + p.N / 2.0
+    share = _share(rngs, k)
     if exact_beta:
-        gram = p.gram
-        mean = np.linalg.solve(gram, p.X.T @ p.Y)
-        cov = np.linalg.inv(gram) / lam
-        beta_vec = rng.multivariate_normal(mean, cov)
-        return lam, beta_vec
+        gamma = np.concatenate([r.standard_gamma(shape, share) for r in rngs]).tolist()
+        lam = [(1.0 / (p.b + 0.5 * r)) * g for r, g in zip(_rss(p, beta).tolist(), gamma)]
+        return np.array(lam), np.array([
+            rngs[i // share].multivariate_normal(p.posterior_mean, p.gram_inv / v)
+            for i, v in enumerate(lam)
+        ])
 
-    prop = beta_vec + p.sigma0 * rng.normal(size=beta_vec.shape)
-    r_new = p.Y - p.X @ prop
-    log_alpha = -0.5 * lam * (float(r_new @ r_new) - rss)
-    if math.log(rng.uniform()) < log_alpha:
-        beta_vec = prop
-    return lam, beta_vec
+    # Each stream draws its share's Gamma variates, then its proposal
+    # normals, then its uniforms; no draw depends on a value drawn before it.
+    # Rows 0..k-1 of ``states`` hold beta and rows k..2k-1 the proposals
+    # beta + sigma0 * z, so that one stack of products gives every residual.
+    gamma, u = np.empty(k), np.empty(k)
+    states = np.empty((2 * k, p.p))
+    n = len(rngs)
+    for r, g_r, z_r, u_r in zip(rngs, gamma.reshape(n, share),
+                                states[k:].reshape(n, share * p.p), u.reshape(n, share)):
+        r.standard_gamma(shape, out=g_r)
+        r.standard_normal(out=z_r)
+        r.random(out=u_r)
+    states[:k] = beta
+    prop = states[k:]
+    prop += 0.0
+    prop *= p.sigma0
+    prop += beta
+    rss = _rss(p, states).tolist()
+    lam = [(1.0 / (p.b + 0.5 * r)) * g for r, g in zip(rss, gamma.tolist())]
+    accept = [math.log(x) < -0.5 * v * (new - old)  # libm's log, as each chain took it alone
+              for x, v, old, new in zip(u.tolist(), lam, rss, rss[k:])]
+    return np.array(lam), _select(np.array(accept)[:, None], prop, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from wpgibbs import (
     Sum,
     Table,
 )
+from wpgibbs.config import beta_from_dict
 
 
 def test_indicator_unit_height():
@@ -67,6 +68,21 @@ def test_table_interpolation_and_validation():
         Table(knots=((1.0, 0.1), (2.0, 0.2)))  # increasing values
     with pytest.raises(InvalidSpecError):
         Table(knots=((2.0, 0.2), (1.0, 0.1)))  # decreasing s
+
+
+def test_table_values_cannot_climb_a_staircase():
+    """A value may sit up to 1e-15 above the lowest value before it, and no
+    more: 1,000 knots that each rise 1e-15 over the one before climb 1e-12,
+    and are refused, here and through the config reader."""
+    staircase = [(float(i + 1), 0.1 + i * 1e-15) for i in range(1000)]
+    with pytest.raises(InvalidSpecError, match="Table values must be nonincreasing"):
+        Table(knots=tuple(staircase))
+    with pytest.raises(InvalidSpecError, match="Table values must be nonincreasing"):
+        beta_from_dict({"family": "table", "knots": [list(k) for k in staircase]})
+    # a rise of 1e-15 over the lowest value before it stays allowed
+    Table(knots=((1.0, 0.1), (2.0, 0.1 + 1e-15), (3.0, 0.1), (4.0, 0.1 + 1e-15)))
+    with pytest.raises(InvalidSpecError, match="Table values must be nonincreasing"):
+        Table(knots=((1.0, 0.1), (2.0, 0.1 + 1e-15), (3.0, 0.1 + 2e-15)))
 
 
 def test_sum_and_tensorize():

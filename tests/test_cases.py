@@ -406,7 +406,7 @@ def test_bayes_params_hold_read_only_copies():
     p = BayesParams(a=2.0, b=1.0, X=X, Y=Y, sigma0=0.1)
     assert p.X is not X and p.Y is not Y
     c1, b_prime = p.C1, p.b_prime
-    for arr in (p.X, p.Y, p.gram):
+    for arr in (p.X, p.Y, p.gram, p.gram_inv, p.posterior_mean):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     X[0, 0] += 5.0  # the caller's arrays stay writeable and are not aliased

@@ -20,6 +20,7 @@ from wpgibbs import cli, samplers
 from wpgibbs.cases import CASES
 from wpgibbs.cli import main
 from wpgibbs.config import case_params_from_dict, to_dict
+from test_samplers import _bayes_step_reference
 
 
 def test_bound_indicator_curve(tmp_path):
@@ -211,7 +212,7 @@ def _one_chain_rows(name, p, mode, rng, steps, acc):
         bvec = np.zeros(p.p)
         for step in range(steps + 1):
             yield [step, repr(lam)] + [repr(float(v)) for v in bvec]
-            lam, bvec = samplers.bayes_step(lam, bvec, p, rng)
+            lam, bvec = _bayes_step_reference(lam, bvec, p, rng)
     else:
         accepted = np.zeros(len(p.times) - 1)
         acc.append(accepted)

@@ -198,6 +198,115 @@ def _bayes_params():
     return BayesParams(a=2.0, b=1.0, X=X, Y=Y, sigma0=0.3)
 
 
+def _bayes_step_reference(lam, beta_vec, p, rng, exact_beta=False):
+    """One chain's scan as the sampler first made it: an exact Gamma draw
+    for the precision, then one RWM move of the coefficient vector (or the
+    exact Gaussian draw with exact_beta)."""
+    if not lam > 0.0:
+        raise DomainError("precision must stay positive")
+    beta_vec = np.asarray(beta_vec, dtype=float)
+    resid = p.Y - p.X @ beta_vec
+    rss = float(resid @ resid)
+    lam = rng.gamma(p.a + p.N / 2.0, 1.0 / (p.b + 0.5 * rss))
+
+    if exact_beta:
+        gram = p.X.T @ p.X
+        mean = np.linalg.solve(gram, p.X.T @ p.Y)
+        cov = np.linalg.inv(gram) / lam
+        beta_vec = rng.multivariate_normal(mean, cov)
+        return lam, beta_vec
+
+    prop = beta_vec + p.sigma0 * rng.normal(size=beta_vec.shape)
+    r_new = p.Y - p.X @ prop
+    log_alpha = -0.5 * lam * (float(r_new @ r_new) - rss)
+    if math.log(rng.uniform()) < log_alpha:
+        beta_vec = prop
+    return lam, beta_vec
+
+
+def _bayes_design(n, p, seed):
+    """A seeded design with an intercept column, as CI's 400-row config."""
+    r = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), r.normal(size=(n, p - 1))])
+    Y = X @ np.linspace(0.5, -0.3, p) + r.normal(size=n)
+    return BayesParams(a=2.5, b=1.0, X=X, Y=Y, sigma0=0.3)
+
+
+def _ci_bayes400():
+    """CI's seeded 400-row design (the "Installed console script" step)."""
+    r = np.random.default_rng(400)
+    X = np.column_stack([np.ones(400), r.normal(size=400)])
+    return BayesParams(a=2.5, b=1.0, X=X, Y=X @ [0.5, -0.3] + r.normal(size=400), sigma0=0.3)
+
+
+_BAYES_DESIGNS = pytest.mark.parametrize("design", [
+    lambda: _bayes_design(8, 1, 11), lambda: _bayes_design(12, 2, 12),
+    lambda: _bayes_design(9, 3, 13), _ci_bayes400,
+], ids=["p1", "p2", "p3", "ci400"])
+
+
+@_BAYES_DESIGNS
+@pytest.mark.parametrize("k", [1, 2, 4, 5])
+def test_bayes_step_matches_reference_bit_for_bit(design, k):
+    """With a stream per chain, one call on k chains gives each chain the
+    precision, coefficients and accept decision of the scalar reference on
+    its stream, byte for byte, over 200 seeds; so does the exact Gaussian
+    draw.  The inputs are not written."""
+    p = design()
+    decisions = set()
+    for seed in range(200):
+        start = np.random.default_rng([seed, 99])
+        lam = start.gamma(2.0, 1.0, size=k)
+        beta = p.posterior_mean + 0.3 * start.normal(size=(k, p.p))
+        given = lam.tobytes(), beta.tobytes()
+        for exact in (False, True):
+            got = bayes_step(lam, beta, p, [chain_rng(seed, i) for i in range(k)], exact)
+            assert (lam.tobytes(), beta.tobytes()) == given
+            rows = list(beta)  # the reference hands back its own row on a reject
+            ref = [_bayes_step_reference(v, b, p, chain_rng(seed, i), exact)
+                   for i, (v, b) in enumerate(zip(lam.tolist(), rows))]
+            assert got[0].tobytes() == np.array([v for v, _ in ref]).tobytes()
+            assert got[1].tobytes() == np.array([b for _, b in ref]).tobytes()
+            if not exact:
+                accepted = [b is not row for (_, b), row in zip(ref, rows)]
+                assert (got[1] != beta).any(axis=1).tolist() == accepted
+                decisions.update(accepted)
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("streams,per_stream", [(1, 3), (2, 2), (3, 2)])
+def test_bayes_step_with_a_stream_per_share(exact, streams, per_stream):
+    """A list of streams over equal shares of several chains each gives, byte
+    for byte, the states of one call per share with its stream, over 50
+    scans of CI's 400-row design."""
+    p = _ci_bayes400()
+    k = streams * per_stream
+    lam = chain_rng(36, 0).gamma(2.0, 1.0, size=k)
+    beta = np.zeros((k, p.p))
+    shares = [(lam[i:i + per_stream], beta[i:i + per_stream]) for i in range(0, k, per_stream)]
+    rngs = [chain_rng(37, i) for i in range(streams)]
+    alone_rngs = [chain_rng(37, i) for i in range(streams)]
+    for _ in range(50):
+        lam, beta = bayes_step(lam, beta, p, rngs, exact)
+        shares = [bayes_step(*z, p, [r], exact) for z, r in zip(shares, alone_rngs)]
+        assert lam.tobytes() == np.concatenate([v for v, _ in shares]).tobytes()
+        assert beta.tobytes() == np.concatenate([b for _, b in shares]).tobytes()
+
+
+def test_bayes_step_validation():
+    """Every chain's precision must be positive, and the streams split the
+    chains into equal shares."""
+    p = _bayes_params()
+    rngs = [chain_rng(0, 0), chain_rng(0, 1)]
+    for exact in (False, True):
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(DomainError, match="precision must stay positive"):
+                bayes_step(np.array([1.0, bad]), np.zeros((2, p.p)), p, rngs, exact)
+        with pytest.raises(DomainError, match="3 chains do not split into 2 equal shares"):
+            bayes_step(np.ones(3), np.zeros((3, p.p)), p, rngs, exact)
+
+
 def test_bayes_step_accepts_by_density_ratio():
     """bayes_step's accept decision follows the ratio of the coefficient
     conditional's densities, computed here on the very draws it makes: a
@@ -208,7 +317,7 @@ def test_bayes_step_accepts_by_density_ratio():
     for seed in range(200):
         state = chain_rng(seed, 1)
         lam0, b_old = float(state.gamma(2.0, 1.0)), state.normal(size=p.p)
-        lam, b_next = bayes_step(lam0, b_old, p, chain_rng(seed, 0))
+        lam, b_next = bayes_step([lam0], [b_old], p, [chain_rng(seed, 0)])
 
         twin = chain_rng(seed, 0)
         r_old = p.Y - p.X @ b_old
@@ -221,8 +330,8 @@ def test_bayes_step_accepts_by_density_ratio():
             return -0.5 * lam_twin * float(r @ r)
 
         accept = math.log(u) < log_density(prop) - log_density(b_old)
-        assert lam == lam_twin
-        assert np.array_equal(b_next, prop if accept else b_old)
+        assert lam.tolist() == [lam_twin]
+        assert np.array_equal(b_next[0], prop if accept else b_old)
         decisions.add(accept)
     assert decisions == {True, False}
 
@@ -230,12 +339,12 @@ def test_bayes_step_accepts_by_density_ratio():
 def test_bayes_exact_gibbs_matches_conjugate_posterior():
     p = _bayes_params()
     rng = chain_rng(9, 0)
-    lam, bv = 1.0, np.zeros(p.p)
+    lam, bv = np.ones(1), np.zeros((1, p.p))
     lams = []
     for i in range(6000):
-        lam, bv = bayes_step(lam, bv, p, rng, exact_beta=True)
+        lam, bv = bayes_step(lam, bv, p, [rng], exact_beta=True)
         if i >= 500:
-            lams.append(lam)
+            lams.append(lam[0])
     lams = np.asarray(lams)
     # precision marginal is Gamma(a', b')
     expect = p.a_prime / p.b_prime
@@ -531,6 +640,10 @@ def test_a_bare_generator_is_refused():
             nig_step(np.ones(2), np.zeros(2), p, mode, chain_rng(0, 0))
     with pytest.raises(DomainError, match="sequence of Generators, got Generator"):
         finite_simulate(_TIED, np.zeros(4, dtype=np.int64), 1, chain_rng(0, 0))
+    bayes = _bayes_params()
+    for exact in (False, True):
+        with pytest.raises(DomainError, match="sequence of Generators, got Generator"):
+            bayes_step(np.ones(2), np.zeros((2, bayes.p)), bayes, chain_rng(0, 0), exact)
 
 
 def _finite_simulate_column_loop(k, start, steps, rng):
