@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Hash every file a fixed matrix of seeded commands writes.
 
-Runs the ops of the bound-pipeline and sampler-scan benchmark cycles (each
-seed's cycles 0 .. TURNS-1, drawn as ``perfbench/run.py`` draws them) through
-its ``execute``, then ``sample`` and ``bound`` for every case and mode, both
-``compare`` cases and two ``verify`` runs, 3x3 and 3x5.  Each command writes
-into its own directory under OUT_DIR.  Prints one ``sha256  relative/path``
-line per file written and one ``exit CODE  command`` line per command, so the
-output of two checkouts can be compared with ``diff``.
+Runs the ops of the bound-pipeline, finite-oracle and sampler-scan benchmark
+cycles (each seed's cycles 0 .. TURNS-1, drawn as ``perfbench/run.py`` draws
+them) through its ``execute``, then ``sample`` and ``bound`` for every case
+and mode, both ``compare`` cases and two ``verify`` runs, 3x3 and 3x5.  Each
+command writes into its own directory under OUT_DIR.  Prints one
+``sha256  relative/path`` line per file written and one ``exit CODE  command``
+line per command, so the output of two checkouts can be compared with
+``diff``.
 
 Usage:
     python3 scripts/output_hashes.py OUT_DIR [--seeds 1,2] [--turns 4]
@@ -30,7 +31,7 @@ import run as bench  # noqa: E402  (perfbench/run.py)
 import workloads  # noqa: E402
 from wpgibbs.cases import CASES  # noqa: E402
 
-CYCLED = ("bound-pipeline", "sampler-scan")
+CYCLED = ("bound-pipeline", "finite-oracle", "sampler-scan")
 GRID = ["--n-grid", "0,1,2,5,10,50,200"]
 # a config file per case beside the flags; nig runs from flags alone
 CONFIGS = {

@@ -8,6 +8,7 @@ definition: ``config`` writes and reads exactly those.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -24,6 +25,14 @@ def _as_array(s) -> np.ndarray:
     if np.any(arr <= 0.0):
         raise DomainError("beta functions are defined for s > 0 only")
     return arr
+
+
+def _finite(family: str, *values) -> None:
+    """Refuse a non-finite field: NaN fails every comparison, so the checks
+    after this one would pass it."""
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise InvalidSpecError(f"{family} needs finite values, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,7 @@ class Indicator(BetaSpec):
     gamma: float
 
     def __post_init__(self):
+        _finite("Indicator", self.gamma)
         if not self.gamma > 0.0:
             raise InvalidSpecError("Indicator needs gamma > 0")
 
@@ -75,6 +85,7 @@ class PowerLaw(BetaSpec):
     cap = DEFAULT_CAP
 
     def __post_init__(self):
+        _finite("PowerLaw", self.coefficient, self.exponent)
         if not (self.coefficient > 0.0 and self.exponent > 0.0):
             raise InvalidSpecError("PowerLaw needs C > 0 and alpha > 0")
 
@@ -96,6 +107,7 @@ class ExpLogSquare(BetaSpec):
     cap = DEFAULT_CAP
 
     def __post_init__(self):
+        _finite("ExpLogSquare", self.c, self.a, self.b)
         if not (self.c > 0.0 and self.a > 0.0):
             raise InvalidSpecError("ExpLogSquare needs c > 0 and a > 0")
 
@@ -121,6 +133,7 @@ class Table(BetaSpec):
             raise InvalidSpecError("Table needs at least one knot")
         ss = [k[0] for k in self.knots]
         vv = [k[1] for k in self.knots]
+        _finite("Table", *ss, *vv)
         if any(b <= a for a, b in zip(ss, ss[1:])):
             raise InvalidSpecError("Table knots must have strictly increasing s")
         # each value against the lowest before it, so that rises of up to

@@ -37,8 +37,12 @@ def _at_least(args, lowest: int, *names) -> None:
 
 
 def _n_grid(args) -> list:
-    if args.n_grid:
-        ns = sorted(map(int, args.n_grid.split(",")))
+    if args.n_grid is not None:
+        try:
+            ns = sorted(int(n) for n in args.n_grid.split(","))
+        except ValueError:
+            raise WpgibbsError(
+                f"--n-grid must be comma-separated whole numbers, got {args.n_grid!r}") from None
         repeated = [a for a, b in zip(ns, ns[1:]) if a == b]
         if repeated:
             raise WpgibbsError(f"--n-grid gives n = {repeated[0]} more than once")

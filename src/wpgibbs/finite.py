@@ -39,9 +39,6 @@ _TABLE_ENTRIES = 2 ** 14
 # `verify` checks in one pass: one 16x16 model, so memory stays bounded at
 # any model count
 STACK_ENTRIES = 2 ** 16
-# most entries of the block of T^n F that `l2_decay_exact` projects in one
-# product: a longer block takes more page faults than the calls it saves
-_DECAY_ENTRIES = 2 ** 14
 
 
 def _broadcasts(*shapes: tuple) -> bool:
@@ -188,9 +185,9 @@ def l2_decay_exact(k: FiniteKernel, f: np.ndarray, n_max: int) -> np.ndarray:
 
     ``f`` holds functions as columns, shape (..., n, t), and gives shape
     (..., n_max + 1, t), one sequence per column.
-    T^n f is advanced one n at a time into a C-order block of at most
-    ``_DECAY_ENTRIES`` entries (one n, if that alone holds more), and
-    mu @ (T^n f)^2 is taken for the whole block in one stacked product.
+    T^n f is advanced one n at a time from a C-order copy of f, so any
+    memory order of f gives the same bits, and mu @ (T^n f)^2 is written
+    straight into its row of the output.
     """
     F = np.asarray(f, dtype=float)
     if F.ndim != k.mu.ndim + 1 or F.shape[:k.mu.ndim] != k.mu.shape:
@@ -198,24 +195,12 @@ def l2_decay_exact(k: FiniteKernel, f: np.ndarray, n_max: int) -> np.ndarray:
     if np.any(np.abs(_vecmat(k.mu, F)) > 1e-12):
         raise DomainError("l2_decay_exact needs a centered function")
     out = np.empty(F.shape[:-2] + (n_max + 1, F.shape[-1]))
-    size = max(1, min(n_max + 1, _DECAY_ENTRIES // max(1, F.size)))
-    block = np.empty(F.shape[:-2] + (size,) + F.shape[-2:])
-    slots = np.moveaxis(block, -3, 0)  # slots[b], a (..., n, t) view, holds T^(first + b) F
-    mu_row = k.mu[..., None, None, :]
-    g = F
-    for first in range(0, n_max + 1, size):
-        m = min(size, n_max + 1 - first)
-        for b in range(m):
-            if first + b:
-                np.matmul(k.matrix, g, out=slots[b])
-            else:
-                slots[0][...] = F
-            g = slots[b]
-        if first + m <= n_max:
-            g = g.copy()  # the block is squared in place
-        sq = np.square(block[..., :m, :, :], out=block[..., :m, :, :])
-        # rows first..first + m - 1 of out, as (..., m, 1, t), take mu @ (T^n F)^2
-        np.matmul(mu_row, sq, out=out[..., first:first + m, None, :])
+    mu_row = k.mu[..., None, :]
+    g = np.ascontiguousarray(F)
+    for n in range(n_max + 1):
+        if n:
+            g = np.matmul(k.matrix, g)
+        np.matmul(mu_row, np.square(g), out=out[..., n:n + 1, :])
     return out
 
 

@@ -65,6 +65,8 @@ def _share(rngs: Sequence[np.random.Generator], n: int) -> int:
     ``rngs`` must be a list or tuple of Generators, one per share."""
     if not isinstance(rngs, (list, tuple)):
         raise DomainError(f"the streams must be a sequence of Generators, got {type(rngs).__name__}")
+    if not rngs:
+        raise DomainError("the streams must hold at least one Generator, got none")
     share, rest = divmod(n, len(rngs))
     if rest:
         raise DomainError(f"{n} chains do not split into {len(rngs)} equal shares")

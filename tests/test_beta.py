@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,28 @@ def test_indicator_unit_height():
 def test_indicator_requires_positive_gamma():
     with pytest.raises(InvalidSpecError):
         Indicator(gamma=0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: Indicator(gamma=x),
+    lambda x: PowerLaw(coefficient=x, exponent=1.0),
+    lambda x: PowerLaw(coefficient=1.0, exponent=x),
+    lambda x: ExpLogSquare(c=x, a=1.0),
+    lambda x: ExpLogSquare(c=0.25, a=x),
+    lambda x: ExpLogSquare(c=0.25, a=1.0, b=x),
+    lambda x: Table(knots=((x, 0.2), (2.0, 0.1))),
+    lambda x: Table(knots=((1.0, x), (2.0, 0.1), (3.0, 0.2))),
+    lambda x: Table(knots=((1.0, 0.2), (2.0, x), (3.0, 0.1))),
+], ids=["indicator", "powerlaw-C", "powerlaw-alpha", "explogsquare-c", "explogsquare-a",
+        "explogsquare-b", "table-s", "table-first-value", "table-middle-value"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_fields_are_refused(make, x):
+    """Every comparison is False on NaN, so a NaN field once passed the
+    range checks of a profile built in Python (the config reader refuses
+    it first): ExpLogSquare(b=nan) gave NaN at every s, and a leading NaN
+    value let a Table's later values rise."""
+    with pytest.raises(InvalidSpecError, match="needs finite values"):
+        make(x)
 
 
 def test_powerlaw_capped_at_quarter():
@@ -68,6 +92,8 @@ def test_table_interpolation_and_validation():
         Table(knots=((1.0, 0.1), (2.0, 0.2)))  # increasing values
     with pytest.raises(InvalidSpecError):
         Table(knots=((2.0, 0.2), (1.0, 0.1)))  # decreasing s
+    with pytest.raises(InvalidSpecError):
+        Table(knots=((1.0, math.nan), (2.0, 0.1), (3.0, 0.2)))  # rising after a NaN
 
 
 def test_table_values_cannot_climb_a_staircase():

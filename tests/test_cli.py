@@ -350,6 +350,10 @@ INVALID = {
     "negative-n-compare": ["compare", "--case", "finite", "--n-grid=-2,3"],
     "repeated-n-in-grid": ["bound", "--beta", "indicator:0.2", "--n-grid", "5,5,2"],
     "repeated-n-compare": ["compare", "--case", "finite", "--n-grid", "1,1,1,50"],
+    "empty-n-grid": ["bound", "--beta", "indicator:0.2", "--n-grid", ""],
+    "empty-n-grid-compare": ["compare", "--case", "finite", "--n-grid="],
+    "empty-n-in-grid": ["bound", "--beta", "indicator:0.2", "--n-grid", "1,,2"],
+    "fractional-n-in-grid": ["compare", "--case", "finite", "--n-grid", "1,2.5"],
     # a flag and the config give the same field
     "beta-hyper-and-config": ["bound", "--case", "nig", "--config", "{nig_scaled}",
                               "--beta-hyper", "5"],
@@ -518,6 +522,16 @@ def test_repeated_n_is_named(tmp_path, capsys):
     argv = ["compare", "--case", "finite", "--n-grid", "1,50,1", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: --n-grid gives n = 1 more than once\n"
+
+
+@pytest.mark.parametrize("grid", ["", "1,,2", "1,2.5", "x"])
+def test_malformed_n_grid_is_named(tmp_path, capsys, grid):
+    """An empty --n-grid once fell back to the --n-max grid and exited 0,
+    and an empty entry exited 2 with int()'s message."""
+    argv = ["bound", "--beta", "indicator:0.2", "--n-grid", grid, "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --n-grid must be comma-separated whole numbers, got {grid!r}\n")
 
 
 def _run_pair(tmp_path, capsys, fresh: bool):

@@ -120,42 +120,20 @@ def _ref_decay(k, F, n_max):
 
 
 @pytest.mark.parametrize("lead", [(), (3,)])
-@pytest.mark.parametrize("per_block", [1, 3])
-def test_blocked_decay_matches_row_reference(monkeypatch, lead, per_block):
-    """With room for 1 or 3 values of n a block, the decay is the
-    row-at-a-time sequence byte for byte, for a block that ends before,
-    at and after n_max."""
-    k, F = _decay_case(lead, 5)
-    monkeypatch.setattr(finite, "_DECAY_ENTRIES", per_block * F.size + F.size - 1)
-    for n_max in sorted({0, 1, per_block - 1, per_block, per_block + 1, 200}):
-        ref = _ref_decay(k, F, n_max)
-        assert l2_decay_exact(k, F, n_max).tobytes() == ref.tobytes(), n_max
-        one = _ref_decay(k, F[..., :1], n_max)
-        assert l2_decay_exact(k, F[..., :1], n_max).tobytes() == one.tobytes(), n_max
+@pytest.mark.parametrize("trials", [1, 3])
+def test_blocked_decay_matches_row_reference(lead, trials):
+    """The decay is the row-at-a-time sequence byte for byte, from one
+    model and from a stack, at n_max = 0, 1, 2 and 200."""
+    k, F = _decay_case(lead, trials)
+    for n_max in (0, 1, 2, 200):
+        assert l2_decay_exact(k, F, n_max).tobytes() == _ref_decay(k, F, n_max).tobytes(), n_max
 
 
-# (models, trials, n_max, values of n a block holds) on 16x16 models at
-# 2^14 entries a block: 256 * 20 values of T^n F a step fit 3 times, and
-# 16 models of them not once
-@pytest.mark.parametrize("lead,trials,n_max,most", [
-    ((), 20, 200, 3), ((), 2, 200, 32), ((), 2, 20, 21), ((16,), 20, 30, 1)])
-def test_decay_block_holds_at_most_its_entries(monkeypatch, lead, trials, n_max, most):
-    """Every block squared and projected holds at most ``_DECAY_ENTRIES``
-    entries, and the blocks cover each n once; a block is one n when one n
-    alone holds more."""
-    assert finite._DECAY_ENTRIES == 2 ** 14
-    k, F = _decay_case(lead, trials, 16, 16)
-    blocks = []
-    square = np.square
-
-    def spy(x, *args, **kwargs):
-        blocks.append(x.shape[-3])
-        assert x.size <= max(finite._DECAY_ENTRIES, F.size)
-        return square(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "square", spy)
-    l2_decay_exact(k, F, n_max)
-    assert sum(blocks) == n_max + 1 and max(blocks) == min(most, n_max + 1)
+def test_decay_matches_row_reference_at_verify_size():
+    """A stack the size of a 3x3 `verify` of 50 models at its default 20
+    trials and n_max 200 gives the row-at-a-time sequence byte for byte."""
+    k, F = _decay_case((50,), 20, 3, 3)
+    assert l2_decay_exact(k, F, 200).tobytes() == _ref_decay(k, F, 200).tobytes()
 
 
 # sizes where a transposed view once moved the last bits of the forms

@@ -633,17 +633,21 @@ def test_finite_simulate_with_a_stream_per_share(k):
 
 def test_a_bare_generator_is_refused():
     """The streams are a sequence, one Generator per equal share of the
-    chains; a bare Generator is refused as such, not by a TypeError."""
+    chains; a bare Generator is refused as such, not by a TypeError, and an
+    empty sequence as such, not by a ZeroDivisionError."""
     p = NIGParams(beta_hyper=2.0, sigma0=0.5)
-    for mode in NIG_MODES:
-        with pytest.raises(DomainError, match="sequence of Generators, got Generator"):
-            nig_step(np.ones(2), np.zeros(2), p, mode, chain_rng(0, 0))
-    with pytest.raises(DomainError, match="sequence of Generators, got Generator"):
-        finite_simulate(_TIED, np.zeros(4, dtype=np.int64), 1, chain_rng(0, 0))
     bayes = _bayes_params()
-    for exact in (False, True):
-        with pytest.raises(DomainError, match="sequence of Generators, got Generator"):
-            bayes_step(np.ones(2), np.zeros((2, bayes.p)), bayes, chain_rng(0, 0), exact)
+    for rngs, match in ((chain_rng(0, 0), "sequence of Generators, got Generator"),
+                        ([], "at least one Generator, got none"),
+                        ((), "at least one Generator, got none")):
+        for mode in NIG_MODES:
+            with pytest.raises(DomainError, match=match):
+                nig_step(np.ones(2), np.zeros(2), p, mode, rngs)
+        with pytest.raises(DomainError, match=match):
+            finite_simulate(_TIED, np.zeros(4, dtype=np.int64), 1, rngs)
+        for exact in (False, True):
+            with pytest.raises(DomainError, match=match):
+                bayes_step(np.ones(2), np.zeros((2, bayes.p)), bayes, rngs, exact)
 
 
 def _finite_simulate_column_loop(k, start, steps, rng):
