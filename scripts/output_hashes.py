@@ -29,17 +29,12 @@ import numpy as np  # noqa: E402
 
 import run as bench  # noqa: E402  (perfbench/run.py)
 import workloads  # noqa: E402
+from reproduce import CONFIGS  # noqa: E402  (scripts/reproduce.py)
 from wpgibbs.cases import CASES  # noqa: E402
 
 CYCLED = ("bound-pipeline", "finite-oracle", "sampler-scan")
 GRID = ["--n-grid", "0,1,2,5,10,50,200"]
-# a config file per case beside the flags; nig runs from flags alone
-CONFIGS = {
-    "bayes": {"case": "bayes", "a": 2.5, "b": 1.0, "sigma0": 0.3,
-              "X": [[1.0, 0.2], [1.0, -0.4], [1.0, 0.9], [1.0, 0.1], [1.0, -1.2]],
-              "Y": [0.3, -0.1, 0.8, 0.2, -0.9]},
-    "ou": workloads.OU_SCRIPT_CONFIG,
-}
+# a config file per case of CONFIGS beside the flags; nig runs from flags alone
 MODE_FLAGS = {"fixed": ["--sigma0", "0.8"]}
 
 

@@ -8,7 +8,8 @@ definition: ``config`` writes and reads exactly those.
 from __future__ import annotations
 
 import itertools
-import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -25,14 +26,6 @@ def _as_array(s) -> np.ndarray:
     if np.any(arr <= 0.0):
         raise DomainError("beta functions are defined for s > 0 only")
     return arr
-
-
-def _finite(family: str, *values) -> None:
-    """Refuse a non-finite field: NaN fails every comparison, so the checks
-    after this one would pass it."""
-    bad = [v for v in values if not math.isfinite(v)]
-    if bad:
-        raise InvalidSpecError(f"{family} needs finite values, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +50,25 @@ class BetaSpec:
         return out
 
 
+def _float(family: str, name: str, value) -> float:
+    """``value`` as a float, read as the JSON reader reads a number: a real
+    number, never a boolean or a string, and finite (NaN fails every
+    comparison, so the checks after this one would pass it)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpecError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise InvalidSpecError(f"{family} needs finite values, got {value!r}")
+    return float(value)
+
+
+def _floats(spec: BetaSpec, *names) -> None:
+    """Store each named field of a frozen profile as a finite float."""
+    family = type(spec).__name__
+    for name in names:
+        value = _float(family, f"{family}.{name}", getattr(spec, name))
+        object.__setattr__(spec, name, value)
+
+
 @dataclass(frozen=True)
 class Indicator(BetaSpec):
     """SPI with constant gamma encoded as beta(s) = 1{s <= 1/gamma}.
@@ -68,7 +80,7 @@ class Indicator(BetaSpec):
     gamma: float
 
     def __post_init__(self):
-        _finite("Indicator", self.gamma)
+        _floats(self, "gamma")
         if not self.gamma > 0.0:
             raise InvalidSpecError("Indicator needs gamma > 0")
 
@@ -85,7 +97,7 @@ class PowerLaw(BetaSpec):
     cap = DEFAULT_CAP
 
     def __post_init__(self):
-        _finite("PowerLaw", self.coefficient, self.exponent)
+        _floats(self, "coefficient", "exponent")
         if not (self.coefficient > 0.0 and self.exponent > 0.0):
             raise InvalidSpecError("PowerLaw needs C > 0 and alpha > 0")
 
@@ -107,7 +119,7 @@ class ExpLogSquare(BetaSpec):
     cap = DEFAULT_CAP
 
     def __post_init__(self):
-        _finite("ExpLogSquare", self.c, self.a, self.b)
+        _floats(self, "c", "a", "b")
         if not (self.c > 0.0 and self.a > 0.0):
             raise InvalidSpecError("ExpLogSquare needs c > 0 and a > 0")
 
@@ -131,9 +143,16 @@ class Table(BetaSpec):
     def __post_init__(self):
         if len(self.knots) == 0:
             raise InvalidSpecError("Table needs at least one knot")
-        ss = [k[0] for k in self.knots]
-        vv = [k[1] for k in self.knots]
-        _finite("Table", *ss, *vv)
+        knots = []
+        for i, knot in enumerate(self.knots):
+            name = f"Table knot {i}"
+            try:
+                s, v = knot
+            except (TypeError, ValueError):
+                raise InvalidSpecError(f"{name} must be an (s, value) pair, got {knot!r}") from None
+            knots.append((_float("Table", name, s), _float("Table", name, v)))
+        object.__setattr__(self, "knots", tuple(knots))
+        ss, vv = zip(*knots)
         if any(b <= a for a, b in zip(ss, ss[1:])):
             raise InvalidSpecError("Table knots must have strictly increasing s")
         # each value against the lowest before it, so that rises of up to

@@ -258,10 +258,6 @@ class BayesParams:
         return _frozen(self.X.T @ self.X)
 
     @functools.cached_property
-    def gram_inv(self) -> np.ndarray:
-        return _frozen(np.linalg.inv(self.gram))
-
-    @functools.cached_property
     def posterior_mean(self) -> np.ndarray:
         """The coefficients' conditional mean (X^T X)^-1 X^T Y, at any precision."""
         return _frozen(np.linalg.solve(self.gram, self.X.T @ self.Y))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import re
 import sys
@@ -93,6 +94,55 @@ def _load_case(args, needs: str = "--case"):
     return case, p, mode
 
 
+def _json(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, default=str)`` for ``obj``
+    at the indent ``pad``, byte for byte.
+
+    json runs its pure-Python encoder whenever ``indent`` is set, one
+    generator step per value.  Here the layout is written by this function
+    and json's C encoder writes every key and every scalar: a list or dict
+    that holds no list or dict goes to it whole, in one ``json.dumps`` call
+    whose item separator ``",\n" + indent`` puts each item on a line of its
+    own.  json's C encoder sorts a dict's items as ``sorted`` does.
+    """
+    if isinstance(obj, (list, tuple)):
+        items, brackets = obj, "[]"
+    elif isinstance(obj, dict):
+        items, brackets = obj.values(), "{}"
+    else:
+        return json.dumps(obj, default=str)
+    if not obj:
+        return brackets
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, items))):
+        body = json.dumps(obj, sort_keys=True, separators=(sep, ": "), default=str)[1:-1]
+    elif brackets == "[]":
+        body = sep.join(_json(x, inner) for x in obj)
+    else:
+        body = sep.join(f"{_json_key(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string as itself, a number, bool or
+    None as the quoted text of its value; any other key is a TypeError."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{json.dumps(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def write_metadata(path: str, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as indented JSON with sorted keys, in one
+    write: the text of ``json.dumps(payload, indent=2, sort_keys=True,
+    default=str)``, rendered by ``_json``."""
+    text = _json(payload)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def cmd_bound(args) -> int:
     ns = _n_grid(args)
     meta = {"command": "bound", "case": args.case or "custom"}
@@ -112,14 +162,14 @@ def cmd_bound(args) -> int:
     rb.write_csv(csv_path, ns)
     meta["kstar"] = config.to_dict(k)
     meta["n_grid"] = ns
-    samplers.write_metadata(os.path.join(args.out, "bound_meta.json"), meta)
+    write_metadata(os.path.join(args.out, "bound_meta.json"), meta)
     print(f"wrote {csv_path}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     _at_least(args, 1, "models")
-    _at_least(args, 0, "n_max")
+    _at_least(args, 0, "n_max", "seed")
     sizes = re.fullmatch(r"([0-9]+)x([0-9]+)", args.states)
     nx, ny = map(int, sizes.groups()) if sizes else (0, 0)
     if min(nx, ny) < 2:
@@ -161,7 +211,7 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     _reject(args, "with sample: no sampler reads it", ("--gamma",))
     _at_least(args, 1, "chains")
-    _at_least(args, 0, "steps")
+    _at_least(args, 0, "steps", "seed")
     case, p, mode = _load_case(args)
     os.makedirs(args.out, exist_ok=True)
     meta = {
@@ -200,13 +250,14 @@ def cmd_sample(args) -> int:
         meta["acceptance_rate_per_segment"] = (
             sum(acc) / (args.chains * (args.steps + 1))
         ).tolist()
-    samplers.write_metadata(os.path.join(args.out, "run_meta.json"), meta)
+    write_metadata(os.path.join(args.out, "run_meta.json"), meta)
     print(f"wrote {args.chains} trace(s) to {args.out}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     _at_least(args, 2, "starts")
+    _at_least(args, 0, "seed")
     ns = [n for n in _n_grid(args) if n >= 1]
     if not ns:
         raise WpgibbsError("compare needs an n >= 1 in its grid")
@@ -242,7 +293,7 @@ def cmd_compare(args) -> int:
     with open(path, "w", newline="") as fh:
         rates._write_rows(fh, ("n", "bound", "empirical_mean", "ci_low", "ci_high"), cols)
     meta["domination_fraction"] = sum(h <= b for b, h in zip(bounds, ci_high)) / len(bounds)
-    samplers.write_metadata(os.path.join(args.out, "compare_meta.json"), meta)
+    write_metadata(os.path.join(args.out, "compare_meta.json"), meta)
     print(f"wrote {path}; domination fraction {meta['domination_fraction']:.3f}")
     return EXIT_OK
 

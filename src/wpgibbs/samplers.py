@@ -19,7 +19,6 @@ starts gives confidence bands.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -208,14 +207,12 @@ def bayes_step(
     beta: np.ndarray,
     p: BayesParams,
     rngs: Sequence[np.random.Generator],
-    exact_beta: bool = False,
 ):
     """One scan of k chains in lockstep: an exact Gamma draw for each
     precision in ``lam`` (shape (k,)), then one RWM move of each coefficient
-    row of ``beta`` (shape (k, p)), or the exact Gaussian draw with
-    ``exact_beta``.  ``rngs`` holds Generators for equal contiguous shares
-    of the chains, as in ``nig_step``: each share gets the states that a
-    call on it alone, with its own stream, would give.
+    row of ``beta`` (shape (k, p)).  ``rngs`` holds Generators for equal
+    contiguous shares of the chains, as in ``nig_step``: each share gets the
+    states that a call on it alone, with its own stream, would give.
     """
     lam = np.asarray(lam, dtype=float)
     if not all(v > 0.0 for v in lam.tolist()):
@@ -229,13 +226,6 @@ def bayes_step(
     # than a numpy call on a few chains.
     shape = p.a + p.N / 2.0
     share = _share(rngs, k)
-    if exact_beta:
-        gamma = np.concatenate([r.standard_gamma(shape, share) for r in rngs]).tolist()
-        lam = [(1.0 / (p.b + 0.5 * r)) * g for r, g in zip(_rss(p, beta).tolist(), gamma)]
-        return np.array(lam), np.array([
-            rngs[i // share].multivariate_normal(p.posterior_mean, p.gram_inv / v)
-            for i, v in enumerate(lam)
-        ])
 
     # Each stream draws its share's Gamma variates, then its proposal
     # normals, then its uniforms; no draw depends on a value drawn before it.
@@ -451,67 +441,3 @@ def _paired_decay(start, step, f, osc_sq: float, n_grid, master_seed: int) -> De
     ci_low, ci_high = np.quantile(boots, [0.025, 0.975], axis=0)
     return DecayEstimate(np.asarray(n_grid), x.mean(axis=1), ci_low, ci_high,
                          boots.std(axis=0, ddof=1))
-
-
-def mann_kendall_z(x: Sequence[float]) -> float:
-    """Normalized Mann-Kendall trend statistic (positive = upward trend)."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    s = 0
-    for i in range(n - 1):
-        s += int(np.sum(np.sign(x[i + 1 :] - x[i])))
-    var = n * (n - 1) * (2 * n + 5) / 18.0
-    if s > 0:
-        return (s - 1) / math.sqrt(var)
-    if s < 0:
-        return (s + 1) / math.sqrt(var)
-    return 0.0
-
-
-def _json(obj, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, default=str)`` for ``obj``
-    at the indent ``pad``, byte for byte.
-
-    json runs its pure-Python encoder whenever ``indent`` is set, one
-    generator step per value.  Here the layout is written by this function
-    and json's C encoder writes every key and every scalar: a list or dict
-    that holds no list or dict goes to it whole, in one ``json.dumps`` call
-    whose item separator ``",\n" + indent`` puts each item on a line of its
-    own.  json's C encoder sorts a dict's items as ``sorted`` does.
-    """
-    if isinstance(obj, (list, tuple)):
-        items, brackets = obj, "[]"
-    elif isinstance(obj, dict):
-        items, brackets = obj.values(), "{}"
-    else:
-        return json.dumps(obj, default=str)
-    if not obj:
-        return brackets
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, items))):
-        body = json.dumps(obj, sort_keys=True, separators=(sep, ": "), default=str)[1:-1]
-    elif brackets == "[]":
-        body = sep.join(_json(x, inner) for x in obj)
-    else:
-        body = sep.join(f"{_json_key(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
-    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a string as itself, a number, bool or
-    None as the quoted text of its value; any other key is a TypeError."""
-    if isinstance(key, str):
-        return json.dumps(key)
-    if key is None or isinstance(key, (int, float)):
-        return f'"{json.dumps(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def write_metadata(path: str, payload: dict) -> None:
-    """Write ``payload`` to ``path`` as indented JSON with sorted keys, in one
-    write: the text of ``json.dumps(payload, indent=2, sort_keys=True,
-    default=str)``, rendered by ``_json``."""
-    text = _json(payload)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")

@@ -44,13 +44,13 @@ from wpgibbs.samplers import (
     _bridges,
     chain_rng,
     finite_decay_estimate,
-    mann_kendall_z,
     nig_decay_estimate,
     ou_da_step,
     ou_initial_state,
     ou_segment_log_alpha,
 )
 from wpgibbs.special import gammainc_tails, lambert_w
+from test_samplers import mann_kendall_z
 
 
 # ---------------------------------------------------------------------------

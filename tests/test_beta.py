@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from wpgibbs import (
     Sum,
     Table,
 )
-from wpgibbs.config import beta_from_dict
+from wpgibbs.config import beta_from_dict, to_dict
 
 
 def test_indicator_unit_height():
@@ -30,7 +31,8 @@ def test_indicator_requires_positive_gamma():
         Indicator(gamma=0.0)
 
 
-@pytest.mark.parametrize("make", [
+# every number field of a profile built in Python, set to x
+_EVERY_FIELD = pytest.mark.parametrize("make", [
     lambda x: Indicator(gamma=x),
     lambda x: PowerLaw(coefficient=x, exponent=1.0),
     lambda x: PowerLaw(coefficient=1.0, exponent=x),
@@ -42,6 +44,9 @@ def test_indicator_requires_positive_gamma():
     lambda x: Table(knots=((1.0, 0.2), (2.0, x), (3.0, 0.1))),
 ], ids=["indicator", "powerlaw-C", "powerlaw-alpha", "explogsquare-c", "explogsquare-a",
         "explogsquare-b", "table-s", "table-first-value", "table-middle-value"])
+
+
+@_EVERY_FIELD
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_fields_are_refused(make, x):
     """Every comparison is False on NaN, so a NaN field once passed the
@@ -50,6 +55,44 @@ def test_non_finite_fields_are_refused(make, x):
     value let a Table's later values rise."""
     with pytest.raises(InvalidSpecError, match="needs finite values"):
         make(x)
+
+
+@_EVERY_FIELD
+@pytest.mark.parametrize("x", [True, "0.2", None], ids=["bool", "string", "none"])
+def test_non_number_fields_are_refused(make, x):
+    """A profile built in Python takes a number field as the config reader
+    does: a real number, never a boolean or a string.  Indicator(True) was
+    accepted and written out as "gamma": true, and Indicator("0.2") raised a
+    bare TypeError."""
+    with pytest.raises(InvalidSpecError, match="must be a number, got"):
+        make(x)
+
+
+@pytest.mark.parametrize("spec,d", [
+    (Indicator(1), {"family": "indicator", "gamma": 1}),
+    (PowerLaw(1, 2), {"family": "powerlaw", "coefficient": 1, "exponent": 2}),
+    (ExpLogSquare(np.float64(0.25), 1, -2), {"family": "explogsquare", "c": 0.25, "a": 1, "b": -2}),
+    (Table(knots=[[1, 1], (2, np.int64(0))]), {"family": "table", "knots": [[1, 1], [2, 0]]}),
+], ids=["indicator", "powerlaw", "explogsquare", "table"])
+def test_python_built_profiles_store_floats(spec, d):
+    """Every number field is stored as a float, so a profile built in Python
+    from ints or numpy scalars writes the JSON that the config reader's
+    profile writes for the same spec."""
+    assert json.dumps(to_dict(spec)) == json.dumps(to_dict(beta_from_dict(d)))
+    assert spec == beta_from_dict(d)
+
+
+@pytest.mark.parametrize("knots,entry", [
+    (((1.0,),), 0),
+    (((1.0, 0.2, 9.0), (2.0, 0.1)), 0),
+    (((1.0, 0.2), 0.1), 1),
+], ids=["one-value", "three-values", "bare-number"])
+def test_table_refuses_knots_that_are_not_pairs(knots, entry):
+    """Each knot is one (s, value) pair.  A knot of one value raised
+    IndexError, and a third value was ignored: (1, 0.2, 9), (2, 0.1) read
+    0.15 at s = 1.5."""
+    with pytest.raises(InvalidSpecError, match=rf"^Table knot {entry} must be an \(s, value\) pair"):
+        Table(knots=knots)
 
 
 def test_powerlaw_capped_at_quarter():

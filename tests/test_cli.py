@@ -421,6 +421,10 @@ INVALID = {
     "sample-ou-negative-steps": ["sample", "--case", "ou", "--config", "{ou}", "--steps", "-1"],
     "verify-zero-models": ["verify", "--models", "0"],
     "verify-negative-n-max": ["verify", "--n-max", "-1"],
+    # numpy takes no negative seed: the error names the flag
+    "verify-negative-seed": ["verify", "--seed", "-1"],
+    "sample-negative-seed": ["sample", "--case", "nig", "--seed", "-1"],
+    "compare-negative-seed": ["compare", "--case", "finite", "--seed", "-1"],
     # --n-step is not an option: --n-grid gives any grid it could
     "n-step-zero": ["bound", "--beta", "indicator:0.2", "--n-step", "0"],
     "n-step-negative": ["compare", "--case", "finite", "--n-step", "-2"],
@@ -496,6 +500,12 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
 def test_missing_case_names_the_flag(tmp_path, capsys, command, flags):
     assert main([command, "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == f"error: {command} needs {flags}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "sample", "compare"])
+def test_negative_seed_names_the_flag(tmp_path, capsys, command):
+    assert main(INVALID[f"{command}-negative-seed"] + ["--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
 
 
 @pytest.mark.parametrize("key", ["nig-fixed-scale-overflows", "nig-fixed-scaled-w-overflows"])

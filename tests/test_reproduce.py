@@ -8,7 +8,7 @@ import subprocess
 import sys
 import types
 
-from wpgibbs import samplers
+from wpgibbs import cli
 from wpgibbs.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -69,13 +69,13 @@ def test_smoke_metadata_is_json_dumps_byte_for_byte(tmp_path, monkeypatch):
     written as the text json.dumps(indent=2, sort_keys=True, default=str)
     gives for it."""
     payloads = []
-    write = samplers.write_metadata
+    write = cli.write_metadata
 
     def recorded(path, payload):
         payloads.append((path, payload))
         write(path, payload)
 
-    monkeypatch.setattr(samplers, "write_metadata", recorded)
+    monkeypatch.setattr(cli, "write_metadata", recorded)
     assert _reproduce().run([str(tmp_path), "--smoke"]) == 0
     names = sorted(pathlib.PurePath(path).name for path, _ in payloads)
     assert names == ["bound_meta.json"] * 3 + ["compare_meta.json", "run_meta.json"]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import wpgibbs
-from wpgibbs import samplers
+from wpgibbs import cli, samplers
 from wpgibbs.cases import BayesParams, NIGParams, OUParams
 from wpgibbs.errors import DomainError, InvalidModeError
 from wpgibbs.finite import FiniteKernel, random_centered_functions, random_joint_model
@@ -28,14 +28,12 @@ from wpgibbs.samplers import (
     chain_rng,
     finite_decay_estimate,
     finite_simulate,
-    mann_kendall_z,
     nig_decay_estimate,
     nig_stationary_start,
     nig_step,
     ou_da_step,
     ou_initial_state,
     ou_segment_log_alpha,
-    write_metadata,
 )
 
 
@@ -250,8 +248,7 @@ _BAYES_DESIGNS = pytest.mark.parametrize("design", [
 def test_bayes_step_matches_reference_bit_for_bit(design, k):
     """With a stream per chain, one call on k chains gives each chain the
     precision, coefficients and accept decision of the scalar reference on
-    its stream, byte for byte, over 200 seeds; so does the exact Gaussian
-    draw.  The inputs are not written."""
+    its stream, byte for byte, over 200 seeds.  The inputs are not written."""
     p = design()
     decisions = set()
     for seed in range(200):
@@ -259,37 +256,36 @@ def test_bayes_step_matches_reference_bit_for_bit(design, k):
         lam = start.gamma(2.0, 1.0, size=k)
         beta = p.posterior_mean + 0.3 * start.normal(size=(k, p.p))
         given = lam.tobytes(), beta.tobytes()
-        for exact in (False, True):
-            got = bayes_step(lam, beta, p, [chain_rng(seed, i) for i in range(k)], exact)
-            assert (lam.tobytes(), beta.tobytes()) == given
-            rows = list(beta)  # the reference hands back its own row on a reject
-            ref = [_bayes_step_reference(v, b, p, chain_rng(seed, i), exact)
-                   for i, (v, b) in enumerate(zip(lam.tolist(), rows))]
-            assert got[0].tobytes() == np.array([v for v, _ in ref]).tobytes()
-            assert got[1].tobytes() == np.array([b for _, b in ref]).tobytes()
-            if not exact:
-                accepted = [b is not row for (_, b), row in zip(ref, rows)]
-                assert (got[1] != beta).any(axis=1).tolist() == accepted
-                decisions.update(accepted)
+        got = bayes_step(lam, beta, p, [chain_rng(seed, i) for i in range(k)])
+        assert (lam.tobytes(), beta.tobytes()) == given
+        rows = list(beta)  # the reference hands back its own row on a reject
+        ref = [_bayes_step_reference(v, b, p, chain_rng(seed, i))
+               for i, (v, b) in enumerate(zip(lam.tolist(), rows))]
+        assert got[0].tobytes() == np.array([v for v, _ in ref]).tobytes()
+        assert got[1].tobytes() == np.array([b for _, b in ref]).tobytes()
+        accepted = [b is not row for (_, b), row in zip(ref, rows)]
+        assert (got[1] != beta).any(axis=1).tolist() == accepted
+        decisions.update(accepted)
     assert decisions == {True, False}
 
 
-@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("spread", [False, True])
 @pytest.mark.parametrize("streams,per_stream", [(1, 3), (2, 2), (3, 2)])
-def test_bayes_step_with_a_stream_per_share(exact, streams, per_stream):
+def test_bayes_step_with_a_stream_per_share(spread, streams, per_stream):
     """A list of streams over equal shares of several chains each gives, byte
     for byte, the states of one call per share with its stream, over 50
-    scans of CI's 400-row design."""
+    scans of CI's 400-row design: from coefficients all at 0, and from
+    coefficients spread apart, a row per chain."""
     p = _ci_bayes400()
     k = streams * per_stream
     lam = chain_rng(36, 0).gamma(2.0, 1.0, size=k)
-    beta = np.zeros((k, p.p))
+    beta = chain_rng(36, 1).normal(size=(k, p.p)) if spread else np.zeros((k, p.p))
     shares = [(lam[i:i + per_stream], beta[i:i + per_stream]) for i in range(0, k, per_stream)]
     rngs = [chain_rng(37, i) for i in range(streams)]
     alone_rngs = [chain_rng(37, i) for i in range(streams)]
     for _ in range(50):
-        lam, beta = bayes_step(lam, beta, p, rngs, exact)
-        shares = [bayes_step(*z, p, [r], exact) for z, r in zip(shares, alone_rngs)]
+        lam, beta = bayes_step(lam, beta, p, rngs)
+        shares = [bayes_step(*z, p, [r]) for z, r in zip(shares, alone_rngs)]
         assert lam.tobytes() == np.concatenate([v for v, _ in shares]).tobytes()
         assert beta.tobytes() == np.concatenate([b for _, b in shares]).tobytes()
 
@@ -299,12 +295,11 @@ def test_bayes_step_validation():
     chains into equal shares."""
     p = _bayes_params()
     rngs = [chain_rng(0, 0), chain_rng(0, 1)]
-    for exact in (False, True):
-        for bad in (0.0, -1.0, np.nan):
-            with pytest.raises(DomainError, match="precision must stay positive"):
-                bayes_step(np.array([1.0, bad]), np.zeros((2, p.p)), p, rngs, exact)
-        with pytest.raises(DomainError, match="3 chains do not split into 2 equal shares"):
-            bayes_step(np.ones(3), np.zeros((3, p.p)), p, rngs, exact)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(DomainError, match="precision must stay positive"):
+            bayes_step(np.array([1.0, bad]), np.zeros((2, p.p)), p, rngs)
+    with pytest.raises(DomainError, match="3 chains do not split into 2 equal shares"):
+        bayes_step(np.ones(3), np.zeros((3, p.p)), p, rngs)
 
 
 def test_bayes_step_accepts_by_density_ratio():
@@ -337,14 +332,16 @@ def test_bayes_step_accepts_by_density_ratio():
 
 
 def test_bayes_exact_gibbs_matches_conjugate_posterior():
+    """The exact two-block Gibbs chain, run by the scalar reference, has the
+    precision marginal Gamma(a', b') of ``BayesParams``."""
     p = _bayes_params()
     rng = chain_rng(9, 0)
-    lam, bv = np.ones(1), np.zeros((1, p.p))
+    lam, bv = 1.0, np.zeros(p.p)
     lams = []
     for i in range(6000):
-        lam, bv = bayes_step(lam, bv, p, [rng], exact_beta=True)
+        lam, bv = _bayes_step_reference(lam, bv, p, rng, exact_beta=True)
         if i >= 500:
-            lams.append(lam[0])
+            lams.append(lam)
     lams = np.asarray(lams)
     # precision marginal is Gamma(a', b')
     expect = p.a_prime / p.b_prime
@@ -645,9 +642,8 @@ def test_a_bare_generator_is_refused():
                 nig_step(np.ones(2), np.zeros(2), p, mode, rngs)
         with pytest.raises(DomainError, match=match):
             finite_simulate(_TIED, np.zeros(4, dtype=np.int64), 1, rngs)
-        for exact in (False, True):
-            with pytest.raises(DomainError, match=match):
-                bayes_step(np.ones(2), np.zeros((2, bayes.p)), bayes, rngs, exact)
+        with pytest.raises(DomainError, match=match):
+            bayes_step(np.ones(2), np.zeros((2, bayes.p)), bayes, rngs)
 
 
 def _finite_simulate_column_loop(k, start, steps, rng):
@@ -916,6 +912,21 @@ def test_compare_csv_independent_of_blas_threads(tmp_path, case):
     assert texts[0] == texts[1]
 
 
+def mann_kendall_z(x) -> float:
+    """Normalized Mann-Kendall trend statistic (positive = upward trend)."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    s = 0
+    for i in range(n - 1):
+        s += int(np.sum(np.sign(x[i + 1 :] - x[i])))
+    var = n * (n - 1) * (2 * n + 5) / 18.0
+    if s > 0:
+        return (s - 1) / math.sqrt(var)
+    if s < 0:
+        return (s + 1) / math.sqrt(var)
+    return 0.0
+
+
 def test_mann_kendall_signs():
     up = mann_kendall_z(np.linspace(0.0, 1.0, 30))
     down = mann_kendall_z(np.linspace(1.0, 0.0, 30))
@@ -928,7 +939,7 @@ def test_mann_kendall_signs():
 def test_write_metadata(tmp_path):
     meta_path = tmp_path / "meta.json"
     payload = {"seed": 42, "case": "finite", "n_grid": list(range(5))}
-    write_metadata(meta_path, payload)
+    cli.write_metadata(meta_path, payload)
     assert json.loads(meta_path.read_text()) == payload
     assert meta_path.read_text() == json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
 
@@ -975,7 +986,7 @@ def test_json_renderer_is_json_dumps_byte_for_byte(payload):
     None, big ints, signed zeros, nan, infinities, subnormals, numpy scalars
     (np.int64 through ``default=str``), escaped and non-ASCII strings, and
     keys that are numbers, bools or None."""
-    assert samplers._json(payload) == _json_reference(payload)
+    assert cli._json(payload) == _json_reference(payload)
 
 
 @pytest.mark.parametrize("payload", [
@@ -985,4 +996,4 @@ def test_json_renderer_refuses_the_keys_json_refuses(payload):
     with pytest.raises(TypeError):
         _json_reference(payload)
     with pytest.raises(TypeError):
-        samplers._json(payload)
+        cli._json(payload)
