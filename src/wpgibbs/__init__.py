@@ -29,6 +29,7 @@ from .kstar import (
     GridKStar,
     KStarFn,
     Linear,
+    PiecewiseLinear,
     Power,
     compose_mwg,
     conjugate,

@@ -148,7 +148,7 @@ def cmd_bound(args) -> int:
     meta = {"command": "bound", "case": args.case or "custom"}
     if args.beta:
         _reject(args, "with --beta", ("--case", *_CASE_FLAGS))
-        spec = config.parse_beta_shorthand(args.beta)
+        spec = config.parse_beta(args.beta)
         k = kstar.conjugate(spec)
         meta["beta"] = config.to_dict(spec)
     else:
@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     case_options(sp)
     grid_options(sp)
     sp.add_argument("--beta", default=None,
-                    help="profile shorthand, e.g. indicator:0.2; takes no case flag")
+                    help="profile shorthand, e.g. indicator:0.2, or a JSON profile "
+                    "object; takes no case flag")
 
     sp = sub.add_parser("verify", help="run the finite-state oracle")
     output(sp)

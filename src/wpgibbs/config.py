@@ -38,6 +38,7 @@ KINDS = {
     "clamped": k.Clamped,
     "composite": k.Composite,
     "grid": k.GridKStar,
+    "piecewise_linear": k.PiecewiseLinear,
 }
 
 # (tag key, tag) of every class ``to_dict`` writes
@@ -122,6 +123,19 @@ def _coerce(tp, v, name: str):
     return _number(name, v)
 
 
+def parse_beta(text: str) -> b.BetaSpec:
+    """A ``--beta`` value: a JSON profile object, read by ``beta_from_dict``,
+    when the text starts with '{', else the shorthand."""
+    if not text.startswith("{"):
+        return parse_beta_shorthand(text)
+    try:
+        return beta_from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise InvalidSpecError(f"--beta is not a JSON object: {exc}") from None
+    except RecursionError:
+        raise InvalidSpecError("--beta nests its profiles too deeply to read") from None
+
+
 def parse_beta_shorthand(text: str) -> b.BetaSpec:
     """'family:x1,x2,...', the family's float fields in order; trailing
     fields with a default may be left out.  E.g. 'indicator:0.2',
@@ -135,7 +149,8 @@ def parse_beta_shorthand(text: str) -> b.BetaSpec:
     names = [f.name for f in fields(cls)]
     if any(_hints(cls)[n] is not float for n in names):
         raise InvalidSpecError(
-            f"profile family {tag} has no shorthand: its fields are not numbers"
+            f"profile family {tag} has no shorthand: its fields are not numbers; "
+            f"give it as a JSON object"
         )
     vals = args.split(",") if args else []
     need = len(_missing(cls, {}))

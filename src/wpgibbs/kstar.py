@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beta import BetaSpec
+from .beta import DEFAULT_CAP, AdjointShift, BetaSpec, Sum, Table
 from .errors import InvalidModeError, InvalidSpecError, UnboundedConjugateError
 
 # u-grid for numeric conjugation: beta families vary on a log scale
@@ -186,6 +186,51 @@ class GridKStar(KStarFn):
         return out
 
 
+@dataclass(frozen=True)
+class PiecewiseLinear(KStarFn):
+    """K* through exact (v, value) knots: 0 up to the first knot, linear
+    between knots and along the last segment past them.  The first value is
+    0 and no value is below the one before it."""
+
+    v_knots: tuple[float, ...]
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        x, y = self.v_knots, self.values
+        if not (len(x) == len(y) > 0 and x[0] >= 0.0 and y[0] == 0.0
+                and all(a < b for a, b in zip(x, x[1:]))
+                and all(a <= b for a, b in zip(y, y[1:]))):
+            raise InvalidSpecError(
+                "PiecewiseLinear needs rising v knots from v >= 0 and nondecreasing values from 0")
+
+    def _eval(self, v):
+        x, y = np.asarray(self.v_knots), np.asarray(self.values)
+        out = np.interp(v, x, y)
+        if len(x) >= 2:
+            slope = (y[-1] - y[-2]) / (x[-1] - x[-2])
+            out = np.where(v > x[-1], y[-1] + slope * (v - x[-1]), out)
+        return out
+
+    def clamped(self) -> "PiecewiseLinear":
+        """min(K*(v), v) for a K* with K*(1/4) > 1/4, with a knot where K*
+        crosses v.  K*(v)/v is nondecreasing, so K* crosses v once, below
+        1/4, and past the crossing the result is v, held by one more knot
+        at v = 1/4."""
+        x, y = np.array(self.v_knots), np.array(self.values)
+        over = np.flatnonzero(y > x)
+        # the crossing is on the segment that ends at the first knot over v,
+        # or past the last knot
+        k, keep = (over[0], over[0]) if len(over) else (len(x) - 1, len(x))
+        g0, g1 = y[k - 1] - x[k - 1], y[k] - x[k]
+        w = x[k - 1] + (x[k] - x[k - 1]) * (-g0) / (g1 - g0)
+        x, y = x[:keep], y[:keep]
+        if w > x[-1]:
+            x, y = np.append(x, w), np.append(y, w)
+        if 0.25 > x[-1]:
+            x, y = np.append(x, 0.25), np.append(y, 0.25)
+        return PiecewiseLinear(tuple(x.tolist()), tuple(y.tolist()))
+
+
 def check_subunit(k: KStarFn) -> bool:
     """Check K*(v) <= v on (0, 1/4].  K*(v)/v is nondecreasing for a convex
     K* with K*(0) = 0, and so for every composition and scaling of such, so
@@ -233,10 +278,91 @@ def _convexify(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.interp(v, hv, hk)
 
 
+def _breaks(spec: BetaSpec) -> Optional[np.ndarray]:
+    """The s > 0 where a profile of the Table family bends or jumps, or None
+    for a profile outside it.  The family is a Table, an AdjointShift of a
+    member and a Sum of members: each is linear in s between its breaks and
+    constant before the first and past the last."""
+    if isinstance(spec, Table):
+        s, v = (np.array(col) for col in zip(*spec.knots))
+        # min(interpolant, cap) bends once more where a segment crosses the cap
+        a, b = v[:-1] - spec.cap, v[1:] - spec.cap
+        cross = a * b < 0.0
+        at = s[:-1][cross] + (s[1:] - s[:-1])[cross] * a[cross] / (a - b)[cross]
+        s = np.union1d(s, at)
+        return s[s > 0.0]
+    if isinstance(spec, AdjointShift):
+        inner = _breaks(spec.child)
+        return None if inner is None else np.union1d(1.0, inner + 1.0)
+    if isinstance(spec, Sum):
+        parts = [_breaks(child) for child in spec.children]
+        return None if any(p is None for p in parts) else np.unique(np.concatenate(parts))
+    return None
+
+
+def _right(spec: BetaSpec, s: np.ndarray) -> np.ndarray:
+    """beta(s+) at every s >= 0 of a profile of the Table family, each
+    computed as the profile computes beta(s)."""
+    if isinstance(spec, Table):
+        ss, vv = zip(*spec.knots)
+        return np.minimum(np.interp(s, ss, vv), spec.cap)
+    if isinstance(spec, AdjointShift):
+        # beta(1+) is the child's beta(0+)
+        return np.where(s >= 1.0, _right(spec.child, np.maximum(s - 1.0, 0.0)), DEFAULT_CAP)
+    return sum((_right(child, s) for child in spec.children), np.zeros_like(s))
+
+
+def _table_conjugate(spec: BetaSpec, s: np.ndarray) -> PiecewiseLinear:
+    """Exact K* of a profile of the Table family with breaks ``s``.
+
+    On each piece between breaks beta is affine in s, so (v - beta(s)) / s
+    is monotone there and its supremum sits at a break, as the right limit
+    r_i = beta(s_i+):  K*(v) = max(0, max_i (v - r_i) / s_i), the upper
+    envelope of lines (Rockafellar, Convex Analysis, section 12).  Before
+    the first break beta is its limit beta(0+), so K* is infinite for v
+    above it, and past the last break the supremum is 0 or at that break.
+    The knots are the envelope's zero and its corners, and v = 1/4, where
+    F starts.
+    """
+    if len(s) == 0:  # a constant beta, whose line at any one s is K*
+        s = np.ones(1)
+    r = _right(spec, s)
+    head = float(_right(spec, np.zeros(1))[0])
+    if head < 0.25:
+        raise UnboundedConjugateError(
+            f"K* is infinite for v above beta(0+) = {head!r}, below 1/4")
+    # the envelope's lines by rising slope 1/s, above the zero line (None)
+    hull = [None]
+
+    def corner(i, j):
+        """v where line j, the steeper, overtakes line i: r_j plus a
+        correction, which keeps the corner's rounding within an ulp or so
+        when the lines' zeros are close."""
+        return r[j] if i is None else r[j] + s[j] * (r[j] - r[i]) / (s[i] - s[j])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(s) - 1, -1, -1):
+            while len(hull) >= 2 and corner(hull[-2], j) <= corner(hull[-2], hull[-1]):
+                hull.pop()
+            hull.append(j)
+        # the first corner is the smallest r_i, where every line is <= 0;
+        # each line, rounded, is nondecreasing in v, so the values are too
+        v = np.unique([corner(i, j) for i, j in zip(hull, hull[1:])])
+        if v[0] < 0.25:
+            v = np.union1d(v, 0.25)
+        k = np.maximum(0.0, ((v[:, None] - r) / s).max(axis=1))
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(k))):
+        raise UnboundedConjugateError(
+            f"K* of this profile passes the largest double on (0, 1/4]: a break at s = "
+            f"{float(s[0])!r} is too close to 0")
+    return PiecewiseLinear(tuple(v.tolist()), tuple(k.tolist()))
+
+
 def conjugate(spec: BetaSpec) -> KStarFn:
     """Convex conjugate of u -> u * beta(1/u).
 
-    Closed forms are dispatched for the indicator and power-law families;
+    Closed forms are dispatched for the indicator and power-law families,
+    ExpLogSquare up to its cap, and the Table family (``_table_conjugate``);
     any other spec is conjugated numerically on a logarithmic u-grid with
     golden-section refinement, then convexified.
 
@@ -264,6 +390,9 @@ def conjugate(spec: BetaSpec) -> KStarFn:
         return Power(coef, 1.0 + 1.0 / alpha)
     if isinstance(spec, _b.ExpLogSquare) and spec.cap >= spec.c:
         return ExpLogSquareConjugate(c=spec.c, a=spec.a, b=spec.b)
+    breaks = _breaks(spec)
+    if breaks is not None:
+        return _table_conjugate(spec, breaks)
 
     u = np.geomspace(_U_LO, _U_HI, _U_POINTS)
     beta_at = np.asarray(spec(1.0 / u))
@@ -306,11 +435,16 @@ def scale(k: KStarFn, c1: float, c2: float) -> KStarFn:
         return Linear(c2 * k.slope)
     if isinstance(k, Power):
         return Power(k.coefficient * c1 ** (1.0 - k.exponent) * c2, k.exponent)
+    if isinstance(k, PiecewiseLinear):
+        return PiecewiseLinear(tuple((c1 * np.array(k.v_knots)).tolist()),
+                               tuple((c1 * c2 * np.array(k.values)).tolist()))
     return Composite(outer=k, inner=None, pre_scale=1.0 / c1, post_scale=c1 * c2)
 
 
 def _guard(k: KStarFn) -> KStarFn:
-    return k if check_subunit(k) else Clamped(k)
+    if check_subunit(k):
+        return k
+    return k.clamped() if isinstance(k, PiecewiseLinear) else Clamped(k)
 
 
 # compose_mwg's rules as data: mode -> (scale of K0's argument, scale of
@@ -341,7 +475,9 @@ def compose_mwg(
 
     K1 and K2 are guarded by min(K*(v), v) unless ``check_subunit`` passes.
     When every part is linear, so is the result: its slope is the product
-    of the parts' slopes times outer * post * pre.
+    of the parts' slopes times outer * post * pre.  When K2 is piecewise
+    linear and the other parts are linear, so is the result: K2's guarded
+    knots, scaled.
     """
     if mode not in _MODES:
         raise InvalidModeError(f"unknown mode {mode!r}")
@@ -356,6 +492,12 @@ def compose_mwg(
     parts = (k0, k1g, k2g) if wraps_k1 else (k0, k2g)
     if all(isinstance(k, Linear) for k in parts):
         top = Linear(math.prod(k.slope for k in parts) * (outer * post * pre))
+        return Composite(outer=top, offset=offset) if offset else top
+    if isinstance(k2g, PiecewiseLinear) and all(isinstance(k, Linear) for k in parts[:-1]):
+        # outer * K1(K2(c v)) with K1 linear: K2 at c v, times a
+        c = post * pre * k0.slope
+        a = outer * math.prod(k.slope for k in parts[1:-1])
+        top = scale(k2g, 1.0 / c, a * c)
         return Composite(outer=top, offset=offset) if offset else top
 
     node, top = Composite(outer=k0, pre_scale=pre, post_scale=post), k2g

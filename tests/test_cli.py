@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wpgibbs
-from wpgibbs import cli, samplers
+from wpgibbs import cli, config, kstar, rates, samplers
 from wpgibbs.cases import CASES
 from wpgibbs.cli import main
 from wpgibbs.config import case_params_from_dict, to_dict
@@ -413,6 +413,13 @@ INVALID = {
     "shorthand-extra-value": ["bound", "--beta", "indicator:0.2,9"],
     "shorthand-missing-value": ["bound", "--beta", "powerlaw:1.0"],
     "shorthand-table": ["bound", "--beta", "table:1"],
+    # JSON profiles: argv is formatted, so each brace is doubled
+    "json-beta-not-a-number": ["bound", "--beta", '{{"family": "table", "knots": [[1.0, "x"]]}}'],
+    "json-beta-truncated": ["bound", "--beta", '{{"family": "table", "knots": [[1.0, 0.25]]'],
+    "json-beta-below-the-cap": ["bound", "--beta", '{{"family": "table", "knots": [[1.0, 0.2]]}}'],
+    # K*(1/4) = 0.15 / 1e-310 passes the largest double
+    "json-beta-k-overflows": ["bound", "--beta",
+                              '{{"family": "table", "knots": [[1e-320, 0.25], [1e-310, 0.1]]}}'],
     "config-unknown-key": ["bound", "--case", "nig", "--config", "{nig_misnamed_step}"],
     "sample-gamma": ["sample", "--case", "nig", "--gamma", "0.3"],
     "compare-zero-starts": ["compare", "--case", "finite", "--starts", "0"],
@@ -493,6 +500,51 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"family": "table", "knots": [[1.0, "x"]]}', "table.knots must be a number, got 'x'"),
+    ('{"family": "table", "knots": [[1.0, 0.25], [10.0]]}',
+     "table.knots entries need 2 values, got [10.0]"),
+    ('{"family": "adjoint_shift", "child": {"family": "table", "knot": []}}',
+     "table has no field knot"),
+    ('{"family": "sum"}', "sum needs children"),
+    ('{"family": "powerlaw", "coefficient": true, "exponent": 1}',
+     "powerlaw.coefficient must be a number, got True"),
+    ('{"family": "table", "knots": [[1.0, 0.25]]', "--beta is not a JSON object: Expecting"),
+    ('{"family": "adjoint_shift", "child": ' * 1000 + '{"family": "table", "knots": [[1.0, 0.25]]}'
+     + "}" * 1000, "--beta nests its profiles too deeply to read"),
+], ids=["value", "pair", "unknown-field", "missing-field", "bool", "truncated", "too-deep"])
+def test_a_malformed_json_profile_names_the_field(tmp_path, capsys, text, message):
+    assert main(["bound", "--beta", text, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("profile", [
+    {"family": "table", "knots": [[1.0, 0.25], [10.0, 0.1], [100.0, 0.01], [1e4, 1e-4]]},
+    {"family": "adjoint_shift",
+     "child": {"family": "table", "knots": [[0.8, 0.25], [12.0, 0.08], [150.0, 0.01]]}},
+    {"family": "sum", "children": [{"family": "table", "knots": [[1.0, 0.2], [7.0, 0.05]]},
+                                   {"family": "table", "knots": [[0.5, 0.25], [40.0, 0.0]]}]},
+    # knots at s <= 0 only: beta is 1/4 at every s > 0, and K* is 0 on (0, 1/4]
+    {"family": "table", "knots": [[-1.0, 0.25]]},
+], ids=["table", "adjoint-shift", "sum", "constant"])
+def test_bound_takes_a_json_profile(tmp_path, profile):
+    """``--beta`` takes a JSON profile object, so the Table family reaches
+    ``bound``: the curve is the library's, and bound_meta.json records the
+    profile and its exact piecewise-linear K*."""
+    out, ns = tmp_path / "run", [0, 1, 10, 100, 1000, 10 ** 5]
+    argv = ["bound", "--beta", json.dumps(profile), "--n-grid", ",".join(map(str, ns))]
+    assert main(argv + ["--out", str(out)]) == 0
+    meta = _assert_sound_bound(out)
+    spec = config.beta_from_dict(profile)
+    k = kstar.conjugate(spec)
+    assert meta["beta"] == to_dict(spec) and meta["kstar"] == to_dict(k)
+    assert meta["kstar"]["kind"] == "piecewise_linear"
+    with open(out / "bound.csv", newline="") as fh:
+        got = [float(row["bound"]) for row in csv.DictReader(fh)]
+    assert got == rates.RateBound(k).curve(ns).tolist()
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -699,6 +751,16 @@ def _fuzz_argv(draw, kind):
         cfg = {"case": "ou", "mu0": draw(st.floats(-1e3, 1e3)), "tau0": draw(_log_uniform(1e-3, 1e3)),
                "times": times.tolist(), "obs": obs, "M": draw(st.integers(2, 256))}
         return ["--case", "ou"], cfg
+    if kind == "table":
+        # knots from s = 0 on, or shifted so that some lie at s <= 0
+        s = (np.cumsum(draw(st.lists(_log_uniform(1e-3, 1e3), min_size=1, max_size=6)))
+             - draw(st.sampled_from([0.0, 1.0])))
+        values = np.minimum.accumulate(draw(st.lists(
+            st.just(0.0) | _log_uniform(1e-6, 1.0), min_size=s.size, max_size=s.size)))
+        table = {"family": "table", "knots": [[a, b] for a, b in zip(s.tolist(), values.tolist())]}
+        if draw(st.booleans()):
+            table = {"family": "adjoint_shift", "child": table}
+        return ["--beta", json.dumps(table)], None
     family = draw(st.sampled_from(["indicator", "powerlaw", "explogsquare"]))
     if family == "indicator":
         values = [draw(_log_uniform(1e-6, 1e6))]
@@ -710,7 +772,7 @@ def _fuzz_argv(draw, kind):
     return ["--beta", f"{family}:{','.join(map(repr, values))}"], None
 
 
-@pytest.mark.parametrize("kind", ["nig", "bayes", "ou", "beta"])
+@pytest.mark.parametrize("kind", ["nig", "bayes", "ou", "beta", "table"])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_bound_fuzz_exits_2_with_one_line_or_writes_a_sound_curve(kind, data):
@@ -734,3 +796,66 @@ def test_bound_fuzz_exits_2_with_one_line_or_writes_a_sound_curve(kind, data):
             return
         assert rc == 0 and err.getvalue() == ""
         _assert_sound_bound(out)
+
+
+def test_write_metadata(tmp_path):
+    meta_path = tmp_path / "meta.json"
+    payload = {"seed": 42, "case": "finite", "n_grid": list(range(5))}
+    cli.write_metadata(meta_path, payload)
+    assert json.loads(meta_path.read_text()) == payload
+    assert meta_path.read_text() == json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+
+
+def _json_reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=str)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2 ** 100), max_value=2 ** 100),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]),
+    st.floats().map(np.float64),
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
+    st.text(),
+    st.sampled_from(["é", "naïve ∂β", "\u2028", "\ud800", '\x00"\\\n\t\x7f', "\U0001f600"]),
+)
+# lists of plain ints and floats go to json's C encoder in one call
+_PLAIN_NUMBERS = st.lists(st.one_of(st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+                                    st.floats(allow_nan=True, allow_infinity=True)))
+
+
+def _json_containers(children):
+    """Lists, tuples and dicts of ``children``.  json sorts a dict's keys, so
+    one dict holds keys of one kind: strings, numbers and bools, or None."""
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=5),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()), children,
+                        max_size=5),
+        st.dictionaries(st.none(), children, max_size=1),
+        _PLAIN_NUMBERS,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.recursive(_JSON_LEAVES, _json_containers, max_leaves=40))
+def test_json_renderer_is_json_dumps_byte_for_byte(payload):
+    """``write_metadata``'s renderer gives the text of json.dumps(indent=2,
+    sort_keys=True, default=str): nested and empty containers, tuples, bools,
+    None, big ints, signed zeros, nan, infinities, subnormals, numpy scalars
+    (np.int64 through ``default=str``), escaped and non-ASCII strings, and
+    keys that are numbers, bools or None."""
+    assert cli._json(payload) == _json_reference(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {(1, 2): 0}, {np.int64(1): 0}, {"a": {1: 0, "b": 1}},
+], ids=["tuple-key", "np-int-key", "mixed-keys"])
+def test_json_renderer_refuses_the_keys_json_refuses(payload):
+    with pytest.raises(TypeError):
+        _json_reference(payload)
+    with pytest.raises(TypeError):
+        cli._json(payload)

@@ -13,6 +13,7 @@ from wpgibbs import (
     GridKStar,
     Indicator,
     Linear,
+    PiecewiseLinear,
     Power,
     PowerLaw,
     Sum,
@@ -47,6 +48,7 @@ KSTARS = {
     Composite: Composite(outer=Linear(slope=0.5), inner=Power(coefficient=0.3, exponent=1.5),
                          pre_scale=0.25, post_scale=2.0, offset=1),
     GridKStar: GridKStar(v_knots=(0.05, 0.1, 0.25), values=(0.005, 0.012, 0.04)),
+    PiecewiseLinear: PiecewiseLinear(v_knots=(1e-4, 0.0101, 0.25), values=(0.0, 1e-6, 0.015)),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from wpgibbs import (
     conjugate,
     scale,
 )
-from wpgibbs import kstar
+from wpgibbs import RateBound, kstar
 from wpgibbs.beta import BetaSpec, ExpLogSquare
 from wpgibbs.cases import BayesBeta2, BayesParams, NIGBeta1, NIGBeta2, NIGParams
 from dataclasses import dataclass
@@ -92,11 +93,22 @@ def test_unbounded_conjugate_raises():
         conjugate(dead)
 
 
+def _on_the_u_grid(table):
+    """A Sum of ``table`` and a PowerLaw child too small to move any of its
+    values on the u-grid: the profile's values are the Table's, bit for
+    bit, but a Sum with a PowerLaw child takes the u-grid path, which the
+    Table family itself no longer does."""
+    spec = Sum((table, PowerLaw(1e-30, 1.0)))
+    s = 1.0 / np.geomspace(kstar._U_LO, kstar._U_HI, kstar._U_POINTS)
+    assert np.array_equal(spec(s), table(s))
+    return spec
+
+
 def test_conjugate_raises_when_only_the_last_partial_block_diverges():
     # beta = 0.2 at every s, so u * (v - 0.2) grows to the last u only for
     # v > 0.2: rows 196-199 of the v-grid, all in its last partial block of
     # the 16-row argmax blocks
-    flat = Table(knots=((1e9, 0.2),))
+    flat = _on_the_u_grid(Table(knots=((1e9, 0.2),)))
     assert list(np.nonzero(kstar._V_GRID > 0.2)[0]) == [196, 197, 198, 199]
     assert len(kstar._V_GRID) % 16 == 8
     with pytest.raises(UnboundedConjugateError):
@@ -184,17 +196,18 @@ _BAYES_CAPPED = BayesParams(a=2.5, b=1.0, sigma0=0.3, Y=[0.3, -0.1, 0.8, 0.2, -0
 
 
 @pytest.mark.parametrize("spec,live", [
-    (_TABLE, 126),
+    (_on_the_u_grid(_TABLE), 126),
     (Sum((PowerLaw(0.5, 0.7), PowerLaw(1.2, 0.4), PowerLaw(0.3, 1.3))), 93),
     (AdjointShift(PowerLaw(0.8, 0.6)), 159),
-    (AdjointShift(_TABLE), 126),
+    (AdjointShift(_on_the_u_grid(_TABLE)), 126),
     (ExpLogSquare(c=0.6, a=1.2, b=0.1), 200),  # c above the cap: numeric path
     (NIGBeta1(_NIG), 0),
     (BayesBeta2(_BAYES_CAPPED), 0),
     (NIGBeta2(_NIG), 44),
     # values that rise by 1e-15, as Table's validator allows, on both sides
     # of the grid v _G, which the profile reaches at s = 100 and keeps to 1e8
-    (Table(knots=((1.0, 0.25), (10.0, _G + 1e-15), (100.0, _G), (200.0, _G + 1e-15))), 79),
+    (_on_the_u_grid(Table(knots=((1.0, 0.25), (10.0, _G + 1e-15), (100.0, _G),
+                                 (200.0, _G + 1e-15)))), 79),
 ], ids=["table", "sum", "adjoint-powerlaw", "adjoint-table", "explogsquare-capped",
         "nig1", "bayes-capped", "nig2", "table-rising"])
 def test_conjugate_equals_per_v_reference(monkeypatch, spec, live):
@@ -233,13 +246,134 @@ def test_a_table_dip_between_u_points_reads_zero_below_the_reference():
     elsewhere, which only loosens the bound."""
     u = np.geomspace(kstar._U_LO, kstar._U_HI, kstar._U_POINTS)
     s0, s1 = 1.0 / u[1], 1.0 / u[0]
-    spec = Table(knots=((1.0, 0.25), (s0 * (1.0 + 1e-7), _G + 5e-16),
-                        ((s0 + s1) / 2.0, _G - 4e-16), (s1 * (1.0 - 1e-7), _G + 5e-16)))
+    spec = _on_the_u_grid(Table(knots=((1.0, 0.25), (s0 * (1.0 + 1e-7), _G + 5e-16),
+                                       ((s0 + s1) / 2.0, _G - 4e-16),
+                                       (s1 * (1.0 - 1e-7), _G + 5e-16))))
     got = np.array(conjugate(spec).values)
     ref = _conjugate_reference(spec, kstar._V_GRID)
     assert np.all(got <= ref)
     assert np.flatnonzero(got != ref).tolist() == [120]
     assert got[120] == 0.0 < ref[120] < 1e-23
+
+
+# Table-family profiles, whose K* is exact: knots that rise by 1e-15, a
+# segment across the cap 1/4, an AdjointShift with its jump at s = 1, a Sum
+# of Tables with interleaved knots, and a Table whose last value is 0
+_EXACT = {
+    "rising": Table(knots=((1.0, 0.25), (10.0, _G + 1e-15), (100.0, _G), (200.0, _G + 1e-15))),
+    "cap": Table(knots=((0.5, 0.4), (2.0, 0.1), (30.0, 0.02), (400.0, 1e-3))),
+    "shift": AdjointShift(Table(knots=((0.8, 0.25), (12.0, 0.08), (150.0, 0.01), (2e3, 1e-3),
+                                       (3e4, 2e-5)))),
+    "sum": Sum((Table(knots=((1.0, 0.2), (7.0, 0.05), (90.0, 0.004))),
+                Table(knots=((0.5, 0.25), (3.0, 0.1), (40.0, 0.01), (500.0, 5e-4))))),
+    "zero": Table(knots=((1.0, 0.25), (10.0, 0.05), (100.0, 0.0))),
+}
+
+
+def _knot_s(spec):
+    """Every s where a profile of _EXACT bends or jumps, but the cap's
+    crossings: its Table knots, moved by 1 under an AdjointShift, and s = 1
+    there."""
+    if isinstance(spec, Table):
+        return [s for s, _ in spec.knots]
+    if isinstance(spec, AdjointShift):
+        return [1.0] + [s + 1.0 for s in _knot_s(spec.child)]
+    return [s for child in spec.children for s in _knot_s(child)]
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT))
+def test_table_family_conjugate_is_the_brute_supremum(name):
+    """K*(v) = sup_u u (v - beta(1/u)) against its maximum over a dense
+    grid of s = 1/u that holds every knot s_i and the double just above it,
+    where an AdjointShift takes its right limit at s = 1.  One ulp of the
+    objective (v - beta(s)) / s is spacing(v) / s.  At K*'s knots the grid's
+    maximum never exceeds K* by more than one ulp; between them, where K*
+    is interpolated, by more than two.  Nor is K* above the grid's maximum
+    by more than four, the limit at the jump included: the formula's
+    supremum sits at the knots.  Where a segment crosses the cap, the
+    break's line (v - 1/4) / s is not positive for v <= 1/4, so the grid
+    needs no point there."""
+    spec = _EXACT[name]
+    k = conjugate(spec)
+    assert isinstance(k, kstar.PiecewiseLinear)
+    knots = np.array(_knot_s(spec))
+    s = np.unique(np.concatenate([np.geomspace(1e-3, 1e7, 4001), knots,
+                                  np.nextafter(knots, np.inf)]))
+    b = spec(s)
+    at_knots = np.array([v for v in k.v_knots if v <= 0.25])
+    assert at_knots[-1] == 0.25
+    between = np.geomspace(1e-9, 0.25, 300)
+    for v, ulps in ((at_knots, 1.0), (between, 2.0)):
+        got = k(v)
+        obj = (v[:, None] - b) / s
+        ulp = np.spacing(v)[:, None] / s
+        assert np.all(obj <= got[:, None] + ulps * ulp), name
+        best = obj.argmax(axis=1)
+        top = np.maximum(obj[np.arange(len(v)), best], 0.0)
+        assert np.all(got <= top + 4.0 * ulp[np.arange(len(v)), best]), name
+    # the formula is 0 from the smallest value down, and nowhere else
+    assert k(np.nextafter(k.v_knots[0], 0.0)) == 0.0 < k(k.v_knots[0] + 1e-12)
+
+
+def test_table_curve_with_a_last_value_of_zero_stays_positive():
+    """A Table that ends at 0 has K*(v) = v / s_last near 0: the curve falls
+    geometrically with no floor, and stays in (0, 1/4] past underflow."""
+    rb = RateBound(conjugate(_EXACT["zero"]))
+    ns = [0, 1, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 9]
+    got = rb.curve(ns)
+    assert np.all((got > 0.0) & (got <= 0.25)) and np.all(np.diff(got) <= 0.0)
+    assert got[-1] == sys.float_info.min and not rb.saturated
+
+
+def test_a_table_outside_the_cap_is_unbounded():
+    """beta(0+) below 1/4 leaves K* infinite on part of (0, 1/4]: a Table
+    whose first value is 0.2, a Sum of two such Tables at 0.1 each."""
+    for spec in (Table(knots=((1.0, 0.2), (10.0, 0.01))),
+                 Sum((Table(knots=((1.0, 0.1),)), Table(knots=((2.0, 0.1), (9.0, 0.0)))))):
+        with pytest.raises(UnboundedConjugateError):
+            conjugate(spec)
+
+
+@pytest.mark.parametrize("steep", [False, True], ids=["shift", "steep"])
+@pytest.mark.parametrize("mode", ["full", "strong", "joint_2mg", "marginal_2mg"])
+def test_compose_keeps_a_table_conjugate_piecewise_linear(mode, steep):
+    """With linear K0 and K1, compose_mwg scales K2's knots: the result is
+    piecewise linear, equal to the Composite tree of the same parts, and
+    offset as the mode says.  The steep Table's K* passes v below 1/4, so
+    its guard min(K*(v), v) ends in a knot on v = K*(v) and one at 1/4."""
+    spec = Table(knots=((0.2, 0.25), (0.5, 0.05), (20.0, 1e-3))) if steep else _EXACT["shift"]
+    k2 = conjugate(spec)
+    assert kstar.check_subunit(k2) != steep
+    k0, k1 = Linear(0.7), (Linear(0.6) if mode in ("full", "strong") else None)
+    k = compose_mwg(k0, k1, k2, mode=mode)
+    pl = k.outer if mode == "marginal_2mg" else k
+    assert isinstance(pl, kstar.PiecewiseLinear) and k.n_offset == (mode == "marginal_2mg")
+    assert RateBound(k)._cf[0] == "pl"
+    pre, post, wraps, outer, _ = kstar._MODES[mode]
+    k2g = Clamped(k2) if steep else k2
+    node = Composite(outer=k0, pre_scale=pre, post_scale=post)
+    tree = (Composite(outer=k1, inner=Composite(outer=k2g, inner=node), post_scale=outer)
+            if wraps else Composite(outer=k2g, inner=node, post_scale=outer))
+    v = np.concatenate([np.geomspace(1e-9, 1.0, 500), pl.v_knots])
+    assert np.allclose(k(v), tree(v), rtol=1e-13, atol=1e-300)
+    guarded = k2.clamped() if steep else k2
+    cross = [x for x, y in zip(guarded.v_knots, guarded.values) if x == y]
+    assert len(cross) == 2 * steep and (not steep or cross[-1] == 0.25)
+
+
+@pytest.mark.parametrize("v_knots,values,crossing", [
+    ((0.05, 0.1, 0.3), (0.0, 0.09, 0.45), 0.1125),  # on the segment to the knot over v
+    ((0.05, 0.1), (0.0, 0.09), 0.1125),  # on the continuation past the last knot
+])
+def test_clamped_piecewise_linear_ends_on_v_from_its_crossing(v_knots, values, crossing):
+    """min(K*(v), v) as knots: K* = 1.8 (v - 0.05) passes v at 0.1125, and
+    from there the result is v, through a knot at 1/4."""
+    k = kstar.PiecewiseLinear(v_knots, values)
+    c = k.clamped()
+    assert c.v_knots == pytest.approx((0.05, 0.1, crossing, 0.25), rel=1e-15)
+    assert c.values[2:] == c.v_knots[2:]
+    v = np.linspace(0.0, 1.0, 401)
+    assert np.allclose(c(v), np.minimum(k(v), v), rtol=1e-14, atol=1e-17)
 
 
 def test_chain_linear_product():

@@ -24,6 +24,7 @@ from wpgibbs import (
 )
 from wpgibbs.kstar import Composite
 from wpgibbs.rates import _GRID_POINTS, _REL_TOL, X_MAX
+from test_kstar import _on_the_u_grid
 
 
 def test_linear_closed_form():
@@ -211,6 +212,29 @@ def test_f_inverse_inverts_f():
     assert rb.F(X_MAX) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_piecewise_linear_F_and_its_inverse_are_exact():
+    """On the pl path F matches scipy's quad, split at the knots, to 1e-12
+    relative, and is infinite from the zero of K* down.  F_inv(m) is the
+    root of F raised by _REL_TOL: F there is at most m, and lowering the
+    root by twice the margin brings F back above m."""
+    from scipy import integrate
+
+    k = conjugate(Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01), (1e4, 1e-4))))
+    rb = RateBound(k)
+    assert rb._cf[0] == "pl" and rb._table is None
+    knots = [v for v in k.v_knots if v < X_MAX]
+    for x in (X_MAX, 0.2, 0.11, 0.05, 0.0101, 1e-3, 1.001e-4):
+        cuts = [x] + [v for v in knots if v > x] + [X_MAX]
+        ref = sum(integrate.quad(lambda v: 1.0 / k(v), a, b, epsabs=0.0, epsrel=1e-13)[0]
+                  for a, b in zip(cuts, cuts[1:]))
+        assert rb.F(x) == pytest.approx(ref, rel=1e-12, abs=1e-300), x
+    assert rb.F(1e-4) == rb.F(5e-5) == math.inf
+    for m in (0.5, 3.0, 27.0, 400.0, 717.0, 718.0, 5e3, 1e5):
+        x = rb.F_inv(m)
+        assert rb.F(x) <= m < rb.F(x / (1.0 + 2.0 * _REL_TOL)), m
+    assert rb.saturated
+
+
 class _LogEveryCall(RateBound):
     """Reference for the numeric path: F_inv by geometric bisection of the
     interpolated F down to a relative width _REL_TOL, returning the upper
@@ -243,7 +267,9 @@ class _LogEveryCall(RateBound):
 
 
 def _numeric_curves():
-    table = conjugate(Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01), (1e4, 1e-4))))
+    # a Table on the u-grid path: the Table family's own K* is exact
+    table = conjugate(_on_the_u_grid(
+        Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01), (1e4, 1e-4)))))
     total = conjugate(Sum((PowerLaw(0.5, 0.7), PowerLaw(1.2, 0.4))))
     shifted = conjugate(AdjointShift(PowerLaw(0.8, 0.6)))
     grid = np.geomspace(1e-8, 0.25, 500)
@@ -298,8 +324,10 @@ MODES = ("full", "strong", "joint_2mg", "marginal_2mg")
 def test_table_profile_curves_in_every_mode(s0, steps, gamma0, slope1):
     """Random 5-knot Table profiles, each knot's s and beta a random
     multiple of the last, through every compose_mwg mode: the curve lies in
-    (0, 1/4], is 1/4 up to the offset, never rises, and F(F_inv(m)) <= m
-    wherever F_inv is not at its saturation floor."""
+    (0, 1/4], is 1/4 up to the offset, never rises, and F(F_inv(m)) <= m at
+    every level.  The K* is piecewise linear, and its F_inv, raised by
+    _REL_TOL, stays above the floor where F is infinite, which it nears
+    and where ``saturated`` is set."""
     knots = [(s0, 0.25)]
     for ds, dv in steps:
         knots.append((knots[-1][0] * ds, knots[-1][1] * dv))
@@ -313,8 +341,6 @@ def test_table_profile_curves_in_every_mode(s0, steps, gamma0, slope1):
         assert np.all((vals > 0.0) & (vals <= X_MAX)), mode
         assert np.all(vals[np.array(ns) <= k.n_offset] == X_MAX), mode
         assert np.all(np.diff(vals) <= 0.0), mode
+        assert rb._cf[0] == "pl" and rb.saturated, mode
         for m in (n - k.n_offset for n in ns if n > k.n_offset):
-            rb.saturated = False
-            x = rb.F_inv(m)
-            if not rb.saturated:
-                assert rb.F(x) <= m, (mode, m)
+            assert rb.F(rb.F_inv(m)) <= m, (mode, m)

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import json
 import math
 import os
 import pathlib
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import wpgibbs
-from wpgibbs import cli, samplers
+from wpgibbs import samplers
 from wpgibbs.cases import BayesParams, NIGParams, OUParams
 from wpgibbs.errors import DomainError, InvalidModeError
 from wpgibbs.finite import FiniteKernel, random_centered_functions, random_joint_model
@@ -934,66 +933,3 @@ def test_mann_kendall_signs():
     assert up > 1.645
     assert down < -1.645
     assert flat == 0.0
-
-
-def test_write_metadata(tmp_path):
-    meta_path = tmp_path / "meta.json"
-    payload = {"seed": 42, "case": "finite", "n_grid": list(range(5))}
-    cli.write_metadata(meta_path, payload)
-    assert json.loads(meta_path.read_text()) == payload
-    assert meta_path.read_text() == json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-
-
-def _json_reference(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=str)
-
-
-_JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(2 ** 100), max_value=2 ** 100),
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]),
-    st.floats().map(np.float64),
-    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
-    st.text(),
-    st.sampled_from(["é", "naïve ∂β", "\u2028", "\ud800", '\x00"\\\n\t\x7f', "\U0001f600"]),
-)
-# lists of plain ints and floats go to json's C encoder in one call
-_PLAIN_NUMBERS = st.lists(st.one_of(st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
-                                    st.floats(allow_nan=True, allow_infinity=True)))
-
-
-def _json_containers(children):
-    """Lists, tuples and dicts of ``children``.  json sorts a dict's keys, so
-    one dict holds keys of one kind: strings, numbers and bools, or None."""
-    return st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(st.text(max_size=8), children, max_size=5),
-        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()), children,
-                        max_size=5),
-        st.dictionaries(st.none(), children, max_size=1),
-        _PLAIN_NUMBERS,
-    )
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.recursive(_JSON_LEAVES, _json_containers, max_leaves=40))
-def test_json_renderer_is_json_dumps_byte_for_byte(payload):
-    """``write_metadata``'s renderer gives the text of json.dumps(indent=2,
-    sort_keys=True, default=str): nested and empty containers, tuples, bools,
-    None, big ints, signed zeros, nan, infinities, subnormals, numpy scalars
-    (np.int64 through ``default=str``), escaped and non-ASCII strings, and
-    keys that are numbers, bools or None."""
-    assert cli._json(payload) == _json_reference(payload)
-
-
-@pytest.mark.parametrize("payload", [
-    {(1, 2): 0}, {np.int64(1): 0}, {"a": {1: 0, "b": 1}},
-], ids=["tuple-key", "np-int-key", "mixed-keys"])
-def test_json_renderer_refuses_the_keys_json_refuses(payload):
-    with pytest.raises(TypeError):
-        _json_reference(payload)
-    with pytest.raises(TypeError):
-        cli._json(payload)

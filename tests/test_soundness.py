@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from wpgibbs import config
+from wpgibbs import Sum, config
 from wpgibbs.cli import main
 from wpgibbs.kstar import Linear, compose_mwg, conjugate
 from wpgibbs.rates import RateBound
@@ -58,8 +58,9 @@ SHIFT = {"family": "adjoint_shift",
 MODES = ("full", "strong", "joint_2mg", "marginal_2mg")
 
 # Today's count of under-reported points per curve, held as an upper bound.
-# The closed forms hold 0.  nig fixed and bayes are 1/4 at every n, so they
-# have nothing to flag until their curves leave 1/4; they must stay at 0.
+# The closed forms hold 0, and so do the Table family's curves, whose K* and
+# F are exact.  nig fixed and bayes are 1/4 at every n, so they have nothing
+# to flag until their curves leave 1/4; they must stay at 0.
 UNDER_REPORTS = {
     "cli.indicator": 0,
     "cli.powerlaw": 0,
@@ -69,15 +70,15 @@ UNDER_REPORTS = {
     "cli.ou": 53,
     "cli.nig-fixed": 0,
     "cli.bayes": 0,
-    "lib.table": 27,
+    "lib.table": 0,
     "lib.sum-full": 24,
     "lib.sum-strong": 28,
     "lib.sum-joint_2mg": 25,
     "lib.sum-marginal_2mg": 32,
-    "lib.adjoint-shift-full": 12,
-    "lib.adjoint-shift-strong": 13,
-    "lib.adjoint-shift-joint_2mg": 13,
-    "lib.adjoint-shift-marginal_2mg": 30,
+    "lib.adjoint-shift-full": 0,
+    "lib.adjoint-shift-strong": 0,
+    "lib.adjoint-shift-joint_2mg": 0,
+    "lib.adjoint-shift-marginal_2mg": 0,
 }
 
 
@@ -418,3 +419,42 @@ def test_a_lowered_closed_form_is_flagged(curves, flagged, name):
     n, b = points[len(points) // 2]
     lowered = [(m, 0.99 * c if m == n else c) for m, c in points]
     assert under_reports(recipe, offset, lowered) == [n]
+
+
+def test_the_table_floor_is_kept_and_flagged_saturated():
+    """The Table's K* vanishes below its last value 1e-4, so F is infinite
+    there: the bound at n = 1e5 lies above that floor, and the RateBound
+    says it saturates."""
+    rb = RateBound(conjugate(config.beta_from_dict(TABLE)))
+    assert 1e-4 < rb.rate_bound(100_000) < 1.01e-4
+    assert rb.saturated
+
+
+# Closed forms sent through the u-grid path by Sum((spec,)), against the
+# closed curve, which is exact: the count of points below it, held as an
+# upper bound per family.  The largest ratio of the u-grid curve to the
+# closed one, over n > 0, is 0.99990 for powerlaw and 1.0 for explogsquare:
+# neither is above the closed curve anywhere on LOG_GRID.
+CLOSED_FORM_BELOW = {
+    "powerlaw": 38,
+    "explogsquare": 24,
+}
+CLOSED_FORMS = {
+    "powerlaw": {"family": "powerlaw", "coefficient": 0.3, "exponent": 1.3},
+    "explogsquare": {"family": "explogsquare", "c": 0.25, "a": 1.0, "b": 0.2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_BELOW))
+def test_u_grid_points_below_the_closed_form_do_not_rise(name):
+    """The closed curve is sound by the oracle, and the u-grid curve of the
+    same profile lies below it at no more points than the family's count."""
+    desc = CLOSED_FORMS[name]
+    spec = config.beta_from_dict(desc)
+    closed = RateBound(conjugate(spec)).curve(LOG_GRID)
+    grid = RateBound(conjugate(Sum((spec,))))
+    assert grid._cf is None
+    numeric = grid.curve(LOG_GRID)
+    assert under_reports({"mode": None, "k2": desc}, 0, list(zip(LOG_GRID, closed.tolist()))) == []
+    below = [n for n, a, b in zip(LOG_GRID, numeric, closed) if a < b]
+    assert len(below) <= CLOSED_FORM_BELOW[name], below
