@@ -8,8 +8,8 @@ definition: ``config`` writes and reads exactly those.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -50,23 +50,27 @@ class BetaSpec:
         return out
 
 
-def _float(family: str, name: str, value) -> float:
-    """``value`` as a float, read as the JSON reader reads a number: a real
-    number, never a boolean or a string, and finite (NaN fails every
-    comparison, so the checks after this one would pass it)."""
+def _number(name: str, value, kind=float):
+    """``value`` as a finite ``kind``: a number, as JSON gives one; never a
+    boolean or a string.  Every number field of a profile or a case params
+    object, and every number the config reader reads, passes this check."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidSpecError(f"{name} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:
-        raise InvalidSpecError(f"{family} needs finite values, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise InvalidSpecError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x) or (kind is int and not x.is_integer()):
+        what = "whole number" if kind is int else "number"
+        raise InvalidSpecError(f"{name} must be a finite {what}, got {value!r}")
+    return kind(x)
 
 
-def _floats(spec: BetaSpec, *names) -> None:
-    """Store each named field of a frozen profile as a finite float."""
-    family = type(spec).__name__
+def _numbers(obj, kind, *names, prefix="") -> None:
+    """Store each named field of a frozen object as a finite ``kind``; an
+    error names the field ``prefix + name``."""
     for name in names:
-        value = _float(family, f"{family}.{name}", getattr(spec, name))
-        object.__setattr__(spec, name, value)
+        object.__setattr__(obj, name, _number(prefix + name, getattr(obj, name), kind))
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ class Indicator(BetaSpec):
     gamma: float
 
     def __post_init__(self):
-        _floats(self, "gamma")
+        _numbers(self, float, "gamma", prefix="Indicator.")
         if not self.gamma > 0.0:
             raise InvalidSpecError("Indicator needs gamma > 0")
 
@@ -97,7 +101,7 @@ class PowerLaw(BetaSpec):
     cap = DEFAULT_CAP
 
     def __post_init__(self):
-        _floats(self, "coefficient", "exponent")
+        _numbers(self, float, "coefficient", "exponent", prefix="PowerLaw.")
         if not (self.coefficient > 0.0 and self.exponent > 0.0):
             raise InvalidSpecError("PowerLaw needs C > 0 and alpha > 0")
 
@@ -119,14 +123,14 @@ class ExpLogSquare(BetaSpec):
     cap = DEFAULT_CAP
 
     def __post_init__(self):
-        _floats(self, "c", "a", "b")
+        _numbers(self, float, "c", "a", "b", prefix="ExpLogSquare.")
         if not (self.c > 0.0 and self.a > 0.0):
             raise InvalidSpecError("ExpLogSquare needs c > 0 and a > 0")
 
     def _eval(self, s):
-        with np.errstate(over="ignore"):  # an infinite mode is right: c at every s
+        with np.errstate(over="ignore"):  # an infinite mode or square is right: c or 0
             mode = np.exp(-self.b / self.a)
-        val = self.c * np.exp(-((self.a * np.log(s) + self.b) ** 2))
+            val = self.c * np.exp(-((self.a * np.log(s) + self.b) ** 2))
         return np.where(s < mode, self.c, val)
 
 
@@ -150,7 +154,7 @@ class Table(BetaSpec):
                 s, v = knot
             except (TypeError, ValueError):
                 raise InvalidSpecError(f"{name} must be an (s, value) pair, got {knot!r}") from None
-            knots.append((_float("Table", name, s), _float("Table", name, v)))
+            knots.append((_number(name, s), _number(name, v)))
         object.__setattr__(self, "knots", tuple(knots))
         ss, vv = zip(*knots)
         if any(b <= a for a, b in zip(ss, ss[1:])):

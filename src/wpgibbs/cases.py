@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import kstar, samplers
-from .beta import DEFAULT_CAP, BetaSpec, ExpLogSquare
+from .beta import DEFAULT_CAP, BetaSpec, ExpLogSquare, _number, _numbers
 from .errors import (DomainError, InvalidModeError, InvalidSpecError, UnboundedConjugateError,
                      ValidityRangeError)
 from .kstar import Linear
@@ -45,27 +45,6 @@ GAMMA_TAU_SCALED = C_RWM / (2.0 * math.e)
 # the delta > 1 of the OU rate shape exp(-(a/delta) log^2((n-1)/(gamma/2))),
 # which the OU bound states; the K* it reports does not depend on it
 OU_DELTA = 1.5
-
-
-def _number(name: str, value, kind=float):
-    """``value`` as a finite ``kind``: a number, as JSON gives one; never a
-    boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidSpecError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise InvalidSpecError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(x) or (kind is int and not x.is_integer()):
-        what = "whole number" if kind is int else "number"
-        raise InvalidSpecError(f"{name} must be a finite {what}, got {value!r}")
-    return kind(x)
-
-
-def _numbers(obj, kind, *names) -> None:
-    """Store each named field of a frozen params object as a finite ``kind``."""
-    for name in names:
-        object.__setattr__(obj, name, _number(name, getattr(obj, name), kind))
 
 
 def _frozen(a) -> np.ndarray:
@@ -88,6 +67,16 @@ def _positive(obj, *names) -> None:
     for name in names:
         if not getattr(obj, name) > 0.0:
             raise DomainError(f"{name} must be positive, got {getattr(obj, name)}")
+
+
+def _square_within(obj, name: str, low: float = sys.float_info.min) -> None:
+    """Refuse a field whose square is not in [low, the largest double]: the
+    cases' constants square their fields and, by default, divide by the
+    squares."""
+    x = getattr(obj, name)
+    if not low <= x * x <= sys.float_info.max:
+        raise DomainError(f"{name}^2 must lie in [{low:.3g}, {sys.float_info.max:.3g}], "
+                          f"got {name} = {x!r}")
 
 
 def _gap_at_most_one(obj) -> None:
@@ -120,6 +109,8 @@ class NIGParams:
 
     def __post_init__(self):
         _positive(self, "beta_hyper", "gamma_dg", *(() if self.sigma0 is None else ("sigma0",)))
+        if self.sigma0 is not None:
+            _square_within(self, "sigma0")
         _gap_at_most_one(self)
 
 
@@ -244,6 +235,13 @@ class BayesParams:
             raise DomainError("design matrix must have full column rank")
         if self.Y.shape != (N,):
             raise DomainError("response length must match the design matrix")
+        try:
+            ok = 0.0 < self.C1 < math.inf and 0.0 < self.C2 < math.inf
+        except ArithmeticError:
+            ok = False
+        if not ok:
+            raise DomainError(f"sigma0 = {self.sigma0!r} puts C1 = 1/(C_RWM eig_min sigma0^2) or "
+                              f"C2 = 2 eig_max p sigma0^2 outside the positive doubles")
 
     @property
     def N(self) -> int:
@@ -343,6 +341,8 @@ class OUParams:
         _numbers(self, float, "mu0")
         _numbers(self, int, "M")
         _positive(self, "tau0", "gamma_dg", "envelope_K")
+        _square_within(self, "tau0")
+        _square_within(self, "mu0", low=0.0)
         _gap_at_most_one(self)
         if self.M < 2:
             raise DomainError("segment grid resolution M must be >= 2")

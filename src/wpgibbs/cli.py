@@ -168,7 +168,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _at_least(args, 1, "models")
+    _at_least(args, 1, "models", "trials")
     _at_least(args, 0, "n_max", "seed")
     sizes = re.fullmatch(r"([0-9]+)x([0-9]+)", args.states)
     nx, ny = map(int, sizes.groups()) if sizes else (0, 0)

@@ -4,7 +4,7 @@ Every CLI artifact embeds the fully resolved configuration produced here, so
 runs are reproducible from their own metadata.  Each of these is written as
 its dataclass fields under a tag (``family``, ``kind`` or ``case``).
 Profiles and case params are read back, every number through the one check
-``cases._number``; nothing reads a rate function back.
+``beta._number``; nothing reads a rate function back.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import beta as b
 from . import kstar as k
-from .cases import CASES, _number
+from .cases import CASES
 from .errors import InvalidSpecError
 
 #: profile families by their ``family`` tag
@@ -120,7 +120,7 @@ def _coerce(tp, v, name: str):
         if len(v) != len(args):
             raise InvalidSpecError(f"{name} entries need {len(args)} values, got {v!r}")
         return tuple(_coerce(t, x, name) for t, x in zip(args, v))
-    return _number(name, v)
+    return b._number(name, v)
 
 
 def parse_beta(text: str) -> b.BetaSpec:

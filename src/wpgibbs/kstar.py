@@ -162,28 +162,29 @@ class ExpLogSquareConjugate(KStarFn):
         return out
 
 
+def _through(v, x, y) -> np.ndarray:
+    """np.interp through the knots (x, y), continued along the last segment
+    past them."""
+    out = np.interp(v, x, y)
+    if len(x) >= 2:
+        slope = (y[-1] - y[-2]) / (x[-1] - x[-2])
+        out = np.where(v > x[-1], y[-1] + slope * (v - x[-1]), out)
+    return out
+
+
 @dataclass(frozen=True)
 class GridKStar(KStarFn):
     """Piecewise-linear K* through (v, value) knots; (0, 0) is implied."""
 
     v_knots: tuple[float, ...]
     values: tuple[float, ...]
-    convexified: bool = False
 
     def __post_init__(self):
         if len(self.v_knots) != len(self.values) or len(self.v_knots) == 0:
             raise InvalidSpecError("GridKStar needs matching nonempty knots")
 
     def _eval(self, v):
-        vs = np.concatenate([[0.0], np.asarray(self.v_knots)])
-        ks = np.concatenate([[0.0], np.asarray(self.values)])
-        out = np.interp(v, vs, ks)
-        # linear continuation of the last segment above the grid
-        if len(vs) >= 2:
-            slope = (ks[-1] - ks[-2]) / (vs[-1] - vs[-2])
-            high = v > vs[-1]
-            out = np.where(high, ks[-1] + slope * (v - vs[-1]), out)
-        return out
+        return _through(v, np.append(0.0, self.v_knots), np.append(0.0, self.values))
 
 
 @dataclass(frozen=True)
@@ -204,12 +205,7 @@ class PiecewiseLinear(KStarFn):
                 "PiecewiseLinear needs rising v knots from v >= 0 and nondecreasing values from 0")
 
     def _eval(self, v):
-        x, y = np.asarray(self.v_knots), np.asarray(self.values)
-        out = np.interp(v, x, y)
-        if len(x) >= 2:
-            slope = (y[-1] - y[-2]) / (x[-1] - x[-2])
-            out = np.where(v > x[-1], y[-1] + slope * (v - x[-1]), out)
-        return out
+        return _through(v, np.asarray(self.v_knots), np.asarray(self.values))
 
     def clamped(self) -> "PiecewiseLinear":
         """min(K*(v), v) for a K* with K*(1/4) > 1/4, with a knot where K*
@@ -381,12 +377,14 @@ def conjugate(spec: BetaSpec) -> KStarFn:
     if isinstance(spec, _b.PowerLaw):
         alpha = spec.exponent
         c = spec.coefficient
-        try:
+        try:  # c (1 + alpha) may pass the largest double, and inf^(-1/alpha) is 0
             coef = (alpha / (1.0 + alpha)) * (c * (1.0 + alpha)) ** (-1.0 / alpha)
         except OverflowError:
+            coef = math.inf
+        if not 0.0 < coef < math.inf:
             raise UnboundedConjugateError(
                 f"power-law conjugate coefficient overflows a double for "
-                f"coefficient {c!r}, exponent {alpha!r}") from None
+                f"coefficient {c!r}, exponent {alpha!r}")
         return Power(coef, 1.0 + 1.0 / alpha)
     if isinstance(spec, _b.ExpLogSquare) and spec.cap >= spec.c:
         return ExpLogSquareConjugate(c=spec.c, a=spec.a, b=spec.b)
@@ -424,7 +422,7 @@ def conjugate(spec: BetaSpec) -> KStarFn:
         refined = _golden_max(lambda uu: uu * (v - spec(1.0 / uu)), lo, hi)
         vals[live] = np.maximum(0.0, np.maximum(refined, best[live]))
     vals = _convexify(_V_GRID, vals)
-    return GridKStar(tuple(_V_GRID), tuple(vals), convexified=True)
+    return GridKStar(tuple(_V_GRID), tuple(vals))
 
 
 def scale(k: KStarFn, c1: float, c2: float) -> KStarFn:
@@ -492,15 +490,15 @@ def compose_mwg(
     parts = (k0, k1g, k2g) if wraps_k1 else (k0, k2g)
     if all(isinstance(k, Linear) for k in parts):
         top = Linear(math.prod(k.slope for k in parts) * (outer * post * pre))
-        return Composite(outer=top, offset=offset) if offset else top
-    if isinstance(k2g, PiecewiseLinear) and all(isinstance(k, Linear) for k in parts[:-1]):
+    elif isinstance(k2g, PiecewiseLinear) and all(isinstance(k, Linear) for k in parts[:-1]):
         # outer * K1(K2(c v)) with K1 linear: K2 at c v, times a
         c = post * pre * k0.slope
         a = outer * math.prod(k.slope for k in parts[1:-1])
         top = scale(k2g, 1.0 / c, a * c)
-        return Composite(outer=top, offset=offset) if offset else top
-
-    node, top = Composite(outer=k0, pre_scale=pre, post_scale=post), k2g
-    if wraps_k1:
-        node, top = Composite(outer=k2g, inner=node), k1g
-    return Composite(outer=top, inner=node, post_scale=outer, offset=offset)
+    else:
+        node, top = Composite(outer=k0, pre_scale=pre, post_scale=post), k2g
+        if wraps_k1:
+            node, top = Composite(outer=k2g, inner=node), k1g
+        return Composite(outer=top, inner=node, post_scale=outer, offset=offset)
+    # the clock offset, which RateBound reads through to top's closed form
+    return Composite(outer=top, offset=offset) if offset else top

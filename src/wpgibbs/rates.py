@@ -44,11 +44,8 @@ def _closed_form(k: KStarFn):
             raise DomainError(f"power K* exponent {k.exponent!r} is too large for a double") from None
     if isinstance(k, PiecewiseLinear):
         return ("pl", _pl_table(k))
-    if isinstance(k, Composite) and k.inner is None and isinstance(k.outer, Linear):
-        return ("linear", k.pre_scale * k.post_scale * k.outer.slope)
-    if (isinstance(k, Composite) and k.inner is None and isinstance(k.outer, PiecewiseLinear)
-            and k.pre_scale == k.post_scale == 1.0):
-        return ("pl", _pl_table(k.outer))  # compose_mwg's clock offset
+    if isinstance(k, Composite) and k.inner is None and k.pre_scale == k.post_scale == 1.0:
+        return _closed_form(k.outer)  # compose_mwg's clock offset
     return None
 
 

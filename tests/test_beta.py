@@ -52,8 +52,10 @@ def test_non_finite_fields_are_refused(make, x):
     """Every comparison is False on NaN, so a NaN field once passed the
     range checks of a profile built in Python (the config reader refuses
     it first): ExpLogSquare(b=nan) gave NaN at every s, and a leading NaN
-    value let a Table's later values rise."""
-    with pytest.raises(InvalidSpecError, match="needs finite values"):
+    value let a Table's later values rise.  The error names the field, in
+    the words of the config reader's check."""
+    with pytest.raises(InvalidSpecError,
+                       match=r"^(\w+\.\w+|Table knot \d) must be a finite number, got -?(nan|inf)$"):
         make(x)
 
 

@@ -450,6 +450,18 @@ INVALID = {
     # a finite beta / sigma0^2 whose product with W_{-1} overflows
     "nig-fixed-scaled-w-overflows": ["bound", "--case", "nig", "--mode", "fixed",
                                      "--beta-hyper", "1e306", "--sigma0", "0.1"],
+    # finite numbers whose squares leave the doubles where a case forms them
+    "nig-sigma0-square-underflows": ["bound", "--case", "nig", "--mode", "fixed",
+                                     "--sigma0", "1e-200"],
+    "bayes-sigma0-tiny": ["bound", "--case", "bayes", "--config", "{bayes_sigma0_tiny}"],
+    "bayes-sigma0-huge": ["bound", "--case", "bayes", "--config", "{bayes_sigma0_huge}"],
+    "ou-tau0-tiny": ["bound", "--case", "ou", "--config", "{ou_tau0_tiny}"],
+    "ou-tau0-huge": ["bound", "--case", "ou", "--config", "{ou_tau0_huge}"],
+    "ou-tau0-tiny-sample": ["sample", "--case", "ou", "--config", "{ou_tau0_tiny}"],
+    "ou-mu0-huge-sample": ["sample", "--case", "ou", "--config", "{ou_mu0_huge}"],
+    "verify-zero-trials": ["verify", "--trials", "0"],
+    # C (1 + alpha) passes the largest double: the conjugate's coefficient would be 0
+    "powerlaw-product-overflows": ["bound", "--beta", "powerlaw:1e300,1e300"],
     "unknown-flag": ["bound", "--nosuch", "1"],
     # bound draws no random numbers, so it takes no --seed
     "bound-seed": ["bound", "--beta", "indicator:0.2", "--seed", "3"],
@@ -461,45 +473,77 @@ INVALID = {
 }
 
 
-# a warning would print to stderr beside the error line outside pytest
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv", INVALID.values(), ids=INVALID.keys())
-def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
-    files = {
-        "nig_fixed": '{"case": "nig", "beta_hyper": 1.0, "sigma0": 0.8}',
-        "nig_null": '{"case": "nig", "beta_hyper": null}',
-        "nig_bool": '{"case": "nig", "beta_hyper": true}',
-        "nig_string": '{"case": "nig", "beta_hyper": "2.0"}',
-        "nig_misnamed_step": '{"case": "nig", "beta_hyper": 1, "sigma_xi": 0.5}',
-        "not_object": "[1, 2]",
-        "nig_scaled": '{"case": "nig", "beta_hyper": 2.0}',
-        "bayes": json.dumps(CASE_CONFIGS["bayes"]),
-        "ou": json.dumps(CASE_CONFIGS["ou"]),
-        "bayes_1d_x": json.dumps({**CASE_CONFIGS["bayes"], "X": [1, 2, 3], "Y": [1, 0, 2]}),
-        "bayes_gamma": json.dumps({**CASE_CONFIGS["bayes"], "gamma_dg": 0.5}),
-        "bayes_gamma_big": json.dumps({**CASE_CONFIGS["bayes"], "gamma_dg": 1.5}),
-        "bayes_a_inf": json.dumps({**CASE_CONFIGS["bayes"], "a": math.inf}),
-        "bayes_y_nan": json.dumps({**CASE_CONFIGS["bayes"], "Y": [1, 0, math.nan, 1]}),
-        "ou_mu0_inf": json.dumps({**CASE_CONFIGS["ou"], "mu0": math.inf}),
-        "ou_fractional_M": json.dumps({**CASE_CONFIGS["ou"], "M": 8.7}),
-        "ou_huge_M": json.dumps({**CASE_CONFIGS["ou"], "M": 10 ** 400}),
-        "ou_times_inf": json.dumps({**CASE_CONFIGS["ou"], "times": [0.0, 0.5, 1.0, math.inf]}),
-        "ou_times_bool": json.dumps({**CASE_CONFIGS["ou"], "times": [0.0, True, 2.0, 3.0]}),
-        "ou_obs_string": json.dumps({**CASE_CONFIGS["ou"], "obs": ["0.5", 0.1, 0.3, -0.1]}),
-        "bayes_x_mixed": json.dumps({**CASE_CONFIGS["bayes"],
-                                     "X": [["1", 0], [True, 1], [1, 1], [2, 1]]}),
-        "bayes_y_string": json.dumps({**CASE_CONFIGS["bayes"], "Y": [1, "0", 2, 1]}),
-    }
+# the config files INVALID's argv name, by their placeholder
+INVALID_FILES = {
+    "nig_fixed": '{"case": "nig", "beta_hyper": 1.0, "sigma0": 0.8}',
+    "nig_null": '{"case": "nig", "beta_hyper": null}',
+    "nig_bool": '{"case": "nig", "beta_hyper": true}',
+    "nig_string": '{"case": "nig", "beta_hyper": "2.0"}',
+    "nig_misnamed_step": '{"case": "nig", "beta_hyper": 1, "sigma_xi": 0.5}',
+    "not_object": "[1, 2]",
+    "nig_scaled": '{"case": "nig", "beta_hyper": 2.0}',
+    "bayes": json.dumps(CASE_CONFIGS["bayes"]),
+    "ou": json.dumps(CASE_CONFIGS["ou"]),
+    "bayes_1d_x": json.dumps({**CASE_CONFIGS["bayes"], "X": [1, 2, 3], "Y": [1, 0, 2]}),
+    "bayes_gamma": json.dumps({**CASE_CONFIGS["bayes"], "gamma_dg": 0.5}),
+    "bayes_gamma_big": json.dumps({**CASE_CONFIGS["bayes"], "gamma_dg": 1.5}),
+    "bayes_a_inf": json.dumps({**CASE_CONFIGS["bayes"], "a": math.inf}),
+    "bayes_y_nan": json.dumps({**CASE_CONFIGS["bayes"], "Y": [1, 0, math.nan, 1]}),
+    "ou_mu0_inf": json.dumps({**CASE_CONFIGS["ou"], "mu0": math.inf}),
+    "ou_fractional_M": json.dumps({**CASE_CONFIGS["ou"], "M": 8.7}),
+    "ou_huge_M": json.dumps({**CASE_CONFIGS["ou"], "M": 10 ** 400}),
+    "ou_times_inf": json.dumps({**CASE_CONFIGS["ou"], "times": [0.0, 0.5, 1.0, math.inf]}),
+    "ou_times_bool": json.dumps({**CASE_CONFIGS["ou"], "times": [0.0, True, 2.0, 3.0]}),
+    "ou_obs_string": json.dumps({**CASE_CONFIGS["ou"], "obs": ["0.5", 0.1, 0.3, -0.1]}),
+    "bayes_x_mixed": json.dumps({**CASE_CONFIGS["bayes"],
+                                 "X": [["1", 0], [True, 1], [1, 1], [2, 1]]}),
+    "bayes_y_string": json.dumps({**CASE_CONFIGS["bayes"], "Y": [1, "0", 2, 1]}),
+    "bayes_sigma0_tiny": json.dumps({**CASE_CONFIGS["bayes"], "sigma0": 1e-200}),
+    "bayes_sigma0_huge": json.dumps({**CASE_CONFIGS["bayes"], "sigma0": 1e200}),
+    "ou_tau0_tiny": json.dumps({**CASE_CONFIGS["ou"], "tau0": 1e-200}),
+    "ou_tau0_huge": json.dumps({**CASE_CONFIGS["ou"], "tau0": 1e200}),
+    "ou_mu0_huge": json.dumps({**CASE_CONFIGS["ou"], "mu0": 1e300}),
+}
+
+
+def _invalid_run(tmp_path, capsys, key):
+    """Run INVALID[key] with its config files written to ``tmp_path``: it
+    exits 2 with one error line and makes no output directory; returns that
+    line."""
     paths = {}
-    for key, text in files.items():
-        paths[key] = tmp_path / f"{key}.json"
-        paths[key].write_text(text)
+    for name, text in INVALID_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
     out = tmp_path / "run"
-    argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
-    assert main(argv) == 2
+    assert main([a.format(**paths) for a in INVALID[key]] + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+    return err
+
+
+# a warning would print to stderr beside the error line outside pytest
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", INVALID)
+def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, key):
+    _invalid_run(tmp_path, capsys, key)
+
+
+# INVALID inputs that once escaped as a ZeroDivisionError or OverflowError
+# traceback (exit 1), or named no flag or an internal class; what each error
+# names now
+NAMED = {
+    "nig-sigma0-square-underflows": "sigma0", "bayes-sigma0-tiny": "sigma0",
+    "bayes-sigma0-huge": "sigma0", "ou-tau0-tiny": "tau0", "ou-tau0-huge": "tau0",
+    "ou-tau0-tiny-sample": "tau0", "ou-mu0-huge-sample": "mu0",
+    "verify-zero-trials": "--trials", "powerlaw-product-overflows": "coefficient 1e+300",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", NAMED)
+def test_a_finite_number_out_of_range_is_refused_by_name(tmp_path, capsys, key):
+    assert NAMED[key] in _invalid_run(tmp_path, capsys, key)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -695,6 +739,9 @@ EXIT_0 = {
     "explogsquare-mode-overflows": ["--beta", "explogsquare:3.16,0.0034,-14.7"],
     # the OU envelope's mode passes the largest double (tau0 = 13.3, m = 552)
     "ou-envelope-mode-overflows": ["--case", "ou", "--config", "{ou_far_mode}"],
+    # tau0 = 1e-153 gives the envelope a = 2.4e153, whose (a log s + b)^2 passes
+    # the largest double: beta is 0 there
+    "ou-envelope-square-overflows": ["--case", "ou", "--config", "{ou_tiny_tau0}"],
     # a' = a + (N - p)/2 passes 171.6, where Gamma(a') overflows
     "bayes-400": ["--case", "bayes", "--config", "{bayes_400}"],
     "bayes-5000": ["--case", "bayes", "--config", "{bayes_5000}"],
@@ -705,7 +752,8 @@ EXIT_0 = {
 @pytest.mark.parametrize("argv", EXIT_0.values(), ids=EXIT_0.keys())
 def test_named_inputs_exit_0_with_a_sound_curve(tmp_path, argv):
     files = {"ou_far_mode": {"case": "ou", "mu0": 419.3325, "tau0": 13.3,
-                             "times": [0.0, 0.5, 1.0, 1.5], "obs": [3.0, 0.0, 0.3, -0.1], "M": 8}}
+                             "times": [0.0, 0.5, 1.0, 1.5], "obs": [3.0, 0.0, 0.3, -0.1], "M": 8},
+             "ou_tiny_tau0": {**CASE_CONFIGS["ou"], "tau0": 1e-153}}
     for N in (400, 5000):
         X, Y = _bayes_design(N, 2, [1.0, 1.0], N)
         files[f"bayes_{N}"] = {"case": "bayes", "a": 2.5, "b": 1.0, "sigma0": 0.3,
@@ -730,9 +778,11 @@ def _log_uniform(lo, hi):
 @st.composite
 def _fuzz_argv(draw, kind):
     """A ``bound`` argv of one kind, and the config file it reads, if any."""
+    # draws past the edges, where a square leaves the doubles
+    far = st.sampled_from([1e-200, 1e200])
     if kind == "nig":
         edge = st.sampled_from([1e-6, 1e6])
-        beta, sigma0 = (draw(_log_uniform(1e-6, 1e6) | edge) for _ in range(2))
+        beta, sigma0 = draw(_log_uniform(1e-6, 1e6) | edge), draw(_log_uniform(1e-6, 1e6) | edge | far)
         return ["--case", "nig", "--mode", "fixed", "--beta-hyper", repr(beta),
                 "--sigma0", repr(sigma0)], None
     if kind == "bayes":
@@ -740,7 +790,7 @@ def _fuzz_argv(draw, kind):
         scales = [draw(_log_uniform(1e-2, 1e2)) for _ in range(p)]
         X, Y = _bayes_design(N, p, scales, draw(st.integers(0, 2 ** 31)))
         cfg = {"case": "bayes", "a": draw(st.just(1.0) | _log_uniform(1e-6, 1e6).map(lambda v: 1.0 + v)),
-               "b": draw(_log_uniform(1e-6, 1e6)), "sigma0": draw(_log_uniform(1e-6, 1e6)),
+               "b": draw(_log_uniform(1e-6, 1e6)), "sigma0": draw(_log_uniform(1e-6, 1e6) | far),
                "X": X.tolist(), "Y": Y.tolist()}
         return ["--case", "bayes"], cfg
     if kind == "ou":
@@ -748,7 +798,8 @@ def _fuzz_argv(draw, kind):
         times = np.concatenate([[0.0], np.cumsum(gaps)])
         times = times[times <= 50.0]
         obs = draw(st.lists(st.floats(-50.0, 50.0), min_size=times.size, max_size=times.size))
-        cfg = {"case": "ou", "mu0": draw(st.floats(-1e3, 1e3)), "tau0": draw(_log_uniform(1e-3, 1e3)),
+        cfg = {"case": "ou", "mu0": draw(st.floats(-1e3, 1e3)),
+               "tau0": draw(_log_uniform(1e-3, 1e3) | far),
                "times": times.tolist(), "obs": obs, "M": draw(st.integers(2, 256))}
         return ["--case", "ou"], cfg
     if kind == "table":

@@ -112,8 +112,7 @@ def test_nested_specs_round_trip():
         "kind": "composite",
         "outer": {"kind": "clamped", "child": {
             "kind": "composite",
-            "outer": {"kind": "grid", "v_knots": [0.1, 0.25], "values": [0.01, 0.05],
-                      "convexified": False},
+            "outer": {"kind": "grid", "v_knots": [0.1, 0.25], "values": [0.01, 0.05]},
             "inner": {"kind": "clamped", "child": {"kind": "power", "coefficient": 0.5,
                                                    "exponent": 2.0}},
             "pre_scale": 1.0, "post_scale": 1.0, "offset": 1}},

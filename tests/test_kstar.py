@@ -376,6 +376,18 @@ def test_clamped_piecewise_linear_ends_on_v_from_its_crossing(v_knots, values, c
     assert np.allclose(c(v), np.minimum(k(v), v), rtol=1e-14, atol=1e-17)
 
 
+def test_grid_and_piecewise_linear_through_the_same_knots_agree_bit_for_bit():
+    """A GridKStar is the PiecewiseLinear through (0, 0) and its knots: one
+    interpolation reads both, at the knots, between them and past the last."""
+    x = np.geomspace(1e-4, 0.2, 9)
+    y = 0.3 * x ** 1.5
+    grid = GridKStar(tuple(x.tolist()), tuple(y.tolist()))
+    pl = kstar.PiecewiseLinear((0.0, *x.tolist()), (0.0, *y.tolist()))
+    v = np.concatenate([[0.0, 5e-5], x, 0.5 * (x[1:] + x[:-1]), [0.21, 0.25, 1.0, 3.0]])
+    assert grid(v).tobytes() == pl(v).tobytes()
+    assert [grid(t) for t in v.tolist()] == [pl(t) for t in v.tolist()]
+
+
 def test_chain_linear_product():
     # chaining two indicator profiles composes their linear conjugates
     k1, k2 = conjugate(Indicator(0.5)), conjugate(Indicator(0.4))

@@ -179,9 +179,9 @@ def _curve_cases():
 
 
 def test_curve_equals_rate_bound_point_by_point():
-    # linear, power and numeric paths (a power K* behind an offset takes the
-    # numeric one), offsets 0 and 1, n = 0, floats that curve truncates, and
-    # levels past each table's top
+    # linear, power and numeric paths (a K* behind an offset takes its own
+    # path), offsets 0 and 1, n = 0, floats that curve truncates, and levels
+    # past each table's top
     ns = [0, 1, 2, 3, 7, 50, 200, 1000, 10 ** 4, 10 ** 6, 10 ** 9]
     for name, k in _curve_cases():
         rb, ref = RateBound(k), RateBound(k)
@@ -202,6 +202,21 @@ def test_curve_equals_rate_bound_point_by_point():
         assert not rb.saturated, name
         rb.curve([below + 1, 10 ** 6])
         assert rb.saturated, name
+
+
+@pytest.mark.parametrize("k", [
+    Linear(0.3), Power(0.1, 1.7),
+    conjugate(Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01), (1e4, 1e-4)))),
+], ids=["linear", "power", "piecewise-linear"])
+def test_a_clock_offset_is_the_closed_form_one_scan_late(k):
+    """compose_mwg's clock offset wraps a K* in a Composite with no inner and
+    unit scales: the bound takes the K*'s own closed form, and its curve is
+    the K*'s curve at n - 1, bit for bit."""
+    ns = [1, 2, 3, 7, 50, 200, 1000, 10 ** 4, 10 ** 6, 10 ** 9]
+    rb, plain = RateBound(Composite(k, offset=1)), RateBound(k)
+    assert rb._cf[0] == plain._cf[0] and rb._table is None
+    assert rb.curve(ns).tobytes() == plain.curve([n - 1 for n in ns]).tobytes()
+    assert rb.saturated == plain.saturated
 
 
 def test_f_inverse_inverts_f():
