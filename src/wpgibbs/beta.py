@@ -106,7 +106,8 @@ class PowerLaw(BetaSpec):
             raise InvalidSpecError("PowerLaw needs C > 0 and alpha > 0")
 
     def _eval(self, s):
-        return self.coefficient * s ** (-self.exponent)
+        with np.errstate(over="ignore"):  # an infinite value is right: the cap takes it
+            return self.coefficient * s ** (-self.exponent)
 
 
 @dataclass(frozen=True)

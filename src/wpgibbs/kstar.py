@@ -234,22 +234,50 @@ def check_subunit(k: KStarFn) -> bool:
     return bool(k(0.25) <= 0.25 * (1.0 + 1e-9))
 
 
+def _same_bytes(state, other) -> bool:
+    """Whether two golden-section states hold the same bytes, so that ±0
+    and NaN payloads count as different.  Row 0's a and b go first, as
+    floats: while its bracket still shrinks, one of them moves at every
+    step, so a search far from its cycle pays for one or two float
+    comparisons a step.  (A NaN there keeps all 80 steps.)"""
+    (a, b), (oa, ob) = state[:2], other[:2]
+    return ((a.size == 0 or (a[0] == oa[0] and b[0] == ob[0]))
+            and all(x.tobytes() == y.tobytes() for x, y in zip(state, other)))
+
+
 def _golden_max(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Golden-section maximization of g on every bracket [lo[j], hi[j]] at
     once; returns the max values.  g maps an array of points to their
-    values, one call per iteration for all brackets."""
+    values, one call per iteration for all brackets.
+
+    The search runs at most 80 steps and returns the state of the 80th.  A
+    bracket only a few ulps wide stops shrinking: its points round back to
+    the values they had two steps before.  Once the whole state (a, b, c, d
+    and g's values at c and d) equals, bit for bit, the state two steps
+    back, each step is a function of the state alone and g gives the same
+    values for the same points, so every later state repeats with period 2.
+    The loop then stops and takes the 80th state by parity, which is the
+    state 80 steps would reach, bit for bit (``_same_bytes``)."""
     a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+    w = _GOLDEN * (b - a)
+    c, d = b - w, a + w
     gc, gd = g(c), g(d)
-    for _ in range(80):  # 0.618^80: each bracket shrinks to 2e-17 of its width
+    state, prev, older = (a, b, c, d, gc, gd), None, None
+    for step in range(80):  # 0.618^80: each bracket shrinks to 2e-17 of its width
         left = gc >= gd  # the max lies in [a, d]: d becomes b, c becomes d
         a = np.where(left, a, c)
         b = np.where(left, d, b)
-        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        w = _GOLDEN * (b - a)
+        new = np.where(left, b - w, a + w)
         g_new = g(new)
         c, d = np.where(left, new, d), np.where(left, c, new)
         gc, gd = np.where(left, g_new, gd), np.where(left, gc, g_new)
+        state, prev, older = (a, b, c, d, gc, gd), state, prev
+        if older is not None and _same_bytes(state, older):
+            if (79 - step) % 2:  # an odd number of steps left ends on the other state
+                state = prev
+            break
+    a, b, c, d, gc, gd = state
     return np.maximum(np.maximum(gc, gd), g(0.5 * (a + b)))
 
 

@@ -27,7 +27,8 @@ from wpgibbs import (
 )
 from wpgibbs import RateBound, kstar
 from wpgibbs.beta import BetaSpec, ExpLogSquare
-from wpgibbs.cases import BayesBeta2, BayesParams, NIGBeta1, NIGBeta2, NIGParams
+from wpgibbs.cases import (BayesBeta2, BayesParams, NIGBeta1, NIGBeta2, NIGParams, OUParams,
+                           ou_exp_log_square_envelope)
 from dataclasses import dataclass
 
 
@@ -235,6 +236,112 @@ def test_conjugate_equals_per_v_reference(monkeypatch, spec, live):
         assert evaluated == [kstar._U_POINTS]
     monkeypatch.undo()
     assert np.array_equal(np.array(k.values), _conjugate_reference(spec, kstar._V_GRID))
+
+
+def _golden_max_80(g, lo, hi):
+    """``_golden_max`` without its stop: the vectorised body, all 80 steps."""
+    a, b = lo, hi
+    c = b - kstar._GOLDEN * (b - a)
+    d = a + kstar._GOLDEN * (b - a)
+    gc, gd = g(c), g(d)
+    for _ in range(80):
+        left = gc >= gd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        new = np.where(left, b - kstar._GOLDEN * (b - a), a + kstar._GOLDEN * (b - a))
+        g_new = g(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        gc, gd = np.where(left, g_new, gd), np.where(left, gc, g_new)
+    return np.maximum(np.maximum(gc, gd), g(0.5 * (a + b)))
+
+
+def _searches(monkeypatch, run):
+    """The (g, lo, hi) of every golden-section search that ``run()`` makes."""
+    seen, golden = [], kstar._golden_max
+
+    def record(g, lo, hi):
+        seen.append((g, lo, hi))
+        return golden(g, lo, hi)
+
+    with monkeypatch.context() as m:
+        m.setattr(kstar, "_golden_max", record)
+        run()
+    return seen
+
+
+def _same_as_80_steps(g, lo, hi) -> int:
+    """Asserts that ``_golden_max`` gives the bytes of all 80 steps and
+    returns its count of g calls."""
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return g(x)
+
+    got = kstar._golden_max(counted, lo, hi)
+    assert got.tobytes() == _golden_max_80(g, lo, hi).tobytes()
+    return len(calls)
+
+
+_OU = OUParams(mu0=0.5, tau0=1.0, times=(0.0, 0.5, 1.0, 1.5), obs=(0.2, 0.1, 0.3, -0.1), M=16)
+_BAYES = BayesParams(a=2.5, b=1.0, sigma0=0.3, Y=[0.3, -0.1, 0.8, 0.2, -0.9],
+                     X=[[1.0, 0.2], [1.0, -0.4], [1.0, 0.9], [1.0, 0.1], [1.0, -1.2]])
+
+
+@pytest.mark.parametrize("spec", [
+    BayesBeta2(_BAYES),
+    NIGBeta2(_NIG),
+    ou_exp_log_square_envelope(_OU),
+    Sum((PowerLaw(0.5, 0.7), PowerLaw(1.2, 0.4), PowerLaw(0.3, 1.3))),
+    AdjointShift(PowerLaw(0.8, 0.6)),
+], ids=["bayes", "nig2", "ou-envelope", "sum", "adjoint-powerlaw"])
+def test_the_u_grid_search_stops_at_its_cycle_bit_for_bit(monkeypatch, spec):
+    """Each u-grid bracket spans two grid steps, so every row's search
+    reaches its period-2 cycle well before step 80: at most 75 profile
+    calls, not 83, with the bytes of all 80 steps."""
+    (search,) = _searches(monkeypatch, lambda: conjugate(spec))
+    assert len(search[1]) > 0
+    assert _same_as_80_steps(*search) <= 75
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.0, 0.2), (2.0, -0.5)])
+def test_wide_brackets_keep_all_80_steps(monkeypatch, a, b):
+    """ExpLogSquareConjugate's brackets span 10 + 5 / a^2 and never cycle
+    within 80 steps: all 83 calls."""
+    k = ExpLogSquareConjugate(0.25, a, b)
+    (search,) = _searches(monkeypatch, lambda: k(np.geomspace(1e-300, 0.25, 150)))
+    assert _same_as_80_steps(*search) == 83
+
+
+def _objective(v, c, alpha):
+    """u (v - c u^alpha): a power law's objective on u."""
+    return lambda u: u * (v - c * u ** alpha)
+
+
+def test_non_finite_values_and_degenerate_brackets_match_80_steps():
+    """g NaN on some rows and +-inf on others, rows with lo == hi, a single
+    row, and rows that reach their cycles far apart: the same bytes as all
+    80 steps."""
+    rows = 8
+    lo = np.geomspace(1e-3, 1e3, rows)
+    hi = lo * 1.018
+    nan, pinf, ninf = (np.arange(rows) % 4 == k for k in (1, 2, 3))
+    finite = _objective(0.05, 0.4, 0.7)
+
+    def g(u):
+        return np.where(nan, np.nan, np.where(pinf, np.inf, np.where(ninf, -np.inf, finite(u))))
+
+    _same_as_80_steps(g, lo, hi)
+    hi[::2] = lo[::2]
+    _same_as_80_steps(finite, lo, hi)
+    assert _same_as_80_steps(finite, lo, lo.copy()) == 5
+    # the single row brackets the objective's maximizer by two u-grid steps
+    top = (0.05 / (1.7 * 0.4)) ** (1.0 / 0.7)
+    assert _same_as_80_steps(finite, np.array([top / 1.009]), np.array([top * 1.009])) <= 75
+    # row 0 cycles within a few steps while row 1, where the objective
+    # falls, keeps its a and shrinks its b: the stop waits for row 1
+    lo, hi = np.array([top / 1.02, 10.0 * top]), np.array([top / 1.02 * (1.0 + 1e-14), 100.0 * top])
+    _same_as_80_steps(finite, lo, hi)
 
 
 def test_a_table_dip_between_u_points_reads_zero_below_the_reference():

@@ -458,3 +458,47 @@ def test_u_grid_points_below_the_closed_form_do_not_rise(name):
     assert under_reports({"mode": None, "k2": desc}, 0, list(zip(LOG_GRID, closed.tolist()))) == []
     below = [n for n, a, b in zip(LOG_GRID, numeric, closed) if a < b]
     assert len(below) <= CLOSED_FORM_BELOW[name], below
+
+
+# Random inputs that reach the u-grid path, drawn from fixed seeds and run
+# through the CLI on a 31-point grid to n = 1e4: the number of curves with
+# at least one flagged point, held per family as a ceiling.  Every draw
+# exits 0.
+RANDOM_GRID = [0] + sorted({int(round(n)) for n in np.geomspace(1.0, 1e4, 30)})
+RANDOM_FLAGGED_CURVES = {
+    "explogsquare": 39,
+    "ou": 26,
+}
+
+
+def _random_inputs(family: str, count: int = 40):
+    """(argv, config or None, recipe, offset) of each draw: ``--beta
+    explogsquare`` with c above the cap, or an ou config with M = 8."""
+    rng = np.random.default_rng({"explogsquare": 19, "ou": 190}[family])
+    for _ in range(count):
+        if family == "explogsquare":
+            c, a, b = (rng.uniform(0.26, 2.0), math.exp(rng.uniform(math.log(0.2), math.log(3.0))),
+                       rng.uniform(-2.0, 2.0))
+            yield (["bound", "--beta", f"explogsquare:{c!r},{a!r},{b!r}"], None,
+                   {"mode": None, "k2": {"family": "explogsquare", "c": c, "a": a, "b": b}}, 0)
+            continue
+        T, k = rng.uniform(1.0, 12.0), int(rng.integers(3, 12))
+        times = np.sort(np.concatenate([[0.0, T], rng.uniform(0.0, T, k - 2)]))
+        cfg = {"case": "ou", "mu0": float(rng.normal()), "tau0": math.exp(rng.uniform(-1.0, 0.5)),
+               "times": times.tolist(), "obs": rng.normal(size=k).tolist(), "M": 8}
+        yield (["bound", "--case", "ou"], cfg,
+               {"mode": "marginal_2mg", "gamma0": 1.0, "k2": _ou_envelope(cfg)}, 1)
+
+
+@pytest.mark.parametrize("family", sorted(RANDOM_FLAGGED_CURVES))
+def test_random_inputs_flagged_curves_do_not_rise(tmp_path, family):
+    grid = ["--n-grid", ",".join(map(str, RANDOM_GRID))]
+    flagged = []
+    for i, (argv, cfg, recipe, offset) in enumerate(_random_inputs(family)):
+        if cfg is not None:
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(cfg))
+            argv = argv + ["--config", str(path)]
+        if under_reports(recipe, offset, _cli_curve(argv + grid, tmp_path / str(i))):
+            flagged.append(i)
+    assert len(flagged) <= RANDOM_FLAGGED_CURVES[family], flagged
