@@ -431,7 +431,8 @@ class OUBeta2(BetaSpec):
     envelope_K * (1 - Phi((2 log(s)/eta - m) / tau0)) for s >= 1; 1/4 below.
 
     Evaluated one point at a time with ``math.log`` and ``math.erfc``,
-    whose last bits ``np.log`` does not reproduce.
+    whose last bits ``np.log`` does not reproduce, over the points of s
+    flattened and returned in its shape.
     """
 
     params: OUParams
@@ -439,15 +440,16 @@ class OUBeta2(BetaSpec):
 
     def _eval(self, s):
         p = self.params
-        out = np.full_like(s, DEFAULT_CAP)
-        tail = np.flatnonzero(~(s < 1.0))
+        flat = s.ravel()
+        out = np.full(flat.shape, DEFAULT_CAP)
+        tail = np.flatnonzero(~(flat < 1.0))
         if tail.size and p.eta <= 0.0:
             raise ValidityRangeError("profile needs eta > 0 for the Gaussian tail")
         eta, m = p.eta, p.m
         for i in tail:
-            z = (2.0 * math.log(s[i]) / eta - m) / p.tau0
+            z = (2.0 * math.log(flat[i]) / eta - m) / p.tau0
             out[i] = p.envelope_K * (0.5 * math.erfc(z / math.sqrt(2.0)))
-        return out
+        return out.reshape(s.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -245,10 +245,11 @@ def _same_bytes(state, other) -> bool:
             and all(x.tobytes() == y.tobytes() for x, y in zip(state, other)))
 
 
-def _golden_max(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _golden_max(g, lo: np.ndarray, hi: np.ndarray, *, lookahead: bool = False) -> np.ndarray:
     """Golden-section maximization of g on every bracket [lo[j], hi[j]] at
     once; returns the max values.  g maps an array of points to their
-    values, one call per iteration for all brackets.
+    values, one call per step, or per two with ``lookahead``, for all
+    brackets.
 
     The search runs at most 80 steps and returns the state of the 80th.  A
     bracket only a few ulps wide stops shrinking: its points round back to
@@ -257,20 +258,42 @@ def _golden_max(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     back, each step is a function of the state alone and g gives the same
     values for the same points, so every later state repeats with period 2.
     The loop then stops and takes the 80th state by parity, which is the
-    state 80 steps would reach, bit for bit (``_same_bytes``)."""
+    state 80 steps would reach, bit for bit (``_same_bytes``).
+
+    With ``lookahead`` each call of g takes three points per bracket, as a
+    (3, n) array: this step's point, then the point the next step forms if
+    it keeps [a, d] and the one if it keeps [c, b], each by that step's own
+    expression.  The next step picks its side's point and value with
+    ``np.where`` and calls nothing, so 80 steps take 40 calls, not 80, with
+    the same bytes: g works point by point (``special``'s functions state
+    it, and ufuncs work element by element), so no value depends on the
+    points beside it.  It pays where a call costs more than its points, as
+    for the profiles evaluated through ``special``'s iteration loops.
+    ``ExpLogSquareConjugate``'s g is two exps, whose cost grows with its
+    points, and runs slower with it: it keeps one point per bracket a call."""
     a, b = lo, hi
     w = _GOLDEN * (b - a)
     c, d = b - w, a + w
     gc, gd = g(c), g(d)
     state, prev, older = (a, b, c, d, gc, gd), None, None
+    ahead = None  # the next step's two points and their values, or None
     for step in range(80):  # 0.618^80: each bracket shrinks to 2e-17 of its width
         left = gc >= gd  # the max lies in [a, d]: d becomes b, c becomes d
         a = np.where(left, a, c)
         b = np.where(left, d, b)
-        w = _GOLDEN * (b - a)
-        new = np.where(left, b - w, a + w)
-        g_new = g(new)
+        if ahead is None:
+            w = _GOLDEN * (b - a)
+            new = np.where(left, b - w, a + w)
+            g_new = None if lookahead else g(new)
+        else:
+            (points, values), ahead = ahead, None
+            new, g_new = np.where(left, *points), np.where(left, *values)
         c, d = np.where(left, new, d), np.where(left, c, new)
+        if g_new is None:
+            # the next step's bracket is [a, d] if it goes left, [c, b] if right
+            points = np.stack([new, d - _GOLDEN * (d - a), c + _GOLDEN * (b - c)])
+            values = g(points)
+            g_new, ahead = values[0], (points[1:], values[1:])
         gc, gd = np.where(left, g_new, gd), np.where(left, gc, g_new)
         state, prev, older = (a, b, c, d, gc, gd), state, prev
         if older is not None and _same_bytes(state, older):
@@ -447,7 +470,12 @@ def conjugate(spec: BetaSpec) -> KStarFn:
     if np.any(live):
         v = _V_GRID[live]
         lo, hi = u[below[live]], u[np.minimum(at[live] + 1, len(u) - 1)]
-        refined = _golden_max(lambda uu: uu * (v - spec(1.0 / uu)), lo, hi)
+
+        def g(uu):
+            # the lookahead's (3, n) points reach the profile flattened
+            return uu * (v - spec(1.0 / uu.ravel()).reshape(uu.shape))
+
+        refined = _golden_max(g, lo, hi, lookahead=True)
         vals[live] = np.maximum(0.0, np.maximum(refined, best[live]))
     vals = _convexify(_V_GRID, vals)
     return GridKStar(tuple(_V_GRID), tuple(vals))

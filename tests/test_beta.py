@@ -171,6 +171,23 @@ def test_adjoint_shift():
     assert b(101.0) == pytest.approx(0.01)
 
 
+@pytest.mark.parametrize("spec", [
+    Indicator(gamma=0.3),
+    PowerLaw(coefficient=2.0, exponent=0.7),
+    ExpLogSquare(c=0.25, a=1.0, b=0.5),
+    Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01))),
+    Sum((PowerLaw(1.0, 0.5), ExpLogSquare(c=0.25, a=0.5, b=0.0))),
+    AdjointShift(PowerLaw(1.0, 1.0)),
+], ids=["indicator", "powerlaw", "explogsquare", "table", "sum", "adjoint-shift"])
+def test_families_evaluate_a_2d_array_point_by_point(spec):
+    """A 2-D s gives, in its shape, the bytes of its flattened points."""
+    s = np.array([0.5, 1.5, 4.0, 30.0, 1e3, 1e6])
+    for grid in (s.reshape(2, 3), s.reshape(3, 2).T):
+        got = spec(grid)
+        assert got.shape == grid.shape
+        assert got.tobytes() == spec(grid.ravel()).tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["indicator", "powerlaw", "explogsquare"]),

@@ -124,13 +124,18 @@ def test_nig_envelope_exponents():
 
 
 def test_case_profiles_at_one_point():
-    """A scalar s gives the float the array path gives at that point, and
-    s <= 0 is outside every profile's domain."""
+    """A scalar s gives the float the array path gives at that point, a 2-D
+    s gives, in its shape, the bytes of its flattened points, and s <= 0 is
+    outside every profile's domain."""
     nig = NIGParams(beta_hyper=2.0, sigma0=0.5)
     profiles = (NIGBeta1(nig), NIGBeta2(nig), BayesBeta2(_bayes_params()), OUBeta2(_ou_params()))
     s = np.array([0.5, 10.0, 1e3, 1e6, 1e9, 1e12])
     for profile in profiles:
         values = profile(s)
+        for grid in (s.reshape(2, 3), s.reshape(3, 2).T):
+            got = profile(grid)
+            assert got.shape == grid.shape
+            assert got.tobytes() == profile(grid.ravel()).tobytes(), type(profile).__name__
         for si, v in zip(s, values):
             one = profile(float(si))
             assert type(one) is float and one == v

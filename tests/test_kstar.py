@@ -27,8 +27,8 @@ from wpgibbs import (
 )
 from wpgibbs import RateBound, kstar
 from wpgibbs.beta import BetaSpec, ExpLogSquare
-from wpgibbs.cases import (BayesBeta2, BayesParams, NIGBeta1, NIGBeta2, NIGParams, OUParams,
-                           ou_exp_log_square_envelope)
+from wpgibbs.cases import (BayesBeta2, BayesParams, NIGBeta1, NIGBeta2, NIGParams, OUBeta2,
+                           OUParams, ou_exp_log_square_envelope)
 from dataclasses import dataclass
 
 
@@ -194,6 +194,7 @@ _NIG = NIGParams(beta_hyper=1.0, sigma0=0.5)
 # over the whole u-grid
 _BAYES_CAPPED = BayesParams(a=2.5, b=1.0, sigma0=0.3, Y=[0.3, -0.1, 0.8, 0.2, -0.9],
                             X=[[1.0, 0.0], [1.0, 0.01], [1.0, 0.02], [1.0, -0.01], [1.0, 0.015]])
+_OU = OUParams(mu0=0.5, tau0=1.0, times=(0.0, 0.5, 1.0, 1.5), obs=(0.2, 0.1, 0.3, -0.1), M=16)
 
 
 @pytest.mark.parametrize("spec,live", [
@@ -205,26 +206,29 @@ _BAYES_CAPPED = BayesParams(a=2.5, b=1.0, sigma0=0.3, Y=[0.3, -0.1, 0.8, 0.2, -0
     (NIGBeta1(_NIG), 0),
     (BayesBeta2(_BAYES_CAPPED), 0),
     (NIGBeta2(_NIG), 44),
+    # evaluated one point at a time in Python, the profile the lookahead slows
+    (OUBeta2(_OU), 200),
     # values that rise by 1e-15, as Table's validator allows, on both sides
     # of the grid v _G, which the profile reaches at s = 100 and keeps to 1e8
     (_on_the_u_grid(Table(knots=((1.0, 0.25), (10.0, _G + 1e-15), (100.0, _G),
                                  (200.0, _G + 1e-15)))), 79),
 ], ids=["table", "sum", "adjoint-powerlaw", "adjoint-table", "explogsquare-capped",
-        "nig1", "bayes-capped", "nig2", "table-rising"])
+        "nig1", "bayes-capped", "nig2", "ou-beta2", "table-rising"])
 def test_conjugate_equals_per_v_reference(monkeypatch, spec, live):
     """The knots are those of the per-v reference, which refines every row,
     while only the ``live`` rows, those with v > beta(1/lo), reach the
     golden-section search.  With no live row the profile is evaluated once,
-    on the u-grid."""
+    on the u-grid.  The profile only ever receives 1-D arrays: the search's
+    (3, n) points reach it flattened."""
     refined, evaluated = [], []
     golden, evaluate = kstar._golden_max, type(spec)._eval
 
-    def counted_golden(g, lo, hi):
+    def counted_golden(g, lo, hi, **kw):
         refined.append(len(lo))
-        return golden(g, lo, hi)
+        return golden(g, lo, hi, **kw)
 
     def counted_eval(self, s):
-        evaluated.append(len(s))
+        evaluated.append(s.shape)
         return evaluate(self, s)
 
     monkeypatch.setattr(kstar, "_golden_max", counted_golden)
@@ -232,8 +236,9 @@ def test_conjugate_equals_per_v_reference(monkeypatch, spec, live):
     k = conjugate(spec)
     assert isinstance(k, GridKStar)
     assert refined == ([live] if live else [])
+    assert all(len(shape) == 1 for shape in evaluated), evaluated
     if not live:
-        assert evaluated == [kstar._U_POINTS]
+        assert evaluated == [(kstar._U_POINTS,)]
     monkeypatch.undo()
     assert np.array_equal(np.array(k.values), _conjugate_reference(spec, kstar._V_GRID))
 
@@ -256,12 +261,13 @@ def _golden_max_80(g, lo, hi):
 
 
 def _searches(monkeypatch, run):
-    """The (g, lo, hi) of every golden-section search that ``run()`` makes."""
+    """The (g, lo, hi, lookahead) of every golden-section search that
+    ``run()`` makes."""
     seen, golden = [], kstar._golden_max
 
-    def record(g, lo, hi):
-        seen.append((g, lo, hi))
-        return golden(g, lo, hi)
+    def record(g, lo, hi, *, lookahead=False):
+        seen.append((g, lo, hi, lookahead))
+        return golden(g, lo, hi, lookahead=lookahead)
 
     with monkeypatch.context() as m:
         m.setattr(kstar, "_golden_max", record)
@@ -269,21 +275,36 @@ def _searches(monkeypatch, run):
     return seen
 
 
-def _same_as_80_steps(g, lo, hi) -> int:
-    """Asserts that ``_golden_max`` gives the bytes of all 80 steps and
-    returns its count of g calls."""
-    calls = []
+def _same_as_80_steps(g, lo, hi) -> tuple[int, int]:
+    """Asserts that ``_golden_max``, one step per call and with its
+    lookahead, gives the bytes of all 80 steps, and that the lookahead
+    evaluates, bit for bit, each point the sequential search evaluates:
+    the first two and the last as they are, and between them each step's
+    point as row 0 of a (3, n) call or, at the step after, as row 1 or 2
+    of it.  Returns the two counts of g calls, sequential first."""
+    want = _golden_max_80(g, lo, hi).tobytes()
+    points = {}
+    for lookahead in (False, True):
+        calls = points[lookahead] = []
 
-    def counted(x):
-        calls.append(len(x))
-        return g(x)
+        def counted(x):
+            calls.append(np.array(x))
+            return g(x)
 
-    got = kstar._golden_max(counted, lo, hi)
-    assert got.tobytes() == _golden_max_80(g, lo, hi).tobytes()
-    return len(calls)
+        got = kstar._golden_max(counted, lo, hi, lookahead=lookahead)
+        assert got.tobytes() == want, lookahead
+    sequential, ahead = points[False], points[True]
+    assert len(ahead) == 3 + (len(sequential) - 2) // 2
+    for x, y in zip(sequential[:2] + sequential[-1:], ahead[:2] + ahead[-1:]):
+        assert x.tobytes() == y.tobytes()
+    steps = [x.view(np.uint64) for x in sequential[2:-1]]
+    for k, three in enumerate(x.view(np.uint64) for x in ahead[2:-1]):
+        assert np.array_equal(steps[2 * k], three[0])
+        if 2 * k + 1 < len(steps):
+            assert np.all((steps[2 * k + 1] == three[1]) | (steps[2 * k + 1] == three[2]))
+    return len(sequential), len(ahead)
 
 
-_OU = OUParams(mu0=0.5, tau0=1.0, times=(0.0, 0.5, 1.0, 1.5), obs=(0.2, 0.1, 0.3, -0.1), M=16)
 _BAYES = BayesParams(a=2.5, b=1.0, sigma0=0.3, Y=[0.3, -0.1, 0.8, 0.2, -0.9],
                      X=[[1.0, 0.2], [1.0, -0.4], [1.0, 0.9], [1.0, 0.1], [1.0, -1.2]])
 
@@ -298,19 +319,25 @@ _BAYES = BayesParams(a=2.5, b=1.0, sigma0=0.3, Y=[0.3, -0.1, 0.8, 0.2, -0.9],
 def test_the_u_grid_search_stops_at_its_cycle_bit_for_bit(monkeypatch, spec):
     """Each u-grid bracket spans two grid steps, so every row's search
     reaches its period-2 cycle well before step 80: at most 75 profile
-    calls, not 83, with the bytes of all 80 steps."""
+    calls, not 83, with the bytes of all 80 steps.  ``conjugate`` searches
+    with the lookahead, two steps per call: at most 39."""
     (search,) = _searches(monkeypatch, lambda: conjugate(spec))
-    assert len(search[1]) > 0
-    assert _same_as_80_steps(*search) <= 75
+    g, lo, hi, lookahead = search
+    assert len(lo) > 0 and lookahead
+    sequential, ahead = _same_as_80_steps(g, lo, hi)
+    assert sequential <= 75 and ahead <= 39
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.0, 0.2), (2.0, -0.5)])
 def test_wide_brackets_keep_all_80_steps(monkeypatch, a, b):
     """ExpLogSquareConjugate's brackets span 10 + 5 / a^2 and never cycle
-    within 80 steps: all 83 calls."""
+    within 80 steps: all 83 calls, or 43 with the lookahead, which
+    ExpLogSquareConjugate does not take."""
     k = ExpLogSquareConjugate(0.25, a, b)
     (search,) = _searches(monkeypatch, lambda: k(np.geomspace(1e-300, 0.25, 150)))
-    assert _same_as_80_steps(*search) == 83
+    g, lo, hi, lookahead = search
+    assert not lookahead
+    assert _same_as_80_steps(g, lo, hi) == (83, 43)
 
 
 def _objective(v, c, alpha):
@@ -334,10 +361,11 @@ def test_non_finite_values_and_degenerate_brackets_match_80_steps():
     _same_as_80_steps(g, lo, hi)
     hi[::2] = lo[::2]
     _same_as_80_steps(finite, lo, hi)
-    assert _same_as_80_steps(finite, lo, lo.copy()) == 5
+    assert _same_as_80_steps(finite, lo, lo.copy()) == (5, 4)
     # the single row brackets the objective's maximizer by two u-grid steps
     top = (0.05 / (1.7 * 0.4)) ** (1.0 / 0.7)
-    assert _same_as_80_steps(finite, np.array([top / 1.009]), np.array([top * 1.009])) <= 75
+    sequential, ahead = _same_as_80_steps(finite, np.array([top / 1.009]), np.array([top * 1.009]))
+    assert sequential <= 75 and ahead <= 39
     # row 0 cycles within a few steps while row 1, where the objective
     # falls, keeps its a and shrinks its b: the stop waits for row 1
     lo, hi = np.array([top / 1.02, 10.0 * top]), np.array([top / 1.02 * (1.0 + 1e-14), 100.0 * top])
