@@ -23,8 +23,8 @@ DEFAULT_CAP = 0.25
 
 def _as_array(s) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(arr <= 0.0):
-        raise DomainError("beta functions are defined for s > 0 only")
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise DomainError("beta functions are defined for finite s > 0 only")
     return arr
 
 

@@ -29,7 +29,7 @@ from .beta import DEFAULT_CAP, BetaSpec, ExpLogSquare, _number, _numbers
 from .errors import (DomainError, InvalidModeError, InvalidSpecError, UnboundedConjugateError,
                      ValidityRangeError)
 from .kstar import Linear
-from .special import gammainc_tails, lambert_w
+from .special import gammainc_half_tails, gammainc_tails, lambert_w
 
 # conductance constants for random-walk / heavy-tail slice gap bounds
 C_RWM = 1.972e-4
@@ -168,11 +168,13 @@ class NIGBeta1(BetaSpec):
         return out
 
 
-def _gamma_marginal_profile(s: np.ndarray, a: float, c: float, rate: float, rate_name: str):
-    """P(a, x_lo) + Q(a, x_hi) at x = -rate W(-c/s), W0 for x_lo and W_{-1}
-    for x_hi, where s >= e c; the cap 1/4 below.  Both beta_2 profiles take
-    this form: the mass of their Gamma(a, rate) marginal outside a Lambert-W
-    interval.  ``rate_name`` names the inputs behind ``rate`` if x overflows."""
+def _gamma_marginal_profile(s: np.ndarray, tails: Callable, c: float, rate: float, rate_name: str):
+    """tails(x_lo, x_hi) at x = -rate W(-c/s), W0 for x_lo and W_{-1} for
+    x_hi, where s >= e c; the cap 1/4 below.  Both beta_2 profiles take this
+    form: the mass P(a, x_lo) + Q(a, x_hi) of their Gamma(a, rate) marginal
+    outside a Lambert-W interval, which ``tails`` computes for the case's
+    shape a.  ``rate_name`` names the inputs behind ``rate`` if x
+    overflows."""
     out = np.full_like(s, DEFAULT_CAP)
     valid = s >= math.e * c
     arg = -c / s[valid]  # in [-1/e, 0) up to rounding at the edge, which lambert_w absorbs
@@ -180,7 +182,7 @@ def _gamma_marginal_profile(s: np.ndarray, a: float, c: float, rate: float, rate
         x = -rate * lambert_w(arg)
     if not np.isfinite(x).all():
         raise DomainError(f"{rate_name} overflows the beta_2 profile's incomplete-gamma arguments")
-    out[valid] = gammainc_tails(a, x[0], x[1])
+    out[valid] = tails(x[0], x[1])
     return out
 
 
@@ -196,7 +198,7 @@ class NIGBeta2(BetaSpec):
     def _eval(self, s):
         sigma0, beta = _nig_sigma0(self.params), self.params.beta_hyper
         return _gamma_marginal_profile(
-            s, 0.5, 2.0 / C_RWM, beta / (2.0 * sigma0 * sigma0),
+            s, gammainc_half_tails, 2.0 / C_RWM, beta / (2.0 * sigma0 * sigma0),
             f"beta_hyper / (2 sigma0^2) at beta_hyper={beta!r}, sigma0={sigma0!r}")
 
 
@@ -305,7 +307,8 @@ class BayesBeta2(BetaSpec):
     def _eval(self, s):
         p = self.params
         return _gamma_marginal_profile(
-            s, p.a_prime, p.C1 * p.C2, p.b_prime / p.C2, f"b' / C2 at b={p.b!r}, sigma0={p.sigma0!r}")
+            s, functools.partial(gammainc_tails, p.a_prime), p.C1 * p.C2, p.b_prime / p.C2,
+            f"b' / C2 at b={p.b!r}, sigma0={p.sigma0!r}")
 
 
 # ---------------------------------------------------------------------------

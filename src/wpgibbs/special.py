@@ -3,16 +3,19 @@
 Self-contained implementations of the two real Lambert W branches on
 [-1/e, 0) and of the regularised incomplete gamma pieces, so the
 closed-form beta profiles do not silently depend on library conventions.
-The test suite cross-checks them against scipy.
+The test suite cross-checks them against scipy.  The one exception is
+shape 1/2, where P(1/2, x) = erf(sqrt(x)) and Q(1/2, x) = erfc(sqrt(x))
+(DLMF 8.4.1): ``gammainc_half_tails`` calls libm's erf and erfc through
+``math``, as ``cases.OUBeta2`` calls erfc, and needs no iteration.
 
-Both functions take arrays and run all their points through one iteration
-loop that holds only the points still iterating: a point is written back at
-the step where it converges on its own, and the survivors are compacted
-then, so no point's value depends on the points beside it.  ``lambert_w``
-runs both branches through one Halley loop, and ``gammainc_tails`` both
-incomplete-gamma pieces through one series loop and one continued-fraction
-loop.  One bad point anywhere, a non-finite one included, raises
-``DomainError``.
+``lambert_w`` and ``gammainc_tails`` take arrays and run all their points
+through one iteration loop that holds only the points still iterating: a
+point is written back at the step where it converges on its own, and the
+survivors are compacted then, so no point's value depends on the points
+beside it.  ``lambert_w`` runs both branches through one Halley loop, and
+``gammainc_tails`` both incomplete-gamma pieces through one series loop and
+one continued-fraction loop.  In every function here one bad point
+anywhere, a non-finite one included, raises ``DomainError``.
 """
 from __future__ import annotations
 
@@ -103,16 +106,12 @@ def gammainc_tails(s: float, lo, hi) -> np.ndarray:
     arrays ``lo`` and ``hi`` of one shape.  Gamma(s) is never formed: the
     prefactor x^s e^{-x} / Gamma(s) is one exp, whose rounding grows like
     s log x (about 2e-11 relative at s = 1e4)."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if lo.shape != hi.shape:
-        raise DomainError(f"gammainc_tails needs lo and hi of one shape, got {lo.shape} and {hi.shape}")
     s = float(s)
     if not (math.isfinite(s) and s > 0.0):
         raise DomainError("gammainc_tails needs finite s > 0")
-    x = np.concatenate([lo.reshape(-1), hi.reshape(-1)])
-    if not (np.isfinite(x).all() and np.all(x >= 0.0)):
-        raise DomainError("gammainc_tails needs finite x >= 0")
-    upper = np.repeat([False, True], lo.size)
+    x, shape = _tail_points("gammainc_tails", lo, hi)
+    n = x.size // 2
+    upper = np.repeat([False, True], n)
     series = (x > 0.0) & (x < s + 1.0)
     cf = x >= s + 1.0
     part = np.zeros_like(x)
@@ -123,7 +122,33 @@ def gammainc_tails(s: float, lo, hi) -> np.ndarray:
     complement = cf ^ upper
     if np.count_nonzero(complement):
         part[complement] = 1.0 - part[complement]
-    return (part[:lo.size] + part[lo.size:]).reshape(lo.shape)
+    return (part[:n] + part[n:]).reshape(shape)
+
+
+def gammainc_half_tails(lo, hi) -> np.ndarray:
+    """P(1/2, lo) + Q(1/2, hi), the same sum as ``gammainc_tails(0.5, lo,
+    hi)``, in closed form: P(1/2, x) = erf(sqrt(x)) and Q(1/2, x) =
+    erfc(sqrt(x)) (DLMF 8.4.1), one ``math.erf`` and one ``math.erfc`` per
+    point.  The erf piece is within an ulp or two; the erfc piece's
+    relative error grows like x eps, as the continued fraction's does."""
+    x, shape = _tail_points("gammainc_half_tails", lo, hi)
+    n = x.size // 2
+    r = np.sqrt(x).tolist()
+    return np.array([math.erf(a) + math.erfc(b) for a, b in zip(r[:n], r[n:])],
+                    dtype=float).reshape(shape)
+
+
+def _tail_points(name: str, lo, hi) -> tuple[np.ndarray, tuple]:
+    """The points of ``lo`` then those of ``hi``, flattened into one array,
+    and their common shape; ``DomainError`` unless the shapes are one and
+    every point is finite and >= 0."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.shape != hi.shape:
+        raise DomainError(f"{name} needs lo and hi of one shape, got {lo.shape} and {hi.shape}")
+    x = np.concatenate([lo.reshape(-1), hi.reshape(-1)])
+    if not (np.isfinite(x).all() and np.all(x >= 0.0)):
+        raise DomainError(f"{name} needs finite x >= 0")
+    return x, lo.shape
 
 
 def _lower_series(s: float, x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from wpgibbs import (
     Sum,
     Table,
 )
+from wpgibbs.cases import BayesBeta2, BayesParams, NIGBeta1, NIGBeta2, NIGParams, OUBeta2, OUParams
 from wpgibbs.config import beta_from_dict, to_dict
 
 
@@ -118,6 +119,33 @@ def test_domain_error_nonpositive_s():
         PowerLaw(1.0, 1.0)(0.0)
     with pytest.raises(DomainError):
         Indicator(0.5)(-2.0)
+
+
+_NIG = NIGParams(beta_hyper=2.0, sigma0=0.5)
+
+
+@pytest.mark.parametrize("spec", [
+    Indicator(gamma=0.3),
+    PowerLaw(coefficient=2.0, exponent=0.7),
+    ExpLogSquare(c=0.25, a=1.0, b=0.5),
+    Table(knots=((1.0, 0.25), (10.0, 0.1), (100.0, 0.01))),
+    Sum((PowerLaw(1.0, 0.5), Indicator(0.25))),
+    AdjointShift(PowerLaw(1.0, 1.0)),
+    NIGBeta1(_NIG),
+    NIGBeta2(_NIG),
+    BayesBeta2(BayesParams(a=2.0, b=1.0, X=np.array([[1.0, 0.2], [1.0, -0.4], [1.0, 0.9], [1.0, -1.2]]),
+                           Y=np.array([0.3, -0.1, 0.8, -0.9]), sigma0=0.3)),
+    OUBeta2(OUParams(mu0=0.5, tau0=1.0, times=(0.0, 0.5, 1.0), obs=(0.2, 0.1, 0.3), M=8)),
+], ids=["indicator", "powerlaw", "explogsquare", "table", "sum", "adjoint-shift",
+        "nig-beta1", "nig-beta2", "bayes-beta2", "ou-beta2"])
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_non_finite_s_is_refused(spec, x):
+    """A NaN s once passed the s > 0 check: Indicator gave 0, the most
+    optimistic value, others 1/4 or NaN; an infinite s reached lambert_w and
+    failed there.  Every family now refuses both, alone or in an array."""
+    for s in (x, np.array([2.0, x])):
+        with pytest.raises(DomainError, match="^beta functions are defined for finite s > 0 only$"):
+            spec(s)
 
 
 def test_explogsquare_flat_before_mode():

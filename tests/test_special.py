@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.special as sps
 
 from wpgibbs.errors import DomainError
-from wpgibbs.special import gammainc_tails, lambert_w
+from wpgibbs.special import gammainc_half_tails, gammainc_tails, lambert_w
 
 E_INV = 1.0 / math.e
 # the branch point, an x that rounds past it (clamped onto it), both sides of
@@ -97,9 +98,14 @@ def test_gamma_edge_cases():
     # at x = 0 the lower piece is 0 and the upper one 1, exactly
     assert gammainc_tails(1.5, [0.0], [FAR]).tolist() == [0.0]
     assert gammainc_tails(1.5, [0.0], [0.0]).tolist() == [1.0]
+    assert gammainc_half_tails([0.0], [FAR]).tolist() == [0.0]
+    assert gammainc_half_tails([0.0], [0.0]).tolist() == [1.0]
     for s, lo, hi in ((-1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)):
         with pytest.raises(DomainError):
             gammainc_tails(s, [lo], [hi])
+    for lo, hi in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(DomainError):
+            gammainc_half_tails([lo], [hi])
 
 
 def test_lambert_array_equals_scalar_calls():
@@ -124,6 +130,11 @@ def test_non_finite_inputs_raise():
             gammainc_tails(s, [x, 1.0], [1.0, 1.0])
         with pytest.raises(DomainError):
             gammainc_tails(s, [1.0, 1.0], [1.0, x])
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            gammainc_half_tails([x, 1.0], [1.0, 1.0])
+        with pytest.raises(DomainError):
+            gammainc_half_tails([1.0, 1.0], [1.0, x])
 
 
 def test_lambert_array_matches_scipy_across_seed_regions():
@@ -143,15 +154,17 @@ def test_lambert_one_bad_element_raises():
 
 def test_gamma_array_equals_scalar_calls():
     # x = 0, the series below s + 1, the continued fraction from s + 1 on,
-    # and lo and hi in different regions at one point
-    for s in (0.5, 2.5, 30.0):
+    # and lo and hi in different regions at one point; the closed form at
+    # s = 1/2 on the same points
+    iterated = [(s, functools.partial(gammainc_tails, s)) for s in (0.5, 2.5, 30.0)]
+    for s, tails in iterated + [(0.5, gammainc_half_tails)]:
         xs = np.array([0.0, 1e-12, 0.3 * (s + 1.0), s + 1.0 - 1e-9, s + 1.0, 2.0 * s + 5.0, 700.0])
         lo, hi = (a.ravel() for a in np.meshgrid(xs, xs))
-        vals = gammainc_tails(s, lo, hi)
+        vals = tails(lo, hi)
         assert isinstance(vals, np.ndarray) and vals.shape == lo.shape
-        assert np.array_equal(vals, [gammainc_tails(s, float(a), float(b)) for a, b in zip(lo, hi)])
-        assert np.array_equal(gammainc_tails(s, lo.reshape(7, 7), hi.reshape(7, 7)), vals.reshape(7, 7))
-        assert gammainc_tails(s, np.array([]), np.array([])).shape == (0,)
+        assert np.array_equal(vals, [tails(float(a), float(b)) for a, b in zip(lo, hi)])
+        assert np.array_equal(tails(lo.reshape(7, 7), hi.reshape(7, 7)), vals.reshape(7, 7))
+        assert tails(np.array([]), np.array([])).shape == (0,)
 
 
 def test_gamma_array_matches_scipy():
@@ -161,16 +174,39 @@ def test_gamma_array_matches_scipy():
         assert np.allclose(_upper(s, xs), sps.gammaincc(s, xs), rtol=1e-10, atol=1e-300)
         assert np.allclose(gammainc_tails(s, xs, xs[::-1]),
                            sps.gammainc(s, xs) + sps.gammaincc(s, xs[::-1]), rtol=1e-10, atol=0.0)
+    far = np.full_like(xs, FAR)
+    assert np.allclose(gammainc_half_tails(xs, far), sps.gammainc(0.5, xs), rtol=1e-10, atol=0.0)
+    assert np.allclose(gammainc_half_tails(np.zeros_like(xs), xs), sps.gammaincc(0.5, xs),
+                       rtol=1e-10, atol=1e-300)
+    assert np.allclose(gammainc_half_tails(xs, xs[::-1]),
+                       sps.gammainc(0.5, xs) + sps.gammaincc(0.5, xs[::-1]), rtol=1e-10, atol=0.0)
+
+
+def test_gamma_half_tails_match_the_iteration():
+    """The closed form at s = 1/2 agrees with the series and continued
+    fraction piece by piece: to 1e-14 relative up to x = 50, and to 3e-13 up
+    to 700, where both upper pieces lose accuracy like x eps."""
+    for top, rtol in ((50.0, 1e-14), (700.0, 3e-13)):
+        xs = np.concatenate([[0.0], np.geomspace(1e-8, top, 200)])
+        far, zero = np.full_like(xs, FAR), np.zeros_like(xs)
+        assert np.allclose(gammainc_half_tails(xs, far), gammainc_tails(0.5, xs, far), rtol=rtol, atol=0.0)
+        assert np.allclose(gammainc_half_tails(zero, xs), gammainc_tails(0.5, zero, xs), rtol=rtol, atol=0.0)
+        assert np.allclose(gammainc_half_tails(xs, xs[::-1]), gammainc_tails(0.5, xs, xs[::-1]),
+                           rtol=rtol, atol=0.0)
 
 
 def test_gamma_one_bad_element_raises():
     for lo, hi in (([1.0, -1e-3], [1.0, 1.0]), ([1.0, 1.0], [-1e-3, 1.0]), ([1.0, np.nan], [1.0, 1.0])):
         with pytest.raises(DomainError):
             gammainc_tails(0.5, np.array(lo), np.array(hi))
+        with pytest.raises(DomainError):
+            gammainc_half_tails(np.array(lo), np.array(hi))
     # lo and hi of different shapes, broadcastable or not
     for lo, hi in ((np.ones(3), np.ones(2)), (np.ones(3), 1.0), (np.ones((2, 3)), np.ones(6))):
         with pytest.raises(DomainError, match="one shape"):
             gammainc_tails(0.5, lo, hi)
+        with pytest.raises(DomainError, match="one shape"):
+            gammainc_half_tails(lo, hi)
 
 
 # The scalar iterations, one point at a time in math-module arithmetic, as
